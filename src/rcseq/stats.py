@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "Ecdf",
@@ -214,7 +214,7 @@ def fisher_z_test(
         zval = math.inf if r > 0 else -math.inf
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
-    p = float(2.0 * norm.sf(abs(zval))) if math.isfinite(zval) else 0.0
+    p = float(2.0 * ndtr(-abs(zval))) if math.isfinite(zval) else 0.0
     return CiTestResult(
         r=float(r),
         conditioning=tuple(conditioning),
@@ -259,7 +259,7 @@ def batch_marginal_ci(x_matrix, y) -> tuple[np.ndarray, np.ndarray]:
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - 3)
     if np.any(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    p = 2.0 * norm.sf(np.abs(zval))
+    p = 2.0 * ndtr(-np.abs(zval))
     p = np.where(np.isfinite(zval), p, 0.0)
     p = np.where(ok, p, 1.0)
     return r, p
