@@ -9,20 +9,18 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import __version__
 from .config import PipelineConfig, apply_overrides, load_config
 from .errors import AnalysisError, ConfigError, DataError, RcseqError
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
-from .rcd import rcd_runs, FrequencyTable
+from .rcd import FrequencyTable, rcd_runs
 from .report import (
     OutputBundle,
-    cis_to_dict,
     diff_to_dict,
     runs_to_dict,
     subgraph_to_dict,
@@ -37,7 +35,7 @@ from .report import (
     write_tuning_params,
 )
 from .scm import Scenario, make_scenario, scenario_from_mapping
-from .sequence import assemble_cis, detect_events, deviation_traces, order_events
+from .sequence import CisReport, assemble_cis, detect_events, deviation_traces
 from .subgraph import build_subgraph, graph_diff
 from .tuner import consolidate, prominent_sources, run_grid, tuning_rows, variance_trend
 
@@ -120,16 +118,28 @@ def _stage_label(cfg: PipelineConfig, panel, sla: SlaRule, scenario):
     return labeled, breaches
 
 
+def _labeled_or_fail(cfg: PipelineConfig, what: str) -> tuple[LabeledPanel, SlaRule]:
+    """Load and label the input; an SLA that never breaches is a data error."""
+    panel, sla, scenario = _load_input(cfg)
+    labeled, _ = _stage_label(cfg, panel, sla, scenario)
+    if labeled is None:
+        raise DataError(f"no SLA breach found; nothing to {what}")
+    return labeled, sla
+
+
+def _rcd_exclude(cfg: PipelineConfig, sla: SlaRule) -> tuple[str, ...]:
+    return () if cfg.include_sla_in_rcd else (sla.metric,)
+
+
 def _stage_discover(cfg: PipelineConfig, labeled: LabeledPanel, sla: SlaRule):
-    exclude = () if cfg.include_sla_in_rcd else (sla.metric,)
+    exclude = _rcd_exclude(cfg, sla)
     runs = rcd_runs(labeled, cfg.rcd, exclude=exclude, jobs=cfg.jobs)
     names = tuple(k for k in labeled.panel.kpi_names if k not in exclude)
-    counts = [sum(1 for cand in runs if kpi in cand.kpis) for kpi in names]
-    table = FrequencyTable(kpi_names=names, counts=np.asarray(counts), n_runs=cfg.rcd.n_runs)
+    table = FrequencyTable.from_runs(names, runs)
     candidates = [
         kpi
-        for kpi, count in zip(names, counts)
-        if count / cfg.rcd.n_runs >= cfg.candidate_threshold
+        for kpi, proportion in zip(names, table.proportions)
+        if proportion >= cfg.candidate_threshold
     ]
     return table, runs, candidates
 
@@ -138,13 +148,14 @@ def _scan_set(candidates, sla: SlaRule) -> list[str]:
     return list(dict.fromkeys([*candidates, sla.metric]))
 
 
-def _empty_cis(cfg: PipelineConfig) -> dict:
-    return {
-        "steps": [],
-        "nodes": [],
-        "edges": [],
-        "config": _cis_config_echo(cfg),
-    }
+def _stage_subgraph(cfg: PipelineConfig, labeled: LabeledPanel, window: str, nodes):
+    return build_subgraph(
+        labeled.window_panel(window),
+        nodes,
+        cfg.subgraph.tau_max,
+        cfg.subgraph.alpha,
+        cfg.subgraph.max_cond,
+    )
 
 
 def _cis_config_echo(cfg: PipelineConfig) -> dict:
@@ -168,8 +179,7 @@ def cmd_synth(cfg: PipelineConfig) -> int:
     if scenario is None:
         raise ConfigError("synth requires input.scenario or input.scenario_file")
     panel, truth = scenario.build(cfg.seed)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
         save_csv(panel, bundle.path(f"{scenario.name}_panel.csv"))
         write_json(
             bundle.path(f"{scenario.name}_truth.json"),
@@ -186,17 +196,13 @@ def cmd_synth(cfg: PipelineConfig) -> int:
                 "propagation": [[n, t] for n, t in truth.propagation],
             },
         )
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
 def cmd_label(cfg: PipelineConfig) -> int:
     panel, sla, scenario = _load_input(cfg)
     labeled, breaches = _stage_label(cfg, panel, sla, scenario)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
         write_json(
             bundle.path("labels.json"),
             {
@@ -206,70 +212,55 @@ def cmd_label(cfg: PipelineConfig) -> int:
                 "abnormal_window": list(labeled.abnormal_window) if labeled else None,
             },
         )
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
 def cmd_discover(cfg: PipelineConfig) -> int:
-    panel, sla, scenario = _load_input(cfg)
-    labeled, _ = _stage_label(cfg, panel, sla, scenario)
-    if labeled is None:
-        raise DataError("no SLA breach found; nothing to discover")
+    labeled, sla = _labeled_or_fail(cfg, "discover")
     table, runs, candidates = _stage_discover(cfg, labeled, sla)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
         write_frequency_csv(bundle, table)
         write_json(
             bundle.path("rcd_runs.json"),
             _metadata(cfg, candidates=candidates, runs=runs_to_dict(runs)),
         )
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
 def cmd_subgraph(cfg: PipelineConfig) -> int:
-    panel, sla, scenario = _load_input(cfg)
-    labeled, _ = _stage_label(cfg, panel, sla, scenario)
-    if labeled is None:
-        raise DataError("no SLA breach found; nothing to analyze")
+    labeled, sla = _labeled_or_fail(cfg, "analyze")
     _, _, candidates = _stage_discover(cfg, labeled, sla)
-    nodes = _scan_set(candidates, sla)
-    graph = build_subgraph(
-        labeled.window_panel("normal"),
-        nodes,
-        cfg.subgraph.tau_max,
-        cfg.subgraph.alpha,
-        cfg.subgraph.max_cond,
-    )
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    graph = _stage_subgraph(cfg, labeled, "normal", _scan_set(candidates, sla))
+    with OutputBundle(cfg.out_dir) as bundle:
         write_subgraph_dot(bundle, graph, "subgraph.dot")
         write_json(bundle.path("subgraph.json"), subgraph_to_dict(graph))
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
-def _run_pipeline(cfg: PipelineConfig):
-    """Shared label -> discover -> subgraph -> sequence execution."""
+@dataclass(frozen=True)
+class PipelineRun:
+    """What `sequence` and `run-all` report from one labeled breach."""
+
+    labeled: LabeledPanel
+    breaches: list
+    table: FrequencyTable
+    runs: list
+    candidates: list
+    nodes: list
+    events: tuple
+    report: CisReport
+
+
+def _run_pipeline(cfg: PipelineConfig) -> PipelineRun | None:
+    """Shared label -> discover -> subgraph -> sequence execution; None when
+    the SLA never breaches."""
     panel, sla, scenario = _load_input(cfg)
     labeled, breaches = _stage_label(cfg, panel, sla, scenario)
     if labeled is None:
         return None
     table, runs, candidates = _stage_discover(cfg, labeled, sla)
     nodes = _scan_set(candidates, sla)
-    graph = build_subgraph(
-        labeled.window_panel("normal"),
-        nodes,
-        cfg.subgraph.tau_max,
-        cfg.subgraph.alpha,
-        cfg.subgraph.max_cond,
-    )
+    graph = _stage_subgraph(cfg, labeled, "normal", nodes)
     events = detect_events(
         labeled,
         nodes,
@@ -279,96 +270,79 @@ def _run_pipeline(cfg: PipelineConfig):
         correction=cfg.cis.correction,
         z_thr=cfg.cis.z_thr,
     )
-    steps = order_events(events)
-    report = assemble_cis(graph, steps, sla.metric, config=_cis_config_echo(cfg))
-    return {
-        "panel": panel,
-        "sla": sla,
-        "labeled": labeled,
-        "breaches": breaches,
-        "table": table,
-        "runs": runs,
-        "candidates": candidates,
-        "graph": graph,
-        "events": events,
-        "report": report,
-        "nodes": nodes,
-    }
+    report = assemble_cis(graph, events, sla.metric, config=_cis_config_echo(cfg))
+    return PipelineRun(
+        labeled=labeled,
+        breaches=breaches,
+        table=table,
+        runs=runs,
+        candidates=candidates,
+        nodes=nodes,
+        events=events,
+        report=report,
+    )
+
+
+def _write_sequence(
+    bundle: OutputBundle, cfg: PipelineConfig, state: PipelineRun | None
+) -> None:
+    """cis.json and deviation_traces.csv; with no breach, a cis.json with no
+    steps and no traces."""
+    if state is None:
+        empty = {"steps": [], "nodes": [], "edges": [], "config": _cis_config_echo(cfg)}
+        write_json(bundle.path("cis.json"), empty)
+        return
+    write_cis(bundle, state.report)
+    traces, kpis = deviation_traces(
+        state.labeled,
+        state.events,
+        state.nodes,
+        window=cfg.cis.window,
+        z_thr=cfg.cis.z_thr,
+    )
+    write_traces_csv(bundle, state.labeled.panel.ticks, traces, kpis)
 
 
 def cmd_sequence(cfg: PipelineConfig) -> int:
     state = _run_pipeline(cfg)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
-        if state is None:
-            write_json(bundle.path("cis.json"), _empty_cis(cfg))
-            return EXIT_OK
-        write_cis(bundle, state["report"])
-        traces, kpis = deviation_traces(
-            state["labeled"],
-            state["events"],
-            state["nodes"],
-            window=cfg.cis.window,
-            z_thr=cfg.cis.z_thr,
-        )
-        write_traces_csv(bundle, state["labeled"].panel.ticks, traces, kpis)
-    except BaseException:
-        bundle.discard()
-        raise
+    with OutputBundle(cfg.out_dir) as bundle:
+        _write_sequence(bundle, cfg, state)
     return EXIT_OK
 
 
 def cmd_run_all(cfg: PipelineConfig) -> int:
     state = _run_pipeline(cfg)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
+        _write_sequence(bundle, cfg, state)
         if state is None:
-            write_json(bundle.path("cis.json"), _empty_cis(cfg))
             write_json(
                 bundle.path("run_metadata.json"),
                 _metadata(cfg, breaches=[], no_breach=True),
             )
             return EXIT_OK
-        labeled = state["labeled"]
-        write_cis(bundle, state["report"])
-        write_cis_dot(bundle, state["report"], "subgraph.dot")
-        traces, kpis = deviation_traces(
-            labeled,
-            state["events"],
-            state["nodes"],
-            window=cfg.cis.window,
-            z_thr=cfg.cis.z_thr,
-        )
-        write_traces_csv(bundle, labeled.panel.ticks, traces, kpis)
-        write_histograms_csv(bundle, labeled, state["nodes"])
+        labeled = state.labeled
+        write_cis_dot(bundle, state.report, "subgraph.dot")
+        write_histograms_csv(bundle, labeled, state.nodes)
         write_json(
             bundle.path("run_metadata.json"),
             _metadata(
                 cfg,
-                breaches=[list(b) for b in state["breaches"]],
+                breaches=[list(b) for b in state.breaches],
                 normal_window=list(labeled.normal_window),
                 abnormal_window=list(labeled.abnormal_window),
-                candidates=state["candidates"],
-                frequencies={
-                    k: c / state["table"].n_runs
-                    for k, c in zip(state["table"].kpi_names, state["table"].counts.tolist())
-                },
-                runs=runs_to_dict(state["runs"]),
+                candidates=state.candidates,
+                frequencies=dict(
+                    zip(state.table.kpi_names, state.table.proportions.tolist())
+                ),
+                runs=runs_to_dict(state.runs),
             ),
         )
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
 def cmd_tune(cfg: PipelineConfig) -> int:
-    panel, sla, scenario = _load_input(cfg)
-    labeled, _ = _stage_label(cfg, panel, sla, scenario)
-    if labeled is None:
-        raise DataError("no SLA breach found; nothing to tune against")
-    exclude = () if cfg.include_sla_in_rcd else (sla.metric,)
-    v = panel.n_kpis
+    labeled, sla = _labeled_or_fail(cfg, "tune against")
+    v = labeled.panel.n_kpis
     g_values = cfg.mc.g_values if cfg.mc.g_values is not None else tuple(range(3, v + 1))
     grid = run_grid(
         labeled,
@@ -376,7 +350,7 @@ def cmd_tune(cfg: PipelineConfig) -> int:
         n_values=cfg.mc.n_values,
         base_cfg=cfg.rcd,
         seed=cfg.seed,
-        exclude=exclude,
+        exclude=_rcd_exclude(cfg, sla),
         jobs=cfg.jobs,
     )
     rows = tuning_rows(grid, n_mode=cfg.mc.n_mode)
@@ -387,45 +361,22 @@ def cmd_tune(cfg: PipelineConfig) -> int:
     trends = None
     if len(grid.n_values) >= 3:
         trends = [variance_trend(grid, kpi) for kpi in grid.kpi_names]
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
         write_tuning_csv(bundle, rows)
         write_tuning_params(bundle, params, trends, cfg.mc.p_thr)
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 
 def cmd_compare_states(cfg: PipelineConfig) -> int:
-    panel, sla, scenario = _load_input(cfg)
-    labeled, _ = _stage_label(cfg, panel, sla, scenario)
-    if labeled is None:
-        raise DataError("no SLA breach found; nothing to compare")
-    nodes = tuple(panel.kpi_names)
-    normal = build_subgraph(
-        labeled.window_panel("normal"),
-        nodes,
-        cfg.subgraph.tau_max,
-        cfg.subgraph.alpha,
-        cfg.subgraph.max_cond,
-    )
-    abnormal = build_subgraph(
-        labeled.window_panel("abnormal"),
-        nodes,
-        cfg.subgraph.tau_max,
-        cfg.subgraph.alpha,
-        cfg.subgraph.max_cond,
-    )
+    labeled, _ = _labeled_or_fail(cfg, "compare")
+    nodes = tuple(labeled.panel.kpi_names)
+    normal = _stage_subgraph(cfg, labeled, "normal", nodes)
+    abnormal = _stage_subgraph(cfg, labeled, "abnormal", nodes)
     diff = graph_diff(normal, abnormal)
-    bundle = OutputBundle(cfg.out_dir)
-    try:
+    with OutputBundle(cfg.out_dir) as bundle:
         write_subgraph_dot(bundle, normal, "subgraph_normal.dot")
         write_subgraph_dot(bundle, abnormal, "subgraph_abnormal.dot")
         write_json(bundle.path("graph_diff.json"), diff_to_dict(diff))
-    except BaseException:
-        bundle.discard()
-        raise
     return EXIT_OK
 
 

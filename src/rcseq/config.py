@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
 from .tuner import DEFAULT_N_SET
@@ -30,6 +30,10 @@ class LabelConfig:
     breach_index: int = 0
 
     def __post_init__(self):
+        for name in ("normal_len", "abnormal_len", "lead_ticks"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, int):
+                raise ConfigError(f"label {name} must be an integer, got {value!r}")
         if self.breach_index < 0:
             raise ConfigError("breach_index must be non-negative")
 
@@ -140,8 +144,16 @@ def _section(doc: dict, name: str) -> dict:
 def _build(cls, section: dict, what: str):
     try:
         return cls(**section)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {what} config: {exc}") from exc
+
+
+def _typed(convert, value, what: str):
+    """convert(value), reporting a malformed value as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{what} must be {convert.__name__}, got {value!r}") from exc
 
 
 def config_from_mapping(doc: dict) -> PipelineConfig:
@@ -151,40 +163,42 @@ def config_from_mapping(doc: dict) -> PipelineConfig:
     sla = None
     if sla_doc:
         try:
-            sla = SlaRule(
-                metric=sla_doc["metric"],
-                comparator=sla_doc["comparator"],
-                threshold=float(sla_doc["threshold"]),
-                min_duration_ticks=int(sla_doc.get("min_duration_ticks", 1)),
-            )
+            sla = SlaRule.from_mapping(sla_doc)
         except KeyError as exc:
             raise ConfigError(f"sla section missing field: {exc}") from exc
+        except (TypeError, ValueError, DataError) as exc:
+            raise ConfigError(f"bad sla config: {exc}") from exc
+    include_sla_in_rcd = doc.get("include_sla_in_rcd", False)
+    if not isinstance(include_sla_in_rcd, bool):
+        raise ConfigError(
+            f"include_sla_in_rcd must be true or false, got {include_sla_in_rcd!r}"
+        )
+    seed = _typed(int, doc.get("seed", 0), "seed")
     out = _section(doc, "output")
-    mc_section = _section(doc, "mc")
-    if "g_values" in mc_section and mc_section["g_values"] is not None:
-        mc_section["g_values"] = tuple(mc_section["g_values"])
-    if "n_values" in mc_section:
-        mc_section["n_values"] = tuple(mc_section["n_values"])
     rcd_section = _section(doc, "rcd")
     # the top-level seed is the master seed; rcd keeps its own only when set
-    rcd_section.setdefault("seed", int(doc.get("seed", 0)))
+    rcd_section.setdefault("seed", seed)
     return PipelineConfig(
         input_csv=inp.get("csv"),
         scenario=inp.get("scenario"),
         scenario_file=inp.get("scenario_file"),
         missing=inp.get("missing", "fail"),
-        granularity_seconds=int(inp.get("granularity_seconds", 15)),
+        granularity_seconds=_typed(
+            int, inp.get("granularity_seconds", 15), "input.granularity_seconds"
+        ),
         sla=sla,
         label=_build(LabelConfig, _section(doc, "label"), "label"),
         rcd=_build(RcdConfig, rcd_section, "rcd"),
         subgraph=_build(SubgraphConfig, _section(doc, "subgraph"), "subgraph"),
         cis=_build(CisConfig, _section(doc, "cis"), "cis"),
-        mc=_build(McConfig, mc_section, "mc"),
-        candidate_threshold=float(doc.get("candidate_threshold", 0.5)),
-        include_sla_in_rcd=bool(doc.get("include_sla_in_rcd", False)),
-        seed=int(doc.get("seed", 0)),
+        mc=_build(McConfig, _section(doc, "mc"), "mc"),
+        candidate_threshold=_typed(
+            float, doc.get("candidate_threshold", 0.5), "candidate_threshold"
+        ),
+        include_sla_in_rcd=include_sla_in_rcd,
+        seed=seed,
         out_dir=str(out.get("dir", "out")),
-        jobs=int(doc.get("jobs", 1)),
+        jobs=_typed(int, doc.get("jobs", 1), "jobs"),
     )
 
 

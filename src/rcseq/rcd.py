@@ -82,6 +82,17 @@ class FrequencyTable:
     counts: np.ndarray
     n_runs: int
 
+    @classmethod
+    def from_runs(cls, kpi_names, runs) -> "FrequencyTable":
+        """Count, per KPI, the runs whose candidate set contains it."""
+        kpi_names = tuple(kpi_names)
+        index = {name: i for i, name in enumerate(kpi_names)}
+        counts = np.zeros(len(kpi_names), dtype=np.int64)
+        for cand in runs:
+            for kpi in cand.kpis:
+                counts[index[kpi]] += 1
+        return cls(kpi_names=kpi_names, counts=counts, n_runs=len(runs))
+
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (len(self.kpi_names),):
@@ -253,9 +264,22 @@ def rcd_single_run(
     return result
 
 
-def _run_task(args) -> tuple[int, CandidateSet]:
-    labeled, cfg, run_index, exclude = args
-    return run_index, rcd_single_run(labeled, cfg, run_index, exclude)
+def map_ordered(fn, tasks, jobs: int = 1) -> list:
+    """[fn(t) for t in tasks], spread over up to `jobs` worker processes.
+
+    Results come back in task order whatever the worker count, so callers
+    whose tasks are pure functions of their arguments get identical results
+    for every `jobs`.
+    """
+    tasks = list(tasks)
+    if jobs <= 1 or len(tasks) <= 1:
+        return [fn(t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        return list(pool.map(fn, tasks))
+
+
+def _run_task(args) -> CandidateSet:
+    return rcd_single_run(*args)
 
 
 def rcd_runs(
@@ -267,17 +291,10 @@ def rcd_runs(
     """All n_runs candidate sets, in run order.
 
     Runs are pure functions of (data, cfg, run index), so they may execute
-    in parallel; results are reassembled by index and identical regardless
-    of jobs.
+    in parallel; the result is identical regardless of jobs.
     """
-    if jobs <= 1 or cfg.n_runs == 1:
-        return [rcd_single_run(labeled, cfg, i, exclude) for i in range(cfg.n_runs)]
     tasks = [(labeled, cfg, i, tuple(exclude)) for i in range(cfg.n_runs)]
-    results: dict[int, CandidateSet] = {}
-    with ProcessPoolExecutor(max_workers=min(jobs, cfg.n_runs)) as pool:
-        for idx, cand in pool.map(_run_task, tasks):
-            results[idx] = cand
-    return [results[i] for i in range(cfg.n_runs)]
+    return map_ordered(_run_task, tasks, jobs)
 
 
 def rcd_multi_run(
@@ -289,9 +306,4 @@ def rcd_multi_run(
     """Aggregate n_runs independent runs into per-KPI source frequencies."""
     excluded = set(exclude)
     names = tuple(n for n in labeled.panel.kpi_names if n not in excluded)
-    counts = np.zeros(len(names), dtype=np.int64)
-    index = {name: i for i, name in enumerate(names)}
-    for cand in rcd_runs(labeled, cfg, exclude, jobs):
-        for kpi in cand.kpis:
-            counts[index[kpi]] += 1
-    return FrequencyTable(kpi_names=names, counts=counts, n_runs=cfg.n_runs)
+    return FrequencyTable.from_runs(names, rcd_runs(labeled, cfg, exclude, jobs))

@@ -23,12 +23,24 @@ TABLE_COLUMNS = ("KPI Name", "Parameter g", "Probability Estimation", "Optimal n
 
 
 class OutputBundle:
-    """Tracks files written by one command so a failed stage can clean up."""
+    """Tracks files written by one command so a failed stage can clean up.
+
+    Used as a context manager: any exception raised inside the block,
+    KeyboardInterrupt included, discards the files written so far and
+    propagates.
+    """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
+
+    def __enter__(self) -> "OutputBundle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            self.discard()
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name

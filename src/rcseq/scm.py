@@ -409,15 +409,7 @@ def scenario_from_mapping(doc: dict) -> Scenario:
     horizon, normal_len, abnormal_len, lead_ticks.
     """
     try:
-        sla = None
-        if doc.get("sla"):
-            s = doc["sla"]
-            sla = SlaRule(
-                metric=s["metric"],
-                comparator=s["comparator"],
-                threshold=float(s["threshold"]),
-                min_duration_ticks=int(s.get("min_duration_ticks", 1)),
-            )
+        sla = SlaRule.from_mapping(doc["sla"]) if doc.get("sla") else None
         spec = ScmSpec(
             nodes=tuple(doc["nodes"]),
             edges=tuple(tuple(e) for e in doc.get("edges", ())),

@@ -80,6 +80,20 @@ def _adjust(p_raw: np.ndarray, correction: str, m_total: int) -> np.ndarray:
     raise AnalysisError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
 
 
+def _ks_scan(segment, baseline, offsets, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """K-S test of each window of the segment against the baseline;
+    returns (raw p, d) per window."""
+    results = [ks_two_sample(segment[o : o + window], baseline) for o in offsets]
+    return np.array([r.p_raw for r in results]), np.array([r.d for r in results])
+
+
+def _baseline_stats(labeled: LabeledPanel, kpi: str) -> tuple[float, float]:
+    """Mean and sample sd of the KPI's normal window (sd 0 for one tick)."""
+    baseline = labeled.normal_values(kpi)
+    sigma = float(baseline.std(ddof=1)) if baseline.size > 1 else 0.0
+    return float(baseline.mean()), sigma
+
+
 def rolling_ks_onset(
     series,
     baseline,
@@ -105,9 +119,7 @@ def rolling_ks_onset(
             f"abnormal segment ({series.size}) shorter than one window ({window})"
         )
     offsets = window_offsets(series.size, window, stride)
-    results = [ks_two_sample(series[o : o + window], baseline) for o in offsets]
-    p_raw = np.array([r.p_raw for r in results])
-    d = np.array([r.d for r in results])
+    p_raw, d = _ks_scan(series, baseline, offsets, window)
     p_adj = _adjust(p_raw, correction, m_total=len(offsets))
     hits = np.nonzero(p_adj <= cis_alpha)[0]
     onset = int(offsets[hits[0]]) if hits.size else None
@@ -163,12 +175,9 @@ def detect_events(
     raw = np.empty((len(kpis), len(offsets)))
     dstat = np.empty_like(raw)
     for i, kpi in enumerate(kpis):
-        baseline = labeled.normal_values(kpi)
-        segment = labeled.abnormal_values(kpi)
-        for j, off in enumerate(offsets):
-            res = ks_two_sample(segment[off : off + window], baseline)
-            raw[i, j] = res.p_raw
-            dstat[i, j] = res.d
+        raw[i], dstat[i] = _ks_scan(
+            labeled.abnormal_values(kpi), labeled.normal_values(kpi), offsets, window
+        )
     adjusted = _adjust(raw.ravel(), correction, m_total=raw.size).reshape(raw.shape)
     events = []
     for i, kpi in enumerate(kpis):
@@ -177,12 +186,9 @@ def detect_events(
             continue
         j = int(hits[0])
         onset = a0 + offsets[j]
-        baseline = labeled.normal_values(kpi)
-        mu = float(baseline.mean())
-        sigma = float(baseline.std(ddof=1)) if baseline.size > 1 else 0.0
-        segment = labeled.abnormal_values(kpi)
+        mu, sigma = _baseline_stats(labeled, kpi)
         direction, hard = direction_at_onset(
-            segment, offsets[j], window, mu, sigma, z_thr
+            labeled.abnormal_values(kpi), offsets[j], window, mu, sigma, z_thr
         )
         events.append(
             DeviationEvent(
@@ -265,16 +271,10 @@ def deviation_traces(
         event = by_kpi.get(kpi)
         if event is None:
             continue
-        series = labeled.panel.column(kpi)
-        baseline = labeled.normal_values(kpi)
-        mu = float(baseline.mean())
-        sigma = float(baseline.std(ddof=1)) if baseline.size > 1 else 0.0
         end = labeled.abnormal_window[1]
+        # windows are clipped at the end of the abnormal window
+        series = labeled.panel.column(kpi)[:end]
+        mu, sigma = _baseline_stats(labeled, kpi)
         for tick in range(event.onset_tick, end):
-            chunk = series[tick : min(tick + window, end)]
-            mean = float(chunk.mean())
-            if sigma == 0.0:
-                traces[tick, j] = int(np.sign(mean - mu))
-            else:
-                traces[tick, j] = direction_code(z_score(mean, mu, sigma), z_thr)
+            traces[tick, j], _ = direction_at_onset(series, tick, window, mu, sigma, z_thr)
     return traces, kpis

@@ -11,14 +11,13 @@ consolidate to global parameters as maxima over the prominent-source set.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
-from .rcd import RcdConfig, rcd_multi_run
+from .rcd import RcdConfig, map_ordered, rcd_multi_run
 from .stats import binomial_sd
 
 __all__ = [
@@ -109,8 +108,7 @@ def _cell_seed(seed: int, g: int, n: int) -> int:
 def _cell_task(args):
     labeled, base_cfg, g, n, seed, exclude = args
     cfg = replace(base_cfg, g=g, n_runs=n, seed=_cell_seed(seed, g, n))
-    table = rcd_multi_run(labeled, cfg, exclude=exclude)
-    return g, n, table.counts
+    return rcd_multi_run(labeled, cfg, exclude=exclude).counts
 
 
 def run_grid(
@@ -142,14 +140,8 @@ def run_grid(
         for g in g_values
         for n in n_values
     ]
-    if jobs <= 1 or len(tasks) == 1:
-        results = [_cell_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            results = list(pool.map(_cell_task, tasks))
-    counts = np.zeros((len(g_values), len(n_values), len(names)), dtype=np.int64)
-    for g, n, cell_counts in results:
-        counts[g_values.index(g), n_values.index(n)] = cell_counts
+    cells = map_ordered(_cell_task, tasks, jobs)
+    counts = np.reshape(cells, (len(g_values), len(n_values), len(names)))
     return McGrid(g_values=g_values, n_values=n_values, kpi_names=names, counts=counts)
 
 

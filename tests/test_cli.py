@@ -239,6 +239,46 @@ class TestConfigPaths:
         assert run("label", "--config", cfg, "--out", tmp_path) == 3
 
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "seed: abc",
+            "jobs: two",
+            "candidate_threshold: hi",
+            "input: {granularity_seconds: q}",
+            'sla: {metric: dl_throughput, comparator: "<", threshold: abc}',
+            'sla: {metric: dl_throughput, comparator: "<", threshold: -3.0,'
+            " min_duration_ticks: x}",
+            'sla: {metric: dl_throughput, comparator: "!=", threshold: -3.0}',
+            "label: {normal_len: abc}",
+            "mc: {n_values: [a]}",
+            "mc: {g_values: 5}",
+            "include_sla_in_rcd: 'false'",
+        ],
+    )
+    def test_malformed_value_is_config_error(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text + "\n")
+        code = run("label", "--config", cfg, "--scenario", "cascade", "--out", tmp_path / "o")
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestOutputCleanup:
+    @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+    def test_failed_write_discards_bundle(self, tmp_path, monkeypatch, exc):
+        def fail(bundle, *args, **kwargs):
+            assert bundle.written  # earlier reports are on disk by now
+            raise exc("injected")
+
+        monkeypatch.setattr("rcseq.cli.write_histograms_csv", fail)
+        out = tmp_path / "out"
+        with pytest.raises(exc, match="injected"):
+            run("run-all", "--scenario", "cascade", "--seed", 0, "--out", out)
+        assert list(out.iterdir()) == []
+
+
 class TestTune:
     def cfg(self, tmp_path, seed=3):
         cfg = tmp_path / "cfg.yaml"
