@@ -15,7 +15,7 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .config import PipelineConfig, apply_overrides, load_config
+from .config import FLAG_KEYS, PipelineConfig, load_config
 from .errors import AnalysisError, ConfigError, DataError, RcseqError
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
 from .rcd import FrequencyTable, rcd_runs
@@ -430,17 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        cfg = apply_overrides(
-            cfg,
-            seed=args.seed,
-            out_dir=args.out,
-            jobs=args.jobs,
-            cis_alpha=args.cis_alpha,
-            input_csv=args.input,
-            scenario=args.scenario,
-            scenario_file=args.scenario_file,
-        )
+        cfg = load_config(args.config, **{f: getattr(args, f) for f in FLAG_KEYS})
         return args.fn(cfg)
     except ConfigError as exc:
         print(f"rcseq: config error: {exc}", file=sys.stderr)

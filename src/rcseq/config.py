@@ -1,15 +1,18 @@
-"""Pipeline configuration: defaults, YAML loading, and CLI overrides.
+"""Pipeline configuration: defaults, YAML loading, and CLI flags.
 
 The config file is a YAML document with one section per stage
 (input/sla/label/rcd/subgraph/cis/mc/output) plus top-level seed and jobs;
 every value has a default, so an empty file (or none at all) is valid for
-scenario-driven runs.
+scenario-driven runs. Command-line flags are written into the parsed
+mapping, so both pass the same checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -30,10 +33,6 @@ class LabelConfig:
     breach_index: int = 0
 
     def __post_init__(self):
-        for name in ("normal_len", "abnormal_len", "lead_ticks"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, int):
-                raise ConfigError(f"label {name} must be an integer, got {value!r}")
         if self.breach_index < 0:
             raise ConfigError("breach_index must be non-negative")
 
@@ -88,18 +87,18 @@ class McConfig:
             raise ConfigError("mc n_values must be non-empty")
         if self.n_mode not in ("proportional", "absolute"):
             raise ConfigError("mc n_mode must be 'proportional' or 'absolute'")
-        if self.g_values is not None:
-            object.__setattr__(self, "g_values", tuple(int(g) for g in self.g_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input_csv: str | None = None
-    scenario: str | None = None
-    scenario_file: str | None = None
-    missing: str = "fail"
-    granularity_seconds: int = 15
+    """Effective settings. A field's metadata `key` is where the config file
+    keeps it, when that is not the field name."""
+
+    input_csv: str | None = field(default=None, metadata={"key": "input.csv"})
+    scenario: str | None = field(default=None, metadata={"key": "input.scenario"})
+    scenario_file: str | None = field(default=None, metadata={"key": "input.scenario_file"})
+    missing: str = field(default="fail", metadata={"key": "input.missing"})
+    granularity_seconds: int = field(default=15, metadata={"key": "input.granularity_seconds"})
     sla: SlaRule | None = None
     label: LabelConfig = field(default_factory=LabelConfig)
     rcd: RcdConfig = field(default_factory=RcdConfig)
@@ -109,7 +108,7 @@ class PipelineConfig:
     candidate_threshold: float = 0.5
     include_sla_in_rcd: bool = False
     seed: int = 0
-    out_dir: str = "out"
+    out_dir: str = field(default="out", metadata={"key": "output.dir"})
     jobs: int = 1
 
     def __post_init__(self):
@@ -128,121 +127,139 @@ class PipelineConfig:
         (output directory, worker count) are excluded so that reruns are
         byte-identical regardless of where and how wide they execute."""
         doc = asdict(self)
-        doc["sla"] = asdict(self.sla) if self.sla else None
         doc.pop("out_dir", None)
         doc.pop("jobs", None)
         return doc
 
 
-def _section(doc: dict, name: str) -> dict:
-    section = doc.get(name) or {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return dict(section)
+_SCALARS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _build(cls, section: dict, what: str):
-    try:
-        return cls(**section)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} config: {exc}") from exc
+def _join(what: str, key) -> str:
+    return f"{what}.{key}" if what else str(key)
 
 
-def _typed(convert, value, what: str):
-    """convert(value), reporting a malformed value as a ConfigError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be {convert.__name__}, got {value!r}") from exc
+def _mapping(value, what: str) -> dict:
+    """A parsed YAML section; an empty one (null) reads as {}."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what or 'config'} must be a mapping, got {value!r}")
+    return value
 
 
-def config_from_mapping(doc: dict) -> PipelineConfig:
-    doc = dict(doc or {})
-    inp = _section(doc, "input")
-    sla_doc = _section(doc, "sla")
-    sla = None
-    if sla_doc:
-        try:
-            sla = SlaRule.from_mapping(sla_doc)
-        except KeyError as exc:
-            raise ConfigError(f"sla section missing field: {exc}") from exc
-        except (TypeError, ValueError, DataError) as exc:
-            raise ConfigError(f"bad sla config: {exc}") from exc
-    include_sla_in_rcd = doc.get("include_sla_in_rcd", False)
-    if not isinstance(include_sla_in_rcd, bool):
-        raise ConfigError(
-            f"include_sla_in_rcd must be true or false, got {include_sla_in_rcd!r}"
+def _read_value(tp, value, key: str):
+    """`value` checked against the annotation `tp`: int takes an integer,
+    float any number (widened to float), bool and str their own type, and a
+    bool is no number. Tuples read from lists, `X | None` takes null, and a
+    dataclass reads from a mapping (null: all defaults) or is passed built."""
+    if isinstance(tp, UnionType):
+        args = get_args(tp)
+        if value is None and type(None) in args:
+            return None
+        for arg in args:
+            if arg is not type(None):
+                try:
+                    return _read_value(arg, value, key)
+                except ConfigError as exc:
+                    error = exc
+        raise error
+    if is_dataclass(tp):
+        return value if isinstance(value, tp) else read_mapping(tp, value, key)
+    if get_origin(tp) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {value!r}")
+        args = get_args(tp)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        elif len(args) != len(value):
+            raise ConfigError(f"{key} must be a list of {len(args)} items, got {value!r}")
+        return tuple(
+            _read_value(arg, item, f"{key}[{i}]")
+            for i, (arg, item) in enumerate(zip(args, value))
         )
-    seed = _typed(int, doc.get("seed", 0), "seed")
-    out = _section(doc, "output")
-    rcd_section = _section(doc, "rcd")
-    # the top-level seed is the master seed; rcd keeps its own only when set
-    rcd_section.setdefault("seed", seed)
-    return PipelineConfig(
-        input_csv=inp.get("csv"),
-        scenario=inp.get("scenario"),
-        scenario_file=inp.get("scenario_file"),
-        missing=inp.get("missing", "fail"),
-        granularity_seconds=_typed(
-            int, inp.get("granularity_seconds", 15), "input.granularity_seconds"
-        ),
-        sla=sla,
-        label=_build(LabelConfig, _section(doc, "label"), "label"),
-        rcd=_build(RcdConfig, rcd_section, "rcd"),
-        subgraph=_build(SubgraphConfig, _section(doc, "subgraph"), "subgraph"),
-        cis=_build(CisConfig, _section(doc, "cis"), "cis"),
-        mc=_build(McConfig, _section(doc, "mc"), "mc"),
-        candidate_threshold=_typed(
-            float, doc.get("candidate_threshold", 0.5), "candidate_threshold"
-        ),
-        include_sla_in_rcd=include_sla_in_rcd,
-        seed=seed,
-        out_dir=str(out.get("dir", "out")),
-        jobs=_typed(int, doc.get("jobs", 1), "jobs"),
-    )
+    if isinstance(value, (int, float) if tp is float else tp) and (
+        tp is bool or not isinstance(value, bool)
+    ):
+        return float(value) if tp is float else value
+    raise ConfigError(f"{key} must be {_SCALARS[tp]}, got {value!r}")
 
 
-def load_config(path=None) -> PipelineConfig:
-    if path is None:
-        return PipelineConfig()
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+def read_mapping(cls, doc, what: str):
+    """The dataclass `cls` built from a parsed YAML mapping.
+
+    Every key must name a field; a field whose metadata holds a dotted `key`
+    (such as "input.csv") is read from that sub-mapping. Each value must fit
+    its field's annotation, and fields left out keep their defaults. Errors
+    are ConfigErrors naming the key, dotted below `what`.
+    """
+    hints = get_type_hints(cls)
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls) if f.init}
+    groups = {key.split(".")[0] for key in by_key if "." in key}
+    flat = {}
+    for key, value in _mapping(doc, what).items():
+        if key in groups:
+            section = _mapping(value, _join(what, key))
+            flat.update((f"{key}.{sub}", item) for sub, item in section.items())
+        else:
+            flat[key] = value
+    values = {}
+    for key, value in flat.items():
+        if key not in by_key:
+            raise ConfigError(f"unknown key {_join(what, key)}")
+        name = by_key[key].name
+        values[name] = _read_value(hints[name], value, _join(what, key))
+    for key, f in by_key.items():
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key {_join(what, key)}")
     try:
-        doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse config {path}: {exc}") from exc
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be a mapping, got {type(doc).__name__}")
+        return cls(**values)
+    except DataError as exc:
+        raise ConfigError(f"bad {what or 'config'}: {exc}") from exc
+
+
+def config_from_mapping(doc) -> PipelineConfig:
+    """PipelineConfig from a parsed config; rcd.seed defaults to the seed."""
+    cfg = read_mapping(PipelineConfig, doc, "")
+    if "seed" in ((doc or {}).get("rcd") or {}):
+        return cfg
+    return replace(cfg, rcd=replace(cfg.rcd, seed=cfg.seed))
+
+
+# The config keys each command-line flag sets, by argparse dest. An input flag
+# names the input source, so it also clears the other two.
+FLAG_KEYS = {
+    "seed": ("seed", "rcd.seed"),
+    "out": ("output.dir",),
+    "jobs": ("jobs",),
+    "cis_alpha": ("cis.alpha",),
+    "input": ("input.csv",),
+    "scenario": ("input.scenario",),
+    "scenario_file": ("input.scenario_file",),
+}
+
+
+def load_config(path=None, **flags) -> PipelineConfig:
+    """The config file at `path` (None: all defaults) with the command-line
+    `flags` (FLAG_KEYS names; None means not given) written into it."""
+    doc = {}
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"config file not found: {path}")
+        try:
+            doc = _mapping(yaml.safe_load(path.read_text(encoding="utf-8")), "")
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"could not parse config {path}: {exc}") from exc
+    for flag, value in flags.items():
+        if value is None:
+            continue
+        for dotted in FLAG_KEYS[flag]:
+            section, _, key = dotted.rpartition(".")
+            target = doc
+            if section:
+                target = doc[section] = dict(_mapping(doc.get(section), section))
+            if section == "input":
+                target.update(csv=None, scenario=None, scenario_file=None)
+            target[key] = value
     return config_from_mapping(doc)
-
-
-def apply_overrides(
-    cfg: PipelineConfig,
-    *,
-    seed: int | None = None,
-    out_dir: str | None = None,
-    jobs: int | None = None,
-    cis_alpha: float | None = None,
-    input_csv: str | None = None,
-    scenario: str | None = None,
-    scenario_file: str | None = None,
-) -> PipelineConfig:
-    """Fold command-line flags over a loaded config."""
-    if seed is not None:
-        cfg = replace(cfg, seed=seed, rcd=replace(cfg.rcd, seed=seed))
-    if out_dir is not None:
-        cfg = replace(cfg, out_dir=out_dir)
-    if jobs is not None:
-        cfg = replace(cfg, jobs=jobs)
-    if cis_alpha is not None:
-        cfg = replace(cfg, cis=replace(cfg.cis, alpha=cis_alpha))
-    if input_csv is not None:
-        cfg = replace(cfg, input_csv=input_csv, scenario=None, scenario_file=None)
-    if scenario is not None:
-        cfg = replace(cfg, scenario=scenario, input_csv=None, scenario_file=None)
-    if scenario_file is not None:
-        cfg = replace(cfg, scenario_file=scenario_file, input_csv=None, scenario=None)
-    return cfg

@@ -116,19 +116,6 @@ class SlaRule:
         if self.min_duration_ticks < 0:
             raise DataError("min_duration_ticks must be non-negative")
 
-    @classmethod
-    def from_mapping(cls, doc) -> "SlaRule":
-        """Rule from a parsed {metric, comparator, threshold,
-        min_duration_ticks} mapping. A missing field raises KeyError and a
-        malformed number ValueError or TypeError; callers map these onto
-        their own error."""
-        return cls(
-            metric=doc["metric"],
-            comparator=doc["comparator"],
-            threshold=float(doc["threshold"]),
-            min_duration_ticks=int(doc.get("min_duration_ticks", 1)),
-        )
-
 
 @dataclass(frozen=True)
 class LabeledPanel:

@@ -189,6 +189,10 @@ def local_skeleton(
     return {name: p_max[name] for name in adjacency}, warnings
 
 
+# Re-chunking passes hierarchical_refine makes at most before its final pass.
+MAX_REFINE_PASSES = 16
+
+
 def hierarchical_refine(
     survivor_union,
     labeled: LabeledPanel,
@@ -196,22 +200,27 @@ def hierarchical_refine(
     alpha: float,
     max_cond: int,
     rng: np.random.Generator,
-    *,
-    max_passes: int = 16,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
     While more than g survivors remain, they are re-partitioned into chunks
     of size g and re-screened; survivors of their own chunk stay. A pass
     that removes nothing ends the loop (re-chunking a genuinely dependent
-    set would never terminate otherwise). The final pass screens the
-    remaining set as a single chunk and supplies the reported p-values.
+    set would never terminate otherwise). At most MAX_REFINE_PASSES passes
+    run; stopping there while passes still remove KPIs adds a warning. The
+    final pass screens the remaining set as a single chunk and supplies the
+    reported p-values.
     """
     order = {name: i for i, name in enumerate(labeled.panel.kpi_names)}
     survivors = sorted(survivor_union, key=order.__getitem__)
     warnings: list[str] = []
     passes = 0
-    while len(survivors) > g and passes < max_passes:
+    while len(survivors) > g:
+        if passes == MAX_REFINE_PASSES:
+            warnings.append(
+                f"refinement stopped at the {passes}-pass cap with {len(survivors)} KPIs left"
+            )
+            break
         passes += 1
         kept: list[str] = []
         for chunk in partition(survivors, g, rng):
@@ -219,7 +228,6 @@ def hierarchical_refine(
             kept.extend(surv)
             warnings.extend(warn)
         if len(kept) == len(survivors):
-            survivors = sorted(kept, key=order.__getitem__)
             break
         survivors = sorted(kept, key=order.__getitem__)
     if not survivors:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +27,17 @@ class OutputBundle:
     """Tracks files written by one command so a failed stage can clean up.
 
     Used as a context manager: any exception raised inside the block,
-    KeyboardInterrupt included, discards the files written so far and
+    KeyboardInterrupt included, discards the files written so far, removes
+    the directories the bundle created if they are left empty, and
     propagates.
     """
 
     def __init__(self, out_dir):
         self.out_dir = Path(out_dir)
+        # deepest first, so that discard() can rmdir them in order
+        self.created = list(
+            takewhile(lambda d: not d.exists(), (self.out_dir, *self.out_dir.parents))
+        )
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
 
@@ -51,6 +57,12 @@ class OutputBundle:
         for p in self.written:
             p.unlink(missing_ok=True)
         self.written.clear()
+        for d in self.created:
+            try:
+                d.rmdir()
+            except OSError:  # not empty: it holds files the bundle did not write
+                break
+        self.created.clear()
 
 
 def write_json(path, payload) -> None:

@@ -9,10 +9,11 @@ hard-intervened node keep their pre-onset distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .config import read_mapping
 from .errors import AnalysisError, ConfigError
 from .panel import KpiPanel, SlaRule
 from .stats import ks_two_sample
@@ -151,7 +152,6 @@ def _simulate(
     idx = {name: i for i, name in enumerate(spec.nodes)}
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal((total, len(spec.nodes))) * np.asarray(spec.noise_sd)
-    by_onset: dict[str, InterventionSpec] = {iv.target: iv for iv in interventions}
     values = noise.copy()
     for t in range(total):
         out_t = t - burn
@@ -403,38 +403,22 @@ def make_scenario(name: str) -> Scenario:
 def scenario_from_mapping(doc: dict) -> Scenario:
     """Build a scenario from a declarative mapping (parsed YAML/JSON).
 
-    Expected keys: name, nodes, edges [(parent, child, lag, weight)],
-    noise_sd, sla {metric, comparator, threshold, min_duration_ticks},
+    Keys: name, nodes, edges [(parent, child, lag, weight)], noise_sd,
+    sla {metric, comparator, threshold, min_duration_ticks},
     interventions [{target, kind, onset, value|shift|noise_scale}],
-    horizon, normal_len, abnormal_len, lead_ticks.
+    horizon, normal_len, abnormal_len, lead_ticks. The ScmSpec keys sit
+    beside the Scenario ones, and `read_mapping` checks every value.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"malformed scenario spec: expected a mapping, got {doc!r}")
+    outer = {f.name for f in fields(Scenario)} - {"spec"}
+    rest = {k: v for k, v in doc.items() if k in outer}
     try:
-        sla = SlaRule.from_mapping(doc["sla"]) if doc.get("sla") else None
-        spec = ScmSpec(
-            nodes=tuple(doc["nodes"]),
-            edges=tuple(tuple(e) for e in doc.get("edges", ())),
-            noise_sd=doc.get("noise_sd", 1.0),
-            sla=sla,
+        spec = read_mapping(ScmSpec, {k: v for k, v in doc.items() if k not in outer}, "scenario")
+        return read_mapping(
+            Scenario,
+            {"name": "custom", "interventions": [], "lead_ticks": 0, **rest, "spec": spec},
+            "scenario",
         )
-        interventions = tuple(
-            InterventionSpec(
-                target=iv["target"],
-                kind=iv["kind"],
-                onset=int(iv["onset"]),
-                value=iv.get("value"),
-                shift=float(iv.get("shift", 0.0)),
-                noise_scale=float(iv.get("noise_scale", 1.0)),
-            )
-            for iv in doc.get("interventions", ())
-        )
-        return Scenario(
-            name=str(doc.get("name", "custom")),
-            spec=spec,
-            interventions=interventions,
-            horizon=int(doc["horizon"]),
-            normal_len=int(doc["normal_len"]),
-            abnormal_len=int(doc["abnormal_len"]),
-            lead_ticks=int(doc.get("lead_ticks", 0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+    except ConfigError as exc:
         raise ConfigError(f"malformed scenario spec: {exc}") from exc

@@ -1,11 +1,12 @@
 import csv
 import json
+import re
 
 import jsonschema
 import numpy as np
 import pytest
 
-from rcseq.cli import main
+from rcseq.cli import COMMANDS, main
 from rcseq.panel import load_csv
 
 CIS_SCHEMA = {
@@ -221,6 +222,22 @@ class TestStageCommands:
         assert header.startswith("tick,")
 
 
+# config values of the wrong type, and the key each error must name
+MISTYPED = [
+    ("cis: {window: 16.5}", "cis.window"),
+    ("cis: {stride: 4.0}", "cis.stride"),
+    ("rcd: {n_runs: 2.5}", "rcd.n_runs"),
+    ("subgraph: {tau_max: 2.5}", "subgraph.tau_max"),
+    ("label: {breach_index: 0.5}", "label.breach_index"),
+    ("mc: {p_thr: x}", "mc.p_thr"),
+    ("seed: 1.5", "seed"),
+    ("jobs: 1.9", "jobs"),
+    ("mc: {g_values: [3.7]}", "mc.g_values[0]"),
+    ("rcd: {max_cond: true}", "rcd.max_cond"),
+    ("sed: 3", "sed"),
+]
+
+
 class TestConfigPaths:
     def test_missing_config_file(self, tmp_path):
         assert run("run-all", "--config", tmp_path / "nope.yaml", "--out", tmp_path) == 2
@@ -254,6 +271,7 @@ class TestConfigPaths:
             "mc: {n_values: [a]}",
             "mc: {g_values: 5}",
             "include_sla_in_rcd: 'false'",
+            *(text for text, _ in MISTYPED),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text):
@@ -263,6 +281,41 @@ class TestConfigPaths:
         assert code == 2
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text, key", MISTYPED)
+    def test_config_error_names_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text + "\n")
+        assert run("label", "--config", cfg, "--scenario", "cascade", "--out", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"config error: (unknown key )?{re.escape(key)}\s", err), err
+
+    @pytest.mark.parametrize(
+        "flags, base, same",
+        [
+            (["--seed", "7"], "seed: 1\nrcd: {seed: 5, g: 4}", "seed: 7\nrcd: {seed: 7, g: 4}"),
+            (["--seed", "7"], "seed: 1", "seed: 7"),
+            (["--out", "there"], "output: {dir: here}", "output: {dir: there}"),
+            (["--jobs", "3"], "jobs: 2", "jobs: 3"),
+            (["--cis-alpha", "0.05"], "cis: {alpha: 0.2, window: 24}",
+             "cis: {alpha: 0.05, window: 24}"),
+            (["--input", "p.csv"],
+             "input: {scenario: cascade, scenario_file: s.yaml, missing: drop-row}",
+             "input: {csv: p.csv, missing: drop-row}"),
+            (["--scenario", "cascade"], "input: {csv: p.csv, scenario_file: s.yaml}",
+             "input: {scenario: cascade}"),
+            (["--scenario-file", "s.yaml"], "input: {csv: p.csv, scenario: cascade}",
+             "input: {scenario_file: s.yaml}"),
+        ],
+    )
+    def test_flag_equals_yaml_key(self, tmp_path, monkeypatch, flags, base, same):
+        seen = []
+        monkeypatch.setitem(COMMANDS, "label", lambda cfg: seen.append(cfg) or 0)
+        (tmp_path / "base.yaml").write_text(base + "\n")
+        (tmp_path / "same.yaml").write_text(same + "\n")
+        assert run("label", "--config", tmp_path / "base.yaml", *flags) == 0
+        assert run("label", "--config", tmp_path / "same.yaml") == 0
+        assert seen[0] == seen[1]
 
 
 class TestOutputCleanup:
@@ -276,7 +329,19 @@ class TestOutputCleanup:
         out = tmp_path / "out"
         with pytest.raises(exc, match="injected"):
             run("run-all", "--scenario", "cascade", "--seed", 0, "--out", out)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    def test_failed_write_keeps_existing_out(self, tmp_path, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("rcseq.cli.write_histograms_csv", fail)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "notes.txt").write_text("mine")
+        with pytest.raises(RuntimeError, match="injected"):
+            run("run-all", "--scenario", "cascade", "--seed", 0, "--out", out)
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
 
 class TestTune:

@@ -27,6 +27,21 @@ def noise_labeled(seed, n_kpis=4, t=240):
     return label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2)
 
 
+def root_copies_labeled(seed, n_copies=8, t=240):
+    """A root that shifts with F and noisy copies of it: at g=2 only the
+    copies chunked with the root drop out, so every refinement pass still
+    removes KPIs."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal(t)
+    root[t // 2 :] += 1.5
+    panel = KpiPanel(
+        ticks=np.arange(t),
+        kpi_names=("root", *(f"copy{i}" for i in range(n_copies))),
+        values=np.column_stack([root] + [root + rng.standard_normal(t) for _ in range(n_copies)]),
+    )
+    return label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2)
+
+
 def scenario_labeled(seed):
     panel, _ = single_root_scenario().build(seed)
     return label_states(panel, 120, normal_len=120, abnormal_len=120)
@@ -149,6 +164,21 @@ class TestHierarchicalRefine:
             if "rrc_users" in result.kpis:
                 hits += 1
         assert hits >= 90
+
+    def test_pass_cap_warns(self, monkeypatch):
+        labeled = root_copies_labeled(0)
+
+        def cap_warnings():
+            result = hierarchical_refine(
+                labeled.panel.kpi_names, labeled, g=2, alpha=0.05, max_cond=3,
+                rng=np.random.default_rng(0),
+            )
+            assert result.kpis == ("root",)
+            return [w for w in result.warnings if "cap" in w]
+
+        assert cap_warnings() == []
+        monkeypatch.setattr("rcseq.rcd.MAX_REFINE_PASSES", 1)
+        assert cap_warnings() == ["refinement stopped at the 1-pass cap with 8 KPIs left"]
 
     def test_empty_union_is_valid(self):
         labeled = noise_labeled(0)

@@ -16,6 +16,18 @@ from rcseq.scm import (
 )
 
 
+TOY = {
+    "name": "toy",
+    "nodes": ["p", "q", "r"],
+    "edges": [["p", "q", 1, 0.8]],
+    "noise_sd": 1.0,
+    "interventions": [{"target": "p", "kind": "hard", "onset": 120, "value": 5.0}],
+    "horizon": 240,
+    "normal_len": 100,
+    "abnormal_len": 100,
+}
+
+
 def chain_spec():
     return ScmSpec(
         nodes=("A", "B", "C"),
@@ -238,6 +250,19 @@ class TestScenarios:
         assert panel.kpi_names == ("p", "q")
         assert truth.onset_of("q") == 51
 
-    def test_scenario_from_mapping_malformed(self):
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"nodes": ["a"]},
+            {**TOY, "interventions": [{"target": "p", "kind": "hard", "onset": 120,
+                                       "value": "abc"}]},
+            {**TOY, "interventions": [{"target": "p", "kind": "hard", "onset": 120.7,
+                                       "value": 5.0}]},
+            {**TOY, "noise_sd": "123"},
+            {**TOY, "edges": [["p", "q", 2.7, 0.8]]},
+        ],
+        ids=["no-horizon", "value-abc", "onset-120.7", "noise_sd-str", "lag-2.7"],
+    )
+    def test_scenario_from_mapping_malformed(self, doc):
         with pytest.raises(ConfigError, match="malformed"):
-            scenario_from_mapping({"nodes": ["a"]})
+            scenario_from_mapping(doc)
