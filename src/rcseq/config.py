@@ -148,7 +148,7 @@ def _mapping(value, what: str) -> dict:
     return value
 
 
-def _read_value(tp, value, key: str):
+def read_value(tp, value, key: str):
     """`value` checked against the annotation `tp`: int takes an integer,
     float any number (widened to float), bool and str their own type, and a
     bool is no number. Tuples read from lists, `X | None` takes null, and a
@@ -160,7 +160,7 @@ def _read_value(tp, value, key: str):
         for arg in args:
             if arg is not type(None):
                 try:
-                    return _read_value(arg, value, key)
+                    return read_value(arg, value, key)
                 except ConfigError as exc:
                     error = exc
         raise error
@@ -175,7 +175,7 @@ def _read_value(tp, value, key: str):
         elif len(args) != len(value):
             raise ConfigError(f"{key} must be a list of {len(args)} items, got {value!r}")
         return tuple(
-            _read_value(arg, item, f"{key}[{i}]")
+            read_value(arg, item, f"{key}[{i}]")
             for i, (arg, item) in enumerate(zip(args, value))
         )
     if isinstance(value, (int, float) if tp is float else tp) and (
@@ -208,7 +208,7 @@ def read_mapping(cls, doc, what: str):
         if key not in by_key:
             raise ConfigError(f"unknown key {_join(what, key)}")
         name = by_key[key].name
-        values[name] = _read_value(hints[name], value, _join(what, key))
+        values[name] = read_value(hints[name], value, _join(what, key))
     for key, f in by_key.items():
         if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key {_join(what, key)}")

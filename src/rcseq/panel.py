@@ -119,14 +119,10 @@ class SlaRule:
 
 @dataclass(frozen=True)
 class LabeledPanel:
-    """Panel plus the binary failure indicator and its two analysis windows.
-
-    fnode[t] is 1 exactly on the half-open abnormal window; the normal
-    window precedes it and the two are disjoint.
-    """
+    """Panel plus its two analysis windows, as half-open row ranges; the
+    normal window precedes the abnormal one and the two are disjoint."""
 
     panel: KpiPanel
-    fnode: np.ndarray
     normal_window: tuple[int, int]
     abnormal_window: tuple[int, int]
 
@@ -138,18 +134,15 @@ class LabeledPanel:
             raise DataError("windows must be non-empty and lie inside the panel")
         if n1 > a0:
             raise DataError("normal window must precede the abnormal window")
-        fnode = np.asarray(self.fnode, dtype=np.uint8)
-        if fnode.shape != (t,):
-            raise DataError("fnode must have one entry per tick")
-        expected = np.zeros(t, dtype=np.uint8)
-        expected[a0:a1] = 1
-        if not np.array_equal(fnode, expected):
-            raise DataError("fnode must be 1 exactly on the abnormal window")
-        fnode = fnode.copy()
-        fnode.setflags(write=False)
-        object.__setattr__(self, "fnode", fnode)
         object.__setattr__(self, "normal_window", (int(n0), int(n1)))
         object.__setattr__(self, "abnormal_window", (int(a0), int(a1)))
+
+    @property
+    def fnode(self) -> np.ndarray:
+        """Binary failure indicator: 1 exactly on the abnormal window."""
+        fnode = np.zeros(self.panel.n_ticks, dtype=np.uint8)
+        fnode[self.abnormal_slice] = 1
+        return fnode
 
     @property
     def normal_slice(self) -> slice:
@@ -381,11 +374,8 @@ def label_states(
             f"insufficient following data: need {abnormal_len} ticks from "
             f"tick {abnormal_start}, only {panel.n_ticks - abnormal_start} available"
         )
-    fnode = np.zeros(panel.n_ticks, dtype=np.uint8)
-    fnode[abnormal_start:abnormal_end] = 1
     return LabeledPanel(
         panel=panel,
-        fnode=fnode,
         normal_window=(abnormal_start - normal_len, abnormal_start),
         abnormal_window=(abnormal_start, abnormal_end),
     )

@@ -70,9 +70,6 @@ class CandidateSet:
     p_values: tuple[tuple[str, float], ...]
     warnings: tuple[str, ...] = ()
 
-    def p_value(self, kpi: str) -> float:
-        return dict(self.p_values)[kpi]
-
 
 @dataclass(frozen=True)
 class FrequencyTable:
@@ -118,10 +115,12 @@ def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
     if g < 2:
         raise ConfigError(f"chunk size g must be >= 2, got {g}")
     names = list(kpi_names)
-    order = rng.permutation(len(names))
-    shuffled = [names[i] for i in order]
+    shuffled = [names[i] for i in rng.permutation(len(names))]
     n_chunks = max(1, -(-len(names) // g))
-    return [list(c) for c in np.array_split(shuffled, n_chunks) if len(c)]
+    # the first len % n_chunks chunks take one extra name, as np.array_split
+    size, extra = divmod(len(names), n_chunks)
+    starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+    return [shuffled[a:b] for a, b in zip(starts, starts[1:]) if b > a]
 
 
 def _pooled(labeled: LabeledPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -177,9 +176,7 @@ def local_skeleton(
             for name in adjacency:
                 others = [o for o in adjacency if o != name]
                 for subset in combinations(others, level):
-                    res = ci_test(
-                        col[name], f, given=[col[s] for s in subset], names=subset
-                    )
+                    res = ci_test(col[name], f, given=[col[s] for s in subset])
                     p_max[name] = max(p_max[name], res.p)
                     if res.p > alpha:
                         removed.append(name)

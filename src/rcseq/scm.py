@@ -10,10 +10,11 @@ hard-intervened node keep their pre-onset distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
-from .config import read_mapping
+from .config import read_mapping, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import KpiPanel, SlaRule
 from .stats import ks_two_sample
@@ -35,65 +36,50 @@ class ScmSpec:
     sla: SlaRule | None = None
 
     def __post_init__(self):
-        nodes = tuple(self.nodes)
+        # values are checked against the annotations, as in scenario files
+        hints = get_type_hints(ScmSpec)
+        for f in fields(self):
+            value = read_value(hints[f.name], getattr(self, f.name), f.name)
+            object.__setattr__(self, f.name, value)
+        nodes = self.nodes
         if len(set(nodes)) != len(nodes) or not nodes:
             raise ConfigError("nodes must be unique and non-empty")
-        edges = tuple((p, c, int(lag), float(w)) for p, c, lag, w in self.edges)
-        for parent, child, lag, _ in edges:
+        for parent, child, lag, _ in self.edges:
             if parent not in nodes or child not in nodes:
                 raise ConfigError(f"edge references unknown node: {parent}->{child}")
             if lag < 1:
                 raise ConfigError(f"edge {parent}->{child} must have lag >= 1, got {lag}")
-        if isinstance(self.noise_sd, (int, float)):
-            sds = tuple(float(self.noise_sd) for _ in nodes)
-        else:
-            sds = tuple(float(s) for s in self.noise_sd)
-            if len(sds) != len(nodes):
-                raise ConfigError("noise_sd must give one value per node")
+        sds = self.noise_sd
+        if isinstance(sds, float):
+            sds = (sds,) * len(nodes)
+        elif len(sds) != len(nodes):
+            raise ConfigError("noise_sd must give one value per node")
         if any(s <= 0 for s in sds):
             raise ConfigError("noise standard deviations must be positive")
         if self.sla is not None and self.sla.metric not in nodes:
             raise ConfigError(f"SLA metric {self.sla.metric!r} is not a node")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "noise_sd", sds)
 
     @property
     def max_lag(self) -> int:
         return max((lag for _, _, lag, _ in self.edges), default=1)
 
-    def descendants_of(self, node: str) -> frozenset[str]:
-        """Transitive closure of children, lags ignored."""
-        children: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for parent, child, _, _ in self.edges:
-            children[parent].add(child)
-        seen: set[str] = set()
-        frontier = [node]
+    def lag_distances(self, source: str) -> dict[str, int]:
+        """Minimum total lag along a directed path from `source` to every
+        node it reaches; `source` itself is at 0."""
+        dist = {source: 0}
+        frontier = {source}
         while frontier:
-            for child in children[frontier.pop()]:
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return frozenset(seen)
-
-    def shortest_lag_path(self, source: str, target: str) -> int | None:
-        """Minimum total lag along any directed path source -> target."""
-        if source == target:
-            return 0
-        dist: dict[str, int] = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt: list[str] = []
-            for node in frontier:
-                for parent, child, lag, _ in self.edges:
-                    if parent != node:
-                        continue
-                    cand = dist[node] + lag
-                    if child not in dist or cand < dist[child]:
-                        dist[child] = cand
-                        nxt.append(child)
+            nxt = set()
+            for parent, child, lag, _ in self.edges:
+                if parent not in frontier:
+                    continue
+                tick = dist[parent] + lag
+                if child not in dist or tick < dist[child]:
+                    dist[child] = tick
+                    nxt.add(child)
             frontier = nxt
-        return dist.get(target)
+        return dist
 
 
 @dataclass(frozen=True)
@@ -136,43 +122,6 @@ class GroundTruth:
         return None
 
 
-def _simulate(
-    spec: ScmSpec,
-    horizon: int,
-    seed: int,
-    interventions: tuple[InterventionSpec, ...],
-    burn_in: int | None,
-    overflow_guard: float = _OVERFLOW_GUARD,
-) -> np.ndarray:
-    max_lag = spec.max_lag
-    if horizon <= max_lag:
-        raise ConfigError(f"horizon must exceed the maximum lag ({max_lag})")
-    burn = 10 * max_lag if burn_in is None else int(burn_in)
-    total = burn + horizon
-    idx = {name: i for i, name in enumerate(spec.nodes)}
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal((total, len(spec.nodes))) * np.asarray(spec.noise_sd)
-    values = noise.copy()
-    for t in range(total):
-        out_t = t - burn
-        for parent, child, lag, w in spec.edges:
-            if t >= lag:
-                values[t, idx[child]] += w * values[t - lag, idx[parent]]
-        for iv in interventions:
-            if out_t >= iv.onset:
-                j = idx[iv.target]
-                if iv.kind == "hard":
-                    values[t, j] = iv.value
-                else:
-                    structural = values[t, j] - noise[t, j]
-                    values[t, j] = structural + iv.noise_scale * noise[t, j] + iv.shift
-    if not np.all(np.abs(values) < overflow_guard):
-        raise AnalysisError(
-            "unstable SCM spec: simulated values exceeded the overflow guard"
-        )
-    return values[burn:]
-
-
 def generate(
     spec: ScmSpec,
     horizon: int,
@@ -182,19 +131,18 @@ def generate(
     granularity_seconds: int = 15,
     overflow_guard: float = _OVERFLOW_GUARD,
 ) -> KpiPanel:
-    """Simulate the observational (fault-free) system for `horizon` ticks.
-
-    Deterministic in (spec, horizon, seed); a burn-in of 10x the maximum lag
-    is simulated and discarded so the output is approximately stationary.
-    Trajectories exceeding `overflow_guard` flag the model as unstable.
-    """
-    values = _simulate(spec, horizon, seed, (), burn_in, overflow_guard)
-    return KpiPanel(
-        ticks=np.arange(horizon),
-        kpi_names=spec.nodes,
-        values=values,
+    """Simulate the observational (fault-free) system for `horizon` ticks:
+    the panel of :func:`inject` with no interventions."""
+    panel, _ = inject(
+        spec,
+        (),
+        horizon,
+        seed,
+        burn_in=burn_in,
         granularity_seconds=granularity_seconds,
+        overflow_guard=overflow_guard,
     )
+    return panel
 
 
 def inject(
@@ -209,8 +157,12 @@ def inject(
 ) -> tuple[KpiPanel, GroundTruth]:
     """Simulate with scheduled interventions.
 
-    Pre-onset ticks are identical to :func:`generate` with the same seed;
-    a hard-intervened node is constant from its onset onward.
+    Deterministic in (spec, interventions, horizon, seed); a burn-in of 10x
+    the maximum lag is simulated and discarded so the output is
+    approximately stationary. Pre-onset ticks do not depend on the
+    interventions, and a hard-intervened node is constant from its onset
+    onward. Trajectories exceeding `overflow_guard` flag the model as
+    unstable.
     """
     ivs = tuple(interventions)
     targets = [iv.target for iv in ivs]
@@ -223,11 +175,36 @@ def inject(
             raise ConfigError(
                 f"intervention onset {iv.onset} must lie before horizon {horizon}"
             )
-    values = _simulate(spec, horizon, seed, ivs, burn_in, overflow_guard)
+    max_lag = spec.max_lag
+    if horizon <= max_lag:
+        raise ConfigError(f"horizon must exceed the maximum lag ({max_lag})")
+    burn = 10 * max_lag if burn_in is None else int(burn_in)
+    total = burn + horizon
+    idx = {name: i for i, name in enumerate(spec.nodes)}
+    rng = np.random.default_rng(seed)
+    noise = rng.standard_normal((total, len(spec.nodes))) * np.asarray(spec.noise_sd)
+    values = noise.copy()
+    for t in range(total):
+        out_t = t - burn
+        for parent, child, lag, w in spec.edges:
+            if t >= lag:
+                values[t, idx[child]] += w * values[t - lag, idx[parent]]
+        for iv in ivs:
+            if out_t >= iv.onset:
+                j = idx[iv.target]
+                if iv.kind == "hard":
+                    values[t, j] = iv.value
+                else:
+                    structural = values[t, j] - noise[t, j]
+                    values[t, j] = structural + iv.noise_scale * noise[t, j] + iv.shift
+    if not np.all(np.abs(values) < overflow_guard):
+        raise AnalysisError(
+            "unstable SCM spec: simulated values exceeded the overflow guard"
+        )
     panel = KpiPanel(
         ticks=np.arange(horizon),
         kpi_names=spec.nodes,
-        values=values,
+        values=values[burn:],
         granularity_seconds=granularity_seconds,
     )
     ordered = tuple(sorted(ivs, key=lambda iv: (iv.onset, iv.target)))
@@ -235,10 +212,7 @@ def inject(
     # shortest lag path from any intervened ancestor
     affected: dict[str, int] = {}
     for iv in ivs:
-        for node in (iv.target, *spec.descendants_of(iv.target)):
-            path = spec.shortest_lag_path(iv.target, node)
-            if path is None:
-                continue
+        for node, path in spec.lag_distances(iv.target).items():
             tick = iv.onset + path
             if node not in affected or tick < affected[node]:
                 affected[node] = tick
@@ -278,7 +252,7 @@ def verify_do_equivalence(
     if not 0 < intervention.onset < horizon:
         raise ConfigError("onset must split the horizon into two non-empty parts")
     panel, _ = inject(spec, [intervention], horizon, seed)
-    shifted_set = {intervention.target} | set(spec.descendants_of(intervention.target))
+    shifted_set = spec.lag_distances(intervention.target).keys()
     verdicts = []
     for node in spec.nodes:
         col = panel.column(node)

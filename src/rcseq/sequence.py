@@ -1,11 +1,12 @@
 """Deviation-onset detection and causal intervention sequence assembly.
 
-A window slides over each KPI's abnormal segment and is compared to the
-full normal-window baseline with the two-sample K-S test. Raw p-values are
-corrected across the whole batch (every window of every scanned KPI), the
-earliest window whose adjusted p clears the significance level marks the
-onset, a Z-score codes the deviation direction, and the resulting events
-are STEP-ordered and overlaid on the causal subgraph.
+`detect_events` is the one onset scan: a window slides over each KPI's
+abnormal segment and is compared to the full normal-window baseline with
+the two-sample K-S test. Raw p-values are corrected across the whole batch
+(every window of every scanned KPI), the earliest window whose adjusted p
+clears the significance level marks the onset, a Z-score codes the
+deviation direction, and the resulting events are STEP-ordered and
+overlaid on the causal subgraph.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "DeviationEvent",
     "CisReport",
     "window_offsets",
-    "rolling_ks_onset",
     "detect_events",
     "direction_at_onset",
     "order_events",
@@ -94,38 +94,6 @@ def _baseline_stats(labeled: LabeledPanel, kpi: str) -> tuple[float, float]:
     return float(baseline.mean()), sigma
 
 
-def rolling_ks_onset(
-    series,
-    baseline,
-    window: int,
-    stride: int,
-    cis_alpha: float,
-    correction: str = "bh_fdr",
-):
-    """Scan one KPI's abnormal segment (batch of one).
-
-    Returns (onset offset or None, raw p per window, adjusted p per window,
-    K-S d per window). The onset is the start of the earliest window whose
-    adjusted p-value is <= cis_alpha.
-    """
-    series = np.asarray(series, dtype=float)
-    baseline = np.asarray(baseline, dtype=float)
-    if baseline.size < window:
-        raise AnalysisError(
-            f"baseline sample ({baseline.size}) must be at least one window ({window})"
-        )
-    if series.size < window:
-        raise AnalysisError(
-            f"abnormal segment ({series.size}) shorter than one window ({window})"
-        )
-    offsets = window_offsets(series.size, window, stride)
-    p_raw, d = _ks_scan(series, baseline, offsets, window)
-    p_adj = _adjust(p_raw, correction, m_total=len(offsets))
-    hits = np.nonzero(p_adj <= cis_alpha)[0]
-    onset = int(offsets[hits[0]]) if hits.size else None
-    return onset, p_raw, p_adj, d
-
-
 def direction_at_onset(
     series,
     onset: int,
@@ -168,10 +136,11 @@ def detect_events(
     a0, a1 = labeled.abnormal_window
     offsets = window_offsets(a1 - a0, window, stride)
     n0, n1 = labeled.normal_window
-    if n1 - n0 < window:
-        raise AnalysisError(
-            f"baseline window ({n1 - n0} ticks) must be at least one window ({window})"
-        )
+    for what, length in (("baseline", n1 - n0), ("abnormal", a1 - a0)):
+        if length < window:
+            raise AnalysisError(
+                f"{what} window ({length} ticks) must be at least one window ({window})"
+            )
     raw = np.empty((len(kpis), len(offsets)))
     dstat = np.empty_like(raw)
     for i, kpi in enumerate(kpis):

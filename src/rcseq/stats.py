@@ -1,7 +1,7 @@
 """Deterministic statistical kernels shared by every pipeline stage.
 
-ECDFs and the two-sample Kolmogorov-Smirnov test drive deviation detection,
-partial correlation with Fisher-z significance drives conditional
+The two-sample Kolmogorov-Smirnov test drives deviation detection, the
+partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
 proportion backs the Monte Carlo convergence diagnostics.
 
@@ -17,14 +17,12 @@ import numpy as np
 from scipy.special import ndtr
 
 __all__ = [
-    "Ecdf",
     "KsResult",
     "CiTestResult",
     "ks_two_sample",
     "ks_pvalue",
     "z_score",
     "direction_code",
-    "partial_correlation",
     "fisher_z_test",
     "ci_test",
     "batch_marginal_ci",
@@ -37,28 +35,6 @@ __all__ = [
 # Residual norms at or below this fraction of the centered input norm are
 # treated as zero-variance (constant or perfectly explained series).
 _DEGENERATE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Right-continuous empirical CDF: F(x) = #{v <= x} / n."""
-
-    values: np.ndarray  # sorted ascending, read-only
-    n: int
-
-    @classmethod
-    def fit(cls, sample) -> "Ecdf":
-        arr = np.asarray(sample, dtype=float).ravel()
-        if arr.size == 0:
-            raise ValueError("cannot build an ECDF from an empty sample")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ECDF sample must be finite")
-        srt = np.sort(arr)
-        srt.setflags(write=False)
-        return cls(values=srt, n=int(arr.size))
-
-    def __call__(self, x):
-        return np.searchsorted(self.values, x, side="right") / self.n
 
 
 @dataclass(frozen=True)
@@ -143,7 +119,6 @@ class CiTestResult:
     """
 
     r: float
-    conditioning: tuple[str, ...]
     z: float
     p: float
     n: int
@@ -159,44 +134,10 @@ def _residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v - design @ coef
 
 
-def _partial_correlation_flagged(x, y, given=()) -> tuple[float, bool]:
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("series must have equal length")
-    cols = [np.asarray(g, dtype=float).ravel() for g in given]
-    for c in cols:
-        if c.shape != x.shape:
-            raise ValueError("conditioning series must match the sample length")
-    z = np.column_stack(cols) if cols else np.empty((x.size, 0))
-    rx = _residualize(x, z)
-    ry = _residualize(y, z)
-    sx = float(np.linalg.norm(rx))
-    sy = float(np.linalg.norm(ry))
-    nx = float(np.linalg.norm(x - x.mean()))
-    ny = float(np.linalg.norm(y - y.mean()))
-    if sx <= _DEGENERATE_TOL * max(1.0, nx) or sy <= _DEGENERATE_TOL * max(1.0, ny):
-        return 0.0, True
-    r = float(rx @ ry / (sx * sy))
-    return float(np.clip(r, -1.0, 1.0)), False
-
-
-def partial_correlation(x, y, given=()) -> float:
-    """Correlation of the residuals of x and y after projecting both onto
-    the conditioning series plus an intercept.
-
-    With an empty conditioning set this is the plain sample correlation.
-    Zero-variance residuals yield 0.0 (degenerate; no linear signal).
-    """
-    r, _ = _partial_correlation_flagged(x, y, given)
-    return r
-
-
 def fisher_z_test(
     r: float,
     n: int,
     n_cond: int,
-    conditioning: tuple[str, ...] = (),
     degenerate: bool = False,
 ) -> CiTestResult:
     """Fisher-z significance of a (partial) correlation.
@@ -215,21 +156,36 @@ def fisher_z_test(
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
     p = float(2.0 * ndtr(-abs(zval))) if math.isfinite(zval) else 0.0
-    return CiTestResult(
-        r=float(r),
-        conditioning=tuple(conditioning),
-        z=float(zval),
-        p=p,
-        n=int(n),
-        degenerate=degenerate,
-    )
+    return CiTestResult(r=float(r), z=float(zval), p=p, n=int(n), degenerate=degenerate)
 
 
-def ci_test(x, y, given=(), names: tuple[str, ...] = ()) -> CiTestResult:
-    """Partial-correlation CI test of x against y given conditioning series."""
-    r, degen = _partial_correlation_flagged(x, y, given)
-    n = np.asarray(x).size
-    return fisher_z_test(r, n=n, n_cond=len(tuple(given)), conditioning=tuple(names), degenerate=degen)
+def ci_test(x, y, given=()) -> CiTestResult:
+    """Partial-correlation CI test of x against y given conditioning series.
+
+    r is the correlation of the residuals of x and y after projecting both
+    onto the conditioning series plus an intercept; with no conditioning
+    series it is the plain sample correlation. A zero-variance residual is
+    degenerate and tested as r = 0.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError("series must have equal length")
+    cols = [np.asarray(g, dtype=float).ravel() for g in given]
+    for c in cols:
+        if c.shape != x.shape:
+            raise ValueError("conditioning series must match the sample length")
+    z = np.column_stack(cols) if cols else np.empty((x.size, 0))
+    rx = _residualize(x, z)
+    ry = _residualize(y, z)
+    sx = float(np.linalg.norm(rx))
+    sy = float(np.linalg.norm(ry))
+    nx = float(np.linalg.norm(x - x.mean()))
+    ny = float(np.linalg.norm(y - y.mean()))
+    if sx <= _DEGENERATE_TOL * max(1.0, nx) or sy <= _DEGENERATE_TOL * max(1.0, ny):
+        return fisher_z_test(0.0, n=x.size, n_cond=len(cols), degenerate=True)
+    r = float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
+    return fisher_z_test(r, n=x.size, n_cond=len(cols))
 
 
 def batch_marginal_ci(x_matrix, y) -> tuple[np.ndarray, np.ndarray]:

@@ -160,12 +160,7 @@ def select_lagged_parents(
             else:
                 for cand in survivors:
                     given = [c for c in ranked if c != cand][:level]
-                    res = ci_test(
-                        cols[cand],
-                        y,
-                        given=[cols[c] for c in given],
-                        names=tuple(f"{n}@-{tau}" for n, tau in given),
-                    )
+                    res = ci_test(cols[cand], y, given=[cols[c] for c in given])
                     strength[cand] = min(strength[cand], abs(res.r))
                     signed_r[cand] = res.r
                     p_max[cand] = max(p_max[cand], res.p)
@@ -231,10 +226,7 @@ def mci_edge_test(
         panel.column(p.source)[t0 - p.lag - tau : t - p.lag - tau]
         for p in cond_source
     ]
-    names = tuple(f"{p.source}@-{p.lag}" for p in cond_target) + tuple(
-        f"{p.source}@-{p.lag + tau}" for p in cond_source
-    )
-    res = ci_test(x, y, given=given, names=names)
+    res = ci_test(x, y, given=given)
     if res.p <= alpha:
         return LaggedEdge(source=x_name, target=target, lag=tau, r=res.r, p=res.p)
     return None

@@ -152,6 +152,19 @@ class TestRunAll:
         code = run("run-all", "--config", cfg, "--out", tmp_path / "o")
         assert code == 4
 
+    def test_abnormal_window_shorter_than_scan_window(self, tmp_path, capsys):
+        # 10 abnormal ticks hold no 16-tick K-S window to scan
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text("label: {abnormal_len: 10, lead_ticks: 0}\n")
+        out = tmp_path / "o"
+        code = run("run-all", "--scenario", "cascade", "--seed", 3,
+                   "--config", cfg, "--out", out)
+        assert code == 4
+        assert "abnormal window (10 ticks) must be at least one window (16)" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         names = ("cis.json", "subgraph.dot", "deviation_traces.csv",
                  "histograms.csv", "run_metadata.json")

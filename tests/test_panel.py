@@ -4,7 +4,6 @@ import pytest
 from rcseq.errors import DataError
 from rcseq.panel import (
     KpiPanel,
-    LabeledPanel,
     SlaRule,
     apply_sla_rule,
     label_states,
@@ -216,10 +215,3 @@ class TestLabelStates:
         assert int(labeled.fnode.sum()) == a1 - a0 == 90
         assert (n1 - n0) == 80
         assert np.all(labeled.fnode[n0:n1] == 0)
-
-    def test_fnode_invariant_enforced(self):
-        panel = make_panel(np.zeros((10, 1)))
-        bad = np.zeros(10, dtype=np.uint8)
-        bad[3] = 1
-        with pytest.raises(DataError, match="fnode"):
-            LabeledPanel(panel, bad, (0, 4), (5, 8))

@@ -90,6 +90,24 @@ class TestPartition:
         b = partition(names, 4, np.random.default_rng(7))
         assert a == b
 
+    def test_chunks_match_array_split(self):
+        for v in range(1, 30):
+            for g in (2, 3, 5, 7):
+                names = [f"k{i}" for i in range(v)]
+                chunks = partition(names, g, np.random.default_rng(v))
+                shuffled = [names[i] for i in np.random.default_rng(v).permutation(v)]
+                expected = np.array_split(shuffled, -(-v // g))
+                assert chunks == [c.tolist() for c in expected]
+
+    def test_run_names_are_plain_str(self):
+        # refinement passes at g=2 re-partition survivors, so every path
+        # through partition feeds the candidate sets
+        labeled = root_copies_labeled(0)
+        runs = rcd_runs(labeled, RcdConfig(g=2, n_runs=3, seed=0))
+        names = [k for run in runs for k in (*run.kpis, *dict(run.p_values))]
+        assert names
+        assert all(type(k) is str for k in names)
+
 
 class TestLocalSkeleton:
     def test_size_control_on_pure_noise(self):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -47,17 +49,34 @@ class TestSpecValidation:
 
     def test_descendants(self):
         spec = chain_spec()
-        assert spec.descendants_of("A") == frozenset({"B", "C"})
-        assert spec.descendants_of("B") == frozenset({"C"})
-        assert spec.descendants_of("C") == frozenset()
+        assert spec.lag_distances("A").keys() == {"A", "B", "C"}
+        assert spec.lag_distances("B").keys() == {"B", "C"}
+        assert spec.lag_distances("C").keys() == {"C"}
 
-    def test_shortest_lag_path(self):
+    def test_lag_distances(self):
         spec = ScmSpec(
             nodes=("A", "B", "C"),
             edges=(("A", "B", 2, 0.5), ("B", "C", 3, 0.5), ("A", "C", 9, 0.5)),
         )
-        assert spec.shortest_lag_path("A", "C") == 5
-        assert spec.shortest_lag_path("C", "A") is None
+        assert spec.lag_distances("A") == {"A": 0, "B": 2, "C": 5}
+        assert spec.lag_distances("C") == {"C": 0}
+
+    @pytest.mark.parametrize(
+        "kwargs, key",
+        [
+            ({"edges": (("A", "B", 2.7, 0.5),)}, "edges[0][2]"),
+            ({"edges": (("A", "B", True, 0.5),)}, "edges[0][2]"),
+            ({"edges": (("A", "B", "2", 0.5),)}, "edges[0][2]"),
+            ({"edges": (("A", "B", 1, "0.5"),)}, "edges[0][3]"),
+            ({"noise_sd": "12"}, "noise_sd"),
+            ({"noise_sd": True}, "noise_sd"),
+            ({"noise_sd": (1.0, "2")}, "noise_sd"),
+        ],
+        ids=["float-lag", "bool-lag", "str-lag", "str-weight", "str-sd", "bool-sd", "str-sd-item"],
+    )
+    def test_mistyped_value_rejected(self, kwargs, key):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            ScmSpec(nodes=("A", "B"), **kwargs)
 
     def test_unstable_spec_errors(self):
         spec = ScmSpec(nodes=("X",), edges=(("X", "X", 1, 1.5),))

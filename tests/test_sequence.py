@@ -11,7 +11,6 @@ from rcseq.sequence import (
     deviation_traces,
     direction_at_onset,
     order_events,
-    rolling_ks_onset,
     window_offsets,
 )
 from rcseq.subgraph import CausalSubgraph, LaggedEdge
@@ -52,22 +51,25 @@ class TestWindows:
             window_offsets(40, 4, 2)
 
 
+def constant_labeled(normal_len, abnormal_len, values=None):
+    """One KPI k0 on a normal window followed by an abnormal window."""
+    t = normal_len + abnormal_len
+    values = np.arange(float(t)) if values is None else values
+    panel = KpiPanel(ticks=np.arange(t), kpi_names=("k0",), values=values[:, None])
+    return label_states(panel, normal_len, normal_len=normal_len, abnormal_len=abnormal_len)
+
+
 class TestRollingKsOnset:
     def test_step_change_found(self):
         # detected onset within one window width of the true change point
         hit = 0
         for seed in range(50):
             labeled = step_change_labeled(seed)
-            onset, _, _, _ = rolling_ks_onset(
-                labeled.abnormal_values("k0"),
-                labeled.normal_values("k0"),
-                window=16,
-                stride=4,
-                cis_alpha=0.1,
-                correction="bonferroni",
+            events = detect_events(
+                labeled, ["k0"], window=16, stride=4, cis_alpha=0.1, correction="bonferroni"
             )
-            # absolute onset = 120 + offset; true change at 160
-            if onset is not None and abs(120 + onset - 160) <= 16:
+            # true change at absolute tick 160
+            if events and abs(events[0].onset_tick - 160) <= 16:
                 hit += 1
         assert hit >= 45
 
@@ -75,33 +77,28 @@ class TestRollingKsOnset:
         nones = 0
         for seed in range(50):
             labeled = step_change_labeled(seed)
-            onset, _, _, _ = rolling_ks_onset(
-                labeled.abnormal_values("k1"),
-                labeled.normal_values("k1"),
-                window=16,
-                stride=4,
-                cis_alpha=0.1,
-                correction="bh_fdr",
+            events = detect_events(
+                labeled, ["k1"], window=16, stride=4, cis_alpha=0.1, correction="bh_fdr"
             )
-            if onset is None:
+            if not events:
                 nones += 1
         assert nones >= 45
 
     def test_identical_segments_all_zero_d(self):
-        baseline = np.arange(32.0)
-        onset, _, _, d = rolling_ks_onset(
-            baseline.copy(), baseline, window=32, stride=1, cis_alpha=0.1
-        )
-        assert np.all(d == 0.0)
-        assert onset is None
+        labeled = constant_labeled(32, 32, np.tile(np.arange(32.0), 2))
+        scan = dict(window=32, stride=1, correction="none")
+        assert detect_events(labeled, ["k0"], cis_alpha=0.1, **scan) == ()
+        # at cis_alpha 1 every window is a hit, so the event carries its d
+        (event,) = detect_events(labeled, ["k0"], cis_alpha=1.0, **scan)
+        assert (event.onset_tick, event.ks_d, event.p_adj) == (32, 0.0, 1.0)
 
     def test_short_baseline_rejected(self):
-        with pytest.raises(AnalysisError, match="baseline"):
-            rolling_ks_onset(np.zeros(20), np.zeros(4), 16, 4, 0.1)
+        with pytest.raises(AnalysisError, match=r"baseline window \(4 ticks\).*\(16\)"):
+            detect_events(constant_labeled(4, 20), ["k0"], window=16)
 
     def test_short_segment_rejected(self):
-        with pytest.raises(AnalysisError, match="segment"):
-            rolling_ks_onset(np.zeros(4), np.zeros(20), 16, 4, 0.1)
+        with pytest.raises(AnalysisError, match=r"abnormal window \(4 ticks\).*\(16\)"):
+            detect_events(constant_labeled(20, 4), ["k0"], window=16)
 
 
 class TestDirection:

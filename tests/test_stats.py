@@ -5,7 +5,6 @@ import pytest
 from scipy.special import kolmogorov
 
 from rcseq.stats import (
-    Ecdf,
     batch_marginal_ci,
     bh_adjust,
     bh_fdr,
@@ -15,7 +14,6 @@ from rcseq.stats import (
     direction_code,
     fisher_z_test,
     ks_two_sample,
-    partial_correlation,
     z_score,
 )
 
@@ -30,29 +28,6 @@ def brute_force_ks_d(a, b):
         fb = np.count_nonzero(b <= x) / b.size
         best = max(best, abs(fa - fb))
     return best
-
-
-class TestEcdf:
-    def test_step_function(self):
-        f = Ecdf.fit([1.0, 2.0, 2.0, 5.0])
-        assert f(0.0) == 0.0
-        assert f(1.0) == 0.25
-        assert f(2.0) == 0.75
-        assert f(4.9) == 0.75
-        assert f(5.0) == 1.0
-        assert f(99.0) == 1.0
-
-    def test_monotone_and_bounded(self):
-        rng = np.random.default_rng(7)
-        f = Ecdf.fit(rng.normal(size=50))
-        xs = np.linspace(-4, 4, 200)
-        ys = f(xs)
-        assert np.all(np.diff(ys) >= 0)
-        assert ys[0] >= 0.0 and ys[-1] <= 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Ecdf.fit([])
 
 
 class TestKsTwoSample:
@@ -152,7 +127,7 @@ class TestPartialCorrelation:
         for _ in range(50):
             x = rng.normal(size=40)
             y = rng.normal(size=40) + 0.3 * x
-            assert partial_correlation(x, y) == pytest.approx(
+            assert ci_test(x, y).r == pytest.approx(
                 np.corrcoef(x, y)[0, 1], abs=1e-12
             )
 
@@ -161,8 +136,8 @@ class TestPartialCorrelation:
         z = rng.normal(size=2000)
         x = 0.9 * z + 0.2 * rng.normal(size=2000)
         y = 0.9 * z + 0.2 * rng.normal(size=2000)
-        assert abs(partial_correlation(x, y)) > 0.8
-        assert abs(partial_correlation(x, y, given=(z,))) < 0.1
+        assert abs(ci_test(x, y).r) > 0.8
+        assert abs(ci_test(x, y, given=(z,)).r) < 0.1
 
     def test_degenerate_constant_series(self):
         x = np.ones(30)
