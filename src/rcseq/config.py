@@ -157,12 +157,15 @@ def read_value(tp, value, key: str):
         args = get_args(tp)
         if value is None and type(None) in args:
             return None
-        for arg in args:
-            if arg is not type(None):
-                try:
-                    return read_value(arg, value, key)
-                except ConfigError as exc:
-                    error = exc
+        arms = [arg for arg in args if arg is not type(None)]
+        if isinstance(value, (list, tuple)):
+            # only a tuple arm can read a list, and its error names the bad item
+            arms = [arg for arg in arms if get_origin(arg) is tuple] or arms
+        for arg in arms:
+            try:
+                return read_value(arg, value, key)
+            except ConfigError as exc:
+                error = exc
         raise error
     if is_dataclass(tp):
         return value if isinstance(value, tp) else read_mapping(tp, value, key)

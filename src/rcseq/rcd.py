@@ -10,6 +10,11 @@ gives the per-KPI causal-source frequency table.
 
 F is treated as a sink: survivors adjacent to F are reported as its parents
 directly, with no orientation phase.
+
+The runs of one `rcd_runs` call share one CI memo (`_CiOracle`): the pooled
+sample is built once, and each CI test on it is computed once per distinct
+ordered input and answered from the memo after that. Runs spread over worker
+processes each start from an empty memo, so results never depend on `jobs`.
 """
 
 from __future__ import annotations
@@ -123,10 +128,47 @@ def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
     return [shuffled[a:b] for a, b in zip(starts, starts[1:]) if b > a]
 
 
-def _pooled(labeled: LabeledPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Pooled normal+abnormal rows of the panel and the matching F vector."""
-    rows = labeled.pooled_rows()
-    return labeled.panel.values[rows], labeled.fnode[rows].astype(float)
+class _CiOracle:
+    """The pooled normal+abnormal rows of one panel with their F vector, and
+    a memo of the discovery CI tests run on them.
+
+    Memo keys are the exact ordered inputs, not sets: a column's marginal p
+    depends in its last bits on the columns that share its batch, and a
+    conditional p on the order of the conditioning set. A miss calls the
+    module's `batch_marginal_ci` / `ci_test` binding with the same arrays
+    an uncached call would pass. A pickled oracle starts with an empty memo.
+    """
+
+    def __init__(self, labeled: LabeledPanel):
+        self.labeled = labeled
+        rows = labeled.pooled_rows()
+        self.values = labeled.panel.values[rows]
+        self.f = labeled.fnode[rows].astype(float)
+        self._marginal: dict[tuple[str, ...], np.ndarray] = {}
+        self._conditional: dict[tuple[str, tuple[str, ...]], float] = {}
+
+    def __reduce__(self):
+        return _CiOracle, (self.labeled,)
+
+    def column(self, name: str) -> np.ndarray:
+        return self.values[:, self.labeled.panel.kpi_names.index(name)]
+
+    def marginal_p(self, chunk: tuple[str, ...]) -> np.ndarray:
+        """p-values of the chunk's columns against F, tested as one batch."""
+        if chunk not in self._marginal:
+            x_matrix = np.column_stack([self.column(name) for name in chunk])
+            p_values = batch_marginal_ci(x_matrix, self.f)[1]
+            p_values.setflags(write=False)  # every later lookup shares it
+            self._marginal[chunk] = p_values
+        return self._marginal[chunk]
+
+    def conditional_p(self, name: str, subset: tuple[str, ...]) -> float:
+        """p-value of name against F given the subset's columns, in order."""
+        key = (name, subset)
+        if key not in self._conditional:
+            given = [self.column(s) for s in subset]
+            self._conditional[key] = ci_test(self.column(name), self.f, given=given).p
+        return self._conditional[key]
 
 
 def local_skeleton(
@@ -134,6 +176,8 @@ def local_skeleton(
     chunk,
     alpha: float,
     max_cond: int,
+    *,
+    oracle: _CiOracle | None = None,
 ) -> tuple[dict[str, float], list[str]]:
     """PC-style neighborhood search of F restricted to one chunk.
 
@@ -144,14 +188,15 @@ def local_skeleton(
     completes, so results do not depend on within-level order.
 
     Returns (survivors mapped to their maximum observed p-value, warnings
-    for any levels skipped due to sample size).
+    for any levels skipped due to sample size). `oracle` answers the CI
+    tests; None builds a fresh one for this call.
     """
     chunk = list(chunk)
     if not chunk:
         raise ConfigError("chunk must be non-empty")
-    values, f = _pooled(labeled)
-    col = {name: values[:, labeled.panel.kpi_names.index(name)] for name in chunk}
-    n = f.size
+    if oracle is None:
+        oracle = _CiOracle(labeled)
+    n = oracle.f.size
     adjacency = list(chunk)
     p_max: dict[str, float] = {name: 0.0 for name in chunk}
     warnings: list[str] = []
@@ -166,9 +211,7 @@ def local_skeleton(
             continue
         removed: list[str] = []
         if level == 0:
-            x_matrix = np.column_stack([col[name] for name in adjacency])
-            _, p_values = batch_marginal_ci(x_matrix, f)
-            for name, p in zip(adjacency, p_values):
+            for name, p in zip(adjacency, oracle.marginal_p(tuple(adjacency))):
                 p_max[name] = max(p_max[name], float(p))
                 if p > alpha:
                     removed.append(name)
@@ -176,9 +219,9 @@ def local_skeleton(
             for name in adjacency:
                 others = [o for o in adjacency if o != name]
                 for subset in combinations(others, level):
-                    res = ci_test(col[name], f, given=[col[s] for s in subset])
-                    p_max[name] = max(p_max[name], res.p)
-                    if res.p > alpha:
+                    p = oracle.conditional_p(name, subset)
+                    p_max[name] = max(p_max[name], p)
+                    if p > alpha:
                         removed.append(name)
                         break
         if removed:
@@ -197,6 +240,8 @@ def hierarchical_refine(
     alpha: float,
     max_cond: int,
     rng: np.random.Generator,
+    *,
+    oracle: _CiOracle | None = None,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
@@ -206,8 +251,10 @@ def hierarchical_refine(
     set would never terminate otherwise). At most MAX_REFINE_PASSES passes
     run; stopping there while passes still remove KPIs adds a warning. The
     final pass screens the remaining set as a single chunk and supplies the
-    reported p-values.
+    reported p-values. `oracle` is passed to every `local_skeleton` call.
     """
+    if oracle is None:
+        oracle = _CiOracle(labeled)
     order = {name: i for i, name in enumerate(labeled.panel.kpi_names)}
     survivors = sorted(survivor_union, key=order.__getitem__)
     warnings: list[str] = []
@@ -221,7 +268,7 @@ def hierarchical_refine(
         passes += 1
         kept: list[str] = []
         for chunk in partition(survivors, g, rng):
-            surv, warn = local_skeleton(labeled, chunk, alpha, max_cond)
+            surv, warn = local_skeleton(labeled, chunk, alpha, max_cond, oracle=oracle)
             kept.extend(surv)
             warnings.extend(warn)
         if len(kept) == len(survivors):
@@ -229,7 +276,7 @@ def hierarchical_refine(
         survivors = sorted(kept, key=order.__getitem__)
     if not survivors:
         return CandidateSet(kpis=(), p_values=(), warnings=tuple(warnings))
-    final, warn = local_skeleton(labeled, survivors, alpha, max_cond)
+    final, warn = local_skeleton(labeled, survivors, alpha, max_cond, oracle=oracle)
     warnings.extend(warn)
     kept = sorted(final, key=order.__getitem__)
     return CandidateSet(
@@ -244,21 +291,28 @@ def rcd_single_run(
     cfg: RcdConfig,
     run_index: int,
     exclude=(),
+    *,
+    oracle: _CiOracle | None = None,
 ) -> CandidateSet:
-    """One independent discovery run with its own derived RNG stream."""
+    """One independent discovery run with its own derived RNG stream.
+
+    `oracle` answers the CI tests; None builds a fresh one for this run.
+    """
     excluded = set(exclude)
     names = [n for n in labeled.panel.kpi_names if n not in excluded]
     if not names:
         raise ConfigError("no KPIs left to analyze after exclusions")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]))
+    if oracle is None:
+        oracle = _CiOracle(labeled)
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):
-        surv, warn = local_skeleton(labeled, chunk, cfg.alpha, cfg.max_cond)
+        surv, warn = local_skeleton(labeled, chunk, cfg.alpha, cfg.max_cond, oracle=oracle)
         union.update(surv)
         warnings.extend(warn)
     result = hierarchical_refine(
-        union, labeled, cfg.g, cfg.alpha, cfg.max_cond, rng
+        union, labeled, cfg.g, cfg.alpha, cfg.max_cond, rng, oracle=oracle
     )
     if warnings:
         result = CandidateSet(
@@ -284,7 +338,8 @@ def map_ordered(fn, tasks, jobs: int = 1) -> list:
 
 
 def _run_task(args) -> CandidateSet:
-    return rcd_single_run(*args)
+    labeled, cfg, run_index, exclude, oracle = args
+    return rcd_single_run(labeled, cfg, run_index, exclude, oracle=oracle)
 
 
 def rcd_runs(
@@ -296,9 +351,11 @@ def rcd_runs(
     """All n_runs candidate sets, in run order.
 
     Runs are pure functions of (data, cfg, run index), so they may execute
-    in parallel; the result is identical regardless of jobs.
+    in parallel; the result is identical regardless of jobs. The runs share
+    one CI oracle; with jobs >= 2 each task carries its own empty copy.
     """
-    tasks = [(labeled, cfg, i, tuple(exclude)) for i in range(cfg.n_runs)]
+    oracle = _CiOracle(labeled)
+    tasks = [(labeled, cfg, i, tuple(exclude), oracle) for i in range(cfg.n_runs)]
     return map_ordered(_run_task, tasks, jobs)
 
 

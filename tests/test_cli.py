@@ -108,6 +108,13 @@ lead_ticks: 0
         assert run("synth", "--scenario-file", spec, "--out", tmp_path) == 0
         assert (tmp_path / "toy_panel.csv").exists()
 
+    def test_scenario_file_bad_list_item_named(self, tmp_path, capsys):
+        spec = tmp_path / "toy.yaml"
+        spec.write_text('nodes: [p, q]\nnoise_sd: [1.0, "2"]\nhorizon: 120\n'
+                        "normal_len: 50\nabnormal_len: 50\n")
+        assert run("synth", "--scenario-file", spec, "--out", tmp_path / "o") == 2
+        assert "noise_sd[1] must be a number, got '2'" in capsys.readouterr().err
+
 
 class TestRunAll:
     def test_cascade_end_to_end(self, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rcseq import rcd
 from rcseq.errors import ConfigError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.rcd import (
@@ -14,7 +15,7 @@ from rcseq.rcd import (
     rcd_runs,
     rcd_single_run,
 )
-from rcseq.scm import single_root_scenario
+from rcseq.scm import make_scenario, single_root_scenario
 
 
 def noise_labeled(seed, n_kpis=4, t=240):
@@ -292,3 +293,62 @@ class TestFrequencyTable:
         table = FrequencyTable(kpi_names=("a", "b"), counts=np.array([4, 0]), n_runs=10)
         assert table.proportion("a") == 0.4
         assert table.proportion("b") == 0.0
+
+
+def count_kernel_keys(monkeypatch):
+    """Wrap rcd's CI kernels to record the exact ordered input of each call."""
+    keys = {"ci_test": [], "batch_marginal_ci": []}
+    ci_test, batch_marginal_ci = rcd.ci_test, rcd.batch_marginal_ci
+
+    def key(*arrays):
+        return tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays)
+
+    def counted_ci_test(x, y, given=()):
+        keys["ci_test"].append(key(x, y, *given))
+        return ci_test(x, y, given=given)
+
+    def counted_batch_marginal_ci(x_matrix, y):
+        keys["batch_marginal_ci"].append(key(x_matrix, y))
+        return batch_marginal_ci(x_matrix, y)
+
+    monkeypatch.setattr(rcd, "ci_test", counted_ci_test)
+    monkeypatch.setattr(rcd, "batch_marginal_ci", counted_batch_marginal_ci)
+    return keys
+
+
+class TestCiMemo:
+    def labeled(self):
+        panel, _ = single_root_scenario(extra_noise=3).build(5)
+        return label_states(panel, 120, normal_len=120, abnormal_len=120)
+
+    def test_each_test_computed_once_per_call(self, monkeypatch):
+        labeled = self.labeled()
+        cfg = RcdConfig(g=3, n_runs=24, seed=4)
+        keys = count_kernel_keys(monkeypatch)
+        for i in range(cfg.n_runs):
+            rcd_single_run(labeled, cfg, i)
+        solo = {kernel: list(calls) for kernel, calls in keys.items()}
+        for kernel, calls in keys.items():
+            # run alone, the runs repeat tests, so the memo has work to save
+            assert len(calls) > len(set(calls)) > 0, kernel
+            calls.clear()
+
+        rcd_runs(labeled, cfg)
+        first = {kernel: list(calls) for kernel, calls in keys.items()}
+        for kernel, calls in first.items():
+            assert len(calls) == len(set(calls)) == len(set(solo[kernel])), kernel
+
+        # a second call starts from an empty memo and computes every test again
+        rcd_runs(labeled, cfg)
+        for kernel, calls in keys.items():
+            assert calls == first[kernel] * 2, kernel
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    @pytest.mark.parametrize("scenario", ["cascade", "single_root"])
+    def test_shared_memo_equals_runs_alone(self, scenario, g, seed):
+        panel, _ = make_scenario(scenario).build(seed)
+        labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+        cfg = RcdConfig(g=g, n_runs=8, seed=seed)
+        alone = [rcd_single_run(labeled, cfg, i) for i in range(cfg.n_runs)]
+        assert rcd_runs(labeled, cfg) == alone

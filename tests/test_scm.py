@@ -70,7 +70,7 @@ class TestSpecValidation:
             ({"edges": (("A", "B", 1, "0.5"),)}, "edges[0][3]"),
             ({"noise_sd": "12"}, "noise_sd"),
             ({"noise_sd": True}, "noise_sd"),
-            ({"noise_sd": (1.0, "2")}, "noise_sd"),
+            ({"noise_sd": (1.0, "2")}, "noise_sd[1] must be a number, got '2'"),
         ],
         ids=["float-lag", "bool-lag", "str-lag", "str-weight", "str-sd", "bool-sd", "str-sd-item"],
     )
