@@ -133,7 +133,7 @@ def _rcd_exclude(cfg: PipelineConfig, sla: SlaRule) -> tuple[str, ...]:
 
 def _stage_discover(cfg: PipelineConfig, labeled: LabeledPanel, sla: SlaRule):
     exclude = _rcd_exclude(cfg, sla)
-    runs = rcd_runs(labeled, cfg.rcd, exclude=exclude, jobs=cfg.jobs)
+    runs = rcd_runs(labeled, cfg.rcd, exclude=exclude)
     names = tuple(k for k in labeled.panel.kpi_names if k not in exclude)
     table = FrequencyTable.from_runs(names, runs)
     candidates = [
@@ -351,7 +351,6 @@ def cmd_tune(cfg: PipelineConfig) -> int:
         base_cfg=cfg.rcd,
         seed=cfg.seed,
         exclude=_rcd_exclude(cfg, sla),
-        jobs=cfg.jobs,
     )
     rows = tuning_rows(grid, n_mode=cfg.mc.n_mode)
     prominent = prominent_sources(rows, p_thr=cfg.mc.p_thr)
@@ -396,7 +395,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="YAML config file")
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--out", help="output directory override")
-    sub.add_argument("--jobs", type=int, help="worker parallelism cap")
+    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
     sub.add_argument("--cis-alpha", type=float, help="CIS significance override")
     sub.add_argument("--input", help="input panel CSV (overrides config)")
     sub.add_argument("--scenario", help="canned scenario name (overrides config)")

@@ -19,7 +19,6 @@ import yaml
 from .errors import ConfigError, DataError
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
-from .tuner import DEFAULT_N_SET
 
 
 @dataclass(frozen=True)
@@ -73,6 +72,9 @@ class CisConfig:
             raise ConfigError("z threshold must be positive")
 
 
+DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo sweep; g_values None means 3..V for the loaded panel."""
@@ -109,7 +111,7 @@ class PipelineConfig:
     include_sla_in_rcd: bool = False
     seed: int = 0
     out_dir: str = field(default="out", metadata={"key": "output.dir"})
-    jobs: int = 1
+    jobs: int = 1  # accepted for compatibility; nothing reads it
 
     def __post_init__(self):
         if self.missing not in MISSING_POLICIES:
@@ -123,9 +125,9 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """JSON-safe dump of the effective analysis settings, for report
-        provenance. Execution details that must not influence results
-        (output directory, worker count) are excluded so that reruns are
-        byte-identical regardless of where and how wide they execute."""
+        provenance. The output directory and `jobs`, which is accepted for
+        compatibility and read by nothing, are excluded so that reruns are
+        byte-identical regardless of where they write and what they pass."""
         doc = asdict(self)
         doc.pop("out_dir", None)
         doc.pop("jobs", None)

@@ -11,15 +11,15 @@ gives the per-KPI causal-source frequency table.
 F is treated as a sink: survivors adjacent to F are reported as its parents
 directly, with no orientation phase.
 
-The runs of one `rcd_runs` call share one CI memo (`_CiOracle`): the pooled
-sample is built once, and each CI test on it is computed once per distinct
-ordered input and answered from the memo after that. Runs spread over worker
-processes each start from an empty memo, so results never depend on `jobs`.
+Discovery runs in one process. The runs of one `rcd_runs` call share one CI
+memo (`CiOracle`): the pooled sample is built once, and each CI test on it
+is computed once per distinct ordered input and answered from the memo
+after that. A caller that reruns discovery on the same panel, such as the
+Monte Carlo tuner, may pass one oracle to every call.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,6 +33,7 @@ __all__ = [
     "RcdConfig",
     "CandidateSet",
     "FrequencyTable",
+    "CiOracle",
     "partition",
     "local_skeleton",
     "hierarchical_refine",
@@ -128,7 +129,7 @@ def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
     return [shuffled[a:b] for a, b in zip(starts, starts[1:]) if b > a]
 
 
-class _CiOracle:
+class CiOracle:
     """The pooled normal+abnormal rows of one panel with their F vector, and
     a memo of the discovery CI tests run on them.
 
@@ -136,7 +137,7 @@ class _CiOracle:
     depends in its last bits on the columns that share its batch, and a
     conditional p on the order of the conditioning set. A miss calls the
     module's `batch_marginal_ci` / `ci_test` binding with the same arrays
-    an uncached call would pass. A pickled oracle starts with an empty memo.
+    an uncached call would pass, so a shared oracle never changes a result.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -146,9 +147,6 @@ class _CiOracle:
         self.f = labeled.fnode[rows].astype(float)
         self._marginal: dict[tuple[str, ...], np.ndarray] = {}
         self._conditional: dict[tuple[str, tuple[str, ...]], float] = {}
-
-    def __reduce__(self):
-        return _CiOracle, (self.labeled,)
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.labeled.panel.kpi_names.index(name)]
@@ -177,7 +175,7 @@ def local_skeleton(
     alpha: float,
     max_cond: int,
     *,
-    oracle: _CiOracle | None = None,
+    oracle: CiOracle | None = None,
 ) -> tuple[dict[str, float], list[str]]:
     """PC-style neighborhood search of F restricted to one chunk.
 
@@ -195,7 +193,7 @@ def local_skeleton(
     if not chunk:
         raise ConfigError("chunk must be non-empty")
     if oracle is None:
-        oracle = _CiOracle(labeled)
+        oracle = CiOracle(labeled)
     n = oracle.f.size
     adjacency = list(chunk)
     p_max: dict[str, float] = {name: 0.0 for name in chunk}
@@ -241,7 +239,7 @@ def hierarchical_refine(
     max_cond: int,
     rng: np.random.Generator,
     *,
-    oracle: _CiOracle | None = None,
+    oracle: CiOracle | None = None,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
@@ -254,7 +252,7 @@ def hierarchical_refine(
     reported p-values. `oracle` is passed to every `local_skeleton` call.
     """
     if oracle is None:
-        oracle = _CiOracle(labeled)
+        oracle = CiOracle(labeled)
     order = {name: i for i, name in enumerate(labeled.panel.kpi_names)}
     survivors = sorted(survivor_union, key=order.__getitem__)
     warnings: list[str] = []
@@ -292,7 +290,7 @@ def rcd_single_run(
     run_index: int,
     exclude=(),
     *,
-    oracle: _CiOracle | None = None,
+    oracle: CiOracle | None = None,
 ) -> CandidateSet:
     """One independent discovery run with its own derived RNG stream.
 
@@ -304,7 +302,7 @@ def rcd_single_run(
         raise ConfigError("no KPIs left to analyze after exclusions")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]))
     if oracle is None:
-        oracle = _CiOracle(labeled)
+        oracle = CiOracle(labeled)
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):
@@ -323,49 +321,35 @@ def rcd_single_run(
     return result
 
 
-def map_ordered(fn, tasks, jobs: int = 1) -> list:
-    """[fn(t) for t in tasks], spread over up to `jobs` worker processes.
-
-    Results come back in task order whatever the worker count, so callers
-    whose tasks are pure functions of their arguments get identical results
-    for every `jobs`.
-    """
-    tasks = list(tasks)
-    if jobs <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        return list(pool.map(fn, tasks))
-
-
-def _run_task(args) -> CandidateSet:
-    labeled, cfg, run_index, exclude, oracle = args
-    return rcd_single_run(labeled, cfg, run_index, exclude, oracle=oracle)
-
-
 def rcd_runs(
     labeled: LabeledPanel,
     cfg: RcdConfig,
     exclude=(),
-    jobs: int = 1,
+    *,
+    oracle: CiOracle | None = None,
 ) -> list[CandidateSet]:
     """All n_runs candidate sets, in run order.
 
-    Runs are pure functions of (data, cfg, run index), so they may execute
-    in parallel; the result is identical regardless of jobs. The runs share
-    one CI oracle; with jobs >= 2 each task carries its own empty copy.
+    Runs are pure functions of (data, cfg, run index). They share one CI
+    oracle, which must be built from `labeled`; None builds a fresh one.
     """
-    oracle = _CiOracle(labeled)
-    tasks = [(labeled, cfg, i, tuple(exclude), oracle) for i in range(cfg.n_runs)]
-    return map_ordered(_run_task, tasks, jobs)
+    if oracle is None:
+        oracle = CiOracle(labeled)
+    exclude = tuple(exclude)
+    return [
+        rcd_single_run(labeled, cfg, i, exclude, oracle=oracle) for i in range(cfg.n_runs)
+    ]
 
 
 def rcd_multi_run(
     labeled: LabeledPanel,
     cfg: RcdConfig,
     exclude=(),
-    jobs: int = 1,
+    *,
+    oracle: CiOracle | None = None,
 ) -> FrequencyTable:
-    """Aggregate n_runs independent runs into per-KPI source frequencies."""
+    """Aggregate n_runs independent runs into per-KPI source frequencies;
+    `oracle` is passed to `rcd_runs`."""
     excluded = set(exclude)
     names = tuple(n for n in labeled.panel.kpi_names if n not in excluded)
-    return FrequencyTable.from_runs(names, rcd_runs(labeled, cfg, exclude, jobs))
+    return FrequencyTable.from_runs(names, rcd_runs(labeled, cfg, exclude, oracle=oracle))

@@ -7,6 +7,7 @@ slopes are negative). Per KPI, the selected g is the one whose mean
 proportion is the median across g, the optimal n is the sweep value with
 the greatest proportional variance reduction, and the per-KPI choices
 consolidate to global parameters as maxima over the prominent-source set.
+The sweep runs in one process, and all of its cells share one CI oracle.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
-from .rcd import RcdConfig, map_ordered, rcd_multi_run
+from .rcd import CiOracle, RcdConfig, rcd_multi_run
 from .stats import binomial_sd
 
 __all__ = [
@@ -34,8 +36,6 @@ __all__ = [
     "prominent_sources",
     "consolidate",
 ]
-
-DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,9 @@ class McGrid:
         counts = counts.copy()
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "g_values", tuple(int(g) for g in self.g_values))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        for what in ("g_values", "n_values"):
+            values = read_value(tuple[int, ...], tuple(getattr(self, what)), what)
+            object.__setattr__(self, what, values)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
 
     @property
@@ -105,12 +106,6 @@ def _cell_seed(seed: int, g: int, n: int) -> int:
     return int(np.random.SeedSequence([seed, g, n]).generate_state(1)[0])
 
 
-def _cell_task(args):
-    labeled, base_cfg, g, n, seed, exclude = args
-    cfg = replace(base_cfg, g=g, n_runs=n, seed=_cell_seed(seed, g, n))
-    return rcd_multi_run(labeled, cfg, exclude=exclude).counts
-
-
 def run_grid(
     labeled: LabeledPanel,
     g_values,
@@ -118,13 +113,13 @@ def run_grid(
     base_cfg: RcdConfig,
     seed: int,
     exclude=(),
-    jobs: int = 1,
 ) -> McGrid:
     """Execute the (g, n) sweep; each cell runs rcd_multi_run with an RNG
     stream derived from (seed, g, n), so cells are independent and the grid
-    is deterministic regardless of execution order."""
-    g_values = tuple(int(g) for g in g_values)
-    n_values = tuple(sorted(int(n) for n in n_values))
+    is deterministic. The cells share one CI oracle, so each distinct test
+    is computed once per sweep."""
+    g_values = read_value(tuple[int, ...], tuple(g_values), "g_values")
+    n_values = tuple(sorted(read_value(tuple[int, ...], tuple(n_values), "n_values")))
     if not g_values or not n_values:
         raise ConfigError("g and n sweeps must be non-empty")
     excluded = set(exclude)
@@ -135,13 +130,18 @@ def run_grid(
         raise ConfigError(
             f"g values must not exceed the panel KPI count ({labeled.panel.n_kpis})"
         )
-    tasks = [
-        (labeled, base_cfg, g, n, seed, tuple(exclude))
+    oracle = CiOracle(labeled)
+    counts = [
+        rcd_multi_run(
+            labeled,
+            replace(base_cfg, g=g, n_runs=n, seed=_cell_seed(seed, g, n)),
+            exclude,
+            oracle=oracle,
+        ).counts
         for g in g_values
         for n in n_values
     ]
-    cells = map_ordered(_cell_task, tasks, jobs)
-    counts = np.reshape(cells, (len(g_values), len(n_values), len(names)))
+    counts = np.reshape(counts, (len(g_values), len(n_values), len(names)))
     return McGrid(g_values=g_values, n_values=n_values, kpi_names=names, counts=counts)
 
 

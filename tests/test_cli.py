@@ -1,6 +1,10 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -410,3 +414,15 @@ class TestCompareStates:
         removed = {(e["src"], e["dst"]) for e in diff["removed"]}
         # the hard pin on prb_util severs its inbound edge in the abnormal state
         assert ("cce_load", "prb_util") in removed
+
+
+def test_import_loads_no_process_pool():
+    # discovery runs in one process, so importing the CLI starts no pool machinery
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    pool_modules = {"multiprocessing", "concurrent.futures.process"}
+    code = f"import sys, rcseq.cli; print(sorted({pool_modules!r} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -216,13 +216,6 @@ class TestMultiRun:
         assert a.kpi_names == b.kpi_names
         assert np.array_equal(a.counts, b.counts)
 
-    def test_jobs_do_not_change_results(self):
-        labeled = scenario_labeled(4)
-        cfg = RcdConfig(g=3, n_runs=4, alpha=0.05, seed=2)
-        serial = rcd_multi_run(labeled, cfg, jobs=1)
-        parallel = rcd_multi_run(labeled, cfg, jobs=4)
-        assert np.array_equal(serial.counts, parallel.counts)
-
     def test_proportions_and_counting(self):
         rng = np.random.default_rng(9)
         t = 240

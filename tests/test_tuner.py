@@ -1,15 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 
 from published_rows import PUBLISHED_ROWS
 from rcseq.errors import AnalysisError, ConfigError
 from rcseq.panel import label_states
-from rcseq.rcd import RcdConfig
-from rcseq.scm import single_root_scenario
+from rcseq.rcd import RcdConfig, rcd_multi_run
+from rcseq.scm import make_scenario, single_root_scenario
 from rcseq.stats import binomial_sd
 from rcseq.tuner import (
     McGrid,
     TuningRow,
+    _cell_seed,
     consolidate,
     estimate_p,
     prominent_sources,
@@ -19,6 +22,7 @@ from rcseq.tuner import (
     tuning_rows,
     variance_trend,
 )
+from test_rcd import count_kernel_keys
 
 
 def grid_from_proportions(mapping, n_values, kpi="k"):
@@ -67,13 +71,58 @@ class TestRunGrid:
         gi, ni = big.g_values.index(4), big.n_values.index(15)
         assert np.array_equal(big.counts[gi, ni], small.counts[0, 0])
 
-    def test_jobs_equivalence(self):
+    @staticmethod
+    def cells_alone(labeled, g_values, n_values, seed):
+        """Each cell's counts from rcd_multi_run with a fresh oracle."""
+        return [
+            rcd_multi_run(
+                labeled, RcdConfig(g=g, n_runs=n, seed=_cell_seed(seed, g, n))
+            ).counts
+            for g in g_values
+            for n in n_values
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("scenario", ["cascade", "single_root"])
+    def test_shared_oracle_equals_cells_alone(self, scenario, seed):
+        panel, _ = make_scenario(scenario).build(seed)
+        labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+        g_values, n_values = (2, 3, 4, 5), (4, 7)
+        grid = run_grid(labeled, g_values, n_values, RcdConfig(), seed=seed)
+        alone = self.cells_alone(labeled, g_values, n_values, seed)
+        assert np.array_equal(grid.counts, np.reshape(alone, grid.counts.shape))
+
+    def test_each_test_computed_once_per_sweep(self, monkeypatch):
         labeled = scenario_labeled(3)
-        kw = dict(g_values=(3,), n_values=(10, 15), base_cfg=RcdConfig(), seed=2)
-        assert np.array_equal(
-            run_grid(labeled, **kw, jobs=1).counts,
-            run_grid(labeled, **kw, jobs=4).counts,
-        )
+        g_values, n_values = (2, 3, 4), (5, 8)
+        keys = count_kernel_keys(monkeypatch)
+        self.cells_alone(labeled, g_values, n_values, seed=2)
+        alone = {kernel: set(calls) for kernel, calls in keys.items()}
+        for kernel, calls in keys.items():
+            # cells computed alone repeat each other's tests
+            assert len(calls) > len(alone[kernel]) > 0, kernel
+            calls.clear()
+
+        run_grid(labeled, g_values, n_values, RcdConfig(), seed=2)
+        for kernel, calls in keys.items():
+            assert len(calls) == len(set(calls)), kernel
+            assert set(calls) == alone[kernel], kernel
+
+    @pytest.mark.parametrize(
+        "g_values, n_values, bad",
+        [
+            ((3.7,), (10,), "g_values[0]"),
+            ((3,), (10.9, 15), "n_values[0]"),
+            ((3,), (10, 15.0), "n_values[1]"),
+            ((True,), (10,), "g_values[0]"),
+            ((3,), (10, "15"), "n_values[1]"),
+        ],
+        ids=["float-g", "float-n", "integral-float-n", "bool-g", "str-n"],
+    )
+    def test_non_integer_sweep_values_rejected(self, g_values, n_values, bad):
+        labeled = scenario_labeled(0)
+        with pytest.raises(ConfigError, match=re.escape(bad)):
+            run_grid(labeled, g_values, n_values, RcdConfig(), seed=0)
 
     def test_g_bounds_checked(self):
         labeled = scenario_labeled(0)
@@ -87,6 +136,16 @@ class TestRunGrid:
         )
         for g in (3, 4):
             assert estimate_p(grid, "rrc_users", g) > estimate_p(grid, "sinr_avg", g)
+
+
+@pytest.mark.parametrize(
+    "g_values, n_values, bad",
+    [((True,), (2,), "g_values[0]"), ((3,), (2.5,), "n_values[0]")],
+    ids=["bool-g", "float-n"],
+)
+def test_grid_rejects_non_integer_values(g_values, n_values, bad):
+    with pytest.raises(ConfigError, match=re.escape(bad)):
+        McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=[[[0]]])
 
 
 class TestEstimateP:
