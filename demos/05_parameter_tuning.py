@@ -45,7 +45,7 @@ for kpi in grid.kpi_names:
 prominent = prominent_sources(rows, p_thr=0.4)
 print(f"\nprominent causal sources (p > 0.4, not poor): {list(prominent)}")
 if prominent:
-    params = consolidate(rows, prominent, p_thr=0.4)
+    params = consolidate(rows, prominent)
     print(f"consolidated parameters: g* = {params.g_star}, n* = {params.n_star}")
 
 # the injected root (rrc_users) tops the probability column; a KPI found

@@ -321,7 +321,7 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
             )
             return EXIT_OK
         labeled = state.labeled
-        write_cis_dot(bundle, state.report, "subgraph.dot")
+        write_cis_dot(bundle, state.report)
         write_histograms_csv(bundle, labeled, state.nodes)
         write_json(
             bundle.path("run_metadata.json"),
@@ -356,7 +356,7 @@ def cmd_tune(cfg: PipelineConfig) -> int:
     prominent = prominent_sources(rows, p_thr=cfg.mc.p_thr)
     params = None
     if prominent:
-        params = consolidate(rows, prominent, p_thr=cfg.mc.p_thr)
+        params = consolidate(rows, prominent)
     trends = None
     if len(grid.n_values) >= 3:
         trends = [variance_trend(grid, kpi) for kpi in grid.kpi_names]

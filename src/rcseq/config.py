@@ -19,6 +19,7 @@ import yaml
 from .errors import ConfigError, DataError
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
+from .sequence import CORRECTIONS
 
 
 @dataclass(frozen=True)
@@ -32,6 +33,11 @@ class LabelConfig:
     breach_index: int = 0
 
     def __post_init__(self):
+        for what in ("normal_len", "abnormal_len"):
+            if getattr(self, what) is not None and getattr(self, what) < 1:
+                raise ConfigError(f"label.{what} must be >= 1 tick")
+        if self.lead_ticks is not None and self.lead_ticks < 0:
+            raise ConfigError("label.lead_ticks must be non-negative")
         if self.breach_index < 0:
             raise ConfigError("breach_index must be non-negative")
 
@@ -66,7 +72,7 @@ class CisConfig:
             raise ConfigError("cis window must be >= 8 ticks")
         if self.stride < 1:
             raise ConfigError("cis stride must be >= 1")
-        if self.correction not in ("bonferroni", "bh_fdr", "none"):
+        if self.correction not in CORRECTIONS:
             raise ConfigError(f"unknown correction {self.correction!r}")
         if self.z_thr <= 0:
             raise ConfigError("z threshold must be positive")
@@ -87,6 +93,8 @@ class McConfig:
     def __post_init__(self):
         if not self.n_values:
             raise ConfigError("mc n_values must be non-empty")
+        if not 0.0 <= self.p_thr <= 1.0:
+            raise ConfigError("mc.p_thr must lie in [0, 1]")
         if self.n_mode not in ("proportional", "absolute"):
             raise ConfigError("mc n_mode must be 'proportional' or 'absolute'")
 
@@ -116,6 +124,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.missing not in MISSING_POLICIES:
             raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}")
+        if self.granularity_seconds < 1:
+            raise ConfigError("input.granularity_seconds must be >= 1")
         if not 0.0 <= self.candidate_threshold <= 1.0:
             raise ConfigError("candidate_threshold must lie in [0, 1]")
         if self.seed < 0:

@@ -35,7 +35,6 @@ class KpiPanel:
     ticks: np.ndarray
     kpi_names: tuple[str, ...]
     values: np.ndarray
-    granularity_seconds: int = 15
 
     def __post_init__(self):
         ticks = np.asarray(self.ticks, dtype=np.int64)
@@ -55,8 +54,6 @@ class KpiPanel:
             raise DataError("kpi_names must match the value columns")
         if not np.all(np.isfinite(values)):
             raise DataError("panel values must all be finite")
-        if self.granularity_seconds <= 0:
-            raise DataError("granularity_seconds must be positive")
         ticks = ticks.copy()
         values = values.copy()
         ticks.setflags(write=False)
@@ -89,7 +86,6 @@ class KpiPanel:
             ticks=self.ticks,
             kpi_names=tuple(names),
             values=self.values[:, idx],
-            granularity_seconds=self.granularity_seconds,
         )
 
 
@@ -173,7 +169,6 @@ class LabeledPanel:
             ticks=self.panel.ticks[sl],
             kpi_names=self.panel.kpi_names,
             values=self.panel.values[sl],
-            granularity_seconds=self.panel.granularity_seconds,
         )
 
 
@@ -256,6 +251,8 @@ def load_csv(
     """
     if missing not in MISSING_POLICIES:
         raise DataError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
+    if granularity_seconds <= 0:
+        raise DataError("granularity_seconds must be positive")
     path = Path(path)
     if not path.exists():
         raise DataError(f"input file not found: {path}")
@@ -311,7 +308,6 @@ def load_csv(
         ticks=ticks,
         kpi_names=names,
         values=values,
-        granularity_seconds=granularity_seconds,
     )
 
 

@@ -110,9 +110,9 @@ def write_cis(bundle: OutputBundle, report: CisReport) -> None:
     write_json(bundle.path("cis.json"), cis_to_dict(report))
 
 
-def write_cis_dot(bundle: OutputBundle, report: CisReport, name="cis.dot") -> None:
+def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
     write_text(
-        bundle.path(name),
+        bundle.path("subgraph.dot"),
         to_dot(
             report.subgraph,
             flagged_nodes=report.flagged_nodes,
@@ -146,8 +146,8 @@ def diff_to_dict(diff: GraphDiff) -> dict:
     }
 
 
-def write_frequency_csv(bundle: OutputBundle, table, name="frequency.csv") -> None:
-    with bundle.path(name).open("w", newline="", encoding="utf-8") as fh:
+def write_frequency_csv(bundle: OutputBundle, table) -> None:
+    with bundle.path("frequency.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("kpi", "count", "n_runs", "proportion"))
         for kpi, count in zip(table.kpi_names, table.counts):
@@ -166,8 +166,8 @@ def runs_to_dict(runs) -> list[dict]:
     ]
 
 
-def write_tuning_csv(bundle: OutputBundle, rows: list[TuningRow], name="tuning.csv") -> None:
-    with bundle.path(name).open("w", newline="", encoding="utf-8") as fh:
+def write_tuning_csv(bundle: OutputBundle, rows: list[TuningRow]) -> None:
+    with bundle.path("tuning.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TABLE_COLUMNS)
         for row in rows:
@@ -179,7 +179,6 @@ def write_tuning_params(
     params: ConsolidatedParams | None,
     trends: list[TrendResult] | None,
     p_thr: float,
-    name="tuning_params.json",
 ) -> None:
     payload = {
         "consolidated": (
@@ -205,15 +204,15 @@ def write_tuning_params(
             else None
         ),
     }
-    write_json(bundle.path(name), payload)
+    write_json(bundle.path("tuning_params.json"), payload)
 
 
 def write_histograms_csv(
-    bundle: OutputBundle, labeled: LabeledPanel, kpis, name="histograms.csv"
+    bundle: OutputBundle, labeled: LabeledPanel, kpis
 ) -> None:
     """Shared-bin normal/abnormal counts per KPI (Freedman-Diaconis edges
     over the pooled windows; constant KPIs collapse to a single bin)."""
-    with bundle.path(name).open("w", newline="", encoding="utf-8") as fh:
+    with bundle.path("histograms.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("kpi", "bin_left", "bin_right", "normal_count", "abnormal_count"))
         for kpi in kpis:
@@ -228,9 +227,9 @@ def write_histograms_csv(
 
 
 def write_traces_csv(
-    bundle: OutputBundle, ticks, traces: np.ndarray, kpis, name="deviation_traces.csv"
+    bundle: OutputBundle, ticks, traces: np.ndarray, kpis
 ) -> None:
-    with bundle.path(name).open("w", newline="", encoding="utf-8") as fh:
+    with bundle.path("deviation_traces.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("tick", *kpis))
         for tick, row in zip(ticks, traces):

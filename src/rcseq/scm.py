@@ -126,10 +126,6 @@ def generate(
     spec: ScmSpec,
     horizon: int,
     seed: int,
-    *,
-    burn_in: int | None = None,
-    granularity_seconds: int = 15,
-    overflow_guard: float = _OVERFLOW_GUARD,
 ) -> KpiPanel:
     """Simulate the observational (fault-free) system for `horizon` ticks:
     the panel of :func:`inject` with no interventions."""
@@ -138,9 +134,6 @@ def generate(
         (),
         horizon,
         seed,
-        burn_in=burn_in,
-        granularity_seconds=granularity_seconds,
-        overflow_guard=overflow_guard,
     )
     return panel
 
@@ -150,10 +143,6 @@ def inject(
     interventions,
     horizon: int,
     seed: int,
-    *,
-    burn_in: int | None = None,
-    granularity_seconds: int = 15,
-    overflow_guard: float = _OVERFLOW_GUARD,
 ) -> tuple[KpiPanel, GroundTruth]:
     """Simulate with scheduled interventions.
 
@@ -161,7 +150,7 @@ def inject(
     the maximum lag is simulated and discarded so the output is
     approximately stationary. Pre-onset ticks do not depend on the
     interventions, and a hard-intervened node is constant from its onset
-    onward. Trajectories exceeding `overflow_guard` flag the model as
+    onward. Trajectories exceeding `_OVERFLOW_GUARD` flag the model as
     unstable.
     """
     ivs = tuple(interventions)
@@ -178,7 +167,7 @@ def inject(
     max_lag = spec.max_lag
     if horizon <= max_lag:
         raise ConfigError(f"horizon must exceed the maximum lag ({max_lag})")
-    burn = 10 * max_lag if burn_in is None else int(burn_in)
+    burn = 10 * max_lag
     total = burn + horizon
     idx = {name: i for i, name in enumerate(spec.nodes)}
     rng = np.random.default_rng(seed)
@@ -197,7 +186,7 @@ def inject(
                 else:
                     structural = values[t, j] - noise[t, j]
                     values[t, j] = structural + iv.noise_scale * noise[t, j] + iv.shift
-    if not np.all(np.abs(values) < overflow_guard):
+    if not np.all(np.abs(values) < _OVERFLOW_GUARD):
         raise AnalysisError(
             "unstable SCM spec: simulated values exceeded the overflow guard"
         )
@@ -205,7 +194,6 @@ def inject(
         ticks=np.arange(horizon),
         kpi_names=spec.nodes,
         values=values[burn:],
-        granularity_seconds=granularity_seconds,
     )
     ordered = tuple(sorted(ivs, key=lambda iv: (iv.onset, iv.target)))
     # earliest tick each node can deviate: intervention onset plus the

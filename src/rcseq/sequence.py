@@ -36,17 +36,13 @@ __all__ = [
 @dataclass(frozen=True)
 class DeviationEvent:
     """One KPI's detected deviation: onset tick (panel row), direction in
-    {-1, 0, +1}, the K-S statistic and adjusted p at the onset window, and
-    the correction that produced the adjusted p. `hard_constant` marks a
-    KPI whose normal window had zero variance."""
+    {-1, 0, +1}, and the K-S statistic and adjusted p at the onset window."""
 
     kpi: str
     onset_tick: int
     direction: int
     ks_d: float
     p_adj: float
-    correction: str
-    hard_constant: bool = False
 
 
 @dataclass(frozen=True)
@@ -57,7 +53,6 @@ class CisReport:
     subgraph: CausalSubgraph
     flagged_nodes: tuple[str, ...]
     flagged_edges: tuple[tuple[str, str, int], ...]
-    sla_metric: str
     config: dict
 
 
@@ -70,9 +65,9 @@ def window_offsets(segment_len: int, window: int, stride: int) -> list[int]:
     return list(range(0, segment_len - window + 1, stride))
 
 
-def _adjust(p_raw: np.ndarray, correction: str, m_total: int) -> np.ndarray:
+def _adjust(p_raw: np.ndarray, correction: str) -> np.ndarray:
     if correction == "bonferroni":
-        return bonferroni(p_raw, m=m_total)
+        return bonferroni(p_raw)
     if correction == "bh_fdr":
         return bh_adjust(p_raw)
     if correction == "none":
@@ -101,17 +96,17 @@ def direction_at_onset(
     mu: float,
     sigma: float,
     z_thr: float,
-) -> tuple[int, bool]:
+) -> int:
     """Direction of the onset window's mean relative to the normal state.
 
     With sigma = 0 (hard-constant normal window) the direction is the sign
-    of the raw difference and the event is flagged hard-constant.
+    of the raw difference.
     """
     series = np.asarray(series, dtype=float)
     win_mean = float(series[onset : onset + window].mean())
     if sigma == 0.0:
-        return int(np.sign(win_mean - mu)), True
-    return direction_code(z_score(win_mean, mu, sigma), z_thr), False
+        return int(np.sign(win_mean - mu))
+    return direction_code(z_score(win_mean, mu, sigma), z_thr)
 
 
 def detect_events(
@@ -147,7 +142,7 @@ def detect_events(
         raw[i], dstat[i] = _ks_scan(
             labeled.abnormal_values(kpi), labeled.normal_values(kpi), offsets, window
         )
-    adjusted = _adjust(raw.ravel(), correction, m_total=raw.size).reshape(raw.shape)
+    adjusted = _adjust(raw.ravel(), correction).reshape(raw.shape)
     events = []
     for i, kpi in enumerate(kpis):
         hits = np.nonzero(adjusted[i] <= cis_alpha)[0]
@@ -156,7 +151,7 @@ def detect_events(
         j = int(hits[0])
         onset = a0 + offsets[j]
         mu, sigma = _baseline_stats(labeled, kpi)
-        direction, hard = direction_at_onset(
+        direction = direction_at_onset(
             labeled.abnormal_values(kpi), offsets[j], window, mu, sigma, z_thr
         )
         events.append(
@@ -166,8 +161,6 @@ def detect_events(
                 direction=direction,
                 ks_d=float(dstat[i, j]),
                 p_adj=float(adjusted[i, j]),
-                correction=correction,
-                hard_constant=hard,
             )
         )
     return tuple(events)
@@ -213,7 +206,6 @@ def assemble_cis(
         subgraph=subgraph,
         flagged_nodes=tuple(e.kpi for e in steps),
         flagged_edges=flagged_edges,
-        sla_metric=sla_metric,
         config=dict(config or {}),
     )
 
@@ -245,5 +237,5 @@ def deviation_traces(
         series = labeled.panel.column(kpi)[:end]
         mu, sigma = _baseline_stats(labeled, kpi)
         for tick in range(event.onset_tick, end):
-            traces[tick, j], _ = direction_at_onset(series, tick, window, mu, sigma, z_thr)
+            traces[tick, j] = direction_at_onset(series, tick, window, mu, sigma, z_thr)
     return traces, kpis

@@ -28,7 +28,6 @@ __all__ = [
     "batch_marginal_ci",
     "bonferroni",
     "bh_adjust",
-    "bh_fdr",
     "binomial_sd",
 ]
 
@@ -39,12 +38,10 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KsResult:
-    """Two-sample K-S outcome: statistic, raw p-value, and sample sizes."""
+    """Two-sample K-S outcome: statistic and raw p-value."""
 
     d: float
     p_raw: float
-    n1: int
-    n2: int
 
 
 def ks_two_sample(a, b) -> KsResult:
@@ -63,7 +60,7 @@ def ks_two_sample(a, b) -> KsResult:
     fa = np.searchsorted(xa, pooled, side="right") / xa.size
     fb = np.searchsorted(xb, pooled, side="right") / xb.size
     d = float(np.max(np.abs(fa - fb)))
-    return KsResult(d=d, p_raw=ks_pvalue(d, xa.size, xb.size), n1=int(xa.size), n2=int(xb.size))
+    return KsResult(d=d, p_raw=ks_pvalue(d, xa.size, xb.size))
 
 
 def ks_pvalue(d: float, n1: int, n2: int) -> float:
@@ -112,17 +109,10 @@ def direction_code(z: float, thr: float) -> int:
 
 @dataclass(frozen=True)
 class CiTestResult:
-    """Partial-correlation independence test outcome.
-
-    ``degenerate`` marks a zero-variance residual (constant or perfectly
-    explained series); such pairs are treated as independent (r = 0, p = 1).
-    """
+    """Partial-correlation independence test outcome."""
 
     r: float
-    z: float
     p: float
-    n: int
-    degenerate: bool = False
 
 
 def _residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -143,7 +133,8 @@ def fisher_z_test(
     """Fisher-z significance of a (partial) correlation.
 
     z = atanh(r) * sqrt(n - |S| - 3), two-sided p from the standard normal.
-    Requires n > n_cond + 3.
+    Requires n > n_cond + 3. A ``degenerate`` pair (zero-variance residual:
+    a constant or perfectly explained series) is tested as z = 0, p = 1.
     """
     if n <= n_cond + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
@@ -156,7 +147,7 @@ def fisher_z_test(
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
     p = float(2.0 * ndtr(-abs(zval))) if math.isfinite(zval) else 0.0
-    return CiTestResult(r=float(r), z=float(zval), p=p, n=int(n), degenerate=degenerate)
+    return CiTestResult(r=float(r), p=p)
 
 
 def ci_test(x, y, given=()) -> CiTestResult:
@@ -226,14 +217,11 @@ def _check_probs(p: np.ndarray) -> None:
         raise ValueError("p-values must lie in [0, 1]")
 
 
-def bonferroni(p_values, m: int | None = None) -> np.ndarray:
-    """Bonferroni-adjusted p-values: min(1, m * p)."""
+def bonferroni(p_values) -> np.ndarray:
+    """Bonferroni-adjusted p-values: min(1, m * p) over the m p-values."""
     p = np.asarray(p_values, dtype=float)
     _check_probs(p)
-    m = p.size if m is None else int(m)
-    if m < p.size:
-        raise ValueError(f"m={m} must be at least the number of tests ({p.size})")
-    return np.minimum(1.0, m * p)
+    return np.minimum(1.0, p.size * p)
 
 
 def bh_adjust(p_values) -> np.ndarray:
@@ -254,17 +242,6 @@ def bh_adjust(p_values) -> np.ndarray:
     out = np.empty_like(adjusted)
     out[order] = np.minimum(1.0, adjusted)
     return out
-
-
-def bh_fdr(p_values, q: float) -> np.ndarray:
-    """BH rejection mask at FDR level q.
-
-    Rejects the largest k with p_(k) <= k*q/m together with all smaller
-    order statistics (equivalently: BH-adjusted p <= q).
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"FDR level must lie in (0, 1), got {q}")
-    return bh_adjust(p_values) <= q
 
 
 def binomial_sd(p: float, n: int) -> float:

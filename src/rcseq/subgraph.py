@@ -22,7 +22,6 @@ from .panel import KpiPanel
 from .stats import batch_marginal_ci, ci_test
 
 __all__ = [
-    "LaggedParent",
     "LaggedEdge",
     "CausalSubgraph",
     "GraphDiff",
@@ -32,17 +31,6 @@ __all__ = [
     "graph_diff",
     "to_dot",
 ]
-
-
-@dataclass(frozen=True)
-class LaggedParent:
-    """A surviving lagged predictor of some target: X at lag tau."""
-
-    source: str
-    lag: int
-    r: float
-    p: float
-    strength: float  # minimum |r| observed across its screening tests
 
 
 @dataclass(frozen=True)
@@ -112,14 +100,15 @@ def select_lagged_parents(
     alpha: float,
     max_cond: int = 3,
     nodes=None,
-) -> tuple[LaggedParent, ...]:
+) -> tuple[tuple[str, int], ...]:
     """Screen all lagged candidates (X, tau) for the target.
 
     Starting from every (X, tau) with tau in 1..tau_max, each candidate is
     tested against the target conditioned on the `level` strongest other
     survivors, for level = 0..max_cond; candidates with p > alpha drop out
     after each level. The sweep repeats until the survivor set is stable.
-    Survivors are ranked by strength (minimum |r| across their tests).
+    Returns the surviving (X, tau) pairs ranked by strength (minimum |r|
+    across their tests), strongest first.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
@@ -136,8 +125,6 @@ def select_lagged_parents(
     cols = _lagged_columns(panel, nodes, tau_max)
     survivors = sorted(cols)
     strength: dict[tuple[str, int], float] = {}
-    signed_r: dict[tuple[str, int], float] = {}
-    p_max: dict[tuple[str, int], float] = {}
 
     for _cycle in range(10):
         before = list(survivors)
@@ -153,8 +140,6 @@ def select_lagged_parents(
                 r_vec, p_vec = batch_marginal_ci(x_matrix, y)
                 for cand, r, p in zip(survivors, r_vec, p_vec):
                     strength[cand] = min(strength.get(cand, np.inf), abs(float(r)))
-                    signed_r[cand] = float(r)
-                    p_max[cand] = max(p_max.get(cand, 0.0), float(p))
                     if p > alpha:
                         removed.add(cand)
             else:
@@ -162,25 +147,13 @@ def select_lagged_parents(
                     given = [c for c in ranked if c != cand][:level]
                     res = ci_test(cols[cand], y, given=[cols[c] for c in given])
                     strength[cand] = min(strength[cand], abs(res.r))
-                    signed_r[cand] = res.r
-                    p_max[cand] = max(p_max[cand], res.p)
                     if res.p > alpha:
                         removed.add(cand)
             if removed:
                 survivors = [c for c in survivors if c not in removed]
         if survivors == before:
             break
-    ranked = sorted(survivors, key=lambda c: (-strength[c], c))
-    return tuple(
-        LaggedParent(
-            source=name,
-            lag=tau,
-            r=signed_r[(name, tau)],
-            p=p_max[(name, tau)],
-            strength=strength[(name, tau)],
-        )
-        for name, tau in ranked
-    )
+    return tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
 
 
 def mci_edge_test(
@@ -196,19 +169,21 @@ def mci_edge_test(
 
     X(t - tau) vs Y(t), conditioned on the strongest parents of Y (the
     tested link excluded) and the strongest parents of X shifted by tau.
-    Returns the edge iff p <= alpha.
+    Parents are (name, lag) pairs, strongest first, as
+    :func:`select_lagged_parents` returns them. Returns the edge iff
+    p <= alpha.
     """
     x_name, tau = source
     if tau < 1:
         raise AnalysisError(f"lag must be >= 1, got {tau}")
     cond_target = [
-        p for p in parents_of_target if (p.source, p.lag) != (x_name, tau)
+        p for p in parents_of_target if p != (x_name, tau)
     ][:max_cond]
     cond_source = list(parents_of_source)[:max_cond]
     shifts = (
         [tau]
-        + [p.lag for p in cond_target]
-        + [p.lag + tau for p in cond_source]
+        + [lag for _, lag in cond_target]
+        + [lag + tau for _, lag in cond_source]
     )
     t0 = max(shifts)
     t = panel.n_ticks
@@ -221,10 +196,10 @@ def mci_edge_test(
         )
     y = panel.column(target)[t0:]
     x = panel.column(x_name)[t0 - tau : t - tau]
-    given = [panel.column(p.source)[t0 - p.lag : t - p.lag] for p in cond_target]
+    given = [panel.column(name)[t0 - lag : t - lag] for name, lag in cond_target]
     given += [
-        panel.column(p.source)[t0 - p.lag - tau : t - p.lag - tau]
-        for p in cond_source
+        panel.column(name)[t0 - lag - tau : t - lag - tau]
+        for name, lag in cond_source
     ]
     res = ci_test(x, y, given=given)
     if res.p <= alpha:
@@ -254,15 +229,15 @@ def build_subgraph(
     }
     edges = []
     for target in nodes:
-        for par in parents[target]:
-            if par.source == target:
+        for source, lag in parents[target]:
+            if source == target:
                 continue  # conditioning context only
             edge = mci_edge_test(
                 normal_panel,
-                (par.source, par.lag),
+                (source, lag),
                 target,
                 parents[target],
-                parents[par.source],
+                parents[source],
                 alpha,
                 max_cond,
             )
@@ -295,7 +270,6 @@ def to_dot(
     graph: CausalSubgraph,
     flagged_nodes=(),
     flagged_edges=(),
-    name: str = "causal_subgraph",
 ) -> str:
     """Deterministic DOT rendering; nodes and edges in lexicographic order.
 
@@ -304,7 +278,7 @@ def to_dot(
     """
     flagged_nodes = set(flagged_nodes)
     flagged_edges = set(flagged_edges)
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph causal_subgraph {", "  rankdir=LR;"]
     for node in sorted(graph.nodes):
         attrs = [f'label="{node}"']
         if node in flagged_nodes:

@@ -99,7 +99,6 @@ class ConsolidatedParams:
     g_star: int
     n_star: int
     prominent: tuple[str, ...]
-    p_thr: float
 
 
 def _cell_seed(seed: int, g: int, n: int) -> int:
@@ -154,10 +153,13 @@ def estimate_p(grid: McGrid, kpi: str, g: int) -> float:
     return float(grid.proportions[gi, :, ki].mean())
 
 
-def variance_trend(grid: McGrid, kpi: str, *, negative_required: float = 0.9) -> TrendResult:
+RELIABLE_SLOPE_FRACTION = 0.9
+
+
+def variance_trend(grid: McGrid, kpi: str) -> TrendResult:
     """OLS slope of the estimated variance p(1-p)/n against n, per g.
 
-    The KPI is a reliable causal source when at least `negative_required`
+    The KPI is a reliable causal source when at least RELIABLE_SLOPE_FRACTION
     of the per-g slopes are strictly negative.
     """
     if len(grid.n_values) < 3:
@@ -178,7 +180,7 @@ def variance_trend(grid: McGrid, kpi: str, *, negative_required: float = 0.9) ->
         kpi=kpi,
         slopes=tuple(slopes),
         negative_fraction=fraction,
-        reliable=fraction >= negative_required,
+        reliable=fraction >= RELIABLE_SLOPE_FRACTION,
     )
 
 
@@ -250,7 +252,7 @@ def prominent_sources(rows, p_thr: float = 0.4) -> tuple[str, ...]:
     )
 
 
-def consolidate(rows, prominent, p_thr: float = 0.4) -> ConsolidatedParams:
+def consolidate(rows, prominent) -> ConsolidatedParams:
     """Global g*/n*: maxima of the prominent rows' selections."""
     prominent = tuple(prominent)
     if not prominent:
@@ -263,5 +265,4 @@ def consolidate(rows, prominent, p_thr: float = 0.4) -> ConsolidatedParams:
         g_star=max(row.g for row in chosen),
         n_star=max(row.n_opt for row in chosen),
         prominent=prominent,
-        p_thr=p_thr,
     )

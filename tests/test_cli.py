@@ -261,6 +261,17 @@ MISTYPED = [
     ("sed: 3", "sed"),
 ]
 
+# config values outside their range, and the key each error must name
+OUT_OF_RANGE = [
+    ("input: {granularity_seconds: 0}", "input.granularity_seconds"),
+    ("input: {granularity_seconds: -15}", "input.granularity_seconds"),
+    ("label: {normal_len: 0}", "label.normal_len"),
+    ("label: {abnormal_len: 0}", "label.abnormal_len"),
+    ("label: {lead_ticks: -1}", "label.lead_ticks"),
+    ("mc: {p_thr: -2}", "mc.p_thr"),
+    ("mc: {p_thr: 1.5}", "mc.p_thr"),
+]
+
 
 class TestConfigPaths:
     def test_missing_config_file(self, tmp_path):
@@ -296,6 +307,7 @@ class TestConfigPaths:
             "mc: {g_values: 5}",
             "include_sla_in_rcd: 'false'",
             *(text for text, _ in MISTYPED),
+            *(text for text, _ in OUT_OF_RANGE),
         ],
     )
     def test_malformed_value_is_config_error(self, tmp_path, capsys, text):
@@ -306,7 +318,7 @@ class TestConfigPaths:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("text, key", MISTYPED)
+    @pytest.mark.parametrize("text, key", MISTYPED + OUT_OF_RANGE)
     def test_config_error_names_key(self, tmp_path, capsys, text, key):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text(text + "\n")

@@ -91,6 +91,12 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="granularity"):
             load_csv(p, granularity_seconds=15)
 
+    def test_granularity_must_be_positive(self, tmp_path):
+        p = write_csv(tmp_path, "time,A\n2025-01-01T00:00:00,1.0\n2025-01-01T00:00:15,2.0\n")
+        for granularity in (0, -15):
+            with pytest.raises(DataError, match="granularity_seconds must be positive"):
+                load_csv(p, granularity_seconds=granularity)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_csv(tmp_path / "nope.csv")

@@ -38,7 +38,6 @@ def cascade_labeled(seed):
 def event(kpi, onset, d=0.9, direction=1):
     return DeviationEvent(
         kpi=kpi, onset_tick=onset, direction=direction, ks_d=d, p_adj=0.01,
-        correction="bh_fdr",
     )
 
 
@@ -104,19 +103,17 @@ class TestRollingKsOnset:
 class TestDirection:
     def test_up_down(self):
         series = np.r_[np.zeros(10), np.full(16, 5.0)]
-        assert direction_at_onset(series, 10, 16, mu=0.0, sigma=1.0, z_thr=3.0) == (1, False)
+        assert direction_at_onset(series, 10, 16, mu=0.0, sigma=1.0, z_thr=3.0) == 1
         series = np.r_[np.zeros(10), np.full(16, -5.0)]
-        assert direction_at_onset(series, 10, 16, mu=0.0, sigma=1.0, z_thr=3.0) == (-1, False)
+        assert direction_at_onset(series, 10, 16, mu=0.0, sigma=1.0, z_thr=3.0) == -1
 
     def test_hard_constant_normal_window(self):
         series = np.full(30, 7.0)
-        direction, hard = direction_at_onset(series, 0, 16, mu=2.0, sigma=0.0, z_thr=3.0)
-        assert (direction, hard) == (1, True)
+        assert direction_at_onset(series, 0, 16, mu=2.0, sigma=0.0, z_thr=3.0) == 1
 
     def test_small_shift_codes_zero(self):
         series = np.full(30, 1.0)
-        direction, hard = direction_at_onset(series, 0, 16, mu=0.0, sigma=1.0, z_thr=3.0)
-        assert (direction, hard) == (0, False)
+        assert direction_at_onset(series, 0, 16, mu=0.0, sigma=1.0, z_thr=3.0) == 0
 
 
 class TestDetectEvents:

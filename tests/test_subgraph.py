@@ -35,14 +35,12 @@ class TestSelectLaggedParents:
         panel = generate(spec, horizon=1000, seed=0)
         parents = select_lagged_parents(panel, "X", tau_max=4, alpha=0.01)
         assert parents, "AR(1) self-dependence must be detected"
-        top = parents[0]
-        assert (top.source, top.lag) == ("X", 1)
-        assert abs(top.r) > 0.6
+        assert parents[0] == ("X", 1)
 
     def test_chain_parent_recovered(self):
         panel = chain_panel(seed=1)
         parents = select_lagged_parents(panel, "Y", tau_max=8, alpha=0.01)
-        assert ("X", 2) in [(p.source, p.lag) for p in parents]
+        assert ("X", 2) in parents
 
     def test_size_on_white_noise(self):
         total = 0
