@@ -30,6 +30,13 @@ mc:
   n_values: [10, 15, 20]
 """
 
+# Every subgraph and cis setting moved off its default, so that a stage that
+# ignored one of them would move a hash.
+STAGE_CONFIG = """
+subgraph: {tau_max: 9, alpha: 0.02, max_cond: 2}
+cis: {alpha: 0.05, window: 24, stride: 2, correction: bonferroni, z_thr: 2.5}
+"""
+
 CASES = {
     "synth": ("synth", "--scenario", "cascade", "--seed", "3"),
     "label": ("label", "--scenario", "cascade", "--seed", "3"),
@@ -40,6 +47,12 @@ CASES = {
     "run-all-jobs2": ("run-all", "--scenario", "cascade", "--seed", "11", "--jobs", "2"),
     "run-all-null": ("run-all", "--scenario", "null", "--seed", "2"),
     "compare-states": ("compare-states", "--scenario", "cascade", "--seed", "1"),
+    "run-all-stage-config": (
+        "run-all", "--scenario", "cascade", "--seed", "11", "--config", "{stages}"
+    ),
+    "compare-states-stage-config": (
+        "compare-states", "--scenario", "cascade", "--seed", "1", "--config", "{stages}"
+    ),
     "tune": ("tune", "--config", "{config}"),
     "tune-jobs2": ("tune", "--config", "{config}", "--jobs", "2"),
 }
@@ -111,6 +124,26 @@ GOLDEN = {
         "subgraph_normal.dot":
             "e959c3c870f5ab1e85a14ded8a5a47133306f4185ef122cdee003a9b8a6ad47b",
     },
+    "run-all-stage-config": {
+        "cis.json":
+            "b468f6bd28aee3e926aad00b46f42258306bddf4622deab81bd3eb2e04fa6e7a",
+        "deviation_traces.csv":
+            "a263c9ce566fab906d85c570be2dd67673f84075ed9ba61bd5bc6743b76767f9",
+        "histograms.csv":
+            "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
+        "run_metadata.json":
+            "1102a8adb1f26c97cc4c926de97fa9a0c95bb666c858ea56c30325cd5fdd06e2",
+        "subgraph.dot":
+            "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
+    },
+    "compare-states-stage-config": {
+        "graph_diff.json":
+            "af0907f772ad04ccf8f3fc258fd4fca83ba768f9141005ddc0dd65b37dc621cf",
+        "subgraph_abnormal.dot":
+            "7f3c1854f3108c84308e6aab1aa6800fa5782838d5e8d3125d4cab2bc4edc9bc",
+        "subgraph_normal.dot":
+            "6f251a6f4932cc44b5fba32f8c9b9d4f65f446b5e88db0ddb4457232d1bf3aa6",
+    },
     "tune": {
         "tuning.csv":
             "ceefccd86718c066cbcabf369b607a24d74d508971ca0592541bd1898cb36b50",
@@ -131,8 +164,10 @@ def output_hashes(case: str, workdir: Path) -> dict[str, str]:
     the SHA-256 of its bytes."""
     config = workdir / "tune.yaml"
     config.write_text(TUNE_CONFIG)
+    stages = workdir / "stages.yaml"
+    stages.write_text(STAGE_CONFIG)
     out = workdir / "out"
-    args = [a.format(config=config) for a in CASES[case]]
+    args = [a.format(config=config, stages=stages) for a in CASES[case]]
     assert main([*args, "--out", str(out)]) == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
