@@ -11,7 +11,7 @@ severed.
 
 from rcseq.panel import label_states
 from rcseq.scm import ScmSpec, InterventionSpec, generate, inject
-from rcseq.subgraph import build_subgraph, graph_diff, to_dot
+from rcseq.subgraph import SubgraphConfig, build_subgraph, graph_diff, to_dot
 
 spec = ScmSpec(
     nodes=("cce_load", "prb_util", "dl_throughput"),
@@ -25,7 +25,7 @@ spec = ScmSpec(
 # --- recover the true lagged structure from calm data ----------------------
 
 panel = generate(spec, horizon=1000, seed=0)
-graph = build_subgraph(panel, spec.nodes, tau_max=8, alpha=0.01)
+graph = build_subgraph(panel, spec.nodes, SubgraphConfig(tau_max=8, alpha=0.01))
 print("edges recovered from 1000 normal-state ticks (alpha=0.01):")
 for edge in graph.edges:
     print(f"  {edge.source} -> {edge.target}  lag={edge.lag}  r={edge.r:+.3f}  p={edge.p:.1e}")
@@ -41,8 +41,9 @@ panel, _ = inject(
     seed=0,
 )
 labeled = label_states(panel, 1000, normal_len=1000, abnormal_len=1000)
-normal = build_subgraph(labeled.window_panel("normal"), spec.nodes, 8, 0.01)
-abnormal = build_subgraph(labeled.window_panel("abnormal"), spec.nodes, 8, 0.01)
+cfg = SubgraphConfig(tau_max=8, alpha=0.01)
+normal = build_subgraph(labeled.window_panel("normal"), spec.nodes, cfg)
+abnormal = build_subgraph(labeled.window_panel("abnormal"), spec.nodes, cfg)
 diff = graph_diff(normal, abnormal)
 print("pin prb_util=6.0 in the abnormal window and diff the two graphs:")
 print(f"  removed (present only in normal): {list(diff.removed)}")

@@ -14,8 +14,8 @@ import json
 from rcseq.panel import label_states
 from rcseq.report import cis_to_dict
 from rcseq.scm import make_scenario
-from rcseq.sequence import assemble_cis, detect_events, order_events
-from rcseq.subgraph import build_subgraph, to_dot
+from rcseq.sequence import CisConfig, assemble_cis, detect_events, order_events
+from rcseq.subgraph import SubgraphConfig, build_subgraph, to_dot
 
 scenario = make_scenario("cascade")
 panel, truth = scenario.build(seed=0)
@@ -24,10 +24,7 @@ labeled = label_states(panel, 140, normal_len=120, abnormal_len=120, lead_ticks=
 events = detect_events(
     labeled,
     kpis=panel.kpi_names,
-    window=16,
-    stride=4,
-    cis_alpha=0.1,
-    correction="bh_fdr",
+    cfg=CisConfig(alpha=0.1, window=16, stride=4, correction="bh_fdr"),
 )
 steps = order_events(events)
 
@@ -43,8 +40,7 @@ for i, event in enumerate(steps, start=1):
 graph = build_subgraph(
     labeled.window_panel("normal"),
     [e.kpi for e in steps],
-    tau_max=8,
-    alpha=0.05,
+    SubgraphConfig(tau_max=8, alpha=0.05),
 )
 report = assemble_cis(graph, steps, sla_metric="dl_throughput")
 

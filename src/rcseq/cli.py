@@ -148,16 +148,6 @@ def _scan_set(candidates, sla: SlaRule) -> list[str]:
     return list(dict.fromkeys([*candidates, sla.metric]))
 
 
-def _stage_subgraph(cfg: PipelineConfig, labeled: LabeledPanel, window: str, nodes):
-    return build_subgraph(
-        labeled.window_panel(window),
-        nodes,
-        cfg.subgraph.tau_max,
-        cfg.subgraph.alpha,
-        cfg.subgraph.max_cond,
-    )
-
-
 def _cis_config_echo(cfg: PipelineConfig) -> dict:
     return {
         "cis_alpha": cfg.cis.alpha,
@@ -230,7 +220,9 @@ def cmd_discover(cfg: PipelineConfig) -> int:
 def cmd_subgraph(cfg: PipelineConfig) -> int:
     labeled, sla = _labeled_or_fail(cfg, "analyze")
     _, _, candidates = _stage_discover(cfg, labeled, sla)
-    graph = _stage_subgraph(cfg, labeled, "normal", _scan_set(candidates, sla))
+    graph = build_subgraph(
+        labeled.window_panel("normal"), _scan_set(candidates, sla), cfg.subgraph
+    )
     with OutputBundle(cfg.out_dir) as bundle:
         write_subgraph_dot(bundle, graph, "subgraph.dot")
         write_json(bundle.path("subgraph.json"), subgraph_to_dict(graph))
@@ -260,16 +252,8 @@ def _run_pipeline(cfg: PipelineConfig) -> PipelineRun | None:
         return None
     table, runs, candidates = _stage_discover(cfg, labeled, sla)
     nodes = _scan_set(candidates, sla)
-    graph = _stage_subgraph(cfg, labeled, "normal", nodes)
-    events = detect_events(
-        labeled,
-        nodes,
-        window=cfg.cis.window,
-        stride=cfg.cis.stride,
-        cis_alpha=cfg.cis.alpha,
-        correction=cfg.cis.correction,
-        z_thr=cfg.cis.z_thr,
-    )
+    graph = build_subgraph(labeled.window_panel("normal"), nodes, cfg.subgraph)
+    events = detect_events(labeled, nodes, cfg.cis)
     report = assemble_cis(graph, events, sla.metric, config=_cis_config_echo(cfg))
     return PipelineRun(
         labeled=labeled,
@@ -293,13 +277,7 @@ def _write_sequence(
         write_json(bundle.path("cis.json"), empty)
         return
     write_cis(bundle, state.report)
-    traces, kpis = deviation_traces(
-        state.labeled,
-        state.events,
-        state.nodes,
-        window=cfg.cis.window,
-        z_thr=cfg.cis.z_thr,
-    )
+    traces, kpis = deviation_traces(state.labeled, state.events, state.nodes, cfg.cis)
     write_traces_csv(bundle, state.labeled.panel.ticks, traces, kpis)
 
 
@@ -369,8 +347,8 @@ def cmd_tune(cfg: PipelineConfig) -> int:
 def cmd_compare_states(cfg: PipelineConfig) -> int:
     labeled, _ = _labeled_or_fail(cfg, "compare")
     nodes = tuple(labeled.panel.kpi_names)
-    normal = _stage_subgraph(cfg, labeled, "normal", nodes)
-    abnormal = _stage_subgraph(cfg, labeled, "abnormal", nodes)
+    normal = build_subgraph(labeled.window_panel("normal"), nodes, cfg.subgraph)
+    abnormal = build_subgraph(labeled.window_panel("abnormal"), nodes, cfg.subgraph)
     diff = graph_diff(normal, abnormal)
     with OutputBundle(cfg.out_dir) as bundle:
         write_subgraph_dot(bundle, normal, "subgraph_normal.dot")

@@ -19,7 +19,8 @@ import yaml
 from .errors import ConfigError, DataError
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
-from .sequence import CORRECTIONS
+from .sequence import CisConfig
+from .subgraph import SubgraphConfig
 
 
 @dataclass(frozen=True)
@@ -39,43 +40,7 @@ class LabelConfig:
         if self.lead_ticks is not None and self.lead_ticks < 0:
             raise ConfigError("label.lead_ticks must be non-negative")
         if self.breach_index < 0:
-            raise ConfigError("breach_index must be non-negative")
-
-
-@dataclass(frozen=True)
-class SubgraphConfig:
-    tau_max: int = 8
-    alpha: float = 0.05
-    max_cond: int = 3
-
-    def __post_init__(self):
-        if self.tau_max < 1:
-            raise ConfigError("tau_max must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("subgraph alpha must lie in (0, 1)")
-        if self.max_cond < 0:
-            raise ConfigError("max_cond must be non-negative")
-
-
-@dataclass(frozen=True)
-class CisConfig:
-    alpha: float = 0.1
-    window: int = 16
-    stride: int = 4
-    correction: str = "bh_fdr"
-    z_thr: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("cis alpha must lie in (0, 1)")
-        if self.window < 8:
-            raise ConfigError("cis window must be >= 8 ticks")
-        if self.stride < 1:
-            raise ConfigError("cis stride must be >= 1")
-        if self.correction not in CORRECTIONS:
-            raise ConfigError(f"unknown correction {self.correction!r}")
-        if self.z_thr <= 0:
-            raise ConfigError("z threshold must be positive")
+            raise ConfigError("label.breach_index must be non-negative")
 
 
 DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)
@@ -92,11 +57,11 @@ class McConfig:
 
     def __post_init__(self):
         if not self.n_values:
-            raise ConfigError("mc n_values must be non-empty")
+            raise ConfigError("mc.n_values must be non-empty")
         if not 0.0 <= self.p_thr <= 1.0:
             raise ConfigError("mc.p_thr must lie in [0, 1]")
         if self.n_mode not in ("proportional", "absolute"):
-            raise ConfigError("mc n_mode must be 'proportional' or 'absolute'")
+            raise ConfigError("mc.n_mode must be 'proportional' or 'absolute'")
 
 
 @dataclass(frozen=True)
@@ -123,7 +88,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.missing not in MISSING_POLICIES:
-            raise ConfigError(f"missing policy must be one of {MISSING_POLICIES}")
+            raise ConfigError(f"input.missing must be one of {MISSING_POLICIES}")
         if self.granularity_seconds < 1:
             raise ConfigError("input.granularity_seconds must be >= 1")
         if not 0.0 <= self.candidate_threshold <= 1.0:
@@ -230,7 +195,8 @@ def read_mapping(cls, doc, what: str):
     try:
         return cls(**values)
     except DataError as exc:
-        raise ConfigError(f"bad {what or 'config'}: {exc}") from exc
+        # a data class such as SlaRule names the field, and `what` its section
+        raise ConfigError(_join(what, exc)) from exc
 
 
 def config_from_mapping(doc) -> PipelineConfig:

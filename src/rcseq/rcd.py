@@ -56,15 +56,15 @@ class RcdConfig:
 
     def __post_init__(self):
         if self.g < 2:
-            raise ConfigError(f"chunk size g must be >= 2, got {self.g}")
+            raise ConfigError(f"rcd.g must be >= 2, got {self.g}")
         if self.n_runs < 1:
-            raise ConfigError(f"n_runs must be positive, got {self.n_runs}")
+            raise ConfigError(f"rcd.n_runs must be positive, got {self.n_runs}")
         if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must lie in (0, 1), got {self.alpha}")
+            raise ConfigError(f"rcd.alpha must lie in (0, 1), got {self.alpha}")
         if self.max_cond < 0:
-            raise ConfigError(f"max_cond must be non-negative, got {self.max_cond}")
+            raise ConfigError(f"rcd.max_cond must be non-negative, got {self.max_cond}")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise ConfigError(f"rcd.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

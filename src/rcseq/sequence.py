@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError
+from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
 from .stats import bh_adjust, bonferroni, direction_code, ks_two_sample, z_score
 from .subgraph import CausalSubgraph
@@ -23,6 +23,7 @@ from .subgraph import CausalSubgraph
 CORRECTIONS = ("bonferroni", "bh_fdr", "none")
 
 __all__ = [
+    "CisConfig",
     "DeviationEvent",
     "CisReport",
     "window_offsets",
@@ -31,6 +32,33 @@ __all__ = [
     "order_events",
     "assemble_cis",
 ]
+
+
+@dataclass(frozen=True)
+class CisConfig:
+    """Onset-scan parameters: the significance level the adjusted p must
+    clear, the K-S window and its stride in ticks, the multiple-testing
+    correction, and the |z| that codes a deviation direction."""
+
+    alpha: float = 0.1
+    window: int = 16
+    stride: int = 4
+    correction: str = "bh_fdr"
+    z_thr: float = 3.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"cis.alpha must lie in (0, 1), got {self.alpha}")
+        if self.window < 8:
+            raise ConfigError(f"cis.window must be >= 8 ticks, got {self.window}")
+        if self.stride < 1:
+            raise ConfigError(f"cis.stride must be >= 1, got {self.stride}")
+        if self.correction not in CORRECTIONS:
+            raise ConfigError(
+                f"cis.correction must be one of {CORRECTIONS}, got {self.correction!r}"
+            )
+        if self.z_thr <= 0:
+            raise ConfigError(f"cis.z_thr must be positive, got {self.z_thr}")
 
 
 @dataclass(frozen=True)
@@ -70,9 +98,7 @@ def _adjust(p_raw: np.ndarray, correction: str) -> np.ndarray:
         return bonferroni(p_raw)
     if correction == "bh_fdr":
         return bh_adjust(p_raw)
-    if correction == "none":
-        return np.asarray(p_raw, dtype=float)
-    raise AnalysisError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
+    return np.asarray(p_raw, dtype=float)  # "none": CisConfig admits no other
 
 
 def _ks_scan(segment, baseline, offsets, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -112,47 +138,41 @@ def direction_at_onset(
 def detect_events(
     labeled: LabeledPanel,
     kpis,
-    window: int = 16,
-    stride: int = 4,
-    cis_alpha: float = 0.1,
-    correction: str = "bh_fdr",
-    z_thr: float = 3.0,
+    cfg: CisConfig,
 ) -> tuple[DeviationEvent, ...]:
     """Batch onset scan over the given KPIs.
 
     The correction is applied jointly across all windows of all KPIs
     (m = #KPIs x #windows); onsets are reported as absolute panel rows.
     """
-    if correction not in CORRECTIONS:
-        raise AnalysisError(f"correction must be one of {CORRECTIONS}, got {correction!r}")
     kpis = list(kpis)
     if not kpis:
         return ()
     a0, a1 = labeled.abnormal_window
-    offsets = window_offsets(a1 - a0, window, stride)
+    offsets = window_offsets(a1 - a0, cfg.window, cfg.stride)
     n0, n1 = labeled.normal_window
     for what, length in (("baseline", n1 - n0), ("abnormal", a1 - a0)):
-        if length < window:
+        if length < cfg.window:
             raise AnalysisError(
-                f"{what} window ({length} ticks) must be at least one window ({window})"
+                f"{what} window ({length} ticks) must be at least one window ({cfg.window})"
             )
     raw = np.empty((len(kpis), len(offsets)))
     dstat = np.empty_like(raw)
     for i, kpi in enumerate(kpis):
         raw[i], dstat[i] = _ks_scan(
-            labeled.abnormal_values(kpi), labeled.normal_values(kpi), offsets, window
+            labeled.abnormal_values(kpi), labeled.normal_values(kpi), offsets, cfg.window
         )
-    adjusted = _adjust(raw.ravel(), correction).reshape(raw.shape)
+    adjusted = _adjust(raw.ravel(), cfg.correction).reshape(raw.shape)
     events = []
     for i, kpi in enumerate(kpis):
-        hits = np.nonzero(adjusted[i] <= cis_alpha)[0]
+        hits = np.nonzero(adjusted[i] <= cfg.alpha)[0]
         if not hits.size:
             continue
         j = int(hits[0])
         onset = a0 + offsets[j]
         mu, sigma = _baseline_stats(labeled, kpi)
         direction = direction_at_onset(
-            labeled.abnormal_values(kpi), offsets[j], window, mu, sigma, z_thr
+            labeled.abnormal_values(kpi), offsets[j], cfg.window, mu, sigma, cfg.z_thr
         )
         events.append(
             DeviationEvent(
@@ -214,8 +234,7 @@ def deviation_traces(
     labeled: LabeledPanel,
     events,
     kpis,
-    window: int = 16,
-    z_thr: float = 3.0,
+    cfg: CisConfig,
 ) -> tuple[np.ndarray, list[str]]:
     """Per-tick deviation traces in {-1, 0, +1} for export.
 
@@ -237,5 +256,5 @@ def deviation_traces(
         series = labeled.panel.column(kpi)[:end]
         mu, sigma = _baseline_stats(labeled, kpi)
         for tick in range(event.onset_tick, end):
-            traces[tick, j] = direction_at_onset(series, tick, window, mu, sigma, z_thr)
+            traces[tick, j] = direction_at_onset(series, tick, cfg.window, mu, sigma, cfg.z_thr)
     return traces, kpis

@@ -128,21 +128,17 @@ def fisher_z_test(
     r: float,
     n: int,
     n_cond: int,
-    degenerate: bool = False,
 ) -> CiTestResult:
     """Fisher-z significance of a (partial) correlation.
 
     z = atanh(r) * sqrt(n - |S| - 3), two-sided p from the standard normal.
-    Requires n > n_cond + 3. A ``degenerate`` pair (zero-variance residual:
-    a constant or perfectly explained series) is tested as z = 0, p = 1.
+    Requires n > n_cond + 3. r = 0 gives z = 0, p = 1.
     """
     if n <= n_cond + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
     if not -1.0 <= r <= 1.0:
         raise ValueError(f"correlation must lie in [-1, 1], got {r}")
-    if degenerate:
-        zval = 0.0
-    elif abs(r) >= 1.0:
+    if abs(r) >= 1.0:
         zval = math.inf if r > 0 else -math.inf
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
@@ -174,7 +170,7 @@ def ci_test(x, y, given=()) -> CiTestResult:
     nx = float(np.linalg.norm(x - x.mean()))
     ny = float(np.linalg.norm(y - y.mean()))
     if sx <= _DEGENERATE_TOL * max(1.0, nx) or sy <= _DEGENERATE_TOL * max(1.0, ny):
-        return fisher_z_test(0.0, n=x.size, n_cond=len(cols), degenerate=True)
+        return fisher_z_test(0.0, n=x.size, n_cond=len(cols))
     r = float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
     return fisher_z_test(r, n=x.size, n_cond=len(cols))
 

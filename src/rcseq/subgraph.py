@@ -17,11 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AnalysisError, DataError
+from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
 from .stats import batch_marginal_ci, ci_test
 
 __all__ = [
+    "SubgraphConfig",
     "LaggedEdge",
     "CausalSubgraph",
     "GraphDiff",
@@ -31,6 +32,24 @@ __all__ = [
     "graph_diff",
     "to_dot",
 ]
+
+
+@dataclass(frozen=True)
+class SubgraphConfig:
+    """Subgraph parameters: the largest lag tested, the CI significance
+    level, and the cap on each conditioning set."""
+
+    tau_max: int = 8
+    alpha: float = 0.05
+    max_cond: int = 3
+
+    def __post_init__(self):
+        if self.tau_max < 1:
+            raise ConfigError(f"subgraph.tau_max must be >= 1, got {self.tau_max}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"subgraph.alpha must lie in (0, 1), got {self.alpha}")
+        if self.max_cond < 0:
+            raise ConfigError(f"subgraph.max_cond must be non-negative, got {self.max_cond}")
 
 
 @dataclass(frozen=True)
@@ -96,39 +115,35 @@ def _lagged_columns(panel: KpiPanel, nodes, tau_max: int):
 def select_lagged_parents(
     panel: KpiPanel,
     target: str,
-    tau_max: int,
-    alpha: float,
-    max_cond: int = 3,
+    cfg: SubgraphConfig,
     nodes=None,
 ) -> tuple[tuple[str, int], ...]:
     """Screen all lagged candidates (X, tau) for the target.
 
-    Starting from every (X, tau) with tau in 1..tau_max, each candidate is
-    tested against the target conditioned on the `level` strongest other
-    survivors, for level = 0..max_cond; candidates with p > alpha drop out
-    after each level. The sweep repeats until the survivor set is stable.
-    Returns the surviving (X, tau) pairs ranked by strength (minimum |r|
-    across their tests), strongest first.
+    Starting from every (X, tau) with tau in 1..cfg.tau_max, each candidate
+    is tested against the target conditioned on the `level` strongest other
+    survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
+    drop out after each level. The sweep repeats until the survivor set is
+    stable. Returns the surviving (X, tau) pairs ranked by strength (minimum
+    |r| across their tests), strongest first.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
         raise DataError(f"target {target!r} is not in the node set")
-    if tau_max < 1:
-        raise AnalysisError(f"tau_max must be >= 1, got {tau_max}")
     t = panel.n_ticks
-    minimum = tau_max + max_cond + 3
+    minimum = cfg.tau_max + cfg.max_cond + 3
     if t <= minimum:
         raise AnalysisError(
             f"window too short for parent selection: need more than {minimum} ticks, got {t}"
         )
-    y = panel.column(target)[tau_max:]
-    cols = _lagged_columns(panel, nodes, tau_max)
+    y = panel.column(target)[cfg.tau_max:]
+    cols = _lagged_columns(panel, nodes, cfg.tau_max)
     survivors = sorted(cols)
     strength: dict[tuple[str, int], float] = {}
 
     for _cycle in range(10):
         before = list(survivors)
-        for level in range(max_cond + 1):
+        for level in range(cfg.max_cond + 1):
             if level > len(survivors) - 1:
                 break
             ranked = sorted(
@@ -140,14 +155,14 @@ def select_lagged_parents(
                 r_vec, p_vec = batch_marginal_ci(x_matrix, y)
                 for cand, r, p in zip(survivors, r_vec, p_vec):
                     strength[cand] = min(strength.get(cand, np.inf), abs(float(r)))
-                    if p > alpha:
+                    if p > cfg.alpha:
                         removed.add(cand)
             else:
                 for cand in survivors:
                     given = [c for c in ranked if c != cand][:level]
                     res = ci_test(cols[cand], y, given=[cols[c] for c in given])
                     strength[cand] = min(strength[cand], abs(res.r))
-                    if res.p > alpha:
+                    if res.p > cfg.alpha:
                         removed.add(cand)
             if removed:
                 survivors = [c for c in survivors if c not in removed]
@@ -162,24 +177,23 @@ def mci_edge_test(
     target: str,
     parents_of_target,
     parents_of_source,
-    alpha: float,
-    max_cond: int = 3,
+    cfg: SubgraphConfig,
 ) -> LaggedEdge | None:
     """Momentary conditional independence check of one lagged link.
 
     X(t - tau) vs Y(t), conditioned on the strongest parents of Y (the
     tested link excluded) and the strongest parents of X shifted by tau.
     Parents are (name, lag) pairs, strongest first, as
-    :func:`select_lagged_parents` returns them. Returns the edge iff
-    p <= alpha.
+    :func:`select_lagged_parents` returns them, at most cfg.max_cond of
+    each. Returns the edge iff p <= cfg.alpha.
     """
     x_name, tau = source
     if tau < 1:
         raise AnalysisError(f"lag must be >= 1, got {tau}")
     cond_target = [
         p for p in parents_of_target if p != (x_name, tau)
-    ][:max_cond]
-    cond_source = list(parents_of_source)[:max_cond]
+    ][:cfg.max_cond]
+    cond_source = list(parents_of_source)[:cfg.max_cond]
     shifts = (
         [tau]
         + [lag for _, lag in cond_target]
@@ -202,7 +216,7 @@ def mci_edge_test(
         for name, lag in cond_source
     ]
     res = ci_test(x, y, given=given)
-    if res.p <= alpha:
+    if res.p <= cfg.alpha:
         return LaggedEdge(source=x_name, target=target, lag=tau, r=res.r, p=res.p)
     return None
 
@@ -210,9 +224,7 @@ def mci_edge_test(
 def build_subgraph(
     normal_panel: KpiPanel,
     nodes,
-    tau_max: int,
-    alpha: float,
-    max_cond: int = 3,
+    cfg: SubgraphConfig,
 ) -> CausalSubgraph:
     """Parent selection for every node, then MCI over every surviving
     cross-KPI link; deterministic for fixed inputs."""
@@ -222,9 +234,7 @@ def build_subgraph(
     for name in nodes:
         normal_panel.index_of(name)  # raises on unknown names
     parents = {
-        name: select_lagged_parents(
-            normal_panel, name, tau_max, alpha, max_cond, nodes=nodes
-        )
+        name: select_lagged_parents(normal_panel, name, cfg, nodes=nodes)
         for name in nodes
     }
     edges = []
@@ -238,8 +248,7 @@ def build_subgraph(
                 target,
                 parents[target],
                 parents[source],
-                alpha,
-                max_cond,
+                cfg,
             )
             if edge is not None:
                 edges.append(edge)

@@ -27,9 +27,9 @@ from rcseq.scm import (
     single_root_scenario,
     verify_do_equivalence,
 )
-from rcseq.sequence import detect_events, order_events
+from rcseq.sequence import CisConfig, detect_events, order_events
 from rcseq.stats import binomial_sd, ks_two_sample
-from rcseq.subgraph import build_subgraph
+from rcseq.subgraph import SubgraphConfig, build_subgraph
 from rcseq.tuner import (
     consolidate,
     estimate_p,
@@ -130,10 +130,7 @@ def test_criterion_05_sequence_ordering():
             detect_events(
                 labeled,
                 labeled.panel.kpi_names,
-                window=16,
-                stride=4,
-                cis_alpha=0.1,
-                correction="bh_fdr",
+                CisConfig(window=16, stride=4, alpha=0.1, correction="bh_fdr"),
             )
         )
         names = [e.kpi for e in steps]
@@ -163,11 +160,11 @@ def test_criterion_06_cis_alpha_monotonicity():
         labeled, _ = cascade_labeled(seed)
         tight = {
             e.kpi
-            for e in detect_events(labeled, labeled.panel.kpi_names, cis_alpha=0.05)
+            for e in detect_events(labeled, labeled.panel.kpi_names, CisConfig(alpha=0.05))
         }
         loose = {
             e.kpi
-            for e in detect_events(labeled, labeled.panel.kpi_names, cis_alpha=0.1)
+            for e in detect_events(labeled, labeled.panel.kpi_names, CisConfig(alpha=0.1))
         }
         if not tight <= loose:
             violations += 1
@@ -239,7 +236,7 @@ def test_criterion_08_subgraph_recovery():
     tp = fp = 0
     for seed in range(50):
         panel = generate(chain, horizon=1000, seed=seed)
-        graph = build_subgraph(panel, chain.nodes, tau_max=8, alpha=0.01)
+        graph = build_subgraph(panel, chain.nodes, SubgraphConfig(tau_max=8, alpha=0.01))
         for key in graph.edge_keys():
             if key in truth:
                 tp += 1
@@ -253,7 +250,7 @@ def test_criterion_08_subgraph_recovery():
     possible = 3 * 2 * 8 * 50  # ordered cross pairs x lags x seeds
     for seed in range(50):
         panel = generate(null_spec, horizon=1000, seed=1000 + seed)
-        false_edges += len(build_subgraph(panel, null_spec.nodes, 8, 0.01).edges)
+        false_edges += len(build_subgraph(panel, null_spec.nodes, SubgraphConfig(8, 0.01)).edges)
     false_rate = false_edges / possible
     elapsed = time.monotonic() - start
     ok = precision >= 0.9 and recall >= 0.9 and false_rate <= 0.03 and elapsed < 120.0

@@ -270,6 +270,26 @@ OUT_OF_RANGE = [
     ("label: {lead_ticks: -1}", "label.lead_ticks"),
     ("mc: {p_thr: -2}", "mc.p_thr"),
     ("mc: {p_thr: 1.5}", "mc.p_thr"),
+    ("mc: {n_values: []}", "mc.n_values"),
+    ("mc: {n_mode: foo}", "mc.n_mode"),
+    ("subgraph: {tau_max: 0}", "subgraph.tau_max"),
+    ("subgraph: {alpha: 1.5}", "subgraph.alpha"),
+    ("subgraph: {max_cond: -1}", "subgraph.max_cond"),
+    ("cis: {alpha: 0}", "cis.alpha"),
+    ("cis: {window: 4}", "cis.window"),
+    ("cis: {stride: 0}", "cis.stride"),
+    ("cis: {correction: foo}", "cis.correction"),
+    ("cis: {z_thr: 0}", "cis.z_thr"),
+    ("rcd: {g: 1}", "rcd.g"),
+    ("rcd: {n_runs: 0}", "rcd.n_runs"),
+    ("rcd: {alpha: 1}", "rcd.alpha"),
+    ("rcd: {max_cond: -1}", "rcd.max_cond"),
+    ("rcd: {seed: -1}", "rcd.seed"),
+    ("label: {breach_index: -1}", "label.breach_index"),
+    ("input: {missing: foo}", "input.missing"),
+    ('sla: {metric: dl_throughput, comparator: "<", threshold: -3.0, min_duration_ticks: -1}',
+     "sla.min_duration_ticks"),
+    ('sla: {metric: dl_throughput, comparator: "!=", threshold: 0.0}', "sla.comparator"),
 ]
 
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rcseq.errors import AnalysisError
+from rcseq.errors import AnalysisError, ConfigError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import cascade_scenario
 from rcseq.sequence import (
+    CisConfig,
     DeviationEvent,
     assemble_cis,
     detect_events,
@@ -13,6 +14,7 @@ from rcseq.sequence import (
     order_events,
     window_offsets,
 )
+from rcseq.stats import ks_two_sample
 from rcseq.subgraph import CausalSubgraph, LaggedEdge
 
 
@@ -41,6 +43,14 @@ def event(kpi, onset, d=0.9, direction=1):
     )
 
 
+class TestCisConfig:
+    @pytest.mark.parametrize("kwargs, key", [({"z_thr": 0.0}, "z_thr"), ({"alpha": 5.0}, "alpha")])
+    def test_out_of_range_rejected(self, kwargs, key):
+        # library callers get the checks a config file gets
+        with pytest.raises(ConfigError, match=rf"^cis\.{key} "):
+            CisConfig(**kwargs)
+
+
 class TestWindows:
     def test_offsets(self):
         assert window_offsets(40, 16, 4) == [0, 4, 8, 12, 16, 20, 24]
@@ -65,7 +75,9 @@ class TestRollingKsOnset:
         for seed in range(50):
             labeled = step_change_labeled(seed)
             events = detect_events(
-                labeled, ["k0"], window=16, stride=4, cis_alpha=0.1, correction="bonferroni"
+                labeled,
+                ["k0"],
+                CisConfig(alpha=0.1, window=16, stride=4, correction="bonferroni"),
             )
             # true change at absolute tick 160
             if events and abs(events[0].onset_tick - 160) <= 16:
@@ -77,27 +89,33 @@ class TestRollingKsOnset:
         for seed in range(50):
             labeled = step_change_labeled(seed)
             events = detect_events(
-                labeled, ["k1"], window=16, stride=4, cis_alpha=0.1, correction="bh_fdr"
+                labeled,
+                ["k1"],
+                CisConfig(alpha=0.1, window=16, stride=4, correction="bh_fdr"),
             )
             if not events:
                 nones += 1
         assert nones >= 45
 
     def test_identical_segments_all_zero_d(self):
+        cfg = CisConfig(alpha=0.1, window=32, stride=1, correction="none")
         labeled = constant_labeled(32, 32, np.tile(np.arange(32.0), 2))
-        scan = dict(window=32, stride=1, correction="none")
-        assert detect_events(labeled, ["k0"], cis_alpha=0.1, **scan) == ()
-        # at cis_alpha 1 every window is a hit, so the event carries its d
-        (event,) = detect_events(labeled, ["k0"], cis_alpha=1.0, **scan)
-        assert (event.onset_tick, event.ks_d, event.p_adj) == (32, 0.0, 1.0)
+        assert detect_events(labeled, ["k0"], cfg) == ()
+        # a disjoint abnormal segment is a hit, and the event carries that
+        # window's uncorrected K-S result
+        baseline, segment = np.arange(32.0), np.arange(32.0) + 100.0
+        labeled = constant_labeled(32, 32, np.r_[baseline, segment])
+        (event,) = detect_events(labeled, ["k0"], cfg)
+        res = ks_two_sample(segment, baseline)
+        assert (event.onset_tick, event.ks_d, event.p_adj) == (32, res.d, res.p_raw)
 
     def test_short_baseline_rejected(self):
         with pytest.raises(AnalysisError, match=r"baseline window \(4 ticks\).*\(16\)"):
-            detect_events(constant_labeled(4, 20), ["k0"], window=16)
+            detect_events(constant_labeled(4, 20), ["k0"], CisConfig(window=16))
 
     def test_short_segment_rejected(self):
         with pytest.raises(AnalysisError, match=r"abnormal window \(4 ticks\).*\(16\)"):
-            detect_events(constant_labeled(20, 4), ["k0"], window=16)
+            detect_events(constant_labeled(20, 4), ["k0"], CisConfig(window=16))
 
 
 class TestDirection:
@@ -124,10 +142,7 @@ class TestDetectEvents:
             events = detect_events(
                 labeled,
                 kpis=labeled.panel.kpi_names,
-                window=16,
-                stride=4,
-                cis_alpha=0.1,
-                correction="bh_fdr",
+                cfg=CisConfig(alpha=0.1, window=16, stride=4, correction="bh_fdr"),
             )
             ordered = order_events(events)
             names = [e.kpi for e in ordered]
@@ -151,20 +166,20 @@ class TestDetectEvents:
     def test_alpha_monotone_event_sets(self):
         for seed in range(10):
             labeled, _ = cascade_labeled(seed)
-            tight = detect_events(labeled, labeled.panel.kpi_names, cis_alpha=0.05)
-            loose = detect_events(labeled, labeled.panel.kpi_names, cis_alpha=0.1)
+            tight = detect_events(labeled, labeled.panel.kpi_names, CisConfig(alpha=0.05))
+            loose = detect_events(labeled, labeled.panel.kpi_names, CisConfig(alpha=0.1))
             assert {e.kpi for e in tight} <= {e.kpi for e in loose}
 
     def test_empty_kpi_list(self):
         labeled, _ = cascade_labeled(0)
-        assert detect_events(labeled, []) == ()
+        assert detect_events(labeled, [], CisConfig()) == ()
 
     def test_direction_signs_on_cascade_traces(self):
         # once the forward window clears the transition, the per-tick codes
         # settle on the true deviation signs
         labeled, _ = cascade_labeled(1)
-        events = detect_events(labeled, labeled.panel.kpi_names)
-        traces, kpis = deviation_traces(labeled, events, labeled.panel.kpi_names)
+        events = detect_events(labeled, labeled.panel.kpi_names, CisConfig())
+        traces, kpis = deviation_traces(labeled, events, labeled.panel.kpi_names, CisConfig())
         at = 180  # deep inside the deviated region
         assert traces[at, kpis.index("cce_load")] == 1  # soft shift upward
         assert traces[at, kpis.index("prb_util")] == 1  # pinned above its mean
@@ -236,7 +251,7 @@ class TestTraces:
     def test_zero_before_onset_and_for_quiet_kpis(self):
         labeled, _ = cascade_labeled(0)
         events = [event("cce_load", 130)]
-        traces, kpis = deviation_traces(labeled, events, ["cce_load", "sinr_avg"])
+        traces, kpis = deviation_traces(labeled, events, ["cce_load", "sinr_avg"], CisConfig())
         col = traces[:, kpis.index("cce_load")]
         assert np.all(col[:130] == 0)
         assert np.all(col[140:220] == 1)  # +4 sigma soft shift reads as +1
@@ -244,6 +259,6 @@ class TestTraces:
 
     def test_values_in_code_alphabet(self):
         labeled, _ = cascade_labeled(2)
-        events = detect_events(labeled, labeled.panel.kpi_names)
-        traces, _ = deviation_traces(labeled, events, labeled.panel.kpi_names)
+        events = detect_events(labeled, labeled.panel.kpi_names, CisConfig())
+        traces, _ = deviation_traces(labeled, events, labeled.panel.kpi_names, CisConfig())
         assert set(np.unique(traces)) <= {-1, 0, 1}

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from rcseq.errors import AnalysisError, DataError
+from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
 from rcseq.subgraph import (
     CausalSubgraph,
     LaggedEdge,
+    SubgraphConfig,
     build_subgraph,
     graph_diff,
     mci_edge_test,
@@ -33,24 +34,23 @@ class TestSelectLaggedParents:
     def test_ar1_self_parent(self):
         spec = ScmSpec(nodes=("X",), edges=(("X", "X", 1, 0.8),))
         panel = generate(spec, horizon=1000, seed=0)
-        parents = select_lagged_parents(panel, "X", tau_max=4, alpha=0.01)
+        parents = select_lagged_parents(panel, "X", SubgraphConfig(tau_max=4, alpha=0.01))
         assert parents, "AR(1) self-dependence must be detected"
         assert parents[0] == ("X", 1)
 
     def test_chain_parent_recovered(self):
         panel = chain_panel(seed=1)
-        parents = select_lagged_parents(panel, "Y", tau_max=8, alpha=0.01)
+        parents = select_lagged_parents(panel, "Y", SubgraphConfig(alpha=0.01))
         assert ("X", 2) in parents
 
     def test_size_on_white_noise(self):
+        cfg = SubgraphConfig(tau_max=4, alpha=0.01)
         total = 0
         seeds = 200
         for seed in range(seeds):
             panel = noise_panel(seed)
             for target in panel.kpi_names:
-                total += len(
-                    select_lagged_parents(panel, target, tau_max=4, alpha=0.01)
-                )
+                total += len(select_lagged_parents(panel, target, cfg))
         per_target = total / (seeds * 3)
         # expected ~ alpha * V * tau_max = 0.12 spurious parents per target
         assert per_target <= 0.3
@@ -58,44 +58,54 @@ class TestSelectLaggedParents:
     def test_window_too_short(self):
         panel = noise_panel(0, t=12)
         with pytest.raises(AnalysisError, match="window too short"):
-            select_lagged_parents(panel, "w0", tau_max=8, alpha=0.05)
+            select_lagged_parents(panel, "w0", SubgraphConfig(alpha=0.05))
 
     def test_unknown_target(self):
         panel = noise_panel(0)
         with pytest.raises(DataError):
-            select_lagged_parents(panel, "nope", tau_max=2, alpha=0.05)
+            select_lagged_parents(panel, "nope", SubgraphConfig(tau_max=2, alpha=0.05))
+
+
+class TestSubgraphConfig:
+    def test_out_of_range_rejected(self):
+        # library callers get the checks a config file gets
+        with pytest.raises(ConfigError, match=r"^subgraph\.max_cond "):
+            SubgraphConfig(max_cond=-1)
 
 
 class TestMciEdgeTest:
     def test_true_edge_retained(self):
         panel = chain_panel(seed=2)
-        py = select_lagged_parents(panel, "Y", 8, 0.01)
-        px = select_lagged_parents(panel, "X", 8, 0.01)
-        edge = mci_edge_test(panel, ("X", 2), "Y", py, px, alpha=0.01)
+        cfg = SubgraphConfig(tau_max=8, alpha=0.01)
+        py = select_lagged_parents(panel, "Y", cfg)
+        px = select_lagged_parents(panel, "X", cfg)
+        edge = mci_edge_test(panel, ("X", 2), "Y", py, px, cfg)
         assert edge is not None
         assert edge.p < 0.01
 
     def test_conditioning_removes_indirect_link(self):
         # X -> Y -> Z at lag 1 each: conditioning on (Y,1) must sever (X,2) -> Z
+        cfg = SubgraphConfig(tau_max=4, alpha=0.01)
         retained = 0
         seeds = 50
         for seed in range(seeds):
             panel = chain_panel(seed=seed, lag1=1, lag2=1)
-            pz = select_lagged_parents(panel, "Z", 4, 0.01)
-            px = select_lagged_parents(panel, "X", 4, 0.01)
-            edge = mci_edge_test(panel, ("X", 2), "Z", pz, px, alpha=0.01)
+            pz = select_lagged_parents(panel, "Z", cfg)
+            px = select_lagged_parents(panel, "X", cfg)
+            edge = mci_edge_test(panel, ("X", 2), "Z", pz, px, cfg)
             if edge is not None:
                 retained += 1
         assert retained / seeds <= 0.1
 
     def test_independent_pair_size(self):
+        cfg = SubgraphConfig(tau_max=4, alpha=0.01)
         retained = 0
         seeds = 200
         for seed in range(seeds):
             panel = noise_panel(seed, v=2)
-            pa = select_lagged_parents(panel, "w0", 4, 0.01)
-            pb = select_lagged_parents(panel, "w1", 4, 0.01)
-            edge = mci_edge_test(panel, ("w0", 2), "w1", pb, pa, alpha=0.01)
+            pa = select_lagged_parents(panel, "w0", cfg)
+            pb = select_lagged_parents(panel, "w1", cfg)
+            edge = mci_edge_test(panel, ("w0", 2), "w1", pb, pa, cfg)
             if edge is not None:
                 retained += 1
         assert retained / seeds <= 0.03 + 0.02
@@ -104,11 +114,12 @@ class TestMciEdgeTest:
         # an edge surviving at a low alpha always survives at a higher one
         # (parent sets held fixed)
         panel = chain_panel(seed=3)
-        py = select_lagged_parents(panel, "Y", 8, 0.01)
-        px = select_lagged_parents(panel, "X", 8, 0.01)
+        cfg = SubgraphConfig(tau_max=8, alpha=0.01)
+        py = select_lagged_parents(panel, "Y", cfg)
+        px = select_lagged_parents(panel, "X", cfg)
         for tau in range(1, 5):
-            low = mci_edge_test(panel, ("X", tau), "Y", py, px, alpha=0.01)
-            high = mci_edge_test(panel, ("X", tau), "Y", py, px, alpha=0.1)
+            low = mci_edge_test(panel, ("X", tau), "Y", py, px, cfg)
+            high = mci_edge_test(panel, ("X", tau), "Y", py, px, SubgraphConfig(alpha=0.1))
             if low is not None:
                 assert high is not None
 
@@ -119,13 +130,13 @@ class TestMciEdgeTest:
             ticks=short.ticks[:6], kpi_names=short.kpi_names, values=short.values[:6]
         )
         with pytest.raises(AnalysisError, match="insufficient overlap"):
-            mci_edge_test(tiny, ("w0", 3), "w1", (), (), alpha=0.05)
+            mci_edge_test(tiny, ("w0", 3), "w1", (), (), SubgraphConfig(alpha=0.05))
 
 
 class TestBuildSubgraph:
     def test_single_node_graph(self):
         panel = noise_panel(0, v=1, t=300)
-        graph = build_subgraph(panel, ["w0"], tau_max=4, alpha=0.05)
+        graph = build_subgraph(panel, ["w0"], SubgraphConfig(tau_max=4, alpha=0.05))
         assert graph.nodes == ("w0",)
         assert graph.edges == ()
 
@@ -133,7 +144,7 @@ class TestBuildSubgraph:
         hits = 0
         for seed in range(10):
             panel = chain_panel(seed=seed)
-            graph = build_subgraph(panel, ["X", "Y", "Z"], tau_max=4, alpha=0.01)
+            graph = build_subgraph(panel, ["X", "Y", "Z"], SubgraphConfig(tau_max=4, alpha=0.01))
             if {("X", "Y", 2), ("Y", "Z", 2)} <= graph.edge_keys():
                 hits += 1
         assert hits >= 9
@@ -141,18 +152,19 @@ class TestBuildSubgraph:
     def test_duplicate_node(self):
         panel = noise_panel(0)
         with pytest.raises(DataError, match="duplicate node"):
-            build_subgraph(panel, ["w0", "w0"], tau_max=2, alpha=0.05)
+            build_subgraph(panel, ["w0", "w0"], SubgraphConfig(tau_max=2, alpha=0.05))
 
     def test_edges_always_lagged(self):
         panel = chain_panel(seed=5)
-        graph = build_subgraph(panel, ["X", "Y", "Z"], tau_max=4, alpha=0.05)
+        graph = build_subgraph(panel, ["X", "Y", "Z"], SubgraphConfig(tau_max=4, alpha=0.05))
         assert all(e.lag >= 1 for e in graph.edges)
         assert all(e.source != e.target for e in graph.edges)
 
     def test_deterministic(self):
         panel = chain_panel(seed=6)
-        a = build_subgraph(panel, ["X", "Y", "Z"], tau_max=4, alpha=0.01)
-        b = build_subgraph(panel, ["X", "Y", "Z"], tau_max=4, alpha=0.01)
+        cfg = SubgraphConfig(tau_max=4, alpha=0.01)
+        a = build_subgraph(panel, ["X", "Y", "Z"], cfg)
+        b = build_subgraph(panel, ["X", "Y", "Z"], cfg)
         assert a.edge_keys() == b.edge_keys()
 
     def test_cascade_scenario_graph_recovered(self):
@@ -163,7 +175,9 @@ class TestBuildSubgraph:
         for seed in range(10):
             panel = generate(spec, horizon=1000, seed=seed)
             graph = build_subgraph(
-                panel, ("cce_load", "prb_util", "dl_throughput"), tau_max=8, alpha=0.01
+                panel,
+                ("cce_load", "prb_util", "dl_throughput"),
+                SubgraphConfig(tau_max=8, alpha=0.01),
             )
             if truth <= graph.edge_keys():
                 hits += 1
@@ -182,8 +196,9 @@ class TestBuildSubgraph:
                 seed=seed,
             )
             labeled = label_states(panel, 1000, normal_len=1000, abnormal_len=1000)
-            normal = build_subgraph(labeled.window_panel("normal"), nodes, 8, 0.01)
-            abnormal = build_subgraph(labeled.window_panel("abnormal"), nodes, 8, 0.01)
+            cfg = SubgraphConfig(tau_max=8, alpha=0.01)
+            normal = build_subgraph(labeled.window_panel("normal"), nodes, cfg)
+            abnormal = build_subgraph(labeled.window_panel("abnormal"), nodes, cfg)
             if ("cce_load", "prb_util", 8) in graph_diff(normal, abnormal).removed:
                 removed_hits += 1
         assert removed_hits >= 16  # >= 80% of replications
