@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, FieldError
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
 from .sequence import CisConfig
@@ -194,8 +194,8 @@ def read_mapping(cls, doc, what: str):
             raise ConfigError(f"missing key {_join(what, key)}")
     try:
         return cls(**values)
-    except DataError as exc:
-        # a data class such as SlaRule names the field, and `what` its section
+    except (DataError, FieldError) as exc:
+        # a data class such as SlaRule or ScmSpec names the field, and `what` its section
         raise ConfigError(_join(what, exc)) from exc
 
 

@@ -15,7 +15,7 @@ from typing import get_type_hints
 import numpy as np
 
 from .config import read_mapping, read_value
-from .errors import AnalysisError, ConfigError
+from .errors import AnalysisError, ConfigError, FieldError
 from .panel import KpiPanel, SlaRule
 from .stats import ks_two_sample
 
@@ -43,21 +43,21 @@ class ScmSpec:
             object.__setattr__(self, f.name, value)
         nodes = self.nodes
         if len(set(nodes)) != len(nodes) or not nodes:
-            raise ConfigError("nodes must be unique and non-empty")
-        for parent, child, lag, _ in self.edges:
+            raise FieldError("nodes must be unique and non-empty")
+        for i, (parent, child, lag, _) in enumerate(self.edges):
             if parent not in nodes or child not in nodes:
-                raise ConfigError(f"edge references unknown node: {parent}->{child}")
+                raise FieldError(f"edges[{i}] references unknown node: {parent}->{child}")
             if lag < 1:
-                raise ConfigError(f"edge {parent}->{child} must have lag >= 1, got {lag}")
+                raise FieldError(f"edges[{i}] ({parent}->{child}) must have lag >= 1, got {lag}")
         sds = self.noise_sd
         if isinstance(sds, float):
             sds = (sds,) * len(nodes)
         elif len(sds) != len(nodes):
-            raise ConfigError("noise_sd must give one value per node")
+            raise FieldError("noise_sd must give one value per node")
         if any(s <= 0 for s in sds):
-            raise ConfigError("noise standard deviations must be positive")
+            raise FieldError(f"noise_sd must be positive, got {self.noise_sd!r}")
         if self.sla is not None and self.sla.metric not in nodes:
-            raise ConfigError(f"SLA metric {self.sla.metric!r} is not a node")
+            raise FieldError(f"sla.metric {self.sla.metric!r} is not a node")
         object.__setattr__(self, "noise_sd", sds)
 
     @property
@@ -97,13 +97,13 @@ class InterventionSpec:
 
     def __post_init__(self):
         if self.kind not in ("hard", "soft"):
-            raise ConfigError(f"intervention kind must be 'hard' or 'soft', got {self.kind!r}")
+            raise FieldError(f"kind must be 'hard' or 'soft', got {self.kind!r}")
         if self.kind == "hard" and self.value is None:
-            raise ConfigError("hard intervention requires a pinned value")
+            raise FieldError("value is required for a hard intervention")
         if self.noise_scale < 0:
-            raise ConfigError("noise_scale must be non-negative")
+            raise FieldError(f"noise_scale must be non-negative, got {self.noise_scale}")
         if self.onset < 0:
-            raise ConfigError("onset must be non-negative")
+            raise FieldError(f"onset must be non-negative, got {self.onset}")
 
 
 @dataclass(frozen=True)

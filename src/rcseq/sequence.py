@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
@@ -104,8 +105,8 @@ def _adjust(p_raw: np.ndarray, correction: str) -> np.ndarray:
 def _ks_scan(segment, baseline, offsets, window: int) -> tuple[np.ndarray, np.ndarray]:
     """K-S test of each window of the segment against the baseline;
     returns (raw p, d) per window."""
-    results = [ks_two_sample(segment[o : o + window], baseline) for o in offsets]
-    return np.array([r.p_raw for r in results]), np.array([r.d for r in results])
+    result = ks_two_sample(sliding_window_view(segment, window)[offsets], baseline)
+    return result.p_raw, result.d
 
 
 def _baseline_stats(labeled: LabeledPanel, kpi: str) -> tuple[float, float]:
@@ -129,7 +130,10 @@ def direction_at_onset(
     of the raw difference.
     """
     series = np.asarray(series, dtype=float)
-    win_mean = float(series[onset : onset + window].mean())
+    return _direction(float(series[onset : onset + window].mean()), mu, sigma, z_thr)
+
+
+def _direction(win_mean: float, mu: float, sigma: float, z_thr: float) -> int:
     if sigma == 0.0:
         return int(np.sign(win_mean - mu))
     return direction_code(z_score(win_mean, mu, sigma), z_thr)
@@ -255,6 +259,14 @@ def deviation_traces(
         # windows are clipped at the end of the abnormal window
         series = labeled.panel.column(kpi)[:end]
         mu, sigma = _baseline_stats(labeled, kpi)
-        for tick in range(event.onset_tick, end):
-            traces[tick, j] = direction_at_onset(series, tick, cfg.window, mu, sigma, cfg.z_thr)
+        onset = event.onset_tick
+        # one strided pass gives the mean of every whole window; the last
+        # window - 1 ticks keep their per-tick means of clipped windows
+        whole = (
+            sliding_window_view(series[onset:], cfg.window).mean(axis=1).tolist()
+            if end - onset >= cfg.window
+            else []
+        )
+        clipped = [float(series[tick:].mean()) for tick in range(onset + len(whole), end)]
+        traces[onset:end, j] = [_direction(m, mu, sigma, cfg.z_thr) for m in whole + clipped]
     return traces, kpis

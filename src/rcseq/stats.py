@@ -3,7 +3,10 @@
 The two-sample Kolmogorov-Smirnov test drives deviation detection, the
 partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
-proportion backs the Monte Carlo convergence diagnostics.
+proportion backs the Monte Carlo convergence diagnostics. The normal tail
+behind the Fisher-z p-value is a port of the Cephes `ndtr` that
+`scipy.special` wraps, so the p-values match scipy's to the bit without
+importing it.
 
 All functions here are pure and reentrant.
 """
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "KsResult",
@@ -38,29 +40,49 @@ _DEGENERATE_TOL = 1e-12
 
 @dataclass(frozen=True)
 class KsResult:
-    """Two-sample K-S outcome: statistic and raw p-value."""
+    """Two-sample K-S outcome: statistic and raw p-value, as floats for one
+    sample and as arrays (one entry per window) for a stack of windows."""
 
-    d: float
-    p_raw: float
+    d: float | np.ndarray
+    p_raw: float | np.ndarray
 
 
 def ks_two_sample(a, b) -> KsResult:
-    """Two-sample Kolmogorov-Smirnov test.
+    """Two-sample Kolmogorov-Smirnov test of `a` against the baseline `b`.
 
-    The statistic is the supremum over x of |F_a(x) - F_b(x)| where F_a and
-    F_b are the sample ECDFs; the supremum is attained at a pooled sample
-    point. The p-value comes from the asymptotic Kolmogorov distribution
-    (see :func:`ks_pvalue`).
+    `a` is one sample, or a 2-D stack of equal-length windows each tested
+    against `b`; the result then holds one d and p per window. The statistic
+    is the supremum over x of |F_a(x) - F_b(x)| where F_a and F_b are the
+    sample ECDFs. F_a is constant between the points of `a`, so the supremum
+    is attained at a point of `a` or just below one; the p-value comes from
+    the asymptotic Kolmogorov distribution (see :func:`ks_pvalue`).
     """
-    xa = np.sort(np.asarray(a, dtype=float).ravel())
+    xa = np.asarray(a, dtype=float)
+    if xa.ndim > 2:
+        raise ValueError("a must be one sample or a 2-D stack of windows")
+    windows = np.sort(xa.reshape(1, -1) if xa.ndim < 2 else xa, axis=1)
     xb = np.sort(np.asarray(b, dtype=float).ravel())
-    if xa.size == 0 or xb.size == 0:
+    n1, n2 = windows.shape[1], xb.size
+    if n1 == 0 or n2 == 0:
         raise ValueError("two-sample K-S requires non-empty samples")
-    pooled = np.concatenate([xa, xb])
-    fa = np.searchsorted(xa, pooled, side="right") / xa.size
-    fb = np.searchsorted(xb, pooled, side="right") / xb.size
-    d = float(np.max(np.abs(fa - fb)))
-    return KsResult(d=d, p_raw=ks_pvalue(d, xa.size, xb.size))
+    # a window's tied points share one ECDF step: the right count holds at
+    # the last point of a run of ties and the left count at its first
+    # (searchsorted orders nan last and treats it as equal to nan)
+    tied = (windows[:, 1:] == windows[:, :-1]) | np.isnan(windows[:, :-1])
+    last = np.ones(windows.shape, dtype=bool)
+    last[:, :-1] = ~tied
+    first = np.ones(windows.shape, dtype=bool)
+    first[:, 1:] = ~tied
+    counts = np.arange(n1 + 1)
+    right = np.abs(counts[1:] / n1 - np.searchsorted(xb, windows, side="right") / n2)
+    left = np.abs(counts[:-1] / n1 - np.searchsorted(xb, windows, side="left") / n2)
+    d = np.maximum(np.where(last, right, 0.0), np.where(first, left, 0.0)).max(axis=1)
+    # D takes few distinct values for one (window, baseline) size pair
+    pvals = {v: ks_pvalue(v, n1, n2) for v in set(d.tolist())}
+    p = np.array([pvals[v] for v in d.tolist()])
+    if xa.ndim < 2:
+        return KsResult(d=float(d[0]), p_raw=float(p[0]))
+    return KsResult(d=d, p_raw=p)
 
 
 def ks_pvalue(d: float, n1: int, n2: int) -> float:
@@ -124,6 +146,60 @@ def _residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     return v - design @ coef
 
 
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+
+
+def _normal_two_sided(z: float) -> float:
+    """Two-sided standard-normal tail 2 * ndtr(-|z|), bit for bit as the
+    Cephes `ndtr`/`erf`/`erfc` compute it (scipy.special.ndtr wraps them).
+
+    With x = |z| / sqrt(2): erf's rational form in x^2 below x = 1, then
+    erfc as exp(-x^2) times a rational function of x (two fits, split at
+    x = 8), and 0 once exp(-x^2) would underflow. The polynomials are
+    Horner forms in Cephes' coefficient order, and the exponential is
+    `math.exp`, the C library's, as in Cephes; `np.exp` and `math.erfc`
+    differ from it in the last bits.
+    """
+    if z != z:
+        return math.nan
+    x = abs(z) * _SQRT1_2
+    if x < 1.0:
+        s = x * x
+        erf = x * (
+            (((9.60497373987051638749e0 * s + 9.00260197203842689217e1) * s
+              + 2.23200534594684319226e3) * s + 7.00332514112805075473e3) * s
+            + 5.55923013010394962768e4
+        ) / (
+            ((((s + 3.35617141647503099647e1) * s + 5.21357949780152679795e2) * s
+              + 4.59432382970980127987e3) * s + 2.26290000613890934246e4) * s
+            + 4.92673942608635921086e4
+        )
+        if x < _SQRT1_2:
+            return 2.0 * (0.5 + 0.5 * -erf)
+        return 2.0 * (0.5 * (1.0 - erf))
+    if -x * x < -_MAXLOG:
+        return 0.0
+    if x < 8.0:
+        p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
+                   + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
+                 + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
+               + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
+             + 5.57535335369399327526e2)
+        q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
+                 + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
+               + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
+             + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
+    else:
+        p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
+               + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
+             + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
+        q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
+               + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
+             + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
+    return 2.0 * (0.5 * (math.exp(-x * x) * p / q))
+
+
 def fisher_z_test(
     r: float,
     n: int,
@@ -142,8 +218,7 @@ def fisher_z_test(
         zval = math.inf if r > 0 else -math.inf
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
-    p = float(2.0 * ndtr(-abs(zval))) if math.isfinite(zval) else 0.0
-    return CiTestResult(r=float(r), p=p)
+    return CiTestResult(r=float(r), p=_normal_two_sided(zval))
 
 
 def ci_test(x, y, given=()) -> CiTestResult:
@@ -202,8 +277,7 @@ def batch_marginal_ci(x_matrix, y) -> tuple[np.ndarray, np.ndarray]:
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - 3)
     if np.any(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    p = 2.0 * ndtr(-np.abs(zval))
-    p = np.where(np.isfinite(zval), p, 0.0)
+    p = np.array([_normal_two_sided(z) for z in zval.tolist()])
     p = np.where(ok, p, 1.0)
     return r, p
 

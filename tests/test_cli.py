@@ -119,6 +119,31 @@ lead_ticks: 0
         assert run("synth", "--scenario-file", spec, "--out", tmp_path / "o") == 2
         assert "noise_sd[1] must be a number, got '2'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("edges: [[p, q, 0, 0.5]]", "scenario.edges[0]"),
+            ("edges: [[p, z, 1, 0.5]]", "scenario.edges[0]"),
+            ("interventions: [{target: p, kind: hard, onset: -1, value: 5.0}]",
+             "scenario.interventions[0].onset"),
+            ("interventions: [{target: p, kind: hard, onset: 60}]",
+             "scenario.interventions[0].value"),
+            ("interventions: [{target: p, kind: soft, onset: 60, noise_scale: -1.0}]",
+             "scenario.interventions[0].noise_scale"),
+            ("noise_sd: [1.0, -1.0]", "scenario.noise_sd"),
+            ("noise_sd: [1.0]", "scenario.noise_sd"),
+            ('sla: {metric: z, comparator: "<", threshold: -4.0}', "scenario.sla.metric"),
+        ],
+    )
+    def test_scenario_file_range_error_names_key(self, tmp_path, capsys, text, key):
+        # scenario files are read like configs, range checks included
+        spec = tmp_path / "toy.yaml"
+        spec.write_text(f"nodes: [p, q]\nhorizon: 120\nnormal_len: 50\nabnormal_len: 50\n{text}\n")
+        assert run("label", "--scenario-file", spec, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"config error: malformed scenario spec: {re.escape(key)}\s", err), err
+        assert not (tmp_path / "o").exists()
+
 
 class TestRunAll:
     def test_cascade_end_to_end(self, tmp_path):
@@ -454,6 +479,19 @@ def test_import_loads_no_process_pool():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     pool_modules = {"multiprocessing", "concurrent.futures.process"}
     code = f"import sys, rcseq.cli; print(sorted({pool_modules!r} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_scipy():
+    # rcseq computes its normal tail itself; scipy and what it drags in stay unloaded
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    # a submodule never loads without its package, so the packages suffice
+    heavy = {"scipy", "numpy.f2py", "numpy.testing", "charset_normalizer"}
+    code = f"import sys, rcseq.cli; print(sorted({heavy!r} & set(sys.modules)))"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )

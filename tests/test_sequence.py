@@ -262,3 +262,42 @@ class TestTraces:
         events = detect_events(labeled, labeled.panel.kpi_names, CisConfig())
         traces, _ = deviation_traces(labeled, events, labeled.panel.kpi_names, CisConfig())
         assert set(np.unique(traces)) <= {-1, 0, 1}
+
+    @staticmethod
+    def per_tick_traces(labeled, events, kpis, cfg):
+        """Each tick's direction code from its own forward window, clipped
+        at the end of the abnormal window."""
+        by_kpi = {e.kpi: e for e in events}
+        end = labeled.abnormal_window[1]
+        traces = np.zeros((labeled.panel.n_ticks, len(kpis)), dtype=np.int8)
+        for j, kpi in enumerate(kpis):
+            if kpi not in by_kpi:
+                continue
+            baseline = labeled.normal_values(kpi)
+            mu, sigma = float(baseline.mean()), float(baseline.std(ddof=1))
+            series = labeled.panel.column(kpi)[:end]
+            for tick in range(by_kpi[kpi].onset_tick, end):
+                traces[tick, j] = direction_at_onset(series, tick, cfg.window, mu, sigma, cfg.z_thr)
+        return traces
+
+    @pytest.mark.parametrize("window", [8, 16, 24, 130])
+    def test_match_per_tick_reference(self, window):
+        cfg = CisConfig(window=window, z_thr=1.0)
+        for seed in range(3):
+            labeled, _ = cascade_labeled(seed)
+            kpis = list(labeled.panel.kpi_names)
+            a0, a1 = labeled.abnormal_window
+            # onsets early, inside the last window (clipped windows only), and at the last tick
+            events = [event(kpi, onset) for kpi, onset in zip(kpis, (a0, a0 + 37, a1 - 5, a1 - 1))]
+            traces, _ = deviation_traces(labeled, events, kpis, cfg)
+            assert np.array_equal(traces, self.per_tick_traces(labeled, events, kpis, cfg))
+
+    def test_constant_normal_window_matches_per_tick_reference(self):
+        # sigma = 0: the direction is the sign of the raw difference
+        rng = np.random.default_rng(4)
+        values = np.r_[np.full(40, 2.0), rng.normal(2.0, 1.0, 40)]
+        labeled = constant_labeled(40, 40, values)
+        events = [event("k0", 42)]
+        traces, _ = deviation_traces(labeled, events, ["k0"], CisConfig())
+        assert np.array_equal(traces, self.per_tick_traces(labeled, events, ["k0"], CisConfig()))
+        assert set(traces[42:, 0]) == {-1, 1}

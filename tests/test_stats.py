@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import kolmogorov
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy.special import kolmogorov, ndtr  # scipy is a test-only oracle
 
 from rcseq.stats import (
+    _normal_two_sided,
     batch_marginal_ci,
     bh_adjust,
     binomial_sd,
@@ -12,6 +14,7 @@ from rcseq.stats import (
     ci_test,
     direction_code,
     fisher_z_test,
+    ks_pvalue,
     ks_two_sample,
     z_score,
 )
@@ -27,6 +30,38 @@ def brute_force_ks_d(a, b):
         fb = np.count_nonzero(b <= x) / b.size
         best = max(best, abs(fa - fb))
     return best
+
+
+def pooled_point_ks(a, b):
+    """One window's K-S test the direct way: both ECDFs (right counts) at
+    every pooled point, then the asymptotic p of the largest gap."""
+    xa = np.sort(np.asarray(a, dtype=float))
+    xb = np.sort(np.asarray(b, dtype=float))
+    pooled = np.concatenate([xa, xb])
+    fa = np.searchsorted(xa, pooled, side="right") / xa.size
+    fb = np.searchsorted(xb, pooled, side="right") / xb.size
+    d = float(np.max(np.abs(fa - fb)))
+    return d, ks_pvalue(d, xa.size, xb.size)
+
+
+def ks_case(rng, kind):
+    """A segment and a baseline of random sizes; `kind` picks the data."""
+    n = int(rng.integers(1, 300))
+    segment = rng.normal(loc=rng.uniform(-1, 1), size=int(rng.integers(1, 200)))
+    baseline = rng.normal(size=n)
+    if kind == "rounded":  # many ties, inside windows and across the two samples
+        segment, baseline = np.round(segment, 1), np.round(baseline, 1)
+    elif kind == "pinned":  # a hard-pinned constant segment meets a half-pinned baseline
+        segment[rng.integers(0, segment.size):] = 0.5
+        baseline[: n // 2] = 0.5
+    elif kind == "integer":
+        segment, baseline = np.round(2 * segment), np.round(2 * baseline)
+    elif kind == "non-finite":
+        segment[rng.random(segment.size) < 0.1] = np.nan
+        baseline[rng.random(n) < 0.1] = np.nan
+        segment[rng.random(segment.size) < 0.05] = np.inf
+        baseline[rng.random(n) < 0.05] = -np.inf
+    return segment, baseline
 
 
 class TestKsTwoSample:
@@ -75,6 +110,34 @@ class TestKsTwoSample:
         for f in (np.exp, np.tanh, lambda v: v**3):
             assert ks_two_sample(f(a), f(b)).d == pytest.approx(d0, abs=1e-15)
 
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "pinned", "integer", "non-finite"])
+    def test_stacked_windows_match_pooled_point_formula(self, kind):
+        # the one-sort scan must give every window's d and p to the bit
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(40):
+            segment, baseline = ks_case(rng, kind)
+            window = int(rng.integers(1, segment.size + 1))
+            windows = sliding_window_view(segment, window)[:: int(rng.integers(1, 6))]
+            res = ks_two_sample(windows, baseline)
+            assert res.d.shape == res.p_raw.shape == (len(windows),)
+            for i, w in enumerate(windows):
+                assert (res.d[i], res.p_raw[i]) == pooled_point_ks(w, baseline)
+
+    @pytest.mark.parametrize("kind", ["normal", "rounded", "pinned", "non-finite"])
+    def test_one_sample_call_matches_pooled_point_formula(self, kind):
+        # the do-equivalence check splits one series at the onset
+        rng = np.random.default_rng(100 + len(kind))
+        for _ in range(40):
+            col = np.concatenate(ks_case(rng, kind))
+            onset = int(rng.integers(1, col.size))
+            res = ks_two_sample(col[:onset], col[onset:])
+            assert type(res.d) is float and type(res.p_raw) is float
+            assert (res.d, res.p_raw) == pooled_point_ks(col[:onset], col[onset:])
+
+    def test_three_dimensional_sample_rejected(self):
+        with pytest.raises(ValueError, match="2-D stack"):
+            ks_two_sample(np.zeros((2, 2, 2)), [1.0])
+
     def test_pvalue_matches_kolmogorov_limit(self):
         # the series must agree with the Kolmogorov survival function
         # Q(lambda) at lambda = d * sqrt(n1 n2 / (n1 + n2))
@@ -85,6 +148,54 @@ class TestKsTwoSample:
             ours = ks_two_sample(a, b)
             lam = ours.d * math.sqrt(a.size * b.size / (a.size + b.size))
             assert ours.p_raw == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
+
+
+_MAXLOG = 7.09782712893383996843e2
+
+# Cephes switches form at |z| = 1, sqrt(2) and 8 sqrt(2), and returns 0 past
+# sqrt(2 MAXLOG); each edge is tested with its neighbouring doubles
+CEPHES_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG))
+
+
+def edge_points(edge, ulps=40):
+    below, above = [edge], [edge]
+    for _ in range(ulps):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below + above
+
+
+class TestNormalTail:
+    def test_matches_scipy_ndtr_bitwise(self):
+        rng = np.random.default_rng(2024)
+        z = np.concatenate(
+            [
+                rng.uniform(-40.0, 40.0, 40_000),
+                rng.normal(size=30_000),
+                rng.standard_cauchy(20_000),
+                rng.uniform(-12.0, 12.0, 20_000),
+                *(np.array(edge_points(edge)) for edge in CEPHES_EDGES),
+                -np.array(edge_points(1.0)),
+                [0.0, -0.0, np.inf, -np.inf, np.nan],
+            ]
+        )
+        assert z.size >= 100_000
+        ours = np.array([_normal_two_sided(v) for v in z.tolist()])
+        ref = 2.0 * ndtr(-np.abs(z))
+        finite = ~np.isnan(ref)
+        assert np.array_equal(ours[finite].view(np.int64), ref[finite].view(np.int64))
+        assert np.isnan(ours[~finite]).all()
+
+    def test_fisher_z_and_batch_p_match_scipy_bitwise(self):
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(120, 40))
+        y = rng.normal(size=120) + x @ rng.uniform(-0.3, 0.3, 40)
+        r, p = batch_marginal_ci(x, y)
+        z = np.arctanh(r) * math.sqrt(120 - 3)
+        assert np.array_equal(p, 2.0 * ndtr(-np.abs(z)))
+        for rj in r.tolist():
+            zj = math.atanh(rj) * math.sqrt(120 - 3)
+            assert fisher_z_test(rj, n=120, n_cond=0).p == float(2.0 * ndtr(-abs(zj)))
 
 
 class TestZScore:
