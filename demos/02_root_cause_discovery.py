@@ -9,7 +9,7 @@ whole experiment repeats n times to build a causal-source frequency table.
 """
 
 from rcseq.panel import label_states
-from rcseq.rcd import RcdConfig, rcd_multi_run, rcd_single_run
+from rcseq.rcd import CiOracle, RcdConfig, rcd_multi_run, rcd_single_run
 from rcseq.scm import make_scenario
 
 scenario = make_scenario("cascade")
@@ -20,7 +20,9 @@ panel, truth = scenario.build(seed=0)
 labeled = label_states(panel, 140, normal_len=120, abnormal_len=120, lead_ticks=20)
 
 print("one discovery run (g=3):")
-candidate = rcd_single_run(labeled, RcdConfig(g=3, seed=0), run_index=0,
+# the oracle holds the pooled sample and answers every CI test of the run
+oracle = CiOracle(labeled)
+candidate = rcd_single_run(oracle, RcdConfig(g=3, seed=0), run_index=0,
                            exclude=("dl_throughput",))
 for kpi, p in candidate.p_values:
     print(f"  {kpi}: max CI p-value against F = {p:.2e}")
@@ -30,6 +32,7 @@ table = rcd_multi_run(
     labeled,
     RcdConfig(g=3, n_runs=30, alpha=0.05, seed=0),
     exclude=("dl_throughput",),
+    oracle=oracle,
 )
 for kpi in table.kpi_names:
     bar = "#" * int(30 * table.proportion(kpi))

@@ -11,11 +11,12 @@ gives the per-KPI causal-source frequency table.
 F is treated as a sink: survivors adjacent to F are reported as its parents
 directly, with no orientation phase.
 
-Discovery runs in one process. The runs of one `rcd_runs` call share one CI
-memo (`CiOracle`): the pooled sample is built once, and each CI test on it
-is computed once per distinct ordered input and answered from the memo
-after that. A caller that reruns discovery on the same panel, such as the
-Monte Carlo tuner, may pass one oracle to every call.
+Discovery runs in one process. Every CI test goes through one `CiOracle`:
+the pooled sample, each KPI's marginal p against F from one batch over all
+pooled columns, and a memo of the conditional tests, each computed once.
+The runs of one `rcd_runs` call share an oracle, and a caller that reruns
+discovery on the same panel, such as the Monte Carlo tuner, may pass one
+oracle to every call.
 """
 
 from __future__ import annotations
@@ -131,13 +132,14 @@ def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
 
 class CiOracle:
     """The pooled normal+abnormal rows of one panel with their F vector, and
-    a memo of the discovery CI tests run on them.
+    a memo of the discovery CI p-values against F, keyed (X, S).
 
-    Memo keys are the exact ordered inputs, not sets: a column's marginal p
-    depends in its last bits on the columns that share its batch, and a
-    conditional p on the order of the conditioning set. A miss calls the
-    module's `batch_marginal_ci` / `ci_test` binding with the same arrays
-    an uncached call would pass, so a shared oracle never changes a result.
+    Every KPI's marginal p (S = ()) comes from one `batch_marginal_ci` call
+    over all pooled columns, made here: a column's batch p depends in its
+    last bits on the columns that share its batch, so one batch gives each
+    KPI one marginal p whichever chunk screens it. A conditional p depends
+    in its last bits on the order of S, so S is kept in the caller's order;
+    a miss calls the module's `ci_test` binding.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -145,37 +147,27 @@ class CiOracle:
         rows = labeled.pooled_rows()
         self.values = labeled.panel.values[rows]
         self.f = labeled.fnode[rows].astype(float)
-        self._marginal: dict[tuple[str, ...], np.ndarray] = {}
-        self._conditional: dict[tuple[str, tuple[str, ...]], float] = {}
+        self._p: dict[tuple[str, tuple[str, ...]], float] = {}
+        # batch_marginal_ci needs n > 3; below that local_skeleton skips level 0
+        if self.f.size > 3:
+            p_values = batch_marginal_ci(self.values, self.f)[1]
+            for name, p in zip(labeled.panel.kpi_names, p_values.tolist()):
+                self._p[(name, ())] = p
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.labeled.panel.kpi_names.index(name)]
 
-    def marginal_p(self, chunk: tuple[str, ...]) -> np.ndarray:
-        """p-values of the chunk's columns against F, tested as one batch."""
-        if chunk not in self._marginal:
-            x_matrix = np.column_stack([self.column(name) for name in chunk])
-            p_values = batch_marginal_ci(x_matrix, self.f)[1]
-            p_values.setflags(write=False)  # every later lookup shares it
-            self._marginal[chunk] = p_values
-        return self._marginal[chunk]
-
-    def conditional_p(self, name: str, subset: tuple[str, ...]) -> float:
+    def p_value(self, name: str, subset: tuple[str, ...]) -> float:
         """p-value of name against F given the subset's columns, in order."""
         key = (name, subset)
-        if key not in self._conditional:
+        if key not in self._p:
             given = [self.column(s) for s in subset]
-            self._conditional[key] = ci_test(self.column(name), self.f, given=given).p
-        return self._conditional[key]
+            self._p[key] = ci_test(self.column(name), self.f, given=given).p
+        return self._p[key]
 
 
 def local_skeleton(
-    labeled: LabeledPanel,
-    chunk,
-    alpha: float,
-    max_cond: int,
-    *,
-    oracle: CiOracle | None = None,
+    oracle: CiOracle, chunk, alpha: float, max_cond: int
 ) -> tuple[dict[str, float], list[str]]:
     """PC-style neighborhood search of F restricted to one chunk.
 
@@ -187,13 +179,11 @@ def local_skeleton(
 
     Returns (survivors mapped to their maximum observed p-value, warnings
     for any levels skipped due to sample size). `oracle` answers the CI
-    tests; None builds a fresh one for this call.
+    tests.
     """
     chunk = list(chunk)
     if not chunk:
         raise ConfigError("chunk must be non-empty")
-    if oracle is None:
-        oracle = CiOracle(labeled)
     n = oracle.f.size
     adjacency = list(chunk)
     p_max: dict[str, float] = {name: 0.0 for name in chunk}
@@ -208,20 +198,14 @@ def local_skeleton(
             )
             continue
         removed: list[str] = []
-        if level == 0:
-            for name, p in zip(adjacency, oracle.marginal_p(tuple(adjacency))):
-                p_max[name] = max(p_max[name], float(p))
+        for name in adjacency:
+            others = [o for o in adjacency if o != name]
+            for subset in combinations(others, level):
+                p = oracle.p_value(name, subset)
+                p_max[name] = max(p_max[name], p)
                 if p > alpha:
                     removed.append(name)
-        else:
-            for name in adjacency:
-                others = [o for o in adjacency if o != name]
-                for subset in combinations(others, level):
-                    p = oracle.conditional_p(name, subset)
-                    p_max[name] = max(p_max[name], p)
-                    if p > alpha:
-                        removed.append(name)
-                        break
+                    break
         if removed:
             adjacency = [a for a in adjacency if a not in removed]
     return {name: p_max[name] for name in adjacency}, warnings
@@ -233,13 +217,11 @@ MAX_REFINE_PASSES = 16
 
 def hierarchical_refine(
     survivor_union,
-    labeled: LabeledPanel,
+    oracle: CiOracle,
     g: int,
     alpha: float,
     max_cond: int,
     rng: np.random.Generator,
-    *,
-    oracle: CiOracle | None = None,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
@@ -251,9 +233,7 @@ def hierarchical_refine(
     final pass screens the remaining set as a single chunk and supplies the
     reported p-values. `oracle` is passed to every `local_skeleton` call.
     """
-    if oracle is None:
-        oracle = CiOracle(labeled)
-    order = {name: i for i, name in enumerate(labeled.panel.kpi_names)}
+    order = {name: i for i, name in enumerate(oracle.labeled.panel.kpi_names)}
     survivors = sorted(survivor_union, key=order.__getitem__)
     warnings: list[str] = []
     passes = 0
@@ -266,7 +246,7 @@ def hierarchical_refine(
         passes += 1
         kept: list[str] = []
         for chunk in partition(survivors, g, rng):
-            surv, warn = local_skeleton(labeled, chunk, alpha, max_cond, oracle=oracle)
+            surv, warn = local_skeleton(oracle, chunk, alpha, max_cond)
             kept.extend(surv)
             warnings.extend(warn)
         if len(kept) == len(survivors):
@@ -274,7 +254,7 @@ def hierarchical_refine(
         survivors = sorted(kept, key=order.__getitem__)
     if not survivors:
         return CandidateSet(kpis=(), p_values=(), warnings=tuple(warnings))
-    final, warn = local_skeleton(labeled, survivors, alpha, max_cond, oracle=oracle)
+    final, warn = local_skeleton(oracle, survivors, alpha, max_cond)
     warnings.extend(warn)
     kept = sorted(final, key=order.__getitem__)
     return CandidateSet(
@@ -285,33 +265,22 @@ def hierarchical_refine(
 
 
 def rcd_single_run(
-    labeled: LabeledPanel,
-    cfg: RcdConfig,
-    run_index: int,
-    exclude=(),
-    *,
-    oracle: CiOracle | None = None,
+    oracle: CiOracle, cfg: RcdConfig, run_index: int, exclude=()
 ) -> CandidateSet:
-    """One independent discovery run with its own derived RNG stream.
-
-    `oracle` answers the CI tests; None builds a fresh one for this run.
-    """
+    """One independent discovery run on the oracle's panel, with its own
+    derived RNG stream."""
     excluded = set(exclude)
-    names = [n for n in labeled.panel.kpi_names if n not in excluded]
+    names = [n for n in oracle.labeled.panel.kpi_names if n not in excluded]
     if not names:
         raise ConfigError("no KPIs left to analyze after exclusions")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]))
-    if oracle is None:
-        oracle = CiOracle(labeled)
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):
-        surv, warn = local_skeleton(labeled, chunk, cfg.alpha, cfg.max_cond, oracle=oracle)
+        surv, warn = local_skeleton(oracle, chunk, cfg.alpha, cfg.max_cond)
         union.update(surv)
         warnings.extend(warn)
-    result = hierarchical_refine(
-        union, labeled, cfg.g, cfg.alpha, cfg.max_cond, rng, oracle=oracle
-    )
+    result = hierarchical_refine(union, oracle, cfg.g, cfg.alpha, cfg.max_cond, rng)
     if warnings:
         result = CandidateSet(
             kpis=result.kpis,
@@ -331,14 +300,15 @@ def rcd_runs(
     """All n_runs candidate sets, in run order.
 
     Runs are pure functions of (data, cfg, run index). They share one CI
-    oracle, which must be built from `labeled`; None builds a fresh one.
+    oracle, which must be built from `labeled` (ValueError otherwise); None
+    builds a fresh one.
     """
     if oracle is None:
         oracle = CiOracle(labeled)
+    elif oracle.labeled is not labeled:
+        raise ValueError("oracle was built from a different labeled panel")
     exclude = tuple(exclude)
-    return [
-        rcd_single_run(labeled, cfg, i, exclude, oracle=oracle) for i in range(cfg.n_runs)
-    ]
+    return [rcd_single_run(oracle, cfg, i, exclude) for i in range(cfg.n_runs)]
 
 
 def rcd_multi_run(

@@ -13,6 +13,7 @@ relates distinct indicators.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,10 @@ def _lagged_columns(panel: KpiPanel, nodes, tau_max: int):
     return cols
 
 
+# Screening sweeps select_lagged_parents makes at most per target.
+MAX_PARENT_SWEEPS = 10
+
+
 def select_lagged_parents(
     panel: KpiPanel,
     target: str,
@@ -124,8 +129,10 @@ def select_lagged_parents(
     is tested against the target conditioned on the `level` strongest other
     survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
     drop out after each level. The sweep repeats until the survivor set is
-    stable. Returns the surviving (X, tau) pairs ranked by strength (minimum
-    |r| across their tests), strongest first.
+    stable, at most MAX_PARENT_SWEEPS times; stopping there while the set
+    still changes emits a RuntimeWarning. Returns the surviving (X, tau)
+    pairs ranked by strength (minimum |r| across their tests), strongest
+    first.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
@@ -141,7 +148,7 @@ def select_lagged_parents(
     survivors = sorted(cols)
     strength: dict[tuple[str, int], float] = {}
 
-    for _cycle in range(10):
+    for _sweep in range(MAX_PARENT_SWEEPS):
         before = list(survivors)
         for level in range(cfg.max_cond + 1):
             if level > len(survivors) - 1:
@@ -168,6 +175,13 @@ def select_lagged_parents(
                 survivors = [c for c in survivors if c not in removed]
         if survivors == before:
             break
+    else:
+        warnings.warn(
+            f"parent selection for {target!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
+            f" with {len(survivors)} candidates left and the set still changing",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
 
 

@@ -10,8 +10,13 @@ proves nothing about the code.
 To print fresh hashes, run this file as a script:
 
     PYTHONPATH=src python tests/test_golden.py
+
+With `--diff` it prints only the (case, file) pairs whose hash differs
+from GOLDEN, a file missing on one side included, and exits 1 if there
+are any.
 """
 
+import argparse
 import hashlib
 import json
 import sys
@@ -175,15 +180,48 @@ def output_hashes(case: str, workdir: Path) -> dict[str, str]:
     }
 
 
+def moved_hashes(recorded: dict[str, dict[str, str]]) -> list[tuple[str, str]]:
+    """The (case, file) pairs whose recorded hash is not the golden one."""
+    return [
+        (case, name)
+        for case, hashes in recorded.items()
+        for name in sorted(hashes.keys() | GOLDEN[case].keys())
+        if hashes.get(name) != GOLDEN[case].get(name)
+    ]
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden_hashes(case, tmp_path):
     assert output_hashes(case, tmp_path) == GOLDEN[case]
 
 
+def test_moved_hashes_names_only_the_moved_files():
+    recorded = {case: dict(hashes) for case, hashes in GOLDEN.items()}
+    assert moved_hashes(recorded) == []
+    recorded["discover"]["frequency.csv"] = "0" * 64
+    del recorded["tune"]["tuning.csv"]
+    recorded["label"]["extra.json"] = "0" * 64
+    assert moved_hashes(recorded) == [
+        ("label", "extra.json"),
+        ("discover", "frequency.csv"),
+        ("tune", "tuning.csv"),
+    ]
+
+
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Print the output hashes of every case.")
+    parser.add_argument(
+        "--diff", action="store_true", help="print only the moved (case, file) pairs"
+    )
+    args = parser.parse_args()
     recorded = {}
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             recorded[name] = output_hashes(name, Path(tmp))
+    if args.diff:
+        moved = moved_hashes(recorded)
+        for case, name in moved:
+            print(case, name)
+        sys.exit(1 if moved else 0)
     json.dump(recorded, sys.stdout, indent=4)
     print()

@@ -6,6 +6,7 @@ from rcseq.errors import ConfigError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.rcd import (
     CandidateSet,
+    CiOracle,
     FrequencyTable,
     RcdConfig,
     hierarchical_refine,
@@ -16,6 +17,7 @@ from rcseq.rcd import (
     rcd_single_run,
 )
 from rcseq.scm import make_scenario, single_root_scenario
+from rcseq.stats import batch_marginal_ci
 
 
 def noise_labeled(seed, n_kpis=4, t=240):
@@ -118,7 +120,7 @@ class TestLocalSkeleton:
         runs = 500
         for seed in range(runs):
             labeled = noise_labeled(seed)
-            surv, _ = local_skeleton(labeled, labeled.panel.kpi_names, alpha, 3)
+            surv, _ = local_skeleton(CiOracle(labeled), labeled.panel.kpi_names, alpha, 3)
             if "n0" in surv:
                 hits += 1
         assert hits / runs <= 0.075
@@ -128,7 +130,7 @@ class TestLocalSkeleton:
         for seed in range(100):
             labeled = scenario_labeled(seed)
             surv, _ = local_skeleton(
-                labeled, ["rrc_users", "cce_util", "sinr_avg"], alpha=0.05, max_cond=3
+                CiOracle(labeled), ["rrc_users", "cce_util", "sinr_avg"], alpha=0.05, max_cond=3
             )
             if "rrc_users" in surv:
                 hits += 1
@@ -144,31 +146,51 @@ class TestLocalSkeleton:
             values=np.column_stack([fnode_col, rng.standard_normal(t)]),
         )
         labeled = label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2)
-        surv, _ = local_skeleton(labeled, ["mirror", "noise"], alpha=0.05, max_cond=3)
+        surv, _ = local_skeleton(CiOracle(labeled), ["mirror", "noise"], alpha=0.05, max_cond=3)
         assert "mirror" in surv
         assert surv["mirror"] < 1e-12
 
-    def test_small_sample_level_skipped(self):
-        rng = np.random.default_rng(6)
+    @staticmethod
+    def small_labeled(normal_len, abnormal_len, n_kpis):
+        t = normal_len + abnormal_len
         panel = KpiPanel(
-            ticks=np.arange(8),
-            kpi_names=("a", "b"),
-            values=rng.standard_normal((8, 2)),
+            ticks=np.arange(t),
+            kpi_names=tuple("abcdefg"[:n_kpis]),
+            values=np.random.default_rng(6).standard_normal((t, n_kpis)),
         )
-        labeled = label_states(panel, 4, normal_len=4, abnormal_len=4)
-        # pooled n=8: level 0 needs n>3 (ok), level 5 would need n>8
-        surv, warnings = local_skeleton(labeled, ["a", "b"], alpha=0.5, max_cond=5)
-        assert isinstance(surv, dict)
+        return label_states(panel, normal_len, normal_len=normal_len, abnormal_len=abnormal_len)
+
+    def test_small_sample_level_skipped(self):
+        # pooled n=6: levels 0-2 run, level l >= 3 needs n > l + 3; alpha 1
+        # drops no member, so the loop reaches every level up to max_cond
+        labeled = self.small_labeled(3, 3, 5)
+        surv, warnings = local_skeleton(CiOracle(labeled), "abcde", alpha=1.0, max_cond=4)
+        assert sorted(surv) == list("abcde")
+        assert all(0.0 < p <= 1.0 for p in surv.values())
+        assert warnings == [
+            "conditioning level 3 skipped: pooled sample n=6 too small",
+            "conditioning level 4 skipped: pooled sample n=6 too small",
+        ]
+
+    def test_pooled_n3_skips_every_level(self):
+        labeled = self.small_labeled(1, 2, 3)
+        surv, warnings = local_skeleton(CiOracle(labeled), "abc", alpha=0.05, max_cond=2)
+        assert surv == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert warnings == [
+            f"conditioning level {level} skipped: pooled sample n=3 too small"
+            for level in range(3)
+        ]
 
 
 class TestHierarchicalRefine:
     def test_small_union_single_final_pass(self):
         labeled = scenario_labeled(0)
         rng = np.random.default_rng(0)
+        oracle = CiOracle(labeled)
         result = hierarchical_refine(
-            ["rrc_users", "cce_util"], labeled, g=3, alpha=0.05, max_cond=3, rng=rng
+            ["rrc_users", "cce_util"], oracle, g=3, alpha=0.05, max_cond=3, rng=rng
         )
-        direct, _ = local_skeleton(labeled, ["rrc_users", "cce_util"], 0.05, 3)
+        direct, _ = local_skeleton(oracle, ["rrc_users", "cce_util"], 0.05, 3)
         assert set(result.kpis) == set(direct)
 
     def test_true_cause_retained(self):
@@ -177,7 +199,7 @@ class TestHierarchicalRefine:
             labeled = scenario_labeled(seed)
             rng = np.random.default_rng(seed)
             result = hierarchical_refine(
-                list(labeled.panel.kpi_names), labeled, g=3, alpha=0.05,
+                list(labeled.panel.kpi_names), CiOracle(labeled), g=3, alpha=0.05,
                 max_cond=3, rng=rng,
             )
             if "rrc_users" in result.kpis:
@@ -189,7 +211,7 @@ class TestHierarchicalRefine:
 
         def cap_warnings():
             result = hierarchical_refine(
-                labeled.panel.kpi_names, labeled, g=2, alpha=0.05, max_cond=3,
+                labeled.panel.kpi_names, CiOracle(labeled), g=2, alpha=0.05, max_cond=3,
                 rng=np.random.default_rng(0),
             )
             assert result.kpis == ("root",)
@@ -202,7 +224,7 @@ class TestHierarchicalRefine:
     def test_empty_union_is_valid(self):
         labeled = noise_labeled(0)
         result = hierarchical_refine(
-            [], labeled, g=3, alpha=0.05, max_cond=3, rng=np.random.default_rng(0)
+            [], CiOracle(labeled), g=3, alpha=0.05, max_cond=3, rng=np.random.default_rng(0)
         )
         assert result.kpis == ()
 
@@ -248,15 +270,16 @@ class TestMultiRun:
         labeled = scenario_labeled(2)
         v = len(labeled.panel.kpi_names)
         cfg = RcdConfig(g=v, n_runs=1, alpha=0.05, seed=5)
-        run = rcd_single_run(labeled, cfg, 0)
+        oracle = CiOracle(labeled)
+        run = rcd_single_run(oracle, cfg, 0)
         # replicate manually: one global skeleton pass then refinement,
         # consuming the identically derived RNG stream
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
         chunks = partition(list(labeled.panel.kpi_names), v, rng)
         assert len(chunks) == 1
-        union, _ = local_skeleton(labeled, chunks[0], cfg.alpha, cfg.max_cond)
+        union, _ = local_skeleton(oracle, chunks[0], cfg.alpha, cfg.max_cond)
         manual = hierarchical_refine(
-            union, labeled, v, cfg.alpha, cfg.max_cond, rng
+            union, oracle, v, cfg.alpha, cfg.max_cond, rng
         )
         assert run.kpis == manual.kpis
 
@@ -266,7 +289,7 @@ class TestMultiRun:
         runs = 200
         for seed in range(runs):
             labeled = noise_labeled(seed + 1000)
-            cand = rcd_single_run(labeled, RcdConfig(g=3, n_runs=1, seed=seed), 0)
+            cand = rcd_single_run(CiOracle(labeled), RcdConfig(g=3, n_runs=1, seed=seed), 0)
             if not cand.kpis:
                 empties += 1
         assert empties / runs >= 0.7
@@ -319,7 +342,7 @@ class TestCiMemo:
         cfg = RcdConfig(g=3, n_runs=24, seed=4)
         keys = count_kernel_keys(monkeypatch)
         for i in range(cfg.n_runs):
-            rcd_single_run(labeled, cfg, i)
+            rcd_single_run(CiOracle(labeled), cfg, i)
         solo = {kernel: list(calls) for kernel, calls in keys.items()}
         for kernel, calls in keys.items():
             # run alone, the runs repeat tests, so the memo has work to save
@@ -328,6 +351,8 @@ class TestCiMemo:
 
         rcd_runs(labeled, cfg)
         first = {kernel: list(calls) for kernel, calls in keys.items()}
+        # every marginal p of the call comes from one batch over the panel
+        assert len(first["batch_marginal_ci"]) == 1
         for kernel, calls in first.items():
             assert len(calls) == len(set(calls)) == len(set(solo[kernel])), kernel
 
@@ -343,5 +368,33 @@ class TestCiMemo:
         panel, _ = make_scenario(scenario).build(seed)
         labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
         cfg = RcdConfig(g=g, n_runs=8, seed=seed)
-        alone = [rcd_single_run(labeled, cfg, i) for i in range(cfg.n_runs)]
+        alone = [rcd_single_run(CiOracle(labeled), cfg, i) for i in range(cfg.n_runs)]
         assert rcd_runs(labeled, cfg) == alone
+
+    @pytest.mark.parametrize("v", [5, 9, 13, 17, 21, 25])
+    def test_marginal_p_matches_chunk_batches(self, v):
+        # one batch over the panel against the per-chunk batches the
+        # screen once ran: equal to rounding, and the same decisions
+        rng = np.random.default_rng(v)
+        t, alpha = 224, 0.05
+        values = rng.standard_normal((t, v))
+        values[t // 2 :, : v // 2] += rng.uniform(0.0, 0.6, v // 2)
+        panel = KpiPanel(
+            ticks=np.arange(t), kpi_names=tuple(f"k{i}" for i in range(v)), values=values
+        )
+        oracle = CiOracle(label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2))
+        assert oracle.f.size == 224
+        for g in range(2, v + 1):
+            for chunk in partition(panel.kpi_names, g, rng):
+                x_matrix = np.column_stack([oracle.column(name) for name in chunk])
+                expected = batch_marginal_ci(x_matrix, oracle.f)[1]
+                got = np.array([oracle.p_value(name, ()) for name in chunk])
+                np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+                assert np.array_equal(got > alpha, expected > alpha)
+
+    def test_oracle_of_another_panel_rejected(self):
+        labeled, other = self.labeled(), self.labeled()
+        cfg = RcdConfig(g=3, n_runs=2, seed=0)
+        for discover in (rcd_runs, rcd_multi_run):
+            with pytest.raises(ValueError, match="different labeled panel"):
+                discover(labeled, cfg, oracle=CiOracle(other))

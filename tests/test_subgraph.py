@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
@@ -64,6 +67,19 @@ class TestSelectLaggedParents:
         panel = noise_panel(0)
         with pytest.raises(DataError):
             select_lagged_parents(panel, "nope", SubgraphConfig(tau_max=2, alpha=0.05))
+
+    def test_sweep_cap_warns(self, monkeypatch):
+        monkeypatch.setattr("rcseq.subgraph.MAX_PARENT_SWEEPS", 1)
+        cap = "parent selection for 'Y' stopped at the 1-sweep cap"
+        with pytest.warns(RuntimeWarning, match=cap):
+            select_lagged_parents(chain_panel(seed=1), "Y", SubgraphConfig(alpha=0.01))
+
+    def test_golden_case_stays_under_sweep_cap(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            args = ["compare-states", "--scenario", "cascade", "--seed", "1", "--out", tmp_path]
+            assert main([str(a) for a in args]) == 0
+        assert [str(w.message) for w in caught if "sweep cap" in str(w.message)] == []
 
 
 class TestSubgraphConfig:
