@@ -21,12 +21,12 @@ oracle to every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
 from .stats import batch_marginal_ci, ci_test
 
@@ -139,7 +139,8 @@ class CiOracle:
     last bits on the columns that share its batch, so one batch gives each
     KPI one marginal p whichever chunk screens it. A conditional p depends
     in its last bits on the order of S, so S is kept in the caller's order;
-    a miss calls the module's `ci_test` binding.
+    a miss calls the module's `ci_test` binding. A pooled sample of n <= 3
+    rows, too few for any CI test, raises AnalysisError.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -147,12 +148,15 @@ class CiOracle:
         rows = labeled.pooled_rows()
         self.values = labeled.panel.values[rows]
         self.f = labeled.fnode[rows].astype(float)
-        self._p: dict[tuple[str, tuple[str, ...]], float] = {}
-        # batch_marginal_ci needs n > 3; below that local_skeleton skips level 0
-        if self.f.size > 3:
-            p_values = batch_marginal_ci(self.values, self.f)[1]
-            for name, p in zip(labeled.panel.kpi_names, p_values.tolist()):
-                self._p[(name, ())] = p
+        if self.f.size <= 3:
+            raise AnalysisError(
+                f"pooled sample n={self.f.size} is too small for discovery: "
+                "its CI tests need n > 3"
+            )
+        p_values = batch_marginal_ci(self.values, self.f)[1]
+        self._p: dict[tuple[str, tuple[str, ...]], float] = {
+            (name, ()): p for name, p in zip(labeled.panel.kpi_names, p_values.tolist())
+        }
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.labeled.panel.kpi_names.index(name)]
@@ -268,7 +272,7 @@ def rcd_single_run(
     oracle: CiOracle, cfg: RcdConfig, run_index: int, exclude=()
 ) -> CandidateSet:
     """One independent discovery run on the oracle's panel, with its own
-    derived RNG stream."""
+    derived RNG stream; its warnings are distinct, in the order first seen."""
     excluded = set(exclude)
     names = [n for n in oracle.labeled.panel.kpi_names if n not in excluded]
     if not names:
@@ -281,12 +285,10 @@ def rcd_single_run(
         union.update(surv)
         warnings.extend(warn)
     result = hierarchical_refine(union, oracle, cfg.g, cfg.alpha, cfg.max_cond, rng)
+    warnings.extend(result.warnings)
     if warnings:
-        result = CandidateSet(
-            kpis=result.kpis,
-            p_values=result.p_values,
-            warnings=tuple(warnings) + result.warnings,
-        )
+        # every chunk and refinement pass repeats the same level skips
+        result = replace(result, warnings=tuple(dict.fromkeys(warnings)))
     return result
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
-from .stats import batch_marginal_ci, ci_test
+from .stats import batch_ci, ci_test
 
 __all__ = [
     "SubgraphConfig",
@@ -102,15 +102,18 @@ class GraphDiff:
     common: tuple[tuple[str, str, int], ...]
 
 
-def _lagged_columns(panel: KpiPanel, nodes, tau_max: int):
-    """Columns of every (node, lag) candidate aligned on rows tau_max..T."""
+def _lagged_design(panel: KpiPanel, nodes, tau_max: int):
+    """The matrix of every (node, lag) candidate's series aligned on rows
+    tau_max..T, one column per candidate, and the candidates in column
+    order, which is sorted order."""
     t = panel.n_ticks
-    cols = {}
-    for name in nodes:
-        series = panel.column(name)
-        for tau in range(1, tau_max + 1):
-            cols[(name, tau)] = series[tau_max - tau : t - tau]
-    return cols
+    names = sorted(set(nodes))
+    idx = [panel.index_of(name) for name in names]
+    design = np.empty((t - tau_max, len(names), tau_max))
+    for tau in range(1, tau_max + 1):
+        design[:, :, tau - 1] = panel.values[tau_max - tau : t - tau, idx]
+    keys = [(name, tau) for name in names for tau in range(1, tau_max + 1)]
+    return design.reshape(t - tau_max, -1), keys
 
 
 # Screening sweeps select_lagged_parents makes at most per target.
@@ -128,7 +131,9 @@ def select_lagged_parents(
     Starting from every (X, tau) with tau in 1..cfg.tau_max, each candidate
     is tested against the target conditioned on the `level` strongest other
     survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
-    drop out after each level. The sweep repeats until the survivor set is
+    drop out after each level. One level has at most level + 1 distinct
+    conditioning sets, and the candidates of each set are tested together
+    through `stats.batch_ci`. The sweep repeats until the survivor set is
     stable, at most MAX_PARENT_SWEEPS times; stopping there while the set
     still changes emits a RuntimeWarning. Returns the surviving (X, tau)
     pairs ranked by strength (minimum |r| across their tests), strongest
@@ -144,45 +149,46 @@ def select_lagged_parents(
             f"window too short for parent selection: need more than {minimum} ticks, got {t}"
         )
     y = panel.column(target)[cfg.tau_max:]
-    cols = _lagged_columns(panel, nodes, cfg.tau_max)
-    survivors = sorted(cols)
-    strength: dict[tuple[str, int], float] = {}
+    design, keys = _lagged_design(panel, nodes, cfg.tau_max)
+    # candidates are column indices, in (name, lag) order
+    alive = np.ones(len(keys), dtype=bool)
+    strength = np.full(len(keys), np.inf)
+
+    def ranked():
+        # strongest first; a stable sort breaks ties in (name, lag) order
+        cands = np.flatnonzero(alive)
+        return cands[np.argsort(-strength[cands], kind="stable")]
 
     for _sweep in range(MAX_PARENT_SWEEPS):
-        before = list(survivors)
+        before = alive.copy()
         for level in range(cfg.max_cond + 1):
-            if level > len(survivors) - 1:
+            top = ranked()[: level + 1].tolist()
+            if len(top) <= level:
                 break
-            ranked = sorted(
-                survivors, key=lambda c: (-strength.get(c, np.inf), c)
-            )
-            removed = set()
-            if level == 0:
-                x_matrix = np.column_stack([cols[c] for c in survivors])
-                r_vec, p_vec = batch_marginal_ci(x_matrix, y)
-                for cand, r, p in zip(survivors, r_vec, p_vec):
-                    strength[cand] = min(strength.get(cand, np.inf), abs(float(r)))
-                    if p > cfg.alpha:
-                        removed.add(cand)
-            else:
-                for cand in survivors:
-                    given = [c for c in ranked if c != cand][:level]
-                    res = ci_test(cols[cand], y, given=[cols[c] for c in given])
-                    strength[cand] = min(strength[cand], abs(res.r))
-                    if res.p > cfg.alpha:
-                        removed.add(cand)
-            if removed:
-                survivors = [c for c in survivors if c not in removed]
-        if survivors == before:
+            # a candidate outside top[:level] is conditioned on top[:level],
+            # one inside it on the rest of top; the groups are fixed before
+            # any test, so removals take effect after the level
+            outside = alive.copy()
+            outside[top[:level]] = False
+            groups = {tuple(top[:level]): np.flatnonzero(outside)}
+            for cand in top[:level]:
+                groups[tuple(c for c in top if c != cand)] = np.array([cand])
+            for given, cands in groups.items():
+                # a first sweep tests every column at level 0: spare that copy
+                x = design if cands.size == design.shape[1] else design[:, cands]
+                r, p = batch_ci(x, y, given=[design[:, c] for c in given])
+                strength[cands] = np.minimum(strength[cands], np.abs(r))
+                alive[cands[p > cfg.alpha]] = False
+        if np.array_equal(alive, before):
             break
     else:
         warnings.warn(
             f"parent selection for {target!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
-            f" with {len(survivors)} candidates left and the set still changing",
+            f" with {np.count_nonzero(alive)} candidates left and the set still changing",
             RuntimeWarning,
             stacklevel=2,
         )
-    return tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
+    return tuple(keys[c] for c in ranked().tolist())
 
 
 def mci_edge_test(

@@ -256,18 +256,18 @@ class TestStageCommands:
         runs_doc = json.loads((tmp_path / "rcd_runs.json").read_text())
         assert len(runs_doc["runs"]) == 10
 
-    def test_discover_pooled_n3(self, tmp_path):
-        # too few rows for any CI level: every level is skipped with a
-        # warning and every KPI is kept
+    def test_discover_pooled_n3(self, tmp_path, capsys):
+        # too few rows for any CI test: an analysis error, and no output
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("label: {normal_len: 1, abnormal_len: 2, lead_ticks: 0}\n")
+        out = tmp_path / "o"
         assert run(
-            "discover", "--scenario", "single_root", "--config", cfg, "--out", tmp_path / "o"
-        ) == 0
-        runs_doc = json.loads((tmp_path / "o/rcd_runs.json").read_text())
-        for doc in runs_doc["runs"]:
-            assert set(doc["p_values"].values()) == {0.0}
-            assert "conditioning level 0 skipped: pooled sample n=3 too small" in doc["warnings"]
+            "discover", "--scenario", "single_root", "--config", cfg, "--out", out
+        ) == 4
+        err = capsys.readouterr().err
+        assert "analysis error: pooled sample n=3 is too small" in err
+        assert "need n > 3" in err
+        assert not out.exists()
 
     def test_subgraph(self, tmp_path):
         assert run("subgraph", "--scenario", "cascade", "--seed", 0, "--out", tmp_path) == 0

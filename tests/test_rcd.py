@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rcseq import rcd
-from rcseq.errors import ConfigError
+from rcseq.errors import AnalysisError, ConfigError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.rcd import (
     CandidateSet,
@@ -155,7 +155,7 @@ class TestLocalSkeleton:
         t = normal_len + abnormal_len
         panel = KpiPanel(
             ticks=np.arange(t),
-            kpi_names=tuple("abcdefg"[:n_kpis]),
+            kpi_names=tuple("abcdefghi"[:n_kpis]),
             values=np.random.default_rng(6).standard_normal((t, n_kpis)),
         )
         return label_states(panel, normal_len, normal_len=normal_len, abnormal_len=abnormal_len)
@@ -172,14 +172,23 @@ class TestLocalSkeleton:
             "conditioning level 4 skipped: pooled sample n=6 too small",
         ]
 
-    def test_pooled_n3_skips_every_level(self):
+    def test_pooled_n3_is_an_analysis_error(self):
+        # no CI test can run at n <= 3, so there is no discovery to report
         labeled = self.small_labeled(1, 2, 3)
-        surv, warnings = local_skeleton(CiOracle(labeled), "abc", alpha=0.05, max_cond=2)
-        assert surv == {"a": 0.0, "b": 0.0, "c": 0.0}
-        assert warnings == [
-            f"conditioning level {level} skipped: pooled sample n=3 too small"
-            for level in range(3)
-        ]
+        with pytest.raises(AnalysisError, match=r"n=3 is too small .* need n > 3"):
+            CiOracle(labeled)
+
+    def test_run_lists_each_warning_once(self):
+        # pooled n=6 skips levels 3 and 4 in every chunk, refinement pass
+        # and final pass that reaches them; a run reports each skip once
+        labeled = self.small_labeled(3, 3, 9)
+        cfg = RcdConfig(g=5, max_cond=4, alpha=0.999, n_runs=4)
+        for run in rcd_runs(labeled, cfg):
+            assert len(run.kpis) == 9
+            assert run.warnings == (
+                "conditioning level 3 skipped: pooled sample n=6 too small",
+                "conditioning level 4 skipped: pooled sample n=6 too small",
+            )
 
 
 class TestHierarchicalRefine:

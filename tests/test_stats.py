@@ -6,7 +6,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import kolmogorov, ndtr  # scipy is a test-only oracle
 
 from rcseq.stats import (
+    _DEGENERATE_TOL,
     _normal_two_sided,
+    batch_ci,
     batch_marginal_ci,
     bh_adjust,
     binomial_sd,
@@ -287,6 +289,103 @@ class TestPartialCorrelation:
             assert r[j] == pytest.approx(ref.r, abs=1e-12)
             assert p[j] == pytest.approx(ref.p, abs=1e-12)
         assert r[2] == 0.0 and p[2] == 1.0
+
+
+def reference_batch_marginal_ci(x_matrix, y):
+    """The marginal batch kernel as it stood before `batch_ci` took its
+    place, kept as the bitwise reference for the empty conditioning set."""
+    x = np.asarray(x_matrix, dtype=float)
+    yv = np.asarray(y, dtype=float).ravel()
+    n = yv.size
+    xc = x - x.mean(axis=0)
+    yc = yv - yv.mean()
+    sx = np.linalg.norm(xc, axis=0)
+    sy = float(np.linalg.norm(yc))
+    ok = (sx > _DEGENERATE_TOL) & (sy > _DEGENERATE_TOL)
+    r = np.zeros(x.shape[1])
+    np.divide(xc.T @ yc, sx * sy, out=r, where=ok)
+    r = np.clip(r, -1.0, 1.0)
+    saturated = np.abs(r) >= 1.0
+    zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - 3)
+    if np.any(saturated):
+        zval[saturated] = np.sign(r[saturated]) * np.inf
+    p = np.array([_normal_two_sided(z) for z in zval.tolist()])
+    p = np.where(ok, p, 1.0)
+    return r, p
+
+
+def batch_case(rng, n, n_cond):
+    """Columns to test against y given n_cond conditioning series: dependent
+    and independent ones, a pinned-constant one, and two exactly collinear
+    with the conditioning set (constants when it is empty), the second at a
+    scale where only a tolerance relative to the column's norm finds it
+    degenerate."""
+    z = rng.normal(size=(n, n_cond))
+    x = rng.normal(size=(n, 8))
+    x[:, 1] += 0.8 * z.sum(axis=1)
+    x[:, 2] = 4.25
+    x[:, 3] = 3.0 - z @ np.arange(1.0, n_cond + 1) if n_cond else -1.5
+    x[:, 4] = 1e7 * (0.1 + z.sum(axis=1) if n_cond else 0.1)
+    y = rng.normal(size=n) + 0.6 * x[:, 0] + 0.5 * z.sum(axis=1)
+    return x, y, list(z.T)
+
+
+class TestBatchCi:
+    @staticmethod
+    def assert_matches_ci_test(x, y, given):
+        r, p = batch_ci(x, y, given=given)
+        ref = [ci_test(x[:, j], y, given=given) for j in range(x.shape[1])]
+        ref_r = np.array([res.r for res in ref])
+        ref_p = np.array([res.p for res in ref])
+        assert np.max(np.abs(r - ref_r)) <= 1e-12
+        assert np.max(np.abs(p - ref_p)) <= 1e-12
+        assert np.array_equal(p <= 0.05, ref_p <= 0.05)
+        return r, p
+
+    @pytest.mark.parametrize("n_cond", [0, 1, 2, 3])
+    def test_matches_ci_test_per_column(self, n_cond):
+        rng = np.random.default_rng(40 + n_cond)
+        for n in (n_cond + 4, n_cond + 9, 120):
+            x, y, given = batch_case(rng, n, n_cond)
+            r, p = self.assert_matches_ci_test(x, y, given)
+            # the pinned and the collinear columns are degenerate
+            assert (r[2:5] == 0.0).all() and (p[2:5] == 1.0).all()
+
+    @pytest.mark.parametrize("n_cond", [0, 1, 2, 3])
+    def test_y_collinear_with_given(self, n_cond):
+        rng = np.random.default_rng(50 + n_cond)
+        x, _, given = batch_case(rng, 60, n_cond)
+        y = np.full(60, 2.0)
+        for w, g in zip(np.linspace(1.0, -0.5, n_cond), given):
+            y += w * g
+        r, p = self.assert_matches_ci_test(x, y, given)
+        assert not r.any() and (p == 1.0).all()
+
+    @pytest.mark.parametrize("n_cond", [0, 1, 2, 3])
+    def test_smallest_sample(self, n_cond):
+        rng = np.random.default_rng(60 + n_cond)
+        x, y, given = batch_case(rng, n_cond + 3, n_cond)
+        with pytest.raises(ValueError, match=f"n={n_cond + 3} requires n > {n_cond + 3}"):
+            batch_ci(x, y, given=given)
+        with pytest.raises(ValueError, match="insufficient sample"):
+            ci_test(x[:, 0], y, given=given)
+
+    def test_empty_set_is_the_marginal_kernel_bitwise(self):
+        rng = np.random.default_rng(70)
+        for n, k in ((4, 3), (60, 8), (240, 50)):
+            x = rng.normal(size=(n, k))
+            x[:, 1] = 2.5
+            y = rng.normal(size=n) + x @ rng.uniform(-0.3, 0.3, k)
+            r, p = batch_ci(x, y)
+            ref_r, ref_p = reference_batch_marginal_ci(x, y)
+            assert np.array_equal(r.view(np.int64), ref_r.view(np.int64))
+            assert np.array_equal(p.view(np.int64), ref_p.view(np.int64))
+        assert batch_marginal_ci is batch_ci
+
+    def test_mismatched_conditioning_series(self):
+        x = np.zeros((10, 2))
+        with pytest.raises(ValueError, match="conditioning series"):
+            batch_ci(x, np.arange(10.0), given=[np.arange(9.0)])
 
 
 class TestCorrections:

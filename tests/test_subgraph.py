@@ -3,11 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
+from rcseq import subgraph
 from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
-from rcseq.panel import label_states
+from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
+from rcseq.stats import batch_ci, ci_test
 from rcseq.subgraph import (
+    MAX_PARENT_SWEEPS,
     CausalSubgraph,
     LaggedEdge,
     SubgraphConfig,
@@ -31,6 +34,54 @@ def chain_panel(seed, t=1000, lag1=2, lag2=2, w=0.9):
 def noise_panel(seed, v=3, t=400):
     spec = ScmSpec(nodes=tuple(f"w{i}" for i in range(v)))
     return generate(spec, horizon=t, seed=seed)
+
+
+def screen_panel(seed, v, t):
+    """iid noise KPIs, about half of them fed by the first one at lag 2."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((t, v))
+    values[2:, 1 : v // 2] += 0.6 * values[:-2, [0]]
+    names = tuple(f"k{i:03d}" for i in range(v))
+    return KpiPanel(ticks=np.arange(t), kpi_names=names, values=values)
+
+
+def reference_select_lagged_parents(panel, target, cfg):
+    """The parent screen with one `ci_test` per candidate at level l >= 1,
+    each conditioned on `[c for c in ranked if c != cand][:level]`: the
+    per-candidate loop the grouped screen must reproduce."""
+    t = panel.n_ticks
+    y = panel.column(target)[cfg.tau_max:]
+    cols = {
+        (name, tau): panel.column(name)[cfg.tau_max - tau : t - tau]
+        for name in panel.kpi_names
+        for tau in range(1, cfg.tau_max + 1)
+    }
+    survivors = sorted(cols)
+    strength = {}
+    for _sweep in range(MAX_PARENT_SWEEPS):
+        before = list(survivors)
+        for level in range(cfg.max_cond + 1):
+            if level > len(survivors) - 1:
+                break
+            ranked = sorted(survivors, key=lambda c: (-strength.get(c, np.inf), c))
+            removed = set()
+            if level == 0:
+                r_vec, p_vec = batch_ci(np.column_stack([cols[c] for c in survivors]), y)
+                tests = zip(survivors, r_vec.tolist(), p_vec.tolist())
+            else:
+                tests = []
+                for cand in survivors:
+                    given = [c for c in ranked if c != cand][:level]
+                    res = ci_test(cols[cand], y, given=[cols[c] for c in given])
+                    tests.append((cand, res.r, res.p))
+            for cand, r, p in tests:
+                strength[cand] = min(strength.get(cand, np.inf), abs(r))
+                if p > cfg.alpha:
+                    removed.add(cand)
+            survivors = [c for c in survivors if c not in removed]
+        if survivors == before:
+            break
+    return tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
 
 
 class TestSelectLaggedParents:
@@ -57,6 +108,43 @@ class TestSelectLaggedParents:
         per_target = total / (seeds * 3)
         # expected ~ alpha * V * tau_max = 0.12 spurious parents per target
         assert per_target <= 0.3
+
+    @pytest.mark.parametrize("v, t", [(25, 120), (50, 120), (25, 1000), (50, 1000)])
+    def test_matches_per_candidate_reference(self, v, t):
+        panel = screen_panel(v + t, v, t)
+        targets = panel.kpi_names[:: v // 5]
+        for max_cond in range(4):
+            cfg = SubgraphConfig(max_cond=max_cond)
+            for target in targets:
+                assert select_lagged_parents(panel, target, cfg) == (
+                    reference_select_lagged_parents(panel, target, cfg)
+                ), (target, max_cond)
+
+    @pytest.mark.parametrize("max_cond", [1, 2, 3])
+    def test_one_kernel_call_per_conditioning_set(self, monkeypatch, max_cond):
+        calls = []
+
+        def counted_batch_ci(x_matrix, y, given=()):
+            calls.append(len(given))
+            return batch_ci(x_matrix, y, given=given)
+
+        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
+        panel = screen_panel(7, 25, 120)
+        deepest = 0
+        for target in panel.kpi_names[:5]:
+            calls.clear()
+            select_lagged_parents(panel, target, SubgraphConfig(max_cond=max_cond))
+            deepest = max(deepest, max(calls))
+            # every sweep opens with the one level-0 call; a level-l call
+            # conditions on l series
+            sweeps = np.flatnonzero(np.array(calls) == 0).tolist() + [len(calls)]
+            assert sweeps[0] == 0
+            for start, end in zip(sweeps, sweeps[1:]):
+                levels = calls[start:end]
+                assert levels == sorted(levels)
+                for level in set(levels):
+                    assert levels.count(level) <= level + 1, (target, levels)
+        assert deepest == max_cond
 
     def test_window_too_short(self):
         panel = noise_panel(0, t=12)
