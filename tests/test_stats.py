@@ -7,6 +7,7 @@ from scipy.special import kolmogorov, ndtr  # scipy is a test-only oracle
 
 from rcseq.stats import (
     _DEGENERATE_TOL,
+    CiTestResult,
     _normal_two_sided,
     batch_ci,
     batch_marginal_ci,
@@ -15,7 +16,6 @@ from rcseq.stats import (
     bonferroni,
     ci_test,
     direction_code,
-    fisher_z_test,
     ks_pvalue,
     ks_two_sample,
     z_score,
@@ -188,16 +188,13 @@ class TestNormalTail:
         assert np.array_equal(ours[finite].view(np.int64), ref[finite].view(np.int64))
         assert np.isnan(ours[~finite]).all()
 
-    def test_fisher_z_and_batch_p_match_scipy_bitwise(self):
+    def test_batch_fisher_z_p_matches_scipy_bitwise(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(120, 40))
         y = rng.normal(size=120) + x @ rng.uniform(-0.3, 0.3, 40)
         r, p = batch_marginal_ci(x, y)
         z = np.arctanh(r) * math.sqrt(120 - 3)
         assert np.array_equal(p, 2.0 * ndtr(-np.abs(z)))
-        for rj in r.tolist():
-            zj = math.atanh(rj) * math.sqrt(120 - 3)
-            assert fisher_z_test(rj, n=120, n_cond=0).p == float(2.0 * ndtr(-abs(zj)))
 
 
 class TestZScore:
@@ -259,12 +256,20 @@ class TestPartialCorrelation:
         assert res.p == 1.0
 
     def test_fisher_zero_r(self):
-        res = fisher_z_test(0.0, n=100, n_cond=0)
+        # a column in the span of the conditioning set is degenerate: r = 0
+        # takes Fisher's z to 0 and p to 1
+        rng = np.random.default_rng(4)
+        z1, z2, y = rng.normal(size=(3, 100))
+        res = ci_test(2.0 - z1 + 0.5 * z2, y, given=(z1, z2))
+        assert res.r == 0.0
         assert res.p == 1.0
 
     def test_insufficient_sample(self):
+        # n must exceed |Z| + 3
+        rng = np.random.default_rng(5)
+        x, y, z1, z2 = rng.normal(size=(4, 5))
         with pytest.raises(ValueError, match="insufficient sample"):
-            fisher_z_test(0.5, n=5, n_cond=2)
+            ci_test(x, y, given=(z1, z2))
 
     def test_size_under_null(self):
         # independent standard normals, n=1000: rejection rate at alpha=0.05
@@ -278,17 +283,58 @@ class TestPartialCorrelation:
                 rejections += 1
         assert 0.03 <= rejections / 1000 <= 0.07
 
-    def test_batch_matches_scalar(self):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=(60, 4))
-        x[:, 2] = 1.5  # constant column
-        y = rng.normal(size=60) + 0.5 * x[:, 0]
-        r, p = batch_marginal_ci(x, y)
-        for j in range(4):
-            ref = ci_test(x[:, j], y)
-            assert r[j] == pytest.approx(ref.r, abs=1e-12)
-            assert p[j] == pytest.approx(ref.p, abs=1e-12)
-        assert r[2] == 0.0 and p[2] == 1.0
+
+
+def _reference_residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Residual of v after least-squares projection onto [intercept, z]."""
+    if z.shape[1] == 0:
+        return v - v.mean()
+    design = np.column_stack([np.ones(v.shape[0]), z])
+    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
+    return v - design @ coef
+
+
+def reference_fisher_z_test(r: float, n: int, n_cond: int) -> CiTestResult:
+    """Fisher-z significance of a (partial) correlation.
+
+    z = atanh(r) * sqrt(n - |S| - 3), two-sided p from the standard normal.
+    Requires n > n_cond + 3. r = 0 gives z = 0, p = 1.
+    """
+    if n <= n_cond + 3:
+        raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
+    if not -1.0 <= r <= 1.0:
+        raise ValueError(f"correlation must lie in [-1, 1], got {r}")
+    if abs(r) >= 1.0:
+        zval = math.inf if r > 0 else -math.inf
+    else:
+        zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
+    return CiTestResult(r=float(r), p=_normal_two_sided(zval))
+
+
+def reference_ci_test(x, y, given=()) -> CiTestResult:
+    """The scalar CI test as it stood before `ci_test` became a one-column
+    call of `batch_ci`: one least-squares solve per residualized series,
+    its own degeneracy rule, and Fisher's z through `math.atanh`. Kept as
+    the oracle that both `batch_ci` and `ci_test` are checked against."""
+    x = np.asarray(x, dtype=float).ravel()
+    y = np.asarray(y, dtype=float).ravel()
+    if x.shape != y.shape:
+        raise ValueError("series must have equal length")
+    cols = [np.asarray(g, dtype=float).ravel() for g in given]
+    for c in cols:
+        if c.shape != x.shape:
+            raise ValueError("conditioning series must match the sample length")
+    z = np.column_stack(cols) if cols else np.empty((x.size, 0))
+    rx = _reference_residualize(x, z)
+    ry = _reference_residualize(y, z)
+    sx = float(np.linalg.norm(rx))
+    sy = float(np.linalg.norm(ry))
+    nx = float(np.linalg.norm(x - x.mean()))
+    ny = float(np.linalg.norm(y - y.mean()))
+    if sx <= _DEGENERATE_TOL * max(1.0, nx) or sy <= _DEGENERATE_TOL * max(1.0, ny):
+        return reference_fisher_z_test(0.0, n=x.size, n_cond=len(cols))
+    r = float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
+    return reference_fisher_z_test(r, n=x.size, n_cond=len(cols))
 
 
 def reference_batch_marginal_ci(x_matrix, y):
@@ -333,13 +379,17 @@ def batch_case(rng, n, n_cond):
 class TestBatchCi:
     @staticmethod
     def assert_matches_ci_test(x, y, given):
+        """batch_ci over the columns, and ci_test on each, against the
+        scalar reference: |dr|, |dp| <= 1e-12 and the same decisions."""
         r, p = batch_ci(x, y, given=given)
-        ref = [ci_test(x[:, j], y, given=given) for j in range(x.shape[1])]
+        one = [ci_test(x[:, j], y, given=given) for j in range(x.shape[1])]
+        ref = [reference_ci_test(x[:, j], y, given=given) for j in range(x.shape[1])]
         ref_r = np.array([res.r for res in ref])
         ref_p = np.array([res.p for res in ref])
-        assert np.max(np.abs(r - ref_r)) <= 1e-12
-        assert np.max(np.abs(p - ref_p)) <= 1e-12
-        assert np.array_equal(p <= 0.05, ref_p <= 0.05)
+        for got_r, got_p in ((r, p), ([res.r for res in one], [res.p for res in one])):
+            assert np.max(np.abs(got_r - ref_r)) <= 1e-12
+            assert np.max(np.abs(got_p - ref_p)) <= 1e-12
+            assert np.array_equal(np.asarray(got_p) <= 0.05, ref_p <= 0.05)
         return r, p
 
     @pytest.mark.parametrize("n_cond", [0, 1, 2, 3])
@@ -369,6 +419,14 @@ class TestBatchCi:
             batch_ci(x, y, given=given)
         with pytest.raises(ValueError, match="insufficient sample"):
             ci_test(x[:, 0], y, given=given)
+
+    def test_constant_column_matches_reference(self):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(60, 4))
+        x[:, 2] = 1.5  # constant column
+        y = rng.normal(size=60) + 0.5 * x[:, 0]
+        r, p = self.assert_matches_ci_test(x, y, [])
+        assert r[2] == 0.0 and p[2] == 1.0
 
     def test_empty_set_is_the_marginal_kernel_bitwise(self):
         rng = np.random.default_rng(70)
