@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
-from .stats import batch_marginal_ci, ci_test
+# the marginal screen's binding; bench/tracer.py hooks it under this name
+from .stats import batch_ci as batch_marginal_ci
+from .stats import ci_test
 
 __all__ = [
     "RcdConfig",
@@ -134,13 +136,14 @@ class CiOracle:
     """The pooled normal+abnormal rows of one panel with their F vector, and
     a memo of the discovery CI p-values against F, keyed (X, S).
 
-    Every KPI's marginal p (S = ()) comes from one `batch_marginal_ci` call
-    over all pooled columns, made here: a column's batch p depends in its
-    last bits on the columns that share its batch, so one batch gives each
-    KPI one marginal p whichever chunk screens it. A conditional p depends
-    in its last bits on the order of S, so S is kept in the caller's order;
-    a miss calls the module's `ci_test` binding. A pooled sample of n <= 3
-    rows, too few for any CI test, raises AnalysisError.
+    Every KPI's marginal p (S = ()) comes from one `stats.batch_ci` call
+    over all pooled columns, made here through the `batch_marginal_ci`
+    binding: a column's batch p depends in its last bits on the columns that
+    share its batch, so one batch gives each KPI one marginal p whichever
+    chunk screens it. A conditional p depends in its last bits on the order
+    of S, so S is kept in the caller's order; a miss calls the module's
+    `ci_test` binding, the kernel's one-column call. A pooled sample of
+    n <= 3 rows, too few for any CI test, raises AnalysisError.
     """
 
     def __init__(self, labeled: LabeledPanel):

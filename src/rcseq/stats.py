@@ -3,7 +3,9 @@
 The two-sample Kolmogorov-Smirnov test drives deviation detection, the
 partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
-proportion backs the Monte Carlo convergence diagnostics. The normal tail
+proportion backs the Monte Carlo convergence diagnostics. Every CI test,
+in discovery and in the lagged subgraph, goes through one kernel,
+:func:`batch_ci`; :func:`ci_test` is its one-column call. The normal tail
 behind the Fisher-z p-value is a port of the Cephes `ndtr` that
 `scipy.special` wraps, so the p-values match scipy's to the bit without
 importing it.
@@ -25,10 +27,8 @@ __all__ = [
     "ks_pvalue",
     "z_score",
     "direction_code",
-    "fisher_z_test",
     "ci_test",
     "batch_ci",
-    "batch_marginal_ci",
     "bonferroni",
     "bh_adjust",
     "binomial_sd",
@@ -138,15 +138,6 @@ class CiTestResult:
     p: float
 
 
-def _residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Residual of v after least-squares projection onto [intercept, z]."""
-    if z.shape[1] == 0:
-        return v - v.mean()
-    design = np.column_stack([np.ones(v.shape[0]), z])
-    coef, *_ = np.linalg.lstsq(design, v, rcond=None)
-    return v - design @ coef
-
-
 _SQRT1_2 = 0.70710678118654752440
 _MAXLOG = 7.09782712893383996843e2  # log of the largest double
 
@@ -201,65 +192,24 @@ def _normal_two_sided(z: float) -> float:
     return 2.0 * (0.5 * (math.exp(-x * x) * p / q))
 
 
-def fisher_z_test(
-    r: float,
-    n: int,
-    n_cond: int,
-) -> CiTestResult:
-    """Fisher-z significance of a (partial) correlation.
-
-    z = atanh(r) * sqrt(n - |S| - 3), two-sided p from the standard normal.
-    Requires n > n_cond + 3. r = 0 gives z = 0, p = 1.
-    """
-    if n <= n_cond + 3:
-        raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
-    if not -1.0 <= r <= 1.0:
-        raise ValueError(f"correlation must lie in [-1, 1], got {r}")
-    if abs(r) >= 1.0:
-        zval = math.inf if r > 0 else -math.inf
-    else:
-        zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
-    return CiTestResult(r=float(r), p=_normal_two_sided(zval))
-
-
 def ci_test(x, y, given=()) -> CiTestResult:
-    """Partial-correlation CI test of x against y given conditioning series.
-
-    r is the correlation of the residuals of x and y after projecting both
-    onto the conditioning series plus an intercept; with no conditioning
-    series it is the plain sample correlation. A zero-variance residual is
-    degenerate and tested as r = 0.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.shape != y.shape:
-        raise ValueError("series must have equal length")
-    cols = [np.asarray(g, dtype=float).ravel() for g in given]
-    for c in cols:
-        if c.shape != x.shape:
-            raise ValueError("conditioning series must match the sample length")
-    z = np.column_stack(cols) if cols else np.empty((x.size, 0))
-    rx = _residualize(x, z)
-    ry = _residualize(y, z)
-    sx = float(np.linalg.norm(rx))
-    sy = float(np.linalg.norm(ry))
-    nx = float(np.linalg.norm(x - x.mean()))
-    ny = float(np.linalg.norm(y - y.mean()))
-    if sx <= _DEGENERATE_TOL * max(1.0, nx) or sy <= _DEGENERATE_TOL * max(1.0, ny):
-        return fisher_z_test(0.0, n=x.size, n_cond=len(cols))
-    r = float(np.clip(rx @ ry / (sx * sy), -1.0, 1.0))
-    return fisher_z_test(r, n=x.size, n_cond=len(cols))
+    """Partial-correlation CI test of x against y given conditioning series,
+    as the one-column call of :func:`batch_ci`."""
+    r, p = batch_ci(np.asarray(x, dtype=float).reshape(-1, 1), y, given=given)
+    return CiTestResult(r=float(r[0]), p=float(p[0]))
 
 
 def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
-    """CI tests of every column of x_matrix against y given one conditioning
-    set, as ``ci_test(col, y, given)`` computes each; returns (r, p) arrays.
+    """Partial-correlation CI tests of every column of x_matrix against y
+    given one conditioning set; returns (r, p) arrays, one entry per column.
 
     y and the columns are residualized on [intercept, given] together, with
-    one multi-RHS least-squares solve (centered when `given` is empty), so r
-    agrees with the per-column `ci_test` to rounding. The degeneracy rule is
-    `ci_test`'s, per column: r = 0, p = 1. p follows `fisher_z_test` with
-    n_cond = len(given), so n must exceed len(given) + 3.
+    one multi-RHS least-squares solve (centered when `given` is empty), and
+    r is the correlation of the residuals. A column whose residual norm, or
+    y's, is at most 1e-12 of its centered norm (or of 1, if larger) is
+    degenerate: r = 0, p = 1. p is two-sided from Fisher's
+    z = atanh(r) * sqrt(n - len(given) - 3), so n must exceed
+    len(given) + 3.
     """
     x = np.asarray(x_matrix, dtype=float)
     yv = np.asarray(y, dtype=float).ravel()
@@ -298,10 +248,6 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     p = np.array([_normal_two_sided(z) for z in zval.tolist()])
     p = np.where(ok, p, 1.0)
     return r, p
-
-
-# Discovery's name for the kernel; its one caller passes no conditioning set.
-batch_marginal_ci = batch_ci
 
 
 def _check_probs(p: np.ndarray) -> None:

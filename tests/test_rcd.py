@@ -17,7 +17,7 @@ from rcseq.rcd import (
     rcd_single_run,
 )
 from rcseq.scm import make_scenario, single_root_scenario
-from rcseq.stats import batch_marginal_ci
+from rcseq.stats import batch_ci
 
 
 def noise_labeled(seed, n_kpis=4, t=240):
@@ -396,7 +396,7 @@ class TestCiMemo:
         for g in range(2, v + 1):
             for chunk in partition(panel.kpi_names, g, rng):
                 x_matrix = np.column_stack([oracle.column(name) for name in chunk])
-                expected = batch_marginal_ci(x_matrix, oracle.f)[1]
+                expected = batch_ci(x_matrix, oracle.f)[1]
                 got = np.array([oracle.p_value(name, ()) for name in chunk])
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
                 assert np.array_equal(got > alpha, expected > alpha)

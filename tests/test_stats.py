@@ -10,7 +10,6 @@ from rcseq.stats import (
     CiTestResult,
     _normal_two_sided,
     batch_ci,
-    batch_marginal_ci,
     bh_adjust,
     binomial_sd,
     bonferroni,
@@ -192,7 +191,7 @@ class TestNormalTail:
         rng = np.random.default_rng(31)
         x = rng.normal(size=(120, 40))
         y = rng.normal(size=120) + x @ rng.uniform(-0.3, 0.3, 40)
-        r, p = batch_marginal_ci(x, y)
+        r, p = batch_ci(x, y)
         z = np.arctanh(r) * math.sqrt(120 - 3)
         assert np.array_equal(p, 2.0 * ndtr(-np.abs(z)))
 
@@ -420,6 +419,16 @@ class TestBatchCi:
         with pytest.raises(ValueError, match="insufficient sample"):
             ci_test(x[:, 0], y, given=given)
 
+    @pytest.mark.parametrize("n_cond", [0, 1, 3])
+    def test_ci_test_is_the_one_column_call_bitwise(self, n_cond):
+        rng = np.random.default_rng(80 + n_cond)
+        x, y, given = batch_case(rng, 40, n_cond)
+        for j in range(x.shape[1]):
+            r, p = batch_ci(x[:, [j]], y, given=given)
+            res = ci_test(x[:, j], y, given=given)
+            assert type(res.r) is float and type(res.p) is float
+            assert (res.r, res.p) == (r[0], p[0])
+
     def test_constant_column_matches_reference(self):
         rng = np.random.default_rng(17)
         x = rng.normal(size=(60, 4))
@@ -438,7 +447,6 @@ class TestBatchCi:
             ref_r, ref_p = reference_batch_marginal_ci(x, y)
             assert np.array_equal(r.view(np.int64), ref_r.view(np.int64))
             assert np.array_equal(p.view(np.int64), ref_p.view(np.int64))
-        assert batch_marginal_ci is batch_ci
 
     def test_mismatched_conditioning_series(self):
         x = np.zeros((10, 2))
