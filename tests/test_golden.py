@@ -77,13 +77,13 @@ GOLDEN = {
         "frequency.csv":
             "0b04ef9c46b7514612e847508134caf331b52e997325182cb72aa0507df049dc",
         "rcd_runs.json":
-            "0445d217709f69b0dd13549265b5df5b378a84f80c8e818cb9a4463a649612fb",
+            "ad74c5f665cccf31cb52dd67e2e45a59391404b720d61b6ef773183cb6387991",
     },
     "subgraph": {
         "subgraph.dot":
             "32cf5af549e4d047f15ebd4bb99acf38bac37391687a349ee00ce0eaa4b93748",
         "subgraph.json":
-            "7a32d5d7920cc7d2d8f1013712555c550deef611d14b0a2655d11cfbf7f4649f",
+            "b367852320f790d41a1da376b4da4de6b787471b95bc0e943e2f2f89a61cbe15",
     },
     "sequence": {
         "cis.json":
@@ -99,7 +99,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "765f61fa8ea50518e6eef44e195083adc937ee43d8fcf0b6cf6a284a6e59f37a",
+            "50cec9f2d21b45a984b1e256db97aeb017d544e0c1ee0949514414ca21c23892",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -111,7 +111,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "765f61fa8ea50518e6eef44e195083adc937ee43d8fcf0b6cf6a284a6e59f37a",
+            "50cec9f2d21b45a984b1e256db97aeb017d544e0c1ee0949514414ca21c23892",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -137,7 +137,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "1102a8adb1f26c97cc4c926de97fa9a0c95bb666c858ea56c30325cd5fdd06e2",
+            "7fd2ce76b5afe74c67b7f0efd1e9b784801fb970bd75ef4f31baf836babc1736",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
