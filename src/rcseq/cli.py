@@ -321,7 +321,19 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
 def cmd_tune(cfg: PipelineConfig) -> int:
     labeled, sla = _labeled_or_fail(cfg, "tune against")
     v = labeled.panel.n_kpis
-    g_values = cfg.mc.g_values if cfg.mc.g_values is not None else tuple(range(3, v + 1))
+    g_values = cfg.mc.g_values
+    if g_values is None:
+        g_values = tuple(range(3, v + 1))
+        if not g_values:
+            raise ConfigError(
+                f"mc.g_values defaults to 3..V, which is empty for this panel's {v} KPIs;"
+                " set mc.g_values"
+            )
+    for i, g in enumerate(g_values):
+        if g > v:
+            raise ConfigError(
+                f"mc.g_values[{i}] must not exceed the panel KPI count ({v}), got {g}"
+            )
     grid = run_grid(
         labeled,
         g_values=g_values,

@@ -56,6 +56,12 @@ class McConfig:
     n_mode: str = "proportional"
 
     def __post_init__(self):
+        if self.g_values is not None:
+            if not self.g_values:
+                raise ConfigError("mc.g_values must be non-empty")
+            for i, g in enumerate(self.g_values):
+                if g < 2:
+                    raise ConfigError(f"mc.g_values[{i}] must be >= 2, got {g}")
         if not self.n_values:
             raise ConfigError("mc.n_values must be non-empty")
         if not 0.0 <= self.p_thr <= 1.0:

@@ -309,6 +309,9 @@ OUT_OF_RANGE = [
     ("mc: {p_thr: -2}", "mc.p_thr"),
     ("mc: {p_thr: 1.5}", "mc.p_thr"),
     ("mc: {n_values: []}", "mc.n_values"),
+    ("mc: {g_values: []}", "mc.g_values"),
+    ("mc: {g_values: [1]}", "mc.g_values[0]"),
+    ("mc: {g_values: [3, 0]}", "mc.g_values[1]"),
     ("mc: {n_mode: foo}", "mc.n_mode"),
     ("subgraph: {tau_max: 0}", "subgraph.tau_max"),
     ("subgraph: {alpha: 1.5}", "subgraph.alpha"),
@@ -463,6 +466,31 @@ mc:
         assert max(probs, key=probs.get) == "rrc_users"
         params = json.loads((tmp_path / "o/tuning_params.json").read_text())
         assert "rrc_users" in params["consolidated"]["prominent"]
+
+    @pytest.mark.parametrize(
+        "scenario, mc, message",
+        [
+            ("cascade", "mc: {g_values: [3, 9]}",
+             "mc.g_values[1] must not exceed the panel KPI count (5), got 9"),
+            ("two-kpi", "", "mc.g_values defaults to 3..V, which is empty for this panel's 2 KPIs"),
+        ],
+    )
+    def test_panel_dependent_g_error_names_key(self, tmp_path, capsys, scenario, mc, message):
+        flags = ["--scenario", scenario]
+        if scenario == "two-kpi":
+            spec = tmp_path / "toy.yaml"
+            spec.write_text(
+                'nodes: [p, q]\nedges: [[p, q, 1, 0.8]]\n'
+                'sla: {metric: q, comparator: ">", threshold: 2.5, min_duration_ticks: 2}\n'
+                "interventions: [{target: p, kind: hard, onset: 60, value: 5.0}]\n"
+                "horizon: 120\nnormal_len: 50\nabnormal_len: 50\n"
+            )
+            flags = ["--scenario-file", spec]
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(mc + "\n")
+        assert run("tune", "--config", cfg, *flags, "--out", tmp_path / "o") == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_rerun_identical_bytes(self, tmp_path):
         cfg = self.cfg(tmp_path)
