@@ -213,8 +213,10 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     """
     x = np.asarray(x_matrix, dtype=float)
     yv = np.asarray(y, dtype=float).ravel()
-    if x.ndim != 2 or x.shape[0] != yv.size:
-        raise ValueError("x_matrix must be (n, k) with n matching y")
+    if x.ndim != 2:
+        raise ValueError("x_matrix must be 2-D, one column per tested series")
+    if x.shape[0] != yv.size:
+        raise ValueError(f"series must have equal length, got {x.shape[0]} and {yv.size}")
     cols = [np.asarray(g, dtype=float).ravel() for g in given]
     for c in cols:
         if c.shape != yv.shape:

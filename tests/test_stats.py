@@ -452,6 +452,10 @@ class TestBatchCi:
         x = np.zeros((10, 2))
         with pytest.raises(ValueError, match="conditioning series"):
             batch_ci(x, np.arange(10.0), given=[np.arange(9.0)])
+        with pytest.raises(ValueError, match="equal length, got 9 and 10"):
+            ci_test(np.arange(9.0), np.arange(10.0))
+        with pytest.raises(ValueError, match="2-D"):
+            batch_ci(np.zeros(10), np.arange(10.0))
 
 
 class TestCorrections:
