@@ -49,7 +49,7 @@ def wide_case(v, seed):
     return label_states(panel, 120, 120, 120), names[-1]
 
 
-def run_pipeline(labeled, sla_metric, seed, wide):
+def run_pipeline(labeled, sla_metric, seed):
     """Discovery, then the subgraphs `run-all` and `compare-states` build."""
     runs = rcd_runs(labeled, RcdConfig(seed=seed), exclude=(sla_metric,))
     names = tuple(k for k in labeled.panel.kpi_names if k != sla_metric)
@@ -58,11 +58,10 @@ def run_pipeline(labeled, sla_metric, seed, wide):
     scan = list(dict.fromkeys([*candidates, sla_metric]))
     everything = labeled.panel.kpi_names
     graphs = []
-    for cfg in SUBGRAPH_CONFIGS[:1] if wide else SUBGRAPH_CONFIGS:
+    for cfg in SUBGRAPH_CONFIGS:
         graphs.append(build_subgraph(labeled.window_panel("normal"), scan, cfg))
         graphs.append(build_subgraph(labeled.window_panel("normal"), everything, cfg))
-        if not wide:
-            graphs.append(build_subgraph(labeled.window_panel("abnormal"), everything, cfg))
+        graphs.append(build_subgraph(labeled.window_panel("abnormal"), everything, cfg))
     return runs, graphs
 
 
@@ -70,22 +69,19 @@ def assert_close(got, want):
     assert got == pytest.approx(want, rel=RTOL, abs=0.0)
 
 
-CASES = [
-    *(("cascade", seed) for seed in (1, 3, 11)),
-    ("single_root", 3),
-    ("wide-25", 141),
-    ("wide-50", 143),
-]
+CASES = {
+    **{f"cascade-{seed}": (scenario_case, ("cascade", seed)) for seed in (1, 3, 11)},
+    "single_root-3": (scenario_case, ("single_root", 3)),
+    "wide-25": (wide_case, (25, 141)),
+    "wide-50": (wide_case, (50, 143)),
+}
 
 
-@pytest.mark.parametrize("case, seed", CASES, ids=[f"{c}-{s}" for c, s in CASES])
-def test_kernel_matches_scalar_reference(monkeypatch, case, seed):
-    wide = case.startswith("wide")
-    if wide:
-        labeled, sla_metric = wide_case(int(case.split("-")[1]), seed)
-    else:
-        labeled, sla_metric = scenario_case(case, seed)
-    runs, graphs = run_pipeline(labeled, sla_metric, seed, wide)
+@pytest.mark.parametrize("build, args", CASES.values(), ids=CASES.keys())
+def test_kernel_matches_scalar_reference(monkeypatch, build, args):
+    labeled, sla_metric = build(*args)
+    seed = args[1]
+    runs, graphs = run_pipeline(labeled, sla_metric, seed)
     calls = {"rcd": 0, "subgraph": 0}
 
     def counted(stage):
@@ -97,7 +93,7 @@ def test_kernel_matches_scalar_reference(monkeypatch, case, seed):
 
     monkeypatch.setattr(rcd, "ci_test", counted("rcd"))
     monkeypatch.setattr(subgraph, "ci_test", counted("subgraph"))
-    ref_runs, ref_graphs = run_pipeline(labeled, sla_metric, seed, wide)
+    ref_runs, ref_graphs = run_pipeline(labeled, sla_metric, seed)
     # both stages ran conditional tests through the reference
     assert calls["rcd"] > 0 and calls["subgraph"] > 0
 

@@ -283,7 +283,6 @@ class TestPartialCorrelation:
         assert 0.03 <= rejections / 1000 <= 0.07
 
 
-
 def _reference_residualize(v: np.ndarray, z: np.ndarray) -> np.ndarray:
     """Residual of v after least-squares projection onto [intercept, z]."""
     if z.shape[1] == 0:
