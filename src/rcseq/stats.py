@@ -3,12 +3,15 @@
 The two-sample Kolmogorov-Smirnov test drives deviation detection, the
 partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
-proportion backs the Monte Carlo convergence diagnostics. Every CI test,
-in discovery and in the lagged subgraph, goes through one kernel,
-:func:`batch_ci`; :func:`ci_test` is its one-column call. The normal tail
-behind the Fisher-z p-value is a port of the Cephes `ndtr` that
-`scipy.special` wraps, so the p-values match scipy's to the bit without
-importing it.
+proportion backs the Monte Carlo convergence diagnostics. CI tests go
+through :func:`batch_ci`, one least-squares solve per conditioning set
+(:func:`ci_test` is its one-column call), except the lagged parent
+screen's levels >= 1: :func:`screen_ci` answers a whole level from one QR
+and falls back to grouped :func:`batch_ci` calls only when the level's
+conditioning series are collinear. Both take r and p from one degeneracy
+rule and one Fisher-z tail. That normal tail is a port of the Cephes
+`ndtr` that `scipy.special` wraps, so the p-values match scipy's to the
+bit without importing it.
 
 All functions here are pure and reentrant.
 """
@@ -29,6 +32,7 @@ __all__ = [
     "direction_code",
     "ci_test",
     "batch_ci",
+    "screen_ci",
     "bonferroni",
     "bh_adjust",
     "binomial_sd",
@@ -239,13 +243,96 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     else:
         # the marginal residuals are the centered series
         rx, ry, sx, sy = xc, yc, nx, ny
-    ok = (sx > _DEGENERATE_TOL * np.maximum(1.0, nx)) & (sy > _DEGENERATE_TOL * max(1.0, ny))
-    r = np.zeros(x.shape[1])
-    np.divide(rx.T @ ry, sx * sy, out=r, where=ok)
+    return _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
+
+
+def screen_ci(x_matrix, y, top) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the lagged parent screen from one regression.
+
+    `top` holds level + 1 series as columns, strongest first. Every column
+    of x_matrix is tested against y given top[:level], and each top[j] with
+    j < level given the other level members of top. Returns (r, p) arrays
+    with one entry per column of x_matrix, then one per member of
+    top[:level], as :func:`batch_ci` would give them (same degeneracy rule,
+    same Fisher-z p with n - level - 3 degrees of freedom, so n must exceed
+    level + 3).
+
+    One Householder QR of [1, top, y] serves both groups; its leading
+    columns are the QR of A = [1, top], and R's last column holds Q'y. The
+    residuals on [1, top[:level]] come from the leading level + 1 columns
+    of Q, on the n rows. For top[j], with beta = R^-1 Q'y, e the residual of
+    y on A and s_j = 1 / |row j of R^-1|, the residual norm of top[j] on
+    the other columns of A, r_j = beta_j s_j / sqrt(|e|^2 + beta_j^2 s_j^2):
+    y's residual on the others is beta_j times top[j]'s plus e, orthogonal
+    to it, so every term is a sum of squares.
+
+    A member of top that is, by the degeneracy rule, a linear combination
+    of the columns before it (a copied or derived KPI) leaves R singular.
+    Such a level runs as level + 1 grouped :func:`batch_ci` calls instead;
+    that route is kept only because it is the one that handles this input.
+    """
+    x = np.asarray(x_matrix, dtype=float)
+    yv = np.asarray(y, dtype=float).ravel()
+    t = np.asarray(top, dtype=float)
+    if x.ndim != 2 or t.ndim != 2:
+        raise ValueError("x_matrix and top must be 2-D, one column per series")
+    n, k = t.shape
+    level = k - 1
+    if not x.shape[0] == yv.size == n:
+        raise ValueError(f"series must have equal length, got {x.shape[0]}, {yv.size} and {n}")
+    if n <= level + 3:
+        raise ValueError(f"insufficient sample: n={n} requires n > {level + 3}")
+    a = np.empty((n, k + 2))
+    a[:, 0] = 1.0
+    a[:, 1:-1] = t
+    a[:, -1] = yv
+    q, rr = np.linalg.qr(a)
+    # below the intercept row, R's columns hold the centered top columns and y
+    cent = np.sqrt(np.einsum("ij,ij->j", rr[1:, 1:], rr[1:, 1:]))
+    if (np.abs(rr.diagonal()[1:-1]) <= _DEGENERATE_TOL * np.maximum(1.0, cent[:-1])).any():
+        groups = [batch_ci(x, yv, given=list(t[:, :level].T))]
+        groups += [
+            batch_ci(t[:, [j]], yv, given=[t[:, c] for c in range(k) if c != j])
+            for j in range(level)
+        ]
+        return np.concatenate([r for r, _ in groups]), np.concatenate([p for _, p in groups])
+    q1 = q[:, :k]  # spans [1, top[:level]]
+    proj = q1.T @ x
+    rx = x - q1 @ proj
+    # y's residual on [1, top[:level]] lies along Q's last two columns, and
+    # R's corner is the norm of e
+    ry = q[:, k:] @ rr[k:, -1]
+    ee = rr[-1, -1] ** 2
+    sx2 = np.einsum("ij,ij->j", rx, rx)
+    # a column's centered norm: its residual plus its part along top[:level]
+    nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
+    rinv = np.linalg.inv(rr[:-1, :-1])[1:k]
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->i", rinv, rinv))
+    bs = (rinv @ rr[:-1, -1]) * s
+    return _fisher_z(
+        np.concatenate([rx.T @ ry, bs * s]),
+        np.concatenate([np.sqrt(sx2), s]),
+        np.sqrt(np.concatenate([np.full(x.shape[1], rr[k, -1] ** 2 + ee), ee + bs * bs])),
+        np.concatenate([nx, cent[:level]]),
+        cent[-1],
+        n - level - 3,
+    )
+
+
+def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """r = cov / (sx * sy) per test, from the residuals' inner product cov
+    and norms sx and sy (arrays, or one value for every test), with its
+    two-sided p from Fisher's z = atanh(r) * sqrt(dof). A residual norm at
+    most 1e-12 of its series' centered norm nx or ny (or of 1, if larger)
+    is degenerate: r = 0, p = 1.
+    """
+    ok = (sx > _DEGENERATE_TOL * np.maximum(1.0, nx)) & (sy > _DEGENERATE_TOL * np.maximum(1.0, ny))
+    r = np.zeros(ok.shape)
+    np.divide(cov, sx * sy, out=r, where=ok)
     r = np.clip(r, -1.0, 1.0)
     saturated = np.abs(r) >= 1.0
-    zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - n_cond - 3)
-    if np.any(saturated):
+    zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(dof)
+    if saturated.any():
         zval[saturated] = np.sign(r[saturated]) * np.inf
     p = np.array([_normal_two_sided(z) for z in zval.tolist()])
     p = np.where(ok, p, 1.0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
-from .stats import batch_ci, ci_test
+from .stats import batch_ci, ci_test, screen_ci
 
 __all__ = [
     "SubgraphConfig",
@@ -131,13 +131,17 @@ def select_lagged_parents(
     Starting from every (X, tau) with tau in 1..cfg.tau_max, each candidate
     is tested against the target conditioned on the `level` strongest other
     survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
-    drop out after each level. One level has at most level + 1 distinct
-    conditioning sets, and the candidates of each set are tested together
-    through `stats.batch_ci`. The sweep repeats until the survivor set is
-    stable, at most MAX_PARENT_SWEEPS times; stopping there while the set
-    still changes emits a RuntimeWarning. Returns the surviving (X, tau)
-    pairs ranked by strength (minimum |r| across their tests), strongest
-    first.
+    drop out after each level. Level 0 is one `stats.batch_ci` call over
+    every candidate, in the first sweep only: a survivor has passed its
+    marginal test, and no later sweep can change it. Each level >= 1 is one
+    `stats.screen_ci` call, which answers a candidate outside the top
+    `level` and each one inside it from one regression on the level + 1
+    strongest (a collinear top takes the kernel's grouped `batch_ci`
+    route); a level whose top an earlier sweep screened is skipped, as its
+    tests would repeat. The sweep repeats until the survivor set is stable,
+    at most MAX_PARENT_SWEEPS times; stopping there while the set still
+    changes emits a RuntimeWarning. Returns the surviving (X, tau) pairs
+    ranked by strength (minimum |r| across their tests), strongest first.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
@@ -159,26 +163,35 @@ def select_lagged_parents(
         cands = np.flatnonzero(alive)
         return cands[np.argsort(-strength[cands], kind="stable")]
 
-    for _sweep in range(MAX_PARENT_SWEEPS):
+    screened = set()  # every top a level has screened, as ordered tuples
+    for sweep in range(MAX_PARENT_SWEEPS):
         before = alive.copy()
-        for level in range(cfg.max_cond + 1):
-            top = ranked()[: level + 1].tolist()
-            if len(top) <= level:
+        if sweep == 0:
+            # level 0 runs once: a survivor has passed its marginal test,
+            # and no later sweep can change that test
+            r, p = batch_ci(design, y)
+            strength = np.minimum(strength, np.abs(r))
+            alive[p > cfg.alpha] = False
+        for level in range(1, cfg.max_cond + 1):
+            top = ranked()[: level + 1]
+            if top.size <= level:
                 break
+            # a top screened in an earlier sweep would rerun that call's
+            # tests, and every survivor passed them
+            key = tuple(top.tolist())
+            if key in screened:
+                continue
+            screened.add(key)
             # a candidate outside top[:level] is conditioned on top[:level],
-            # one inside it on the rest of top; the groups are fixed before
-            # any test, so removals take effect after the level
+            # one inside it on the rest of top; every test of the level is
+            # set up before any runs, so removals take effect after it
             outside = alive.copy()
             outside[top[:level]] = False
-            groups = {tuple(top[:level]): np.flatnonzero(outside)}
-            for cand in top[:level]:
-                groups[tuple(c for c in top if c != cand)] = np.array([cand])
-            for given, cands in groups.items():
-                # a first sweep tests every column at level 0: spare that copy
-                x = design if cands.size == design.shape[1] else design[:, cands]
-                r, p = batch_ci(x, y, given=[design[:, c] for c in given])
-                strength[cands] = np.minimum(strength[cands], np.abs(r))
-                alive[cands[p > cfg.alpha]] = False
+            cands = np.flatnonzero(outside)
+            r, p = screen_ci(design[:, cands], y, design[:, top])
+            cands = np.concatenate([cands, top[:level]])
+            strength[cands] = np.minimum(strength[cands], np.abs(r))
+            alive[cands[p > cfg.alpha]] = False
         if np.array_equal(alive, before):
             break
     else:

@@ -1,7 +1,7 @@
-"""Pipeline equivalence of the CI kernel: discovery and the lagged subgraph
-run once through the package's `ci_test` and once through the scalar
-reference test kept in `test_stats`, and must reach the same decisions with
-statistics equal to 1e-12 relative."""
+"""Pipeline equivalence of the CI kernels: discovery and the lagged subgraph
+run once through the package's `ci_test` and `screen_ci` and once through
+the scalar reference test kept in `test_stats`, one test at a time, and
+must reach the same decisions with statistics equal to 1e-12 relative."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from rcseq.panel import KpiPanel, apply_sla_rule, label_states
 from rcseq.rcd import FrequencyTable, RcdConfig, rcd_runs
 from rcseq.scm import make_scenario
 from rcseq.subgraph import SubgraphConfig, build_subgraph
-from test_stats import reference_ci_test
+from test_stats import reference_ci_test, reference_screen
 
 RTOL = 1e-12
 
@@ -35,15 +35,21 @@ def scenario_case(name, seed):
     return labeled, sla.metric
 
 
-def wide_case(v, seed):
+def wide_case(v, seed, collinear=False):
     """v iid noise KPIs, about half of them fed by the first at lag 2. Over
     the last 120 of 240 ticks the third-last KPI shifts by 3 and feeds the
-    second-last at lag 1, and the last KPI stands in for the SLA metric."""
+    second-last at lag 1, and the last KPI stands in for the SLA metric.
+    With `collinear`, the fourth-last KPI is an exact copy of the first and
+    the fifth-last an affine combination of the first two, as derived KPIs
+    are, so the parent screen meets rank-deficient conditioning sets."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((240, v))
     values[2:, 1 : v // 2] += 0.6 * values[:-2, [0]]
     values[120:, v - 3] += 3.0
     values[1:, v - 2] += 0.8 * values[:-1, v - 3]
+    if collinear:
+        values[:, v - 4] = values[:, 0]
+        values[:, v - 5] = 2.0 * values[:, 0] - 0.5 * values[:, 1] + 1.0
     names = tuple(f"k{i:03d}" for i in range(v))
     panel = KpiPanel(ticks=np.arange(240), kpi_names=names, values=values)
     return label_states(panel, 120, 120, 120), names[-1]
@@ -74,6 +80,7 @@ CASES = {
     "single_root-3": (scenario_case, ("single_root", 3)),
     "wide-25": (wide_case, (25, 141)),
     "wide-50": (wide_case, (50, 143)),
+    "collinear-25": (wide_case, (25, 145, True)),
 }
 
 
@@ -82,7 +89,7 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
     labeled, sla_metric = build(*args)
     seed = args[1]
     runs, graphs = run_pipeline(labeled, sla_metric, seed)
-    calls = {"rcd": 0, "subgraph": 0}
+    calls = {"rcd": 0, "subgraph": 0, "screen": 0}
 
     def counted(stage):
         def reference(x, y, given=()):
@@ -91,11 +98,16 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
 
         return reference
 
+    def screen(x_matrix, y, top):
+        calls["screen"] += 1
+        return reference_screen(x_matrix, y, top)
+
     monkeypatch.setattr(rcd, "ci_test", counted("rcd"))
     monkeypatch.setattr(subgraph, "ci_test", counted("subgraph"))
+    monkeypatch.setattr(subgraph, "screen_ci", screen)
     ref_runs, ref_graphs = run_pipeline(labeled, sla_metric, seed)
-    # both stages ran conditional tests through the reference
-    assert calls["rcd"] > 0 and calls["subgraph"] > 0
+    # both stages, and the parent screen, ran conditional tests through the reference
+    assert calls["rcd"] > 0 and calls["subgraph"] > 0 and calls["screen"] > 0
 
     assert any(run.kpis for run in runs)
     for run, ref in zip(runs, ref_runs, strict=True):

@@ -5,6 +5,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import kolmogorov, ndtr  # scipy is a test-only oracle
 
+from rcseq import stats
 from rcseq.stats import (
     _DEGENERATE_TOL,
     CiTestResult,
@@ -17,6 +18,7 @@ from rcseq.stats import (
     direction_code,
     ks_pvalue,
     ks_two_sample,
+    screen_ci,
     z_score,
 )
 
@@ -455,6 +457,115 @@ class TestBatchCi:
             ci_test(np.arange(9.0), np.arange(10.0))
         with pytest.raises(ValueError, match="2-D"):
             batch_ci(np.zeros(10), np.arange(10.0))
+
+
+
+def screen_case(rng, n, level):
+    """batch_case's columns and y, with top = the level conditioning series
+    followed by one more that y leans on."""
+    x, y, given = batch_case(rng, n, level)
+    return x, y, np.column_stack([*given, rng.normal(size=n) + 0.4 * y])
+
+
+def reference_screen(x, y, top):
+    """Every test one screening level makes, one scalar reference test each:
+    the columns of x given top[:level], then each top[j], j < level, given
+    the rest of top."""
+    level = top.shape[1] - 1
+    tests = [reference_ci_test(x[:, j], y, given=list(top[:, :level].T)) for j in range(x.shape[1])]
+    tests += [
+        reference_ci_test(top[:, j], y, given=[top[:, c] for c in range(level + 1) if c != j])
+        for j in range(level)
+    ]
+    return np.array([t.r for t in tests]), np.array([t.p for t in tests])
+
+
+class TestScreenCi:
+    @staticmethod
+    def assert_matches_reference(x, y, top):
+        """screen_ci against the scalar reference: |dr|, |dp| <= 1e-12 and
+        the same decisions at 0.05."""
+        r, p = screen_ci(x, y, top)
+        ref_r, ref_p = reference_screen(x, y, top)
+        assert r.shape == p.shape == ref_r.shape
+        assert np.max(np.abs(r - ref_r)) <= 1e-12
+        assert np.max(np.abs(p - ref_p)) <= 1e-12
+        assert np.array_equal(p <= 0.05, ref_p <= 0.05)
+        m = x.shape[1]
+        return r[:m], p[:m], r[m:], p[m:]
+
+    @staticmethod
+    def count_batch_ci(monkeypatch):
+        calls = []
+
+        def counted(x_matrix, y, given=()):
+            calls.append(len(given))
+            return batch_ci(x_matrix, y, given=given)
+
+        monkeypatch.setattr(stats, "batch_ci", counted)
+        return calls
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_reference(self, monkeypatch, level):
+        calls = self.count_batch_ci(monkeypatch)
+        rng = np.random.default_rng(90 + level)
+        for n in (level + 4, level + 9, 120):
+            x, y, top = screen_case(rng, n, level)
+            r, p, r_top, p_top = self.assert_matches_reference(x, y, top)
+            # the pinned column, and the two collinear with top[:level]
+            # (the second at 1e7 scale), are degenerate
+            assert (r[2:5] == 0.0).all() and (p[2:5] == 1.0).all()
+        # a full-rank top is answered from the one QR
+        assert calls == []
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_y_in_span_of_top(self, level):
+        rng = np.random.default_rng(100 + level)
+        x, _, top = screen_case(rng, 60, level)
+        # y is exactly explained by every member of top but top[1]
+        weights = np.arange(level + 1) - 1.0
+        y = 2.0 + top @ weights
+        r, p, r_top, p_top = self.assert_matches_reference(x, y, top)
+        leans = weights[:level] != 0.0
+        assert (np.abs(r_top[leans]) >= 1.0 - 1e-12).all() and (p_top[leans] <= 1e-12).all()
+        assert not r_top[~leans].any() and (p_top[~leans] == 1.0).all()
+        if level == 1:  # y is in the span of [1, top[:level]] itself
+            assert not r.any() and (p == 1.0).all()
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_rank_deficient_top_takes_the_grouped_route(self, monkeypatch, level):
+        rng = np.random.default_rng(110 + level)
+        x, y, top = screen_case(rng, 60, level)
+        duplicate, derived = top.copy(), top.copy()
+        duplicate[:, level] = top[:, level - 1]
+        derived[:, level] = 3.0 - 2.0 * top[:, 0] + (top[:, 1] if level > 1 else 0.0)
+        for case in (duplicate, derived):
+            calls = self.count_batch_ci(monkeypatch)
+            got = screen_ci(x, y, case)
+            monkeypatch.undo()
+            # one call for the columns, one per member of top[:level]
+            assert calls == [level] * (level + 1)
+            want = [batch_ci(x, y, given=list(case[:, :level].T))]
+            want += [
+                batch_ci(case[:, [j]], y, given=[case[:, c] for c in range(level + 1) if c != j])
+                for j in range(level)
+            ]
+            for g, w in zip(got, zip(*want), strict=True):
+                assert np.array_equal(g.view(np.int64), np.concatenate(w).view(np.int64))
+            self.assert_matches_reference(x, y, case)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_smallest_sample(self, level):
+        rng = np.random.default_rng(120 + level)
+        x, y, top = screen_case(rng, level + 3, level)
+        with pytest.raises(ValueError, match=f"n={level + 3} requires n > {level + 3}"):
+            screen_ci(x, y, top)
+
+    def test_mismatched_lengths(self):
+        with pytest.raises(ValueError, match="equal length, got 10, 10 and 9"):
+            screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros((9, 2)))
+        with pytest.raises(ValueError, match="2-D"):
+            screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros(10))
 
 
 class TestCorrections:

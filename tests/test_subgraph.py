@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from rcseq import subgraph
+from rcseq import stats, subgraph
 from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import batch_ci, ci_test
+from rcseq.stats import batch_ci, ci_test, screen_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -36,11 +36,17 @@ def noise_panel(seed, v=3, t=400):
     return generate(spec, horizon=t, seed=seed)
 
 
-def screen_panel(seed, v, t):
-    """iid noise KPIs, about half of them fed by the first one at lag 2."""
+def screen_panel(seed, v, t, collinear=False):
+    """iid noise KPIs, about half of them fed by the first one at lag 2.
+    A collinear panel's last KPI is an exact copy of the first, and its
+    second-last an affine combination of the first two, as a derived KPI
+    would be."""
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((t, v))
     values[2:, 1 : v // 2] += 0.6 * values[:-2, [0]]
+    if collinear:
+        values[:, v - 1] = values[:, 0]
+        values[:, v - 2] = 2.0 * values[:, 0] - 0.5 * values[:, 1] + 1.0
     names = tuple(f"k{i:03d}" for i in range(v))
     return KpiPanel(ticks=np.arange(t), kpi_names=names, values=values)
 
@@ -109,9 +115,13 @@ class TestSelectLaggedParents:
         # expected ~ alpha * V * tau_max = 0.12 spurious parents per target
         assert per_target <= 0.3
 
-    @pytest.mark.parametrize("v, t", [(25, 120), (50, 120), (25, 1000), (50, 1000)])
-    def test_matches_per_candidate_reference(self, v, t):
-        panel = screen_panel(v + t, v, t)
+    @pytest.mark.parametrize(
+        "v, t, collinear",
+        [(25, 120, False), (50, 120, False), (25, 1000, False), (50, 1000, False), (25, 120, True)],
+        ids=["25-120", "50-120", "25-1000", "50-1000", "25-120-collinear"],
+    )
+    def test_matches_per_candidate_reference(self, v, t, collinear):
+        panel = screen_panel(v + t, v, t, collinear)
         targets = panel.kpi_names[:: v // 5]
         for max_cond in range(4):
             cfg = SubgraphConfig(max_cond=max_cond)
@@ -120,30 +130,51 @@ class TestSelectLaggedParents:
                     reference_select_lagged_parents(panel, target, cfg)
                 ), (target, max_cond)
 
+    def test_collinear_top_takes_the_grouped_route(self, monkeypatch):
+        # the copied KPI ranks next to its original, so some level's top is
+        # rank-deficient and screen_ci hands that level to batch_ci
+        grouped = []
+
+        def counted_batch_ci(x_matrix, y, given=()):
+            grouped.append(len(given))
+            return batch_ci(x_matrix, y, given=given)
+
+        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
+        panel = screen_panel(145, 25, 120, collinear=True)
+        for target in panel.kpi_names[::5]:
+            select_lagged_parents(panel, target, SubgraphConfig())
+        assert grouped and min(grouped) >= 1
+
     @pytest.mark.parametrize("max_cond", [1, 2, 3])
-    def test_one_kernel_call_per_conditioning_set(self, monkeypatch, max_cond):
+    def test_one_kernel_call_per_level(self, monkeypatch, max_cond):
         calls = []
 
         def counted_batch_ci(x_matrix, y, given=()):
-            calls.append(len(given))
+            calls.append(("batch_ci", len(given), None))
             return batch_ci(x_matrix, y, given=given)
 
+        def counted_screen_ci(x_matrix, y, top):
+            calls.append(("screen_ci", top.shape[1] - 1, top.tobytes()))
+            return screen_ci(x_matrix, y, top)
+
         monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
+        monkeypatch.setattr(subgraph, "screen_ci", counted_screen_ci)
         panel = screen_panel(7, 25, 120)
         deepest = 0
         for target in panel.kpi_names[:5]:
             calls.clear()
             select_lagged_parents(panel, target, SubgraphConfig(max_cond=max_cond))
-            deepest = max(deepest, max(calls))
-            # every sweep opens with the one level-0 call; a level-l call
-            # conditions on l series
-            sweeps = np.flatnonzero(np.array(calls) == 0).tolist() + [len(calls)]
-            assert sweeps[0] == 0
-            for start, end in zip(sweeps, sweeps[1:]):
-                levels = calls[start:end]
-                assert levels == sorted(levels)
-                for level in set(levels):
-                    assert levels.count(level) <= level + 1, (target, levels)
+            # one level-0 call per target, in the first sweep
+            assert calls[0][:2] == ("batch_ci", 0)
+            assert all(kernel == "screen_ci" for kernel, _, _ in calls[1:])
+            # then one screen_ci call per level >= 1: the first sweep runs
+            # levels 1, 2, ... in turn, and no top is screened twice
+            levels = [level for _, level, _ in calls[1:]]
+            first = next((i for i in range(1, len(levels)) if levels[i] <= levels[i - 1]), len(levels))
+            assert levels[:first] == list(range(1, first + 1)), (target, levels)
+            tops = [top for _, _, top in calls[1:]]
+            assert len(set(tops)) == len(tops), (target, levels)
+            deepest = max(deepest, max(levels))
         assert deepest == max_cond
 
     def test_window_too_short(self):
