@@ -260,12 +260,23 @@ def build_subgraph(
     cfg: SubgraphConfig,
 ) -> CausalSubgraph:
     """Parent selection for every node, then MCI over every surviving
-    cross-KPI link; deterministic for fixed inputs."""
+    cross-KPI link; deterministic for fixed inputs. The window must be
+    longer than 2 * tau_max + 2 * max_cond + 3 ticks, what the largest MCI
+    test can need."""
     nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
         raise DataError("duplicate node")
     for name in nodes:
         normal_panel.index_of(name)  # raises on unknown names
+    # an MCI test aligns up to 2 * tau_max lags and conditions on up to
+    # 2 * max_cond parents; check that once, before any selection runs
+    t = normal_panel.n_ticks
+    minimum = 2 * cfg.tau_max + 2 * cfg.max_cond + 3
+    if t <= minimum:
+        raise AnalysisError(
+            f"window too short for the lagged subgraph: need more than {minimum} ticks"
+            f" (2 * tau_max + 2 * max_cond + 3), got {t}"
+        )
     parents = {
         name: select_lagged_parents(normal_panel, name, cfg, nodes=nodes)
         for name in nodes

@@ -289,6 +289,23 @@ class TestBuildSubgraph:
         with pytest.raises(DataError, match="duplicate node"):
             build_subgraph(panel, ["w0", "w0"], SubgraphConfig(tau_max=2, alpha=0.05))
 
+    def test_window_bound_holds_for_every_draw(self):
+        # 2 * tau_max + 2 * max_cond + 3 = 25 ticks with the defaults covers
+        # the most lags and conditioners one MCI test can need: at 26 ticks
+        # every draw builds, and at 25 every draw is refused before any
+        # selection runs, whichever parents it would have selected
+        spec = ScmSpec(
+            nodes=("a", "b", "c", "d"),
+            edges=(("a", "b", 1, 0.9), ("b", "c", 8, 0.9), ("c", "d", 3, 0.8)),
+        )
+        cfg = SubgraphConfig()
+        for seed in range(40):
+            panel = generate(spec, horizon=26, seed=seed)
+            assert build_subgraph(panel, panel.kpi_names, cfg).nodes == panel.kpi_names
+            short = KpiPanel(ticks=panel.ticks[:25], kpi_names=panel.kpi_names, values=panel.values[:25])
+            with pytest.raises(AnalysisError, match="need more than 25 ticks .*, got 25$"):
+                build_subgraph(short, panel.kpi_names, cfg)
+
     def test_edges_always_lagged(self):
         panel = chain_panel(seed=5)
         graph = build_subgraph(panel, ["X", "Y", "Z"], SubgraphConfig(tau_max=4, alpha=0.05))
