@@ -154,6 +154,13 @@ def select_lagged_parents(
         )
     y = panel.column(target)[cfg.tau_max:]
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
+    return _screen_parents(design, keys, y, batch_ci(design, y), target, cfg)
+
+
+def _screen_parents(design, keys, y, marginal, target, cfg):
+    """The screen of :func:`select_lagged_parents` for one target, on the
+    window's lagged design and keys as `_lagged_design` builds them, with
+    the level-0 (r, p) of every column against y already computed."""
     # candidates are column indices, in (name, lag) order
     alive = np.ones(len(keys), dtype=bool)
     strength = np.full(len(keys), np.inf)
@@ -169,7 +176,7 @@ def select_lagged_parents(
         if sweep == 0:
             # level 0 runs once: a survivor has passed its marginal test,
             # and no later sweep can change that test
-            r, p = batch_ci(design, y)
+            r, p = marginal
             strength = np.minimum(strength, np.abs(r))
             alive[p > cfg.alpha] = False
         for level in range(1, cfg.max_cond + 1):
@@ -199,7 +206,7 @@ def select_lagged_parents(
             f"parent selection for {target!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
             f" with {np.count_nonzero(alive)} candidates left and the set still changing",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     return tuple(keys[c] for c in ranked().tolist())
 
@@ -277,10 +284,12 @@ def build_subgraph(
             f"window too short for the lagged subgraph: need more than {minimum} ticks"
             f" (2 * tau_max + 2 * max_cond + 3), got {t}"
         )
-    parents = {
-        name: select_lagged_parents(normal_panel, name, cfg, nodes=nodes)
-        for name in nodes
-    }
+    # one lagged design serves every target's screen
+    design, keys = _lagged_design(normal_panel, nodes, cfg.tau_max)
+    parents = {}
+    for name in nodes:
+        y = normal_panel.column(name)[cfg.tau_max:]
+        parents[name] = _screen_parents(design, keys, y, batch_ci(design, y), name, cfg)
     edges = []
     for target in nodes:
         for source, lag in parents[target]:
