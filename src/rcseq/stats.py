@@ -32,6 +32,7 @@ __all__ = [
     "direction_code",
     "ci_test",
     "batch_ci",
+    "marginal_ci",
     "screen_ci",
     "bonferroni",
     "bh_adjust",
@@ -246,6 +247,37 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     return _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
 
 
+def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
+    """Marginal correlation tests of every column of x_matrix against each
+    series in ys; returns (r, p) arrays with one row per series, row i bit
+    for bit what ``batch_ci(x_matrix, ys[i])`` returns.
+
+    The columns are centered, and their norms taken, once for every
+    series; each series then takes one product with the centered columns
+    (a matrix-vector product, as in :func:`batch_ci`, whose last bits a
+    single matrix-matrix product would not keep), and one Fisher-z tail
+    call answers every test.
+    """
+    x = np.asarray(x_matrix, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x_matrix must be 2-D, one column per tested series")
+    n = x.shape[0]
+    if n <= 3:
+        raise ValueError(f"insufficient sample: n={n} requires n > 3")
+    xc = x - x.mean(axis=0)
+    nx = np.linalg.norm(xc, axis=0)
+    cov = np.empty((len(ys), x.shape[1]))
+    ny = np.empty((len(ys), 1))
+    for i, y in enumerate(ys):
+        yv = np.asarray(y, dtype=float).ravel()
+        if yv.size != n:
+            raise ValueError(f"series must have equal length, got {n} and {yv.size}")
+        yc = yv - yv.mean()
+        cov[i] = xc.T @ yc
+        ny[i] = np.linalg.norm(yc)
+    return _fisher_z(cov, nx, ny, nx, ny, n - 3)
+
+
 def screen_ci(x_matrix, y, top) -> tuple[np.ndarray, np.ndarray]:
     """One level of the lagged parent screen from one regression.
 
@@ -334,7 +366,7 @@ def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(dof)
     if saturated.any():
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    p = np.array([_normal_two_sided(z) for z in zval.tolist()])
+    p = np.array([_normal_two_sided(z) for z in zval.ravel().tolist()]).reshape(zval.shape)
     p = np.where(ok, p, 1.0)
     return r, p
 

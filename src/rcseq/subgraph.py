@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
-from .stats import batch_ci, ci_test, screen_ci
+from .stats import ci_test, marginal_ci, screen_ci
 
 __all__ = [
     "SubgraphConfig",
@@ -154,7 +154,8 @@ def select_lagged_parents(
         )
     y = panel.column(target)[cfg.tau_max:]
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
-    return _screen_parents(design, keys, y, batch_ci(design, y), target, cfg)
+    r, p = marginal_ci(design, [y])
+    return _screen_parents(design, keys, y, (r[0], p[0]), target, cfg)
 
 
 def _screen_parents(design, keys, y, marginal, target, cfg):
@@ -284,12 +285,15 @@ def build_subgraph(
             f"window too short for the lagged subgraph: need more than {minimum} ticks"
             f" (2 * tau_max + 2 * max_cond + 3), got {t}"
         )
-    # one lagged design serves every target's screen
+    # one lagged design serves every target's screen, and one kernel call
+    # answers every target's level 0
     design, keys = _lagged_design(normal_panel, nodes, cfg.tau_max)
-    parents = {}
-    for name in nodes:
-        y = normal_panel.column(name)[cfg.tau_max:]
-        parents[name] = _screen_parents(design, keys, y, batch_ci(design, y), name, cfg)
+    ys = [normal_panel.column(name)[cfg.tau_max:] for name in nodes]
+    r, p = marginal_ci(design, ys)
+    parents = {
+        name: _screen_parents(design, keys, y, (r[i], p[i]), name, cfg)
+        for i, (name, y) in enumerate(zip(nodes, ys))
+    }
     edges = []
     for target in nodes:
         for source, lag in parents[target]:

@@ -18,6 +18,7 @@ from rcseq.stats import (
     direction_code,
     ks_pvalue,
     ks_two_sample,
+    marginal_ci,
     screen_ci,
     z_score,
 )
@@ -458,6 +459,32 @@ class TestBatchCi:
         with pytest.raises(ValueError, match="2-D"):
             batch_ci(np.zeros(10), np.arange(10.0))
 
+
+
+class TestMarginalCi:
+    def test_rows_are_batch_ci_bitwise(self):
+        rng = np.random.default_rng(71)
+        for n, k in ((4, 3), (60, 8), (112, 400)):
+            x = rng.normal(size=(n, k))
+            x[:, 1] = 2.5
+            ys = [rng.normal(size=n) + x @ rng.uniform(-0.3, 0.3, k) for _ in range(4)]
+            ys.append(np.full(n, -1.0))  # a constant series is degenerate everywhere
+            ys.append(x[:, 0].copy())  # and a copy of a column saturates its r
+            r, p = marginal_ci(x, ys)
+            assert r.shape == p.shape == (len(ys), k)
+            for i, y in enumerate(ys):
+                want_r, want_p = batch_ci(x, y)
+                assert np.array_equal(r[i].view(np.int64), want_r.view(np.int64))
+                assert np.array_equal(p[i].view(np.int64), want_p.view(np.int64))
+            assert not r[-2].any() and (p[-2] == 1.0).all()
+
+    def test_invalid_input(self):
+        with pytest.raises(ValueError, match="n=3 requires n > 3"):
+            marginal_ci(np.zeros((3, 2)), [np.arange(3.0)])
+        with pytest.raises(ValueError, match="equal length, got 10 and 9"):
+            marginal_ci(np.zeros((10, 2)), [np.arange(10.0), np.arange(9.0)])
+        with pytest.raises(ValueError, match="2-D"):
+            marginal_ci(np.zeros(10), [np.arange(10.0)])
 
 
 def screen_case(rng, n, level):

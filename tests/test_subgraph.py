@@ -8,7 +8,7 @@ from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import batch_ci, ci_test, screen_ci
+from rcseq.stats import batch_ci, ci_test, marginal_ci, screen_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -145,37 +145,87 @@ class TestSelectLaggedParents:
             select_lagged_parents(panel, target, SubgraphConfig())
         assert grouped and min(grouped) >= 1
 
-    @pytest.mark.parametrize("max_cond", [1, 2, 3])
-    def test_one_kernel_call_per_level(self, monkeypatch, max_cond):
+    @staticmethod
+    def count_kernels(monkeypatch):
+        """Record every screen kernel call: the marginal call with its
+        number of series, and each screen_ci call with its level, top and
+        target series; a level-0 batch_ci call would be recorded too."""
         calls = []
 
         def counted_batch_ci(x_matrix, y, given=()):
-            calls.append(("batch_ci", len(given), None))
+            if not given:
+                calls.append(("batch_ci", 0, None, None))
             return batch_ci(x_matrix, y, given=given)
 
+        def counted_marginal_ci(x_matrix, ys):
+            calls.append(("marginal_ci", 0, len(ys), None))
+            return marginal_ci(x_matrix, ys)
+
         def counted_screen_ci(x_matrix, y, top):
-            calls.append(("screen_ci", top.shape[1] - 1, top.tobytes()))
+            calls.append(("screen_ci", top.shape[1] - 1, top.tobytes(), y.tobytes()))
             return screen_ci(x_matrix, y, top)
 
-        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
+        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
+        monkeypatch.setattr(subgraph, "marginal_ci", counted_marginal_ci)
         monkeypatch.setattr(subgraph, "screen_ci", counted_screen_ci)
+        return calls
+
+    @staticmethod
+    def assert_one_call_per_level(calls, max_cond):
+        """One screen_ci call per level >= 1: the first sweep runs levels
+        1, 2, ... in turn, and no top is screened twice. Returns the
+        deepest level."""
+        assert all(kernel == "screen_ci" for kernel, *_ in calls)
+        levels = [level for _, level, _, _ in calls]
+        first = next((i for i in range(1, len(levels)) if levels[i] <= levels[i - 1]), len(levels))
+        assert levels[:first] == list(range(1, first + 1)), levels
+        tops = [top for _, _, top, _ in calls]
+        assert len(set(tops)) == len(tops), levels
+        return max(levels)
+
+    @pytest.mark.parametrize("max_cond", [1, 2, 3])
+    def test_one_kernel_call_per_level(self, monkeypatch, max_cond):
+        calls = self.count_kernels(monkeypatch)
         panel = screen_panel(7, 25, 120)
         deepest = 0
         for target in panel.kpi_names[:5]:
             calls.clear()
             select_lagged_parents(panel, target, SubgraphConfig(max_cond=max_cond))
-            # one level-0 call per target, in the first sweep
-            assert calls[0][:2] == ("batch_ci", 0)
-            assert all(kernel == "screen_ci" for kernel, _, _ in calls[1:])
-            # then one screen_ci call per level >= 1: the first sweep runs
-            # levels 1, 2, ... in turn, and no top is screened twice
-            levels = [level for _, level, _ in calls[1:]]
-            first = next((i for i in range(1, len(levels)) if levels[i] <= levels[i - 1]), len(levels))
-            assert levels[:first] == list(range(1, first + 1)), (target, levels)
-            tops = [top for _, _, top in calls[1:]]
-            assert len(set(tops)) == len(tops), (target, levels)
-            deepest = max(deepest, max(levels))
+            # level 0 is one marginal call for the one target, with no
+            # level-0 kernel call of its own; then screen_ci only
+            assert calls[0][:3] == ("marginal_ci", 0, 1)
+            deepest = max(deepest, self.assert_one_call_per_level(calls[1:], max_cond))
         assert deepest == max_cond
+
+    @pytest.mark.parametrize("max_cond", [1, 2, 3])
+    def test_one_marginal_call_per_window(self, monkeypatch, max_cond):
+        calls = self.count_kernels(monkeypatch)
+        panel = screen_panel(7, 25, 120)
+        build_subgraph(panel, panel.kpi_names, SubgraphConfig(max_cond=max_cond))
+        # every target's level 0 comes from one call, made before any screen
+        assert calls[0][:3] == ("marginal_ci", 0, 25)
+        screens = calls[1:]
+        assert all(kernel != "marginal_ci" for kernel, *_ in screens)
+        targets = {y for *_, y in screens}
+        assert len(targets) == 25
+        deepest = max(
+            self.assert_one_call_per_level([c for c in screens if c[3] == y], max_cond)
+            for y in targets
+        )
+        assert deepest == max_cond
+
+    def test_marginal_rows_match_batch_ci_bitwise(self):
+        # the shared level 0 gives each target the bits its own marginal
+        # batch_ci call gave it, so no parent tuple can move
+        panel = screen_panel(11, 25, 120, collinear=True)
+        cfg = SubgraphConfig()
+        design, _ = subgraph._lagged_design(panel, panel.kpi_names, cfg.tau_max)
+        ys = [panel.column(name)[cfg.tau_max:] for name in panel.kpi_names]
+        r, p = marginal_ci(design, ys)
+        for i, y in enumerate(ys):
+            want_r, want_p = batch_ci(design, y)
+            assert np.array_equal(r[i].view(np.int64), want_r.view(np.int64))
+            assert np.array_equal(p[i].view(np.int64), want_p.view(np.int64))
 
     def test_window_too_short(self):
         panel = noise_panel(0, t=12)
