@@ -190,6 +190,52 @@ class TestNormalTail:
         assert np.array_equal(ours[finite].view(np.int64), ref[finite].view(np.int64))
         assert np.isnan(ours[~finite]).all()
 
+    def test_vector_tail_matches_scalar_bitwise(self):
+        rng = np.random.default_rng(2026)
+        subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, np.finfo(float).tiny])
+        z = np.concatenate(
+            [
+                rng.uniform(-40.0, 40.0, 400_000),
+                rng.normal(size=300_000),
+                rng.standard_cauchy(150_000),
+                rng.uniform(-12.0, 12.0, 150_000),
+                *(np.array(edge_points(edge)) for edge in CEPHES_EDGES),
+                *(-np.array(edge_points(edge)) for edge in CEPHES_EDGES),
+                subnormal,
+                -subnormal,
+                [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
+            ]
+        )
+        assert z.size >= 1_000_000
+        want = np.array([_normal_two_sided(v) for v in z.tolist()])
+        got = stats._normal_tail(z)
+        nan = np.isnan(z)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+        assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
+        # every branch is taken, and the tail keeps the input's shape
+        x = np.abs(z) / math.sqrt(2.0)
+        for branch in (x < math.sqrt(0.5), x < 1.0, x < 8.0, x >= 8.0, want == 0.0):
+            assert branch.any()
+        assert stats._normal_tail(z[:12].reshape(3, 4)).shape == (3, 4)
+
+    def test_fisher_z_same_bits_either_side_of_dispatch(self, monkeypatch):
+        rng = np.random.default_rng(77)
+        for size in (1, stats._VECTOR_TAIL_MIN - 1, stats._VECTOR_TAIL_MIN, 2000):
+            cov = rng.normal(size=size) * rng.choice([0.01, 0.3, 3.0], size)
+            sx = np.ones(size)
+            sx[::7] = 0.0  # degenerate: r = 0, p = 1
+            cov[3::11] = 1.0  # saturated: |r| = 1, p = 0
+            args = (cov, sx, 1.0, np.ones(size), 1.0, 40)
+            monkeypatch.setattr(stats, "_VECTOR_TAIL_MIN", 0)
+            vector = stats._fisher_z(*args)
+            monkeypatch.setattr(stats, "_VECTOR_TAIL_MIN", size + 1)
+            scalar = stats._fisher_z(*args)
+            monkeypatch.undo()
+            default = stats._fisher_z(*args)
+            for got in (vector, default):
+                for a, b in zip(got, scalar, strict=True):
+                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
     def test_batch_fisher_z_p_matches_scipy_bitwise(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(120, 40))
