@@ -222,11 +222,12 @@ def mci_edge_test(
 ) -> LaggedEdge | None:
     """Momentary conditional independence check of one lagged link.
 
-    X(t - tau) vs Y(t), conditioned on the strongest parents of Y (the
-    tested link excluded) and the strongest parents of X shifted by tau.
-    Parents are (name, lag) pairs, strongest first, as
-    :func:`select_lagged_parents` returns them, at most cfg.max_cond of
-    each. Returns the edge iff p <= cfg.alpha.
+    X(t - tau) vs Y(t), conditioned on the set of the strongest parents of
+    Y (the tested link excluded) and the strongest parents of X shifted by
+    tau: a series that is both is conditioned on, and counted in Fisher's
+    degrees of freedom, once. Parents are (name, lag) pairs, strongest
+    first, as :func:`select_lagged_parents` returns them, at most
+    cfg.max_cond of each. Returns the edge iff p <= cfg.alpha.
     """
     x_name, tau = source
     if tau < 1:
@@ -234,28 +235,22 @@ def mci_edge_test(
     cond_target = [
         p for p in parents_of_target if p != (x_name, tau)
     ][:cfg.max_cond]
-    cond_source = list(parents_of_source)[:cfg.max_cond]
-    shifts = (
-        [tau]
-        + [lag for _, lag in cond_target]
-        + [lag + tau for _, lag in cond_source]
-    )
-    t0 = max(shifts)
+    # the source's parents, shifted by tau, as lags from the target's time;
+    # one that is also a target parent is conditioned on once
+    cond = list(dict.fromkeys(
+        cond_target + [(name, lag + tau) for name, lag in list(parents_of_source)[:cfg.max_cond]]
+    ))
+    t0 = max([tau] + [lag for _, lag in cond])
     t = panel.n_ticks
     n_eff = t - t0
-    n_cond = len(cond_target) + len(cond_source)
-    if n_eff <= n_cond + 3:
+    if n_eff <= len(cond) + 3:
         raise AnalysisError(
             f"insufficient overlap after lag alignment: {n_eff} rows for "
-            f"{n_cond} conditioners"
+            f"{len(cond)} conditioners"
         )
     y = panel.column(target)[t0:]
     x = panel.column(x_name)[t0 - tau : t - tau]
-    given = [panel.column(name)[t0 - lag : t - lag] for name, lag in cond_target]
-    given += [
-        panel.column(name)[t0 - lag - tau : t - lag - tau]
-        for name, lag in cond_source
-    ]
+    given = [panel.column(name)[t0 - lag : t - lag] for name, lag in cond]
     res = ci_test(x, y, given=given)
     if res.p <= cfg.alpha:
         return LaggedEdge(source=x_name, target=target, lag=tau, r=res.r, p=res.p)

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import batch_ci, ci_test, marginal_ci, screen_ci
+from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, screen_ci
+from test_stats import reference_ci_test
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -307,6 +309,26 @@ class TestMciEdgeTest:
             high = mci_edge_test(panel, ("X", tau), "Y", py, px, SubgraphConfig(alpha=0.1))
             if low is not None:
                 assert high is not None
+
+    def test_duplicate_conditioner_counted_once(self):
+        # the target parent (a, 3) is also the source parent (a, 1) shifted
+        # by the tested lag 2: one series, conditioned on and counted once
+        rng = np.random.default_rng(12)
+        t = 200
+        a, x, y = rng.standard_normal((3, t))
+        x[1:] += 0.8 * a[:-1]
+        y[2:] += 0.5 * x[:-2]
+        y[3:] += 0.5 * a[:-3]
+        panel = KpiPanel(ticks=np.arange(t), kpi_names=("a", "x", "y"), values=np.column_stack([a, x, y]))
+        edge = mci_edge_test(panel, ("x", 2), "y", (("a", 3),), (("a", 1),), SubgraphConfig(alpha=0.5))
+        n = t - 3
+        want = reference_ci_test(x[1 : t - 2], y[3:], given=[a[: t - 3]])
+        assert edge.r == pytest.approx(want.r, rel=1e-12, abs=0.0)
+        assert edge.p == pytest.approx(want.p, rel=1e-12, abs=0.0)
+        # Fisher's z has n - |set S| - 3 degrees of freedom
+        z = math.atanh(edge.r)
+        assert edge.p == pytest.approx(_normal_two_sided(z * math.sqrt(n - 1 - 3)), rel=1e-12, abs=0.0)
+        assert edge.p != pytest.approx(_normal_two_sided(z * math.sqrt(n - 2 - 3)), rel=1e-6, abs=0.0)
 
     def test_insufficient_overlap(self):
         panel = noise_panel(0, t=400)
