@@ -34,6 +34,7 @@ __all__ = [
     "batch_ci",
     "marginal_ci",
     "screen_ci",
+    "stacked_ci",
     "bonferroni",
     "bh_adjust",
     "binomial_sd",
@@ -426,6 +427,55 @@ def screen_ci(x_matrix, y, top) -> tuple[np.ndarray, np.ndarray]:
         cent[-1],
         n - level - 3,
     )
+
+
+def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
+    """Partial-correlation CI tests, one per matrix of a stack.
+
+    design is (tests, n, k + 3). The columns of design[i] are [1, S, x, y]:
+    an intercept column of ones, k conditioning series, then x and y, and
+    x is tested against y given S. Every test has the same n and k. Returns
+    (r, p) arrays, one entry per test, as ``batch_ci(x, y, given=S)`` would
+    give them (same degeneracy rule, same Fisher-z p with n - k - 3 degrees
+    of freedom, so n must exceed k + 3).
+
+    One batched Householder QR of the stack answers every test. Below the
+    intercept row, R's columns hold the centered series. x's residual on
+    [1, S] is R[-2, -2] times Q's second-last column, and y's is R[-2, -1]
+    times that column plus R[-1, -1] times the last, so r comes from those
+    three entries of R. Taking the intercept as a column of the input, and
+    not adding it here, spares a copy of the stack.
+
+    A test whose conditioning series are, by the degeneracy rule, linearly
+    dependent (a derived KPI next to its inputs) leaves R singular; it runs
+    as its own :func:`batch_ci` call, whose least-squares solve handles
+    that input.
+    """
+    a = np.asarray(design, dtype=float)
+    if a.ndim != 3 or a.shape[2] < 3:
+        raise ValueError("design must be a (tests, n, k + 3) stack of [1, S, x, y] columns")
+    n, k = a.shape[1], a.shape[2] - 3
+    if not (a[:, :, 0] == 1.0).all():
+        raise ValueError("design's first column must be the intercept, all ones")
+    if n <= k + 3:
+        raise ValueError(f"insufficient sample: n={n} requires n > {k + 3}")
+    rr = np.linalg.qr(a, mode="r")
+    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
+    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1:-2])
+    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
+    rx = rr[:, -2, -2]
+    ry = rr[:, -2, -1]
+    r, p = _fisher_z(
+        rx * ry,
+        np.abs(rx),
+        np.sqrt(ry * ry + rr[:, -1, -1] ** 2),
+        cent[:, -2],
+        cent[:, -1],
+        n - k - 3,
+    )
+    for i in np.flatnonzero(collinear).tolist():
+        r[i : i + 1], p[i : i + 1] = batch_ci(a[i, :, -2:-1], a[i, :, -1], given=list(a[i, :, 1:-2].T))
+    return r, p
 
 
 def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:

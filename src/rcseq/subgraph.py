@@ -17,10 +17,11 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
-from .stats import ci_test, marginal_ci, screen_ci
+from .stats import ci_test, marginal_ci, screen_ci, stacked_ci  # noqa: F401
 
 __all__ = [
     "SubgraphConfig",
@@ -232,29 +233,74 @@ def mci_edge_test(
     x_name, tau = source
     if tau < 1:
         raise AnalysisError(f"lag must be >= 1, got {tau}")
-    cond_target = [
-        p for p in parents_of_target if p != (x_name, tau)
-    ][:cfg.max_cond]
-    # the source's parents, shifted by tau, as lags from the target's time;
-    # one that is also a target parent is conditioned on once
-    cond = list(dict.fromkeys(
-        cond_target + [(name, lag + tau) for name, lag in list(parents_of_source)[:cfg.max_cond]]
-    ))
-    t0 = max([tau] + [lag for _, lag in cond])
+    cond = _mci_conditioners(source, parents_of_target, parents_of_source, cfg)
+    edges = _mci_edges(panel, [(x_name, tau, target, cond)], cfg)
+    return edges[0] if edges else None
+
+
+def _mci_conditioners(source, parents_of_target, parents_of_source, cfg):
+    """The conditioning set of the MCI test of source -> target, as
+    (name, lag) pairs with lags counted back from the target's time."""
+    x_name, tau = source
+    cond_target = [p for p in parents_of_target if p != (x_name, tau)][: cfg.max_cond]
+    # the source's parents, shifted by tau; one that is also a target
+    # parent is conditioned on once
+    cond_source = [(name, lag + tau) for name, lag in list(parents_of_source)[: cfg.max_cond]]
+    return tuple(dict.fromkeys(cond_target + cond_source))
+
+
+def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
+    """Run MCI tests, each a (source, tau, target, conditioners) tuple, and
+    return the edges with p <= cfg.alpha, in test order within each group.
+
+    Tests with the same number of aligned rows and of conditioners form a
+    group, and each group is one :func:`stats.stacked_ci` call, one batched
+    QR, on series gathered from the panel in one indexing operation.
+    """
     t = panel.n_ticks
-    n_eff = t - t0
-    if n_eff <= len(cond) + 3:
-        raise AnalysisError(
-            f"insufficient overlap after lag alignment: {n_eff} rows for "
-            f"{len(cond)} conditioners"
-        )
-    y = panel.column(target)[t0:]
-    x = panel.column(x_name)[t0 - tau : t - tau]
-    given = [panel.column(name)[t0 - lag : t - lag] for name, lag in cond]
-    res = ci_test(x, y, given=given)
-    if res.p <= cfg.alpha:
-        return LaggedEdge(source=x_name, target=target, lag=tau, r=res.r, p=res.p)
-    return None
+    groups = {}
+    for test in tests:
+        _, tau, _, cond = test
+        t0 = max([tau] + [lag for _, lag in cond])
+        groups.setdefault((t - t0, len(cond)), []).append(test)
+    # the panel behind a column of ones, so that one indexing operation
+    # gathers a group's [1, S, x, y] stack
+    values = np.ones((t, len(panel.kpi_names) + 1))
+    values[:, 1:] = panel.values
+    edges = []
+    for (rows, k), members in groups.items():
+        if rows <= k + 3:
+            raise AnalysisError(
+                f"insufficient overlap after lag alignment: {rows} rows for {k} conditioners"
+            )
+        # each test's series as (column, lag) pairs; a series starts `lag`
+        # rows before the group's first target row
+        cols = np.array([
+            [0]
+            + [panel.index_of(name) + 1 for name, _ in cond]
+            + [panel.index_of(x_name) + 1, panel.index_of(target) + 1]
+            for x_name, _, target, cond in members
+        ])
+        lags = np.array([[0] + [lag for _, lag in cond] + [tau, 0] for _, tau, _, cond in members])
+        stack = sliding_window_view(values, rows, axis=0)[t - rows - lags, cols]
+        r, p = stacked_ci(stack.transpose(0, 2, 1))
+        for (x_name, tau, target, _), r_i, p_i in zip(members, r.tolist(), p.tolist()):
+            if p_i <= cfg.alpha:
+                edges.append(LaggedEdge(source=x_name, target=target, lag=tau, r=r_i, p=p_i))
+    return edges
+
+
+def _select_all_parents(panel: KpiPanel, nodes, cfg: SubgraphConfig):
+    """select_lagged_parents for every node, as a dict: one lagged design
+    serves every target's screen, and one kernel call answers every
+    target's level 0."""
+    design, keys = _lagged_design(panel, nodes, cfg.tau_max)
+    ys = [panel.column(name)[cfg.tau_max:] for name in nodes]
+    r, p = marginal_ci(design, ys)
+    return {
+        name: _screen_parents(design, keys, y, (r[i], p[i]), name, cfg)
+        for i, (name, y) in enumerate(zip(nodes, ys))
+    }
 
 
 def build_subgraph(
@@ -280,30 +326,16 @@ def build_subgraph(
             f"window too short for the lagged subgraph: need more than {minimum} ticks"
             f" (2 * tau_max + 2 * max_cond + 3), got {t}"
         )
-    # one lagged design serves every target's screen, and one kernel call
-    # answers every target's level 0
-    design, keys = _lagged_design(normal_panel, nodes, cfg.tau_max)
-    ys = [normal_panel.column(name)[cfg.tau_max:] for name in nodes]
-    r, p = marginal_ci(design, ys)
-    parents = {
-        name: _screen_parents(design, keys, y, (r[i], p[i]), name, cfg)
-        for i, (name, y) in enumerate(zip(nodes, ys))
-    }
-    edges = []
-    for target in nodes:
-        for source, lag in parents[target]:
-            if source == target:
-                continue  # conditioning context only
-            edge = mci_edge_test(
-                normal_panel,
-                (source, lag),
-                target,
-                parents[target],
-                parents[source],
-                cfg,
-            )
-            if edge is not None:
-                edges.append(edge)
+    parents = _select_all_parents(normal_panel, nodes, cfg)
+    # every surviving cross-KPI link, self-dependencies being conditioning
+    # context only
+    tests = [
+        (source, lag, target, _mci_conditioners((source, lag), parents[target], parents[source], cfg))
+        for target in nodes
+        for source, lag in parents[target]
+        if source != target
+    ]
+    edges = _mci_edges(normal_panel, tests, cfg)
     edges.sort(key=lambda e: e.key)
     return CausalSubgraph(nodes=nodes, edges=tuple(edges))
 

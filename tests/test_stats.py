@@ -20,6 +20,7 @@ from rcseq.stats import (
     ks_two_sample,
     marginal_ci,
     screen_ci,
+    stacked_ci,
     z_score,
 )
 
@@ -639,6 +640,94 @@ class TestScreenCi:
             screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros((9, 2)))
         with pytest.raises(ValueError, match="2-D"):
             screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros(10))
+
+
+def stacked_case(rng, tests, n, k):
+    """A stack of MCI-shaped tests: each x leans on y, given series that
+    both lean on; one x is collinear with its given set (a constant when k
+    is 0), one y is constant and one x is pinned."""
+    given = rng.normal(size=(tests, n, k))
+    x = rng.normal(size=(tests, n)) + 0.5 * given.sum(axis=2)
+    y = rng.normal(size=(tests, n)) + rng.uniform(-0.6, 0.6, (tests, 1)) * x + 0.4 * given.sum(axis=2)
+    x[1] = 1.5 - given[1] @ np.arange(1.0, k + 1)
+    y[2] = -2.0
+    x[3] = 4.25
+    return x, y, given
+
+
+def stack(x, y, given):
+    """The [1, S, x, y] stack stacked_ci takes."""
+    ones = np.ones(x.shape + (1,))
+    return np.concatenate([ones, given, x[:, :, None], y[:, :, None]], axis=2)
+
+
+def reference_stacked(design):
+    """Every test of a stack as one scalar reference test."""
+    tests = [
+        reference_ci_test(d[:, -2], d[:, -1], given=list(d[:, 1:-2].T)) for d in design
+    ]
+    return np.array([t.r for t in tests]), np.array([t.p for t in tests])
+
+
+class TestStackedCi:
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
+    def test_matches_reference(self, monkeypatch, k):
+        calls = TestScreenCi.count_batch_ci(monkeypatch)
+        rng = np.random.default_rng(130 + k)
+        for n in (k + 4, k + 9, 112):
+            design = stack(*stacked_case(rng, 12, n, k))
+            r, p = stacked_ci(design)
+            ref_r, ref_p = reference_stacked(design)
+            assert np.max(np.abs(r - ref_r)) <= 1e-12
+            assert np.max(np.abs(p - ref_p)) <= 1e-12
+            assert np.array_equal(p <= 0.05, ref_p <= 0.05)
+            # the collinear x, the constant y and the pinned x are degenerate
+            assert (r[1:4] == 0.0).all() and (p[1:4] == 1.0).all()
+        # full-rank conditioning sets are answered from the batched QR
+        assert calls == []
+
+    def test_batch_of_one_is_bitwise_the_stack(self):
+        rng = np.random.default_rng(140)
+        design = stack(*stacked_case(rng, 9, 60, 3))
+        r, p = stacked_ci(design)
+        for i in range(9):
+            one_r, one_p = stacked_ci(design[i : i + 1])
+            assert (one_r[0], one_p[0]) == (r[i], p[i])
+        # a transposed view of the same stack gives the same bits
+        view = np.ascontiguousarray(design.transpose(0, 2, 1)).transpose(0, 2, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(stacked_ci(view), (r, p)))
+
+    def test_collinear_member_takes_the_lstsq_route(self, monkeypatch):
+        rng = np.random.default_rng(141)
+        x, y, given = stacked_case(rng, 6, 80, 3)
+        given[2, :, 2] = given[2, :, 0]  # a duplicated conditioner
+        given[4, :, 1] = 3.0 - 2.0 * given[4, :, 0] + given[4, :, 2]  # a derived one
+        calls = TestScreenCi.count_batch_ci(monkeypatch)
+        r, p = stacked_ci(stack(x, y, given))
+        monkeypatch.undo()
+        assert calls == [3, 3]
+        for i in (2, 4):
+            want_r, want_p = batch_ci(x[i, :, None], y[i], given=list(given[i].T))
+            assert (r[i], p[i]) == (want_r[0], want_p[0])
+        ref_r, ref_p = reference_stacked(stack(x, y, given))
+        assert np.max(np.abs(r - ref_r)) <= 1e-12
+        assert np.max(np.abs(p - ref_p)) <= 1e-12
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_smallest_sample(self, k):
+        rng = np.random.default_rng(150 + k)
+        with pytest.raises(ValueError, match=f"n={k + 3} requires n > {k + 3}"):
+            stacked_ci(stack(*stacked_case(rng, 4, k + 3, k)))
+
+    def test_invalid_design(self):
+        with pytest.raises(ValueError, match="tests, n, k"):
+            stacked_ci(np.ones((10, 3)))
+        with pytest.raises(ValueError, match="tests, n, k"):
+            stacked_ci(np.ones((2, 10, 2)))
+        design = np.ones((2, 10, 4))
+        design[1, 3, 0] = 0.0
+        with pytest.raises(ValueError, match="intercept"):
+            stacked_ci(design)
 
 
 class TestCorrections:

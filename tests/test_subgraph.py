@@ -9,7 +9,7 @@ from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, screen_ci
+from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, screen_ci, stacked_ci
 from test_stats import reference_ci_test
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
@@ -51,6 +51,22 @@ def screen_panel(seed, v, t, collinear=False):
         values[:, v - 2] = 2.0 * values[:, 0] - 0.5 * values[:, 1] + 1.0
     names = tuple(f"k{i:03d}" for i in range(v))
     return KpiPanel(ticks=np.arange(t), kpi_names=names, values=values)
+
+
+def derived_panel(seed, v=25, t=120):
+    """screen_panel's KPIs with a derived KPI that reaches an MCI set:
+    k019 = 2 k017 + k016 + 1; k017 and k016 feed k018 at lag 1 in a
+    combination k019 does not correlate with; k018 (lag 2) and k019 (lag 3)
+    feed k015. The MCI test of k018 -> k015 conditions on k019 and both its
+    inputs."""
+    panel = screen_panel(seed, v, t)
+    values = panel.values.copy()
+    a, b, derived, x, y = v - 8, v - 9, v - 6, v - 7, v - 10
+    values[:, derived] = 2.0 * values[:, a] + values[:, b] + 1.0
+    values[1:, x] += values[:-1, a] - 2.0 * values[:-1, b]
+    values[2:, y] += 0.8 * values[:-2, x]
+    values[3:, y] += 0.8 * values[:-3, derived]
+    return KpiPanel(ticks=panel.ticks, kpi_names=panel.kpi_names, values=values)
 
 
 def reference_select_lagged_parents(panel, target, cfg):
@@ -377,6 +393,52 @@ class TestBuildSubgraph:
             short = KpiPanel(ticks=panel.ticks[:25], kpi_names=panel.kpi_names, values=panel.values[:25])
             with pytest.raises(AnalysisError, match="need more than 25 ticks .*, got 25$"):
                 build_subgraph(short, panel.kpi_names, cfg)
+
+    def test_one_batched_qr_per_mci_group(self, monkeypatch):
+        stacks, qr_calls, lstsq = [], [], []
+        inside = []
+        qr, batch = np.linalg.qr, stats.batch_ci
+
+        def counted_stacked(design):
+            stacks.append((design.shape[1], design.shape[2] - 3, design.shape[0]))
+            qr_calls.append(0)
+            inside.append(True)
+            try:
+                return stacked_ci(design)
+            finally:
+                inside.pop()
+
+        def counted_qr(a, mode="reduced"):
+            if inside and np.ndim(a) == 3:
+                qr_calls[-1] += 1
+            return qr(a, mode=mode)
+
+        def counted_batch_ci(x_matrix, y, given=()):
+            if inside:
+                lstsq.append(len(given))
+            return batch(x_matrix, y, given=given)
+
+        monkeypatch.setattr(subgraph, "stacked_ci", counted_stacked)
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
+        panel = derived_panel(21)
+        cfg = SubgraphConfig()
+        graph = build_subgraph(panel, panel.kpi_names, cfg)
+        monkeypatch.undo()
+        # one stacked call, and one batched QR, per (rows, |S|) group
+        keys = [(rows, k) for rows, k, _ in stacks]
+        assert len(set(keys)) == len(keys) > 1
+        assert qr_calls == [1] * len(stacks)
+        parents = {name: select_lagged_parents(panel, name, cfg) for name in panel.kpi_names}
+        links = [(s, lag, t) for t in parents for s, lag in parents[t] if s != t]
+        assert sum(size for _, _, size in stacks) == len(links)
+        # the derived KPI's MCI set goes down the least-squares route
+        assert lstsq and min(lstsq) >= 3
+        # and every edge is what the one-link call finds
+        for edge in graph.edges:
+            one = mci_edge_test(panel, (edge.source, edge.lag), edge.target,
+                                parents[edge.target], parents[edge.source], cfg)
+            assert one == edge
 
     def test_edges_always_lagged(self):
         panel = chain_panel(seed=5)
