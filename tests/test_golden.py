@@ -83,7 +83,7 @@ GOLDEN = {
         "subgraph.dot":
             "32cf5af549e4d047f15ebd4bb99acf38bac37391687a349ee00ce0eaa4b93748",
         "subgraph.json":
-            "b367852320f790d41a1da376b4da4de6b787471b95bc0e943e2f2f89a61cbe15",
+            "b24d2d1a38433b10e15dd1b84e42d41a1c07098413edbc88a9df04303f677bcd",
     },
     "sequence": {
         "cis.json":
