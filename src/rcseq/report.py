@@ -9,6 +9,7 @@ and no timestamps or environment details are embedded.
 from __future__ import annotations
 
 import csv
+import math
 import json
 from itertools import takewhile
 from pathlib import Path
@@ -207,6 +208,44 @@ def write_tuning_params(
     write_json(bundle.path("tuning_params.json"), payload)
 
 
+def fd_bin_edges(values) -> np.ndarray:
+    """Freedman-Diaconis bin edges of a non-empty sample, bit for bit as
+    ``np.histogram_bin_edges(values, bins="fd")`` gives them.
+
+    numpy takes the quartiles from `np.percentile`, whose first call
+    imports `numpy.ma` (about 13 ms). Here they come from `np.partition`
+    with numpy's linear-interpolation rule: the q-quantile of the sorted
+    sample s lies at index h = (n - 1) q and is s[j] + (s[j+1] - s[j]) g,
+    with j = floor(h) and g = h - j, or s[j+1] - (s[j+1] - s[j]) (1 - g)
+    once g >= 0.5. The rest follows numpy: the width is 2 IQR n^(-1/3),
+    a zero width or a constant sample makes one bin, and a non-finite
+    value raises numpy's ValueError.
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    first, last = a.min(), a.max()
+    if not (np.isfinite(first) and np.isfinite(last)):
+        raise ValueError(f"autodetected range of [{first}, {last}] is not finite")
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    n = a.size
+    positions = [(n - 1) * 0.75, (n - 1) * 0.25]
+    low = [min(math.floor(h), n - 1) for h in positions]
+    ranked = np.partition(a, sorted({*low, *(min(j + 1, n - 1) for j in low)}))
+    quartiles = []
+    for h, j in zip(positions, low):
+        lo, hi = float(ranked[j]), float(ranked[min(j + 1, n - 1)])
+        g = h - j if j + 1 < n else 1.0
+        quartiles.append(hi - (hi - lo) * (1.0 - g) if g >= 0.5 else lo + (hi - lo) * g)
+    width = 2.0 * (quartiles[0] - quartiles[1]) * n ** (-1.0 / 3.0)
+    bins = int(np.ceil((last - first) / width)) if width else 1
+    edges = np.linspace(first, last, bins + 1)
+    if np.any(edges[:-1] >= edges[1:]):
+        raise ValueError(
+            f"Too many bins for data range. Cannot create {bins} finite-sized bins."
+        )
+    return edges
+
+
 def write_histograms_csv(
     bundle: OutputBundle, labeled: LabeledPanel, kpis
 ) -> None:
@@ -219,7 +258,7 @@ def write_histograms_csv(
             normal = labeled.normal_values(kpi)
             abnormal = labeled.abnormal_values(kpi)
             pooled = np.concatenate([normal, abnormal])
-            edges = np.histogram_bin_edges(pooled, bins="fd")
+            edges = fd_bin_edges(pooled)
             n_counts, _ = np.histogram(normal, bins=edges)
             a_counts, _ = np.histogram(abnormal, bins=edges)
             for left, right, nc, ac in zip(edges[:-1], edges[1:], n_counts, a_counts):
