@@ -3,15 +3,18 @@
 The two-sample Kolmogorov-Smirnov test drives deviation detection, the
 partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
-proportion backs the Monte Carlo convergence diagnostics. CI tests go
-through :func:`batch_ci`, one least-squares solve per conditioning set
-(:func:`ci_test` is its one-column call), except the lagged parent
-screen's levels >= 1: :func:`screen_ci` answers a whole level from one QR
-and falls back to grouped :func:`batch_ci` calls only when the level's
-conditioning series are collinear. Both take r and p from one degeneracy
-rule and one Fisher-z tail. That normal tail is a port of the Cephes
-`ndtr` that `scipy.special` wraps, so the p-values match scipy's to the
-bit without importing it.
+proportion backs the Monte Carlo convergence diagnostics. Discovery's CI
+tests go through :func:`batch_ci`, one least-squares solve per
+conditioning set (:func:`ci_test` is its one-column call). The lagged
+subgraph has three kernels shaped to its work: :func:`marginal_ci` tests
+one design's columns against every target, :func:`screen_ci` answers a
+whole parent-screen level from one QR, and :func:`stacked_ci` answers a
+stack of MCI tests from one batched QR. The QR kernels fall back to
+:func:`batch_ci` only where conditioning series are collinear. All of
+them take r and p from one degeneracy rule and one Fisher-z tail. That
+normal tail is a port of the Cephes `ndtr` that `scipy.special` wraps, so
+the p-values match scipy's to the bit without importing it; large calls
+run it vectorised, with the same bits.
 
 All functions here are pure and reentrant.
 """
@@ -233,8 +236,9 @@ def _normal_tail(z: np.ndarray) -> np.ndarray:
     # x < 8 cannot underflow exp(-x^2); past _MAXLOG the tail is 0
     mid = (x >= 1.0) & (x < 8.0)
     far = x >= 8.0
-    out[far & (-x * x < -_MAXLOG)] = 0.0
-    far &= -x * x >= -_MAXLOG
+    underflow = -x * x < -_MAXLOG
+    out[far & underflow] = 0.0
+    far &= ~underflow
     if mid.any():
         xm = x[mid]
         p = ((((((((2.46196981473530512524e-10 * xm + 5.64189564831068821977e-1) * xm
@@ -257,7 +261,6 @@ def _normal_tail(z: np.ndarray) -> np.ndarray:
              + 9.60896809063285878198e0) * xf + 3.36907645100081516050e0
         out[far] = _erfc_tail(xf, p, q)
     return out
-
 
 
 def _erfc_tail(x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:

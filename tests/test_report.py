@@ -42,6 +42,9 @@ class TestFdBinEdges:
             assert_numpy_edges(np.full(n, 2.5))  # a constant KPI: one bin
         # a zero IQR with a nonzero range is one bin as well
         assert_numpy_edges(np.array([0.0] * 9 + [1.0]))
+        # here the bin count turns on the last bit of the upper quartile,
+        # which numpy interpolates down from the upper neighbour (g >= 0.5)
+        assert_numpy_edges(np.array([0.02, -0.07, 0.03, 0.04, -0.01, 0.01, 0.02, 0.04]))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises_numpys_error(self, bad):

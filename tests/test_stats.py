@@ -702,11 +702,15 @@ class TestStackedCi:
         x, y, given = stacked_case(rng, 6, 80, 3)
         given[2, :, 2] = given[2, :, 0]  # a duplicated conditioner
         given[4, :, 1] = 3.0 - 2.0 * given[4, :, 0] + given[4, :, 2]  # a derived one
+        # one at a scale where only a tolerance relative to the column's
+        # norm finds it collinear
+        given[5] *= 1e7
+        given[5, :, 2] = given[5, :, 0] - 0.5 * given[5, :, 1]
         calls = TestScreenCi.count_batch_ci(monkeypatch)
         r, p = stacked_ci(stack(x, y, given))
         monkeypatch.undo()
-        assert calls == [3, 3]
-        for i in (2, 4):
+        assert calls == [3, 3, 3]
+        for i in (2, 4, 5):
             want_r, want_p = batch_ci(x[i, :, None], y[i], given=list(given[i].T))
             assert (r[i], p[i]) == (want_r[0], want_p[0])
         ref_r, ref_p = reference_stacked(stack(x, y, given))
