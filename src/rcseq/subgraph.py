@@ -3,8 +3,14 @@
 Two-stage time-series discovery: per-target lagged condition selection
 (iterative partial-correlation screening against the strongest current
 parents), then a momentary-conditional-independence check of every
-surviving link conditioned on both endpoints' parents. All edges carry a
-lag of at least one tick, so the graph is acyclic by construction.
+surviving link conditioned on the set of both endpoints' parents. All
+edges carry a lag of at least one tick, so the graph is acyclic by
+construction.
+
+A window's work is a few array operations: one lagged design shared by
+every target, one kernel call for every target's level 0, one QR per
+screening level, and one batched QR per group of MCI tests with the same
+rows and conditioning-set size.
 
 Self-dependencies (a KPI explaining itself at some lag) participate as
 conditioning context but are not emitted as subgraph edges; the subgraph
@@ -21,6 +27,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
+# ci_test is no longer called here; the binding stays for the benchmark's
+# tracer (bench/tracer.py), which hooks it by this module's name
 from .stats import ci_test, marginal_ci, screen_ci, stacked_ci  # noqa: F401
 
 __all__ = [
@@ -132,7 +140,7 @@ def select_lagged_parents(
     Starting from every (X, tau) with tau in 1..cfg.tau_max, each candidate
     is tested against the target conditioned on the `level` strongest other
     survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
-    drop out after each level. Level 0 is one `stats.batch_ci` call over
+    drop out after each level. Level 0 is one `stats.marginal_ci` call over
     every candidate, in the first sweep only: a survivor has passed its
     marginal test, and no later sweep can change it. Each level >= 1 is one
     `stats.screen_ci` call, which answers a candidate outside the top
@@ -293,7 +301,9 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
 def _select_all_parents(panel: KpiPanel, nodes, cfg: SubgraphConfig):
     """select_lagged_parents for every node, as a dict: one lagged design
     serves every target's screen, and one kernel call answers every
-    target's level 0."""
+    target's level 0. The design and the level-0 arrays are released on
+    return, before the MCI stacks are gathered, which keeps a run's peak
+    memory where it was with one design per target."""
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
     ys = [panel.column(name)[cfg.tau_max:] for name in nodes]
     r, p = marginal_ci(design, ys)
@@ -309,9 +319,11 @@ def build_subgraph(
     cfg: SubgraphConfig,
 ) -> CausalSubgraph:
     """Parent selection for every node, then MCI over every surviving
-    cross-KPI link; deterministic for fixed inputs. The window must be
-    longer than 2 * tau_max + 2 * max_cond + 3 ticks, what the largest MCI
-    test can need."""
+    cross-KPI link; deterministic for fixed inputs. Every node's screen
+    shares one lagged design and one level-0 kernel call, and the MCI
+    tests run as stacks. The window must be longer than
+    2 * tau_max + 2 * max_cond + 3 ticks, what the largest MCI test can
+    need."""
     nodes = tuple(nodes)
     if len(set(nodes)) != len(nodes):
         raise DataError("duplicate node")
