@@ -282,8 +282,9 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     given one conditioning set; returns (r, p) arrays, one entry per column.
 
     y and the columns are residualized on [intercept, given] together, with
-    one multi-RHS least-squares solve (centered when `given` is empty), and
-    r is the correlation of the residuals. A column whose residual norm, or
+    one multi-RHS least-squares solve, and r is the correlation of the
+    residuals; with `given` empty this is :func:`marginal_ci`'s one-series
+    call, on the centered series. A column whose residual norm, or
     y's, is at most 1e-12 of its centered norm (or of 1, if larger) is
     degenerate: r = 0, p = 1. p is two-sided from Fisher's
     z = atanh(r) * sqrt(n - len(given) - 3), so n must exceed
@@ -302,28 +303,26 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     n, n_cond = yv.size, len(cols)
     if n <= n_cond + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
-    xc = x - x.mean(axis=0)
-    yc = yv - yv.mean()
-    nx = np.linalg.norm(xc, axis=0)
-    ny = float(np.linalg.norm(yc))
-    if cols:
-        design = np.column_stack([np.ones(n)] + cols)
-        rhs = np.column_stack([yv, x])
-        coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
-        resid = rhs - design @ coef
-        ry, rx = resid[:, 0], resid[:, 1:]
-        sx = np.linalg.norm(rx, axis=0)
-        sy = float(np.linalg.norm(ry))
-    else:
-        # the marginal residuals are the centered series
-        rx, ry, sx, sy = xc, yc, nx, ny
+    if not cols:
+        r, p = marginal_ci(x, [yv])
+        return r[0], p[0]
+    nx = np.linalg.norm(x - x.mean(axis=0), axis=0)
+    ny = float(np.linalg.norm(yv - yv.mean()))
+    design = np.column_stack([np.ones(n)] + cols)
+    rhs = np.column_stack([yv, x])
+    coef, *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    resid = rhs - design @ coef
+    ry, rx = resid[:, 0], resid[:, 1:]
+    sx = np.linalg.norm(rx, axis=0)
+    sy = float(np.linalg.norm(ry))
     return _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
 
 
 def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
     """Marginal correlation tests of every column of x_matrix against each
-    series in ys; returns (r, p) arrays with one row per series, row i bit
-    for bit what ``batch_ci(x_matrix, ys[i])`` returns.
+    series in ys; returns (r, p) arrays with one row per series.
+    ``batch_ci(x_matrix, y)`` with no conditioning set is the one-series
+    call, so row i is bit for bit what it returns for ys[i].
 
     The columns are centered, and their norms taken, once for every
     series. Each series then takes one product with the centered columns
