@@ -10,7 +10,6 @@ from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
 from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, screen_ci, stacked_ci
-from test_stats import reference_ci_test
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -22,6 +21,7 @@ from rcseq.subgraph import (
     select_lagged_parents,
     to_dot,
 )
+from test_stats import reference_ci_test
 
 
 def chain_panel(seed, t=1000, lag1=2, lag2=2, w=0.9):
