@@ -7,14 +7,14 @@ proportion backs the Monte Carlo convergence diagnostics. Discovery's CI
 tests go through :func:`batch_ci`, one least-squares solve per
 conditioning set (:func:`ci_test` is its one-column call). The lagged
 subgraph has three kernels shaped to its work: :func:`marginal_ci` tests
-one design's columns against every target, :func:`screen_ci` answers a
-whole parent-screen level from one QR, and :func:`stacked_ci` answers a
-stack of MCI tests from one batched QR. The QR kernels fall back to
-:func:`batch_ci` only where conditioning series are collinear. All of
-them take r and p from one degeneracy rule and one Fisher-z tail. That
-normal tail is a port of the Cephes `ndtr` that `scipy.special` wraps, so
-the p-values match scipy's to the bit without importing it; large calls
-run it vectorised, with the same bits.
+one design's columns against every target, :func:`screen_ci` answers one
+parent-screen level of a stack of targets from one batched QR, and
+:func:`stacked_ci` answers a stack of MCI tests from one batched QR. The
+QR kernels fall back to :func:`batch_ci` only where conditioning series
+are collinear. All of them take r and p from one degeneracy rule and one
+Fisher-z tail. That normal tail is a port of the Cephes `ndtr` that
+`scipy.special` wraps, so the p-values match scipy's to the bit without
+importing it; large calls run it vectorised, with the same bits.
 
 All functions here are pure and reentrant.
 """
@@ -153,6 +153,8 @@ _SQRT1_2 = 0.70710678118654752440
 _VECTOR_TAIL_MIN = 150
 # Tests per Fisher-z call in marginal_ci.
 _MARGINAL_BLOCK = 2048
+# Stack entries (members * n * (level + 3)) per batched QR in screen_ci.
+_SCREEN_BLOCK = 1 << 14
 _MAXLOG = 7.09782712893383996843e2  # log of the largest double
 
 
@@ -358,77 +360,123 @@ def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
     return r, p
 
 
-def screen_ci(x_matrix, y, top) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the lagged parent screen from one regression.
+def screen_ci(design, ys, tops, cands) -> tuple[np.ndarray, np.ndarray]:
+    """One level of the lagged parent screen for a stack of targets.
 
-    `top` holds level + 1 series as columns, strongest first. Every column
-    of x_matrix is tested against y given top[:level], and each top[j] with
-    j < level given the other level members of top. Returns (r, p) arrays
-    with one entry per column of x_matrix, then one per member of
-    top[:level], as :func:`batch_ci` would give them (same degeneracy rule,
-    same Fisher-z p with n - level - 3 degrees of freedom, so n must exceed
-    level + 3).
+    design holds candidate series as columns. Member i of the stack has
+    the target series ys[i], the level + 1 column indices tops[i],
+    strongest first, and the column indices cands[i]. Every column of
+    cands[i] is tested against ys[i] given top[:level], and each top[j]
+    with j < level given the other level members of top. Returns (r, p)
+    arrays holding, member after member, one entry per column of cands[i]
+    and then one per member of top[:level], as :func:`batch_ci` would give
+    them (same degeneracy rule, same Fisher-z p with n - level - 3 degrees
+    of freedom, so n must exceed level + 3). Every member's entries are
+    bit for bit what a stack holding that member alone gives it.
 
-    One Householder QR of [1, top, y] serves both groups; its leading
-    columns are the QR of A = [1, top], and R's last column holds Q'y. The
-    residuals on [1, top[:level]] come from the leading level + 1 columns
-    of Q, on the n rows. For top[j], with beta = R^-1 Q'y, e the residual of
-    y on A and s_j = 1 / |row j of R^-1|, the residual norm of top[j] on
-    the other columns of A, r_j = beta_j s_j / sqrt(|e|^2 + beta_j^2 s_j^2):
-    y's residual on the others is beta_j times top[j]'s plus e, orthogonal
-    to it, so every term is a sum of squares.
+    One batched Householder QR of the members' [1, top, y] matrices serves
+    every test; the leading columns of a member's QR are the QR of
+    A = [1, top], and R's last column holds Q'y. The residuals on
+    [1, top[:level]] come from the leading level + 1 columns of Q, on the
+    n rows, one member at a time, so no (members, n, candidates) array is
+    built. For top[j], with beta = R^-1 Q'y, e the residual of y on A and
+    s_j = 1 / |row j of R^-1|, the residual norm of top[j] on the other
+    columns of A, r_j = beta_j s_j / sqrt(|e|^2 + beta_j^2 s_j^2): y's
+    residual on the others is beta_j times top[j]'s plus e, orthogonal to
+    it, so every term is a sum of squares. beta is one member's
+    matrix-vector product; a batched einsum moves its last bits. One
+    Fisher-z call then answers the tests of every member of the QR.
+
+    The members run in blocks of about _SCREEN_BLOCK stack entries, one
+    batched QR each, so the stack's memory does not grow with the number
+    of targets: one QR over a 50-KPI window's 50 members raised a run's
+    peak RSS by about 0.7 MB, blocks of about 25 by about 0.25 MB.
 
     A member of top that is, by the degeneracy rule, a linear combination
     of the columns before it (a copied or derived KPI) leaves R singular.
-    Such a level runs as level + 1 grouped :func:`batch_ci` calls instead;
-    that route is kept only because it is the one that handles this input.
+    That member's level runs as level + 1 grouped :func:`batch_ci` calls
+    instead; that route is kept only because it is the one that handles
+    this input.
     """
-    x = np.asarray(x_matrix, dtype=float)
-    yv = np.asarray(y, dtype=float).ravel()
-    t = np.asarray(top, dtype=float)
-    if x.ndim != 2 or t.ndim != 2:
-        raise ValueError("x_matrix and top must be 2-D, one column per series")
-    n, k = t.shape
+    x = np.asarray(design, dtype=float)
+    yv = np.asarray(ys, dtype=float)
+    tops = np.asarray(tops, dtype=np.intp)
+    if x.ndim != 2 or yv.ndim != 2 or tops.ndim != 2:
+        raise ValueError("design, ys and tops must be 2-D, with one series and one top per member")
+    n = x.shape[0]
+    members, k = tops.shape
     level = k - 1
-    if not x.shape[0] == yv.size == n:
-        raise ValueError(f"series must have equal length, got {x.shape[0]}, {yv.size} and {n}")
+    if yv.shape != (members, n) or len(cands) != members:
+        raise ValueError(
+            f"{members} tops need {members} series of length {n} and {members} candidate sets,"
+            f" got series {yv.shape} and {len(cands)} sets"
+        )
     if n <= level + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {level + 3}")
-    a = np.empty((n, k + 2))
-    a[:, 0] = 1.0
-    a[:, 1:-1] = t
-    a[:, -1] = yv
+    step = max(1, _SCREEN_BLOCK // (n * (k + 2)))
+    blocks = [
+        _screen_block(x, yv[i : i + step], tops[i : i + step], cands[i : i + step])
+        for i in range(0, members, step)
+    ]
+    return np.concatenate([r for r, _ in blocks]), np.concatenate([p for _, p in blocks])
+
+
+def _screen_block(x, yv, tops, cands):
+    """:func:`screen_ci` for one block of members."""
+    n = x.shape[0]
+    members, k = tops.shape
+    level = k - 1
+    a = np.empty((members, n, k + 2))
+    a[:, :, 0] = 1.0
+    a[:, :, 1:-1] = x[:, tops].transpose(1, 0, 2)
+    a[:, :, -1] = yv
     q, rr = np.linalg.qr(a)
     # below the intercept row, R's columns hold the centered top columns and y
-    cent = np.sqrt(np.einsum("ij,ij->j", rr[1:, 1:], rr[1:, 1:]))
-    if (np.abs(rr.diagonal()[1:-1]) <= _DEGENERATE_TOL * np.maximum(1.0, cent[:-1])).any():
-        groups = [batch_ci(x, yv, given=list(t[:, :level].T))]
+    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
+    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1:-1])
+    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :-1])).any(axis=1)
+    regular = np.flatnonzero(~collinear)
+    # a singular R has no inverse, so only the regular members take one
+    rinv = np.linalg.inv(rr[regular, :-1, :-1])[:, 1:k]
+    s = 1.0 / np.sqrt(np.einsum("tij,tij->ti", rinv, rinv))
+    tests = []
+    for j, i in enumerate(regular.tolist()):
+        xi = x[:, cands[i]]
+        q1 = q[i, :, :k]  # spans [1, top[:level]]
+        proj = q1.T @ xi
+        rx = xi - q1 @ proj
+        # y's residual on [1, top[:level]] lies along Q's last two columns,
+        # and R's corner is the norm of e
+        ry = q[i, :, k:] @ rr[i, k:, -1]
+        ee = rr[i, -1, -1] ** 2
+        sx2 = np.einsum("ij,ij->j", rx, rx)
+        # a column's centered norm: its residual plus its part along top[:level]
+        nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
+        bs = (rinv[j] @ rr[i, :-1, -1]) * s[j]
+        tests.append((
+            np.concatenate([rx.T @ ry, bs * s[j]]),
+            np.concatenate([np.sqrt(sx2), s[j]]),
+            np.sqrt(np.concatenate([np.full(xi.shape[1], rr[i, k, -1] ** 2 + ee), ee + bs * bs])),
+            np.concatenate([nx, cent[i, :level]]),
+            np.full(xi.shape[1] + level, cent[i, -1]),
+        ))
+    sizes = [len(c) + level for c in cands]
+    r = np.empty(sum(sizes))
+    p = np.empty(sum(sizes))
+    if tests:
+        at = np.repeat(~collinear, sizes)
+        r[at], p[at] = _fisher_z(*map(np.concatenate, zip(*tests)), n - level - 3)
+    bounds = np.cumsum([0] + sizes)
+    for i in np.flatnonzero(collinear).tolist():
+        t = a[i, :, 1:-1]
+        groups = [batch_ci(x[:, cands[i]], yv[i], given=list(t[:, :level].T))]
         groups += [
-            batch_ci(t[:, [j]], yv, given=[t[:, c] for c in range(k) if c != j])
+            batch_ci(t[:, [j]], yv[i], given=[t[:, c] for c in range(k) if c != j])
             for j in range(level)
         ]
-        return np.concatenate([r for r, _ in groups]), np.concatenate([p for _, p in groups])
-    q1 = q[:, :k]  # spans [1, top[:level]]
-    proj = q1.T @ x
-    rx = x - q1 @ proj
-    # y's residual on [1, top[:level]] lies along Q's last two columns, and
-    # R's corner is the norm of e
-    ry = q[:, k:] @ rr[k:, -1]
-    ee = rr[-1, -1] ** 2
-    sx2 = np.einsum("ij,ij->j", rx, rx)
-    # a column's centered norm: its residual plus its part along top[:level]
-    nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
-    rinv = np.linalg.inv(rr[:-1, :-1])[1:k]
-    s = 1.0 / np.sqrt(np.einsum("ij,ij->i", rinv, rinv))
-    bs = (rinv @ rr[:-1, -1]) * s
-    return _fisher_z(
-        np.concatenate([rx.T @ ry, bs * s]),
-        np.concatenate([np.sqrt(sx2), s]),
-        np.sqrt(np.concatenate([np.full(x.shape[1], rr[k, -1] ** 2 + ee), ee + bs * bs])),
-        np.concatenate([nx, cent[:level]]),
-        cent[-1],
-        n - level - 3,
-    )
+        r[bounds[i] : bounds[i + 1]] = np.concatenate([g[0] for g in groups])
+        p[bounds[i] : bounds[i + 1]] = np.concatenate([g[1] for g in groups])
+    return r, p
 
 
 def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:

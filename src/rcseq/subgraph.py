@@ -8,9 +8,12 @@ edges carry a lag of at least one tick, so the graph is acyclic by
 construction.
 
 A window's work is a few array operations: one lagged design shared by
-every target, one kernel call for every target's level 0, one QR per
-screening level, and one batched QR per group of MCI tests with the same
-rows and conditioning-set size.
+every target, one kernel call for every target's level 0, one batched QR
+per screening round, and one batched QR per group of MCI tests with the
+same rows and conditioning-set size. The targets' screens advance in
+lockstep: a round is one (sweep, level) step of every target still
+screening, and each target keeps its own state, so no target's parents
+depend on the others.
 
 Self-dependencies (a KPI explaining itself at some lag) participate as
 conditioning context but are not emitted as subgraph edges; the subgraph
@@ -125,7 +128,7 @@ def _lagged_design(panel: KpiPanel, nodes, tau_max: int):
     return design.reshape(t - tau_max, -1), keys
 
 
-# Screening sweeps select_lagged_parents makes at most per target.
+# Screening sweeps the parent screen makes at most per target.
 MAX_PARENT_SWEEPS = 10
 
 
@@ -151,6 +154,10 @@ def select_lagged_parents(
     at most MAX_PARENT_SWEEPS times; stopping there while the set still
     changes emits a RuntimeWarning. Returns the surviving (X, tau) pairs
     ranked by strength (minimum |r| across their tests), strongest first.
+
+    This is the lockstep screen of :func:`build_subgraph` with one target:
+    each of that call's rounds is one `stats.screen_ci` call over every
+    target, and the target gets the parents it gets here.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
@@ -161,64 +168,101 @@ def select_lagged_parents(
         raise AnalysisError(
             f"window too short for parent selection: need more than {minimum} ticks, got {t}"
         )
-    y = panel.column(target)[cfg.tau_max:]
+    parents, capped = _select_all_parents(panel, nodes, (target,), cfg)
+    _warn_capped(capped)
+    return parents[target]
+
+
+def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
+    """The parent screen of :func:`select_lagged_parents` for every target,
+    with the (X, tau) candidates of every node. Returns the parents as a
+    dict, and a dict of the targets that stopped at the sweep cap with the
+    set still changing, each with its number of candidates left.
+
+    One lagged design serves every target, and one `stats.marginal_ci`
+    call answers every target's level 0. The targets' screens then advance
+    in lockstep, one (sweep, level) round at a time: every target still
+    sweeping whose top of that level is new joins the round, and one
+    `stats.screen_ci` call answers the round. Each target keeps its own
+    survivors, strengths, screened tops and stopping rule, so no target's
+    parents depend on the others. The callers emit the sweep-cap
+    warnings, so that they point at their own callers. The design and the
+    screen's arrays are released on return, before the MCI stacks are
+    gathered, which keeps a run's peak memory where it was with one design
+    per target.
+    """
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
-    r, p = marginal_ci(design, [y])
-    return _screen_parents(design, keys, y, (r[0], p[0]), target, cfg)
+    ys = [panel.column(name)[cfg.tau_max:] for name in targets]
+    r0, p0 = marginal_ci(design, ys)
+    ys = np.array(ys)
+    # row i holds target i's candidates, column indices in (name, lag) order;
+    # a candidate's strength starts at its level-0 |r|
+    alive = np.ones((len(targets), len(keys)), dtype=bool)
+    strength = np.abs(r0)
+    screened = [set() for _ in targets]  # each target's screened tops
 
-
-def _screen_parents(design, keys, y, marginal, target, cfg):
-    """The screen of :func:`select_lagged_parents` for one target, on the
-    window's lagged design and keys as `_lagged_design` builds them, with
-    the level-0 (r, p) of every column against y already computed."""
-    # candidates are column indices, in (name, lag) order
-    alive = np.ones(len(keys), dtype=bool)
-    strength = np.full(len(keys), np.inf)
-
-    def ranked():
+    def ranked(i):
         # strongest first; a stable sort breaks ties in (name, lag) order
-        cands = np.flatnonzero(alive)
-        return cands[np.argsort(-strength[cands], kind="stable")]
+        cands = np.flatnonzero(alive[i])
+        return cands[np.argsort(-strength[i, cands], kind="stable")]
 
-    screened = set()  # every top a level has screened, as ordered tuples
+    sweeping = np.arange(len(targets))  # targets whose set may still change
     for sweep in range(MAX_PARENT_SWEEPS):
         before = alive.copy()
         if sweep == 0:
             # level 0 runs once: a survivor has passed its marginal test,
             # and no later sweep can change that test
-            r, p = marginal
-            strength = np.minimum(strength, np.abs(r))
-            alive[p > cfg.alpha] = False
+            alive[p0 > cfg.alpha] = False
+        levelling = sweeping.tolist()
         for level in range(1, cfg.max_cond + 1):
-            top = ranked()[: level + 1]
-            if top.size <= level:
-                break
-            # a top screened in an earlier sweep would rerun that call's
-            # tests, and every survivor passed them
-            key = tuple(top.tolist())
-            if key in screened:
+            members, tops, cands = [], [], []
+            # a target whose survivors cannot fill the top ends its sweep
+            levelling = [i for i in levelling if np.count_nonzero(alive[i]) > level]
+            for i in levelling:
+                top = ranked(i)[: level + 1]
+                # a top screened in an earlier sweep would rerun that
+                # round's tests, and every survivor passed them
+                key = tuple(top.tolist())
+                if key in screened[i]:
+                    continue
+                screened[i].add(key)
+                # a candidate outside top[:level] is conditioned on
+                # top[:level], one inside it on the rest of top; every test
+                # of the round is set up before any runs, so removals take
+                # effect after it
+                outside = alive[i].copy()
+                outside[top[:level]] = False
+                members.append(i)
+                tops.append(top)
+                cands.append(np.flatnonzero(outside))
+            if not members:
                 continue
-            screened.add(key)
-            # a candidate outside top[:level] is conditioned on top[:level],
-            # one inside it on the rest of top; every test of the level is
-            # set up before any runs, so removals take effect after it
-            outside = alive.copy()
-            outside[top[:level]] = False
-            cands = np.flatnonzero(outside)
-            r, p = screen_ci(design[:, cands], y, design[:, top])
-            cands = np.concatenate([cands, top[:level]])
-            strength[cands] = np.minimum(strength[cands], np.abs(r))
-            alive[cands[p > cfg.alpha]] = False
-        if np.array_equal(alive, before):
+            r, p = screen_ci(design, ys[members], tops, cands)
+            rows = np.repeat(members, [c.size + level for c in cands])
+            inside = [top[:level] for top in tops]
+            cols = np.concatenate([c for pair in zip(cands, inside) for c in pair])
+            strength[rows, cols] = np.minimum(strength[rows, cols], np.abs(r))
+            drop = p > cfg.alpha
+            alive[rows[drop], cols[drop]] = False
+        sweeping = sweeping[(alive[sweeping] != before[sweeping]).any(axis=1)]
+        if not sweeping.size:
             break
-    else:
+    parents = {name: tuple(keys[c] for c in ranked(i).tolist()) for i, name in enumerate(targets)}
+    capped = {targets[i]: int(np.count_nonzero(alive[i])) for i in sweeping.tolist()}
+    return parents, capped
+
+
+def _warn_capped(capped):
+    """One RuntimeWarning per target whose screen stopped at the sweep cap
+    with its set still changing, attributed to the caller of the public
+    function that calls this."""
+    for target, left in capped.items():
         warnings.warn(
             f"parent selection for {target!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
-            f" with {np.count_nonzero(alive)} candidates left and the set still changing",
+            f" with {left} candidates left and the set still changing",
             RuntimeWarning,
             stacklevel=3,
         )
-    return tuple(keys[c] for c in ranked().tolist())
 
 
 def mci_edge_test(
@@ -298,21 +342,6 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
     return edges
 
 
-def _select_all_parents(panel: KpiPanel, nodes, cfg: SubgraphConfig):
-    """select_lagged_parents for every node, as a dict: one lagged design
-    serves every target's screen, and one kernel call answers every
-    target's level 0. The design and the level-0 arrays are released on
-    return, before the MCI stacks are gathered, which keeps a run's peak
-    memory where it was with one design per target."""
-    design, keys = _lagged_design(panel, nodes, cfg.tau_max)
-    ys = [panel.column(name)[cfg.tau_max:] for name in nodes]
-    r, p = marginal_ci(design, ys)
-    return {
-        name: _screen_parents(design, keys, y, (r[i], p[i]), name, cfg)
-        for i, (name, y) in enumerate(zip(nodes, ys))
-    }
-
-
 def build_subgraph(
     normal_panel: KpiPanel,
     nodes,
@@ -320,8 +349,12 @@ def build_subgraph(
 ) -> CausalSubgraph:
     """Parent selection for every node, then MCI over every surviving
     cross-KPI link; deterministic for fixed inputs. Every node's screen
-    shares one lagged design and one level-0 kernel call, and the MCI
-    tests run as stacks. The window must be longer than
+    shares one lagged design and one level-0 kernel call, the screens
+    advance in lockstep with one `stats.screen_ci` call per (sweep, level)
+    round, and the MCI tests run as stacks. Each node gets the parents
+    :func:`select_lagged_parents` gives it, and each node whose screen
+    stops at the sweep cap with its set still changing emits one
+    RuntimeWarning. The window must be longer than
     2 * tau_max + 2 * max_cond + 3 ticks, what the largest MCI test can
     need."""
     nodes = tuple(nodes)
@@ -338,7 +371,8 @@ def build_subgraph(
             f"window too short for the lagged subgraph: need more than {minimum} ticks"
             f" (2 * tau_max + 2 * max_cond + 3), got {t}"
         )
-    parents = _select_all_parents(normal_panel, nodes, cfg)
+    parents, capped = _select_all_parents(normal_panel, nodes, nodes, cfg)
+    _warn_capped(capped)
     # every surviving cross-KPI link, self-dependencies being conditioning
     # context only
     tests = [

@@ -2,8 +2,8 @@
 run once through the package's kernels (`ci_test` in discovery; in the
 subgraph `marginal_ci` for every target's level 0, `screen_ci` for the
 screen's levels >= 1 and `stacked_ci` for MCI) and once through the scalar
-references kept in `test_stats`, one test, or one target's marginal batch,
-at a time. Both must reach the same decisions with statistics equal to
+references kept in `test_stats`, one test, one target's marginal batch, or
+one target's screening level, at a time. Both must reach the same decisions with statistics equal to
 1e-12 relative."""
 
 import numpy as np
@@ -17,7 +17,7 @@ from rcseq.subgraph import SubgraphConfig, build_subgraph
 from test_stats import (
     reference_batch_marginal_ci,
     reference_ci_test,
-    reference_screen,
+    reference_screen_stack,
     reference_stacked,
 )
 
@@ -149,11 +149,12 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
 
     monkeypatch.setattr(rcd, "ci_test", counted("rcd", reference_ci_test))
     monkeypatch.setattr(subgraph, "marginal_ci", counted("marginal", reference_marginal))
-    monkeypatch.setattr(subgraph, "screen_ci", counted("screen", reference_screen))
+    monkeypatch.setattr(subgraph, "screen_ci", counted("screen", reference_screen_stack))
     monkeypatch.setattr(subgraph, "stacked_ci", counted("mci", reference_stacked))
     ref_runs, ref_graphs = run_pipeline(labeled, sla_metric, seed)
-    # discovery, every target's level 0, the parent screen and MCI all
-    # ran through the references
+    # discovery, every target's level 0, the parent screen (each member of
+    # a round through reference_screen) and MCI all ran through the
+    # references
     assert all(calls.values()), calls
 
     assert any(run.kpis for run in runs)

@@ -554,19 +554,92 @@ def reference_screen(x, y, top):
     return np.array([t.r for t in tests]), np.array([t.p for t in tests])
 
 
+def reference_screen_stack(design, ys, tops, cands):
+    """Every member of a screen_ci call through reference_screen, in
+    the order screen_ci returns them."""
+    tests = [
+        reference_screen(design[:, c], y, design[:, top]) for y, top, c in zip(ys, tops, cands)
+    ]
+    return np.concatenate([r for r, _ in tests]), np.concatenate([p for _, p in tests])
+
+
+def reference_screen_qr(x, y, top):
+    """One screening level for one target from one 2-D QR of [1, top, y]:
+    the kernel as it stood before screen_ci took a stack of targets.
+    Kept as the bitwise reference for every member of a stack; the
+    screen's decisions, and through them the golden outputs, rest on
+    these bits. A collinear top runs as level + 1 grouped batch_ci calls."""
+    n, k = top.shape
+    level = k - 1
+    a = np.column_stack([np.ones(n), top, y])
+    q, rr = np.linalg.qr(a)
+    cent = np.sqrt(np.einsum("ij,ij->j", rr[1:, 1:], rr[1:, 1:]))
+    if (np.abs(rr.diagonal()[1:-1]) <= _DEGENERATE_TOL * np.maximum(1.0, cent[:-1])).any():
+        groups = [batch_ci(x, y, given=list(top[:, :level].T))]
+        groups += [
+            batch_ci(top[:, [j]], y, given=[top[:, c] for c in range(k) if c != j])
+            for j in range(level)
+        ]
+        return np.concatenate([r for r, _ in groups]), np.concatenate([p for _, p in groups])
+    q1 = q[:, :k]
+    proj = q1.T @ x
+    rx = x - q1 @ proj
+    ry = q[:, k:] @ rr[k:, -1]
+    ee = rr[-1, -1] ** 2
+    sx2 = np.einsum("ij,ij->j", rx, rx)
+    nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
+    rinv = np.linalg.inv(rr[:-1, :-1])[1:k]
+    s = 1.0 / np.sqrt(np.einsum("ij,ij->i", rinv, rinv))
+    bs = (rinv @ rr[:-1, -1]) * s
+    return stats._fisher_z(
+        np.concatenate([rx.T @ ry, bs * s]),
+        np.concatenate([np.sqrt(sx2), s]),
+        np.sqrt(np.concatenate([np.full(x.shape[1], rr[k, -1] ** 2 + ee), ee + bs * bs])),
+        np.concatenate([nx, cent[:level]]),
+        cent[-1],
+        n - level - 3,
+    )
+
+
+def screen_stack_of(members):
+    """screen_ci's arguments for members given as (x, y, top) triples:
+    every member's columns and top side by side in one design."""
+    design = np.column_stack([m for x, _, top in members for m in (x, top)])
+    widths = np.cumsum([0] + [m.shape[1] for x, _, top in members for m in (x, top)])
+    cands = [np.arange(widths[2 * i], widths[2 * i + 1]) for i in range(len(members))]
+    tops = np.array([np.arange(widths[2 * i + 1], widths[2 * i + 2]) for i in range(len(members))])
+    return design, np.array([y for _, y, _ in members]), tops, cands
+
+
 class TestScreenCi:
     @staticmethod
-    def assert_matches_reference(x, y, top):
-        """screen_ci against the scalar reference: |dr|, |dp| <= 1e-12 and
-        the same decisions at 0.05."""
-        r, p = screen_ci(x, y, top)
-        ref_r, ref_p = reference_screen(x, y, top)
-        assert r.shape == p.shape == ref_r.shape
+    def assert_members_bitwise(design, ys, tops, cands):
+        """One stacked call, each member's entries bit for bit those of a
+        stack holding that member alone and of reference_screen_qr."""
+        r, p = screen_ci(design, ys, tops, cands)
+        level = tops.shape[1] - 1
+        bounds = np.cumsum([0] + [len(c) + level for c in cands])
+        assert r.shape == p.shape == (bounds[-1],)
+        for i, c in enumerate(cands):
+            got = r[bounds[i] : bounds[i + 1]], p[bounds[i] : bounds[i + 1]]
+            alone = screen_ci(design, ys[i : i + 1], tops[i : i + 1], [c])
+            ref = reference_screen_qr(design[:, c], ys[i], design[:, tops[i]])
+            for want in (alone, ref):
+                for g, w in zip(got, want, strict=True):
+                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), i
+        return r, p
+
+    @staticmethod
+    def assert_matches_reference(design, ys, tops, cands):
+        """The stack bitwise per member (assert_members_bitwise) and against
+        the scalar reference: |dr|, |dp| <= 1e-12 and the same decisions at
+        0.05."""
+        r, p = TestScreenCi.assert_members_bitwise(design, ys, tops, cands)
+        ref_r, ref_p = reference_screen_stack(design, ys, tops, cands)
         assert np.max(np.abs(r - ref_r)) <= 1e-12
         assert np.max(np.abs(p - ref_p)) <= 1e-12
         assert np.array_equal(p <= 0.05, ref_p <= 0.05)
-        m = x.shape[1]
-        return r[:m], p[:m], r[m:], p[m:]
+        return r, p
 
     @staticmethod
     def count_batch_ci(monkeypatch):
@@ -584,13 +657,30 @@ class TestScreenCi:
         calls = self.count_batch_ci(monkeypatch)
         rng = np.random.default_rng(90 + level)
         for n in (level + 4, level + 9, 120):
-            x, y, top = screen_case(rng, n, level)
-            r, p, r_top, p_top = self.assert_matches_reference(x, y, top)
+            members = [screen_case(rng, n, level) for _ in range(4)]
+            # a member whose survivors are its top alone tests only top[:level]
+            _, y, top = screen_case(rng, n, level)
+            members.insert(2, (np.empty((n, 0)), y, top))
+            r, p = self.assert_matches_reference(*screen_stack_of(members))
             # the pinned column, and the two collinear with top[:level]
-            # (the second at 1e7 scale), are degenerate
-            assert (r[2:5] == 0.0).all() and (p[2:5] == 1.0).all()
-        # a full-rank top is answered from the one QR
+            # (the second at 1e7 scale), are degenerate in every member
+            at = np.cumsum([0] + [x.shape[1] + level for x, _, _ in members])[[0, 1, 3, 4]]
+            for i in at:
+                assert (r[i + 2 : i + 5] == 0.0).all() and (p[i + 2 : i + 5] == 1.0).all()
+            # a batch of one
+            self.assert_matches_reference(*screen_stack_of(members[:1]))
+        # full-rank tops are answered from the one QR
         assert calls == []
+
+    def test_blocks_are_bitwise_one_stack(self, monkeypatch):
+        # a stack larger than a block runs as several QRs with the same bits
+        rng = np.random.default_rng(95)
+        args = screen_stack_of([screen_case(rng, 60, 2) for _ in range(5)])
+        whole = screen_ci(*args)
+        for entries in (1, 60 * 5 * 2):  # one member, and two, per block
+            monkeypatch.setattr(stats, "_SCREEN_BLOCK", entries)
+            for got, want in zip(screen_ci(*args), whole, strict=True):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_y_in_span_of_top(self, level):
@@ -599,7 +689,9 @@ class TestScreenCi:
         # y is exactly explained by every member of top but top[1]
         weights = np.arange(level + 1) - 1.0
         y = 2.0 + top @ weights
-        r, p, r_top, p_top = self.assert_matches_reference(x, y, top)
+        members = [(x, y, top), screen_case(rng, 60, level)]
+        r, p = self.assert_matches_reference(*screen_stack_of(members))
+        r, p, r_top, p_top = r[:8], p[:8], r[8 : 8 + level], p[8 : 8 + level]
         leans = weights[:level] != 0.0
         assert (np.abs(r_top[leans]) >= 1.0 - 1e-12).all() and (p_top[leans] <= 1e-12).all()
         assert not r_top[~leans].any() and (p_top[~leans] == 1.0).all()
@@ -609,37 +701,50 @@ class TestScreenCi:
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_rank_deficient_top_takes_the_grouped_route(self, monkeypatch, level):
         rng = np.random.default_rng(110 + level)
-        x, y, top = screen_case(rng, 60, level)
-        duplicate, derived = top.copy(), top.copy()
+        members = [screen_case(rng, 60, level) for _ in range(4)]
+        x, y, top = members[1]
+        duplicate = top.copy()
         duplicate[:, level] = top[:, level - 1]
+        members[1] = (x, y, duplicate)
+        x, y, top = members[3]
+        derived = top.copy()
         derived[:, level] = 3.0 - 2.0 * top[:, 0] + (top[:, 1] if level > 1 else 0.0)
-        for case in (duplicate, derived):
-            calls = self.count_batch_ci(monkeypatch)
-            got = screen_ci(x, y, case)
-            monkeypatch.undo()
-            # one call for the columns, one per member of top[:level]
-            assert calls == [level] * (level + 1)
+        members[3] = (x, y, derived)
+        calls = self.count_batch_ci(monkeypatch)
+        r, p = screen_ci(*screen_stack_of(members))
+        monkeypatch.undo()
+        # only the two collinear members take batch_ci: one call for the
+        # columns and one per member of top[:level], each
+        assert calls == [level] * (2 * (level + 1))
+        bounds = np.cumsum([0] + [x.shape[1] + level for x, _, _ in members])
+        for i in (1, 3):
+            x, y, case = members[i]
             want = [batch_ci(x, y, given=list(case[:, :level].T))]
             want += [
                 batch_ci(case[:, [j]], y, given=[case[:, c] for c in range(level + 1) if c != j])
                 for j in range(level)
             ]
-            for g, w in zip(got, zip(*want), strict=True):
-                assert np.array_equal(g.view(np.int64), np.concatenate(w).view(np.int64))
-            self.assert_matches_reference(x, y, case)
+            for g, w in zip((r, p), zip(*want), strict=True):
+                got = g[bounds[i] : bounds[i + 1]]
+                assert np.array_equal(got.view(np.int64), np.concatenate(w).view(np.int64))
+        self.assert_matches_reference(*screen_stack_of(members))
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_smallest_sample(self, level):
         rng = np.random.default_rng(120 + level)
-        x, y, top = screen_case(rng, level + 3, level)
+        args = screen_stack_of([screen_case(rng, level + 3, level)])
         with pytest.raises(ValueError, match=f"n={level + 3} requires n > {level + 3}"):
-            screen_ci(x, y, top)
+            screen_ci(*args)
 
     def test_mismatched_lengths(self):
-        with pytest.raises(ValueError, match="equal length, got 10, 10 and 9"):
-            screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros((9, 2)))
+        design, ys, tops = np.zeros((10, 4)), np.zeros((2, 10)), np.array([[0, 1], [1, 2]])
+        need = "2 tops need 2 series of length 10 and 2 candidate sets"
+        with pytest.raises(ValueError, match=need):
+            screen_ci(design, ys[:, :9], tops, [[3], [3]])
+        with pytest.raises(ValueError, match=r"got series \(2, 10\) and 1 sets"):
+            screen_ci(design, ys, tops, [[3]])
         with pytest.raises(ValueError, match="2-D"):
-            screen_ci(np.zeros((10, 2)), np.arange(10.0), np.zeros(10))
+            screen_ci(design, ys, tops[0], [[3]])
 
 
 def stacked_case(rng, tests, n, k):

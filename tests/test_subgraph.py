@@ -73,6 +73,12 @@ def reference_select_lagged_parents(panel, target, cfg):
     """The parent screen with one `ci_test` per candidate at level l >= 1,
     each conditioned on `[c for c in ranked if c != cand][:level]`: the
     per-candidate loop the grouped screen must reproduce."""
+    return reference_parent_screen(panel, target, cfg, MAX_PARENT_SWEEPS)[0]
+
+
+def reference_parent_screen(panel, target, cfg, sweeps):
+    """reference_select_lagged_parents with at most `sweeps` sweeps;
+    returns the parents and whether the set still changed in the last."""
     t = panel.n_ticks
     y = panel.column(target)[cfg.tau_max:]
     cols = {
@@ -82,7 +88,7 @@ def reference_select_lagged_parents(panel, target, cfg):
     }
     survivors = sorted(cols)
     strength = {}
-    for _sweep in range(MAX_PARENT_SWEEPS):
+    for _sweep in range(sweeps):
         before = list(survivors)
         for level in range(cfg.max_cond + 1):
             if level > len(survivors) - 1:
@@ -105,7 +111,8 @@ def reference_select_lagged_parents(panel, target, cfg):
             survivors = [c for c in survivors if c not in removed]
         if survivors == before:
             break
-    return tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
+    parents = tuple(sorted(survivors, key=lambda c: (-strength[c], c)))
+    return parents, survivors != before
 
 
 class TestSelectLaggedParents:
@@ -150,7 +157,7 @@ class TestSelectLaggedParents:
 
     def test_collinear_top_takes_the_grouped_route(self, monkeypatch):
         # the copied KPI ranks next to its original, so some level's top is
-        # rank-deficient and screen_ci hands that level to batch_ci
+        # rank-deficient and screen_ci hands that member to batch_ci
         grouped = []
 
         def counted_batch_ci(x_matrix, y, given=()):
@@ -166,22 +173,24 @@ class TestSelectLaggedParents:
     @staticmethod
     def count_kernels(monkeypatch):
         """Record every screen kernel call: the marginal call with its
-        number of series, and each screen_ci call with its level, top and
-        target series; a level-0 batch_ci call would be recorded too."""
+        number of series, and each screen_ci call with its level and
+        its members' (target series, top) pairs; a level-0 batch_ci call
+        would be recorded too."""
         calls = []
 
         def counted_batch_ci(x_matrix, y, given=()):
             if not given:
-                calls.append(("batch_ci", 0, None, None))
+                calls.append(("batch_ci", 0, None))
             return batch_ci(x_matrix, y, given=given)
 
         def counted_marginal_ci(x_matrix, ys):
-            calls.append(("marginal_ci", 0, len(ys), None))
+            calls.append(("marginal_ci", 0, len(ys)))
             return marginal_ci(x_matrix, ys)
 
-        def counted_screen_ci(x_matrix, y, top):
-            calls.append(("screen_ci", top.shape[1] - 1, top.tobytes(), y.tobytes()))
-            return screen_ci(x_matrix, y, top)
+        def counted_screen_ci(design, ys, tops, cands):
+            members = [(y.tobytes(), np.asarray(top).tobytes()) for y, top in zip(ys, tops)]
+            calls.append(("screen_ci", len(tops[0]) - 1, members))
+            return screen_ci(design, ys, tops, cands)
 
         monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
         monkeypatch.setattr(subgraph, "marginal_ci", counted_marginal_ci)
@@ -189,17 +198,25 @@ class TestSelectLaggedParents:
         return calls
 
     @staticmethod
-    def assert_one_call_per_level(calls, max_cond):
-        """One screen_ci call per level >= 1: the first sweep runs levels
-        1, 2, ... in turn, and no top is screened twice. Returns the
-        deepest level."""
+    def assert_one_call_per_round(calls, max_cond):
+        """screen_ci calls only, at most one per (sweep, level) round: no
+        more than MAX_PARENT_SWEEPS * max_cond calls, each holding a target
+        at most once. Each target's first sweep runs levels 1, 2, ... in
+        turn, and no target screens a top twice. Returns each target's
+        levels in call order."""
         assert all(kernel == "screen_ci" for kernel, *_ in calls)
-        levels = [level for _, level, _, _ in calls]
-        first = next((i for i in range(1, len(levels)) if levels[i] <= levels[i - 1]), len(levels))
-        assert levels[:first] == list(range(1, first + 1)), levels
-        tops = [top for _, _, top, _ in calls]
-        assert len(set(tops)) == len(tops), levels
-        return max(levels)
+        assert len(calls) <= MAX_PARENT_SWEEPS * max_cond
+        levels, tops = {}, {}
+        for _, level, members in calls:
+            assert len({y for y, _ in members}) == len(members)
+            for y, top in members:
+                levels.setdefault(y, []).append(level)
+                tops.setdefault(y, []).append(top)
+        for y, seen in levels.items():
+            first = next((i for i in range(1, len(seen)) if seen[i] <= seen[i - 1]), len(seen))
+            assert seen[:first] == list(range(1, first + 1)), seen
+            assert len(set(tops[y])) == len(tops[y]), seen
+        return levels
 
     @pytest.mark.parametrize("max_cond", [1, 2, 3])
     def test_one_kernel_call_per_level(self, monkeypatch, max_cond):
@@ -210,9 +227,11 @@ class TestSelectLaggedParents:
             calls.clear()
             select_lagged_parents(panel, target, SubgraphConfig(max_cond=max_cond))
             # level 0 is one marginal call for the one target, with no
-            # level-0 kernel call of its own; then screen_ci only
-            assert calls[0][:3] == ("marginal_ci", 0, 1)
-            deepest = max(deepest, self.assert_one_call_per_level(calls[1:], max_cond))
+            # level-0 kernel call of its own; then one-member stacks only
+            assert calls[0] == ("marginal_ci", 0, 1)
+            assert all(len(members) == 1 for *_, members in calls[1:])
+            levels = self.assert_one_call_per_round(calls[1:], max_cond)
+            deepest = max([deepest, *(max(seen) for seen in levels.values())])
         assert deepest == max_cond
 
     @pytest.mark.parametrize("max_cond", [1, 2, 3])
@@ -221,16 +240,44 @@ class TestSelectLaggedParents:
         panel = screen_panel(7, 25, 120)
         build_subgraph(panel, panel.kpi_names, SubgraphConfig(max_cond=max_cond))
         # every target's level 0 comes from one call, made before any screen
-        assert calls[0][:3] == ("marginal_ci", 0, 25)
+        assert calls[0] == ("marginal_ci", 0, 25)
         screens = calls[1:]
-        assert all(kernel != "marginal_ci" for kernel, *_ in screens)
-        targets = {y for *_, y in screens}
-        assert len(targets) == 25
-        deepest = max(
-            self.assert_one_call_per_level([c for c in screens if c[3] == y], max_cond)
-            for y in targets
-        )
-        assert deepest == max_cond
+        levels = self.assert_one_call_per_round(screens, max_cond)
+        assert len(levels) == 25
+        assert max(max(seen) for seen in levels.values()) == max_cond
+        # the targets advance in lockstep: the first round holds every
+        # target's first level-1 screen
+        first = screens[0]
+        assert first[1] == 1 and len(first[2]) == sum(seen[0] == 1 for seen in levels.values())
+
+    @pytest.mark.parametrize(
+        "v, t, collinear",
+        [(25, 120, False), (50, 120, False), (25, 1000, False), (50, 1000, False), (25, 120, True)],
+        ids=["25-120", "50-120", "25-1000", "50-1000", "25-120-collinear"],
+    )
+    def test_targets_do_not_couple(self, monkeypatch, v, t, collinear):
+        # every target's parents from build_subgraph's lockstep screen are
+        # those its own one-target call finds
+        panel = screen_panel(v + t, v, t, collinear)
+        screens = []
+
+        def recorded(*args):
+            result = select(*args)
+            screens.append(result[0])
+            return result
+
+        select = subgraph._select_all_parents
+        for max_cond in range(4):
+            cfg = SubgraphConfig(max_cond=max_cond)
+            screens.clear()
+            monkeypatch.setattr(subgraph, "_select_all_parents", recorded)
+            build_subgraph(panel, panel.kpi_names, cfg)
+            monkeypatch.undo()
+            (parents,) = screens
+            assert list(parents) == list(panel.kpi_names)
+            for target in panel.kpi_names:
+                alone = select_lagged_parents(panel, target, cfg)
+                assert parents[target] == alone, (target, max_cond)
 
     def test_marginal_rows_match_batch_ci_bitwise(self):
         # the shared level 0 gives each target the bits its own marginal
@@ -258,8 +305,30 @@ class TestSelectLaggedParents:
     def test_sweep_cap_warns(self, monkeypatch):
         monkeypatch.setattr("rcseq.subgraph.MAX_PARENT_SWEEPS", 1)
         cap = "parent selection for 'Y' stopped at the 1-sweep cap"
-        with pytest.warns(RuntimeWarning, match=cap):
+        with pytest.warns(RuntimeWarning, match=cap) as caught:
             select_lagged_parents(chain_panel(seed=1), "Y", SubgraphConfig(alpha=0.01))
+        # attributed to the caller, not to a line of the package
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_sweep_cap_warns_through_build_subgraph(self, monkeypatch):
+        # with two sweeps, three of this panel's targets still change at the
+        # cap; each warns once, named, at the caller, and the rest stay silent
+        monkeypatch.setattr("rcseq.subgraph.MAX_PARENT_SWEEPS", 2)
+        panel = screen_panel(145, 25, 120)
+        cfg = SubgraphConfig()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_subgraph(panel, panel.kpi_names, cfg)
+        screens = {name: reference_parent_screen(panel, name, cfg, 2) for name in panel.kpi_names}
+        capped = [name for name, (_, changing) in screens.items() if changing]
+        assert len(capped) == 3
+        assert [str(w.message) for w in caught] == [
+            f"parent selection for {name!r} stopped at the 2-sweep cap with"
+            f" {len(screens[name][0])} candidates left and the set still changing"
+            for name in capped
+        ]
+        assert {w.category for w in caught} == {RuntimeWarning}
+        assert {w.filename for w in caught} == {__file__}
 
     def test_golden_case_stays_under_sweep_cap(self, tmp_path):
         with warnings.catch_warnings(record=True) as caught:
