@@ -14,9 +14,10 @@ directly, with no orientation phase.
 Discovery runs in one process. Every CI test goes through one `CiOracle`:
 the pooled sample, each KPI's marginal p against F from one batch over all
 pooled columns, and a memo of the conditional tests, each computed once.
-The runs of one `rcd_runs` call share an oracle, and a caller that reruns
-discovery on the same panel, such as the Monte Carlo tuner, may pass one
-oracle to every call.
+A chunk's level 0 reads the marginal p's straight from that batch, so only
+levels >= 1 enumerate conditioning sets. The runs of one `rcd_runs` call
+share an oracle, and a caller that reruns discovery on the same panel, such
+as the Monte Carlo tuner, may pass one oracle to every call.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
     if g < 2:
         raise ConfigError(f"chunk size g must be >= 2, got {g}")
     names = list(kpi_names)
-    shuffled = [names[i] for i in rng.permutation(len(names))]
+    shuffled = [names[i] for i in rng.permutation(len(names)).tolist()]
     n_chunks = max(1, -(-len(names) // g))
     # the first len % n_chunks chunks take one extra name, as np.array_split
     size, extra = divmod(len(names), n_chunks)
@@ -140,10 +141,11 @@ class CiOracle:
     over all pooled columns, made here through the `batch_marginal_ci`
     binding: a column's batch p depends in its last bits on the columns that
     share its batch, so one batch gives each KPI one marginal p whichever
-    chunk screens it. A conditional p depends in its last bits on the order
-    of S, so S is kept in the caller's order; a miss calls the module's
-    `ci_test` binding, the kernel's one-column call. A pooled sample of
-    n <= 3 rows, too few for any CI test, raises AnalysisError.
+    chunk screens it. `marginal` maps each name to that p, and `order` maps
+    each name to its panel position. A conditional p depends in its last
+    bits on the order of S, so S is kept in the caller's order; a miss calls
+    the module's `ci_test` binding, the kernel's one-column call. A pooled
+    sample of n <= 3 rows, too few for any CI test, raises AnalysisError.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -156,13 +158,16 @@ class CiOracle:
                 f"pooled sample n={self.f.size} is too small for discovery: "
                 "its CI tests need n > 3"
             )
-        p_values = batch_marginal_ci(self.values, self.f)[1]
+        names = labeled.panel.kpi_names
+        p_values = batch_marginal_ci(self.values, self.f)[1].tolist()
+        self.marginal: dict[str, float] = dict(zip(names, p_values))
+        self.order: dict[str, int] = {name: i for i, name in enumerate(names)}
         self._p: dict[tuple[str, tuple[str, ...]], float] = {
-            (name, ()): p for name, p in zip(labeled.panel.kpi_names, p_values.tolist())
+            (name, ()): p for name, p in self.marginal.items()
         }
 
     def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.labeled.panel.kpi_names.index(name)]
+        return self.values[:, self.order[name]]
 
     def p_value(self, name: str, subset: tuple[str, ...]) -> float:
         """p-value of name against F given the subset's columns, in order."""
@@ -182,7 +187,9 @@ def local_skeleton(
     l = 0..max_cond, each member X is tested against F given every size-l
     subset of the other current neighbors; X is dropped once any test fails
     to reject (p > alpha). Removals are applied only after a level
-    completes, so results do not depend on within-level order.
+    completes, so results do not depend on within-level order. Level 0 is
+    one pass over the chunk that reads each member's p from
+    `oracle.marginal`, the oracle's one marginal batch.
 
     Returns (survivors mapped to their maximum observed p-value, warnings
     for any levels skipped due to sample size). `oracle` answers the CI
@@ -192,11 +199,13 @@ def local_skeleton(
     if not chunk:
         raise ConfigError("chunk must be non-empty")
     n = oracle.f.size
-    adjacency = list(chunk)
-    p_max: dict[str, float] = {name: 0.0 for name in chunk}
+    marginal = oracle.marginal
+    # the oracle guarantees n > 3, so level 0 always runs
+    p_max = {name: max(0.0, p) for name in chunk if not (p := marginal[name]) > alpha}
+    adjacency = list(p_max)
     warnings: list[str] = []
 
-    for level in range(max_cond + 1):
+    for level in range(1, max_cond + 1):
         if level > len(adjacency) - 1:
             break
         if n <= level + 3:
@@ -240,7 +249,7 @@ def hierarchical_refine(
     final pass screens the remaining set as a single chunk and supplies the
     reported p-values. `oracle` is passed to every `local_skeleton` call.
     """
-    order = {name: i for i, name in enumerate(oracle.labeled.panel.kpi_names)}
+    order = oracle.order
     survivors = sorted(survivor_union, key=order.__getitem__)
     warnings: list[str] = []
     passes = 0

@@ -271,5 +271,4 @@ def write_traces_csv(
     with bundle.path("deviation_traces.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("tick", *kpis))
-        for tick, row in zip(ticks, traces):
-            writer.writerow((int(tick), *(int(v) for v in row)))
+        writer.writerows(np.column_stack([ticks, traces]).astype(np.int64).tolist())

@@ -12,7 +12,7 @@ The sweep runs in one process, and all of its cells share one CI oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,12 +40,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class McGrid:
-    """Causal-source counts per (g, n, KPI) from the Monte Carlo sweep."""
+    """Causal-source counts per (g, n, KPI) from the Monte Carlo sweep, and
+    the read-only proportions counts / n, computed once."""
 
     g_values: tuple[int, ...]
     n_values: tuple[int, ...]
     kpi_names: tuple[str, ...]
     counts: np.ndarray  # shape (len(g_values), len(n_values), len(kpi_names))
+    proportions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -59,10 +61,9 @@ class McGrid:
             values = read_value(tuple[int, ...], tuple(getattr(self, what)), what)
             object.__setattr__(self, what, values)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
-
-    @property
-    def proportions(self) -> np.ndarray:
-        return self.counts / np.asarray(self.n_values)[None, :, None]
+        proportions = counts / np.asarray(self.n_values)[None, :, None]
+        proportions.setflags(write=False)
+        object.__setattr__(self, "proportions", proportions)
 
     def proportion(self, g: int, n: int, kpi: str) -> float:
         gi = self.g_values.index(g)

@@ -1,3 +1,6 @@
+import sys
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,10 @@ from rcseq.rcd import (
     rcd_runs,
     rcd_single_run,
 )
+from rcseq.config import DEFAULT_N_SET
 from rcseq.scm import make_scenario, single_root_scenario
 from rcseq.stats import batch_ci
+from rcseq.tuner import run_grid
 
 
 def noise_labeled(seed, n_kpis=4, t=240):
@@ -189,6 +194,143 @@ class TestLocalSkeleton:
                 "conditioning level 3 skipped: pooled sample n=6 too small",
                 "conditioning level 4 skipped: pooled sample n=6 too small",
             )
+
+
+def reference_local_skeleton(oracle, chunk, alpha, max_cond):
+    """The skeleton loop as it was before level 0 read the marginal map:
+    every level, level 0 included, asks `oracle.p_value` for each subset."""
+    chunk = list(chunk)
+    if not chunk:
+        raise ConfigError("chunk must be non-empty")
+    n = oracle.f.size
+    adjacency = list(chunk)
+    p_max = {name: 0.0 for name in chunk}
+    warnings = []
+
+    for level in range(max_cond + 1):
+        if level > len(adjacency) - 1:
+            break
+        if n <= level + 3:
+            warnings.append(
+                f"conditioning level {level} skipped: pooled sample n={n} too small"
+            )
+            continue
+        removed = []
+        for name in adjacency:
+            others = [o for o in adjacency if o != name]
+            for subset in combinations(others, level):
+                p = oracle.p_value(name, subset)
+                p_max[name] = max(p_max[name], p)
+                if p > alpha:
+                    removed.append(name)
+                    break
+        if removed:
+            adjacency = [a for a in adjacency if a not in removed]
+    return {name: p_max[name] for name in adjacency}, warnings
+
+
+def assert_same_skeleton(got, want):
+    (surv, warnings), (ref_surv, ref_warnings) = got, want
+    assert list(surv) == list(ref_surv)
+    assert [p.hex() for p in surv.values()] == [p.hex() for p in ref_surv.values()]
+    assert warnings == ref_warnings
+
+
+class StubOracle:
+    """An oracle with set marginal p's and one p for every conditional test."""
+
+    def __init__(self, marginal, conditional=0.0, n=100):
+        self.f = np.zeros(n)
+        self.marginal = dict(marginal)
+        self.conditional = conditional
+
+    def p_value(self, name, subset):
+        return self.conditional if subset else self.marginal[name]
+
+
+class TestSkeletonEquivalence:
+    @pytest.mark.parametrize("scenario", ["cascade", "single_root", "null"])
+    def test_random_chunks_match_reference(self, scenario):
+        rng = np.random.default_rng(sum(map(ord, scenario)))
+        for seed in range(6):
+            panel, _ = make_scenario(scenario).build(seed)
+            labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+            oracle = CiOracle(labeled)
+            names = list(panel.kpi_names)
+            for _ in range(12):
+                chunk = [names[i] for i in rng.permutation(len(names))[: rng.integers(1, len(names) + 1)]]
+                for alpha in (0.01, 0.05, 0.2):
+                    for max_cond in range(4):
+                        assert_same_skeleton(
+                            local_skeleton(oracle, chunk, alpha, max_cond),
+                            reference_local_skeleton(oracle, chunk, alpha, max_cond),
+                        )
+
+    @pytest.mark.parametrize("marginal_p", [0.05, 0.0])
+    @pytest.mark.parametrize("max_cond", [0, 1, 3])
+    def test_marginal_p_on_the_edge(self, marginal_p, max_cond):
+        # p == alpha does not reject, so the member stays; p == 0.0 stays
+        # with p_max 0.0
+        oracle = StubOracle({"a": marginal_p, "b": marginal_p, "c": 0.9})
+        surv, warnings = local_skeleton(oracle, ["c", "b", "a"], 0.05, max_cond)
+        assert surv == {"b": marginal_p, "a": marginal_p} and warnings == []
+        assert_same_skeleton(
+            (surv, warnings), reference_local_skeleton(oracle, ["c", "b", "a"], 0.05, max_cond)
+        )
+
+    def test_small_sample_warnings_match_reference(self):
+        oracle = StubOracle({k: 0.01 for k in "abcde"}, conditional=0.02, n=6)
+        for max_cond in range(6):
+            assert_same_skeleton(
+                local_skeleton(oracle, "edcba", 0.05, max_cond),
+                reference_local_skeleton(oracle, "edcba", 0.05, max_cond),
+            )
+
+    def test_tuner_grid_matches_reference(self, monkeypatch):
+        panel, _ = single_root_scenario(extra_noise=15).build(143)
+        labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+        assert panel.n_kpis == 20
+
+        def grid():
+            return run_grid(labeled, range(3, 21), DEFAULT_N_SET, RcdConfig(), 143).counts
+
+        counts = grid()
+        monkeypatch.setattr(rcd, "local_skeleton", reference_local_skeleton)
+        assert np.array_equal(counts, grid())
+
+
+class TestLevelZeroMechanism:
+    def test_discovery_asks_no_marginal_p_value(self, monkeypatch):
+        # level 0 reads oracle.marginal; p_value only answers conditional tests
+        subsets = []
+        p_value = CiOracle.p_value
+
+        def recorded(self, name, subset):
+            subsets.append(subset)
+            return p_value(self, name, subset)
+
+        monkeypatch.setattr(CiOracle, "p_value", recorded)
+        panel, _ = make_scenario("cascade").build(0)
+        labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+        rcd_runs(labeled, RcdConfig(g=3, n_runs=8, seed=0))
+        assert subsets and all(subsets)
+
+    def test_marginal_p_value_still_answers(self):
+        oracle = CiOracle(scenario_labeled(0))
+        for name, p in oracle.marginal.items():
+            assert oracle.p_value(name, ()) == p
+
+    def test_skeleton_is_called_through_the_module_binding(self, monkeypatch):
+        callers = []
+        skeleton = rcd.local_skeleton
+
+        def recorded(*args):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return skeleton(*args)
+
+        monkeypatch.setattr(rcd, "local_skeleton", recorded)
+        rcd_runs(root_copies_labeled(0), RcdConfig(g=2, n_runs=3, seed=0))
+        assert set(callers) == {"rcd_single_run", "hierarchical_refine"}
 
 
 class TestHierarchicalRefine:

@@ -1,5 +1,8 @@
-"""Report helpers: the Freedman-Diaconis histogram edges."""
+"""Report helpers: the Freedman-Diaconis histogram edges and the traces
+writer."""
 
+import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcseq.report import fd_bin_edges
+from rcseq.config import CisConfig
+from rcseq.report import OutputBundle, fd_bin_edges, write_traces_csv
+from rcseq.sequence import detect_events, deviation_traces
 from test_ci_equivalence import scenario_case
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -73,3 +78,49 @@ def test_run_all_does_not_import_numpy_ma(tmp_path):
     )
     assert out.stdout.strip() == "False"
     assert (tmp_path / "out" / "histograms.csv").is_file()
+
+
+def reference_traces_csv(path, ticks, traces, kpis):
+    """The traces writer as it was: one csv.writer row per tick."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("tick", *kpis))
+        for tick, row in zip(ticks, traces):
+            writer.writerow((int(tick), *(int(v) for v in row)))
+
+
+def assert_traces_bytes(tmp_path, ticks, traces, kpis):
+    with OutputBundle(tmp_path / "out") as bundle:
+        write_traces_csv(bundle, ticks, traces, kpis)
+    reference_traces_csv(tmp_path / "reference.csv", ticks, traces, kpis)
+    got = (tmp_path / "out" / "deviation_traces.csv").read_bytes()
+    want = (tmp_path / "reference.csv").read_bytes()
+    assert hashlib.sha256(got).hexdigest() == hashlib.sha256(want).hexdigest()
+    return got
+
+
+class TestTracesCsv:
+    def test_long_trace_matches_row_writer(self, tmp_path):
+        # 10^5 ticks of -1, 0 and +1 in the int8 traces deviation_traces
+        # returns, on epoch-second ticks
+        rng = np.random.default_rng(7)
+        ticks = 1_700_000_000 + 60 * np.arange(100_000, dtype=np.int64)
+        traces = rng.integers(-1, 2, size=(ticks.size, 7), dtype=np.int8)
+        got = assert_traces_bytes(tmp_path, ticks, traces, [f"k{i}" for i in range(7)])
+        assert got.count(b"\r\n") == ticks.size + 1
+        assert {b"-1", b"0", b"1"} <= set(got.replace(b"\r\n", b",").split(b","))
+
+    @pytest.mark.parametrize("name, seed", [("cascade", 11), ("single_root", 3)])
+    def test_scenario_traces_match_row_writer(self, tmp_path, name, seed):
+        labeled, _ = scenario_case(name, seed)
+        kpis = labeled.panel.kpi_names
+        cfg = CisConfig()
+        traces, kpis = deviation_traces(labeled, detect_events(labeled, kpis, cfg), kpis, cfg)
+        assert traces.any()
+        assert_traces_bytes(tmp_path, labeled.panel.ticks, traces, kpis)
+
+    def test_no_kpis(self, tmp_path):
+        ticks = np.arange(5, dtype=np.int64)
+        assert assert_traces_bytes(tmp_path, ticks, np.zeros((5, 0), np.int8), []) == (
+            b"tick\r\n0\r\n1\r\n2\r\n3\r\n4\r\n"
+        )
