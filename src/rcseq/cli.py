@@ -16,7 +16,7 @@ import yaml
 
 from . import __version__
 from .config import FLAG_KEYS, PipelineConfig, load_config
-from .errors import AnalysisError, ConfigError, DataError, RcseqError
+from .errors import AnalysisError, ConfigError, DataError, RcseqError, unreadable
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
 from .rcd import FrequencyTable, rcd_runs
 from .report import (
@@ -53,6 +53,8 @@ def _load_scenario(cfg: PipelineConfig) -> Scenario | None:
             text = Path(cfg.scenario_file).read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"scenario file not found: {cfg.scenario_file}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable(ConfigError, "scenario file", cfg.scenario_file, exc) from None
         try:
             doc = yaml.safe_load(text)
         except yaml.YAMLError as exc:

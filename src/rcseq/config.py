@@ -16,7 +16,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError, DataError, FieldError
+from .errors import ConfigError, DataError, FieldError, unreadable
 from .panel import MISSING_POLICIES, SlaRule
 from .rcd import RcdConfig
 from .sequence import CisConfig
@@ -64,6 +64,9 @@ class McConfig:
                     raise ConfigError(f"mc.g_values[{i}] must be >= 2, got {g}")
         if not self.n_values:
             raise ConfigError("mc.n_values must be non-empty")
+        for i, n in enumerate(self.n_values):
+            if n < 1:
+                raise ConfigError(f"mc.n_values[{i}] must be >= 1, got {n}")
         if not 0.0 <= self.p_thr <= 1.0:
             raise ConfigError("mc.p_thr must lie in [0, 1]")
         if self.n_mode not in ("proportional", "absolute"):
@@ -235,7 +238,11 @@ def load_config(path=None, **flags) -> PipelineConfig:
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            doc = _mapping(yaml.safe_load(path.read_text(encoding="utf-8")), "")
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise unreadable(ConfigError, "config file", path, exc) from None
+        try:
+            doc = _mapping(yaml.safe_load(text), "")
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse config {path}: {exc}") from exc
     for flag, value in flags.items():

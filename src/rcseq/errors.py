@@ -21,3 +21,10 @@ class DataError(RcseqError):
 
 class AnalysisError(RcseqError):
     """An analysis stage could not produce a valid result."""
+
+
+def unreadable(cls, what: str, path, exc: OSError | UnicodeDecodeError) -> RcseqError:
+    """The `cls` error for the `what` file at `path`, which exists but could
+    not be read as UTF-8 text (a directory, no permission, other bytes)."""
+    why = "not UTF-8 text" if isinstance(exc, UnicodeDecodeError) else exc.strerror or str(exc)
+    return cls(f"cannot read {what} {path}: {why}")

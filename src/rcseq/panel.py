@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, unreadable
 
 _COMPARATORS = {
     "<": np.less,
@@ -186,19 +186,25 @@ def _parse_tick_cell(cell: str, line_no: int):
         ) from None
 
 
-def _normalize_ticks(raw, kinds, granularity_seconds: int) -> np.ndarray:
+def _normalize_ticks(raw, kinds, line_nos, granularity_seconds: int) -> np.ndarray:
     if len(set(kinds)) > 1:
         raise DataError("mixed integer and ISO-8601 timestamps are not supported")
     if kinds[0] == "int":
         return np.asarray(raw, dtype=np.int64)
     base = raw[0]
+    aware = base.utcoffset() is not None
     ticks = []
-    for ts in raw:
+    for ts, line_no in zip(raw, line_nos):
+        if (ts.utcoffset() is not None) != aware:
+            raise DataError(
+                f"line {line_no}: timestamp {ts.isoformat()} "
+                f"{'has no' if aware else 'has a'} UTC offset, unlike line {line_nos[0]}"
+            )
         seconds = (ts - base).total_seconds()
         steps = seconds / granularity_seconds
         if abs(steps - round(steps)) > 1e-9:
             raise DataError(
-                f"timestamp {ts.isoformat()} is not aligned to the "
+                f"line {line_no}: timestamp {ts.isoformat()} is not aligned to the "
                 f"{granularity_seconds}s granularity"
             )
         ticks.append(int(round(steps)))
@@ -236,26 +242,9 @@ def _resolve_missing(values: np.ndarray, ticks: np.ndarray, names, line_nos, pol
     return values, ticks
 
 
-def load_csv(
-    path,
-    *,
-    missing: str = "fail",
-    granularity_seconds: int = 15,
-) -> KpiPanel:
-    """Load a panel from CSV: header row, column 1 = timestamp/tick,
-    remaining columns = KPI floats.
-
-    Timestamps may be integers (used as ticks directly) or ISO-8601 strings
-    (normalized to ticks at `granularity_seconds`). Empty cells are resolved
-    per `missing`: 'fail' (default), 'drop-row', or 'linear-interpolate'.
-    """
-    if missing not in MISSING_POLICIES:
-        raise DataError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
-    if granularity_seconds <= 0:
-        raise DataError("granularity_seconds must be positive")
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"input file not found: {path}")
+def _read_rows(path: Path):
+    """The CSV's KPI names and, per data row, its tick, tick kind, values
+    and line number."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -293,11 +282,37 @@ def load_csv(
                     ) from None
             rows.append(parsed)
             line_nos.append(line_no)
+    return names, raw_ticks, kinds, rows, line_nos
 
+
+def load_csv(
+    path,
+    *,
+    missing: str = "fail",
+    granularity_seconds: int = 15,
+) -> KpiPanel:
+    """Load a panel from CSV: header row, column 1 = timestamp/tick,
+    remaining columns = KPI floats.
+
+    Timestamps may be integers (used as ticks directly) or ISO-8601 strings
+    (normalized to ticks at `granularity_seconds`). Empty cells are resolved
+    per `missing`: 'fail' (default), 'drop-row', or 'linear-interpolate'.
+    """
+    if missing not in MISSING_POLICIES:
+        raise DataError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
+    if granularity_seconds <= 0:
+        raise DataError("granularity_seconds must be positive")
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"input file not found: {path}")
+    try:
+        names, raw_ticks, kinds, rows, line_nos = _read_rows(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(DataError, "input file", path, exc) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=float)
-    ticks = _normalize_ticks(raw_ticks, kinds, granularity_seconds)
+    ticks = _normalize_ticks(raw_ticks, kinds, line_nos, granularity_seconds)
     values, ticks = _resolve_missing(values, ticks, names, line_nos, missing)
     if values.shape[0] == 0:
         raise DataError(f"{path}: every row was dropped by the missing-value policy")

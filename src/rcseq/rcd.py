@@ -111,6 +111,15 @@ class FrequencyTable:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the counts arrays as truth values
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.kpi_names, self.n_runs) == (other.kpi_names, other.n_runs)
+            and np.array_equal(self.counts, other.counts)
+        )
+
     @property
     def proportions(self) -> np.ndarray:
         return self.counts / self.n_runs

@@ -65,6 +65,16 @@ class McGrid:
         proportions.setflags(write=False)
         object.__setattr__(self, "proportions", proportions)
 
+    def __eq__(self, other):
+        # the generated __eq__ would compare the counts arrays as truth values
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            (self.g_values, self.n_values, self.kpi_names)
+            == (other.g_values, other.n_values, other.kpi_names)
+            and np.array_equal(self.counts, other.counts)
+        )
+
     def proportion(self, g: int, n: int, kpi: str) -> float:
         gi = self.g_values.index(g)
         ni = self.n_values.index(n)
@@ -119,9 +129,13 @@ def run_grid(
     is deterministic. The cells share one CI oracle, so each distinct test
     is computed once per sweep."""
     g_values = read_value(tuple[int, ...], tuple(g_values), "g_values")
-    n_values = tuple(sorted(read_value(tuple[int, ...], tuple(n_values), "n_values")))
+    n_values = read_value(tuple[int, ...], tuple(n_values), "n_values")
     if not g_values or not n_values:
         raise ConfigError("g and n sweeps must be non-empty")
+    for i, n in enumerate(n_values):
+        if n < 1:
+            raise ConfigError(f"n_values[{i}] must be >= 1, got {n}")
+    n_values = tuple(sorted(n_values))
     excluded = set(exclude)
     names = tuple(k for k in labeled.panel.kpi_names if k not in excluded)
     if any(g < 2 for g in g_values):

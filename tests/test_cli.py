@@ -415,6 +415,45 @@ class TestConfigPaths:
         assert seen[0] == seen[1]
 
 
+LATIN1 = "caf\u00e9".encode("latin-1")
+TUNE = b"input: {scenario: single_root}\nmc: {g_values: [3], n_values: %s}\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, data, code, message",
+    [
+        ("label", "--input",
+         b"time,A\n2024-01-01T00:00:00+00:00,1.0\n2024-01-01T00:00:15,2.0\n",
+         3, "line 3: timestamp 2024-01-01T00:00:15 has no UTC offset, unlike line 2"),
+        ("label", "--input", None, 3, "cannot read input file {path}: "),
+        ("label", "--input", b"t,A\n0,1.0\n1," + LATIN1 + b"\n", 3,
+         "cannot read input file {path}: not UTF-8 text"),
+        ("label", "--config", None, 2, "cannot read config file {path}: "),
+        ("label", "--config", b"seed: " + LATIN1 + b"\n", 2,
+         "cannot read config file {path}: not UTF-8 text"),
+        ("label", "--scenario-file", None, 2, "cannot read scenario file {path}: "),
+        ("label", "--scenario-file", b"name: " + LATIN1 + b"\n", 2,
+         "cannot read scenario file {path}: not UTF-8 text"),
+        ("tune", "--config", TUNE % b"[-5]", 2, "mc.n_values[0] must be >= 1, got -5"),
+        ("tune", "--config", TUNE % b"[10, 0]", 2, "mc.n_values[1] must be >= 1, got 0"),
+    ],
+    ids=["mixed-time-zones", "csv-directory", "csv-latin1", "config-directory", "config-latin1",
+         "scenario-directory", "scenario-latin1", "negative-n", "zero-n"],
+)
+def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, flag, data, code, message):
+    # the flag names a directory (data None) or a file holding data
+    path = tmp_path / "given"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    out = tmp_path / "o"
+    assert run(command, flag, path, "--out", out) == code
+    err = capsys.readouterr().err
+    assert message.format(path=path) in err, err
+    assert not out.exists()
+
+
 class TestOutputCleanup:
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
     def test_failed_write_discards_bundle(self, tmp_path, monkeypatch, exc):

@@ -91,6 +91,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="granularity"):
             load_csv(p, granularity_seconds=15)
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("2024-01-01T00:00:00+00:00", "2024-01-01T00:00:15"),
+         ("2024-01-01T00:00:00", "2024-01-01T00:00:15+00:00")],
+        ids=["aware-then-naive", "naive-then-aware"],
+    )
+    def test_mixed_time_zones_name_line(self, tmp_path, first, second):
+        p = write_csv(tmp_path, f"time,A\n{first},1.0\n{second},2.0\n")
+        with pytest.raises(DataError, match="line 3: .*UTC offset, unlike line 2"):
+            load_csv(p)
+
     def test_granularity_must_be_positive(self, tmp_path):
         p = write_csv(tmp_path, "time,A\n2025-01-01T00:00:00,1.0\n2025-01-01T00:00:15,2.0\n")
         for granularity in (0, -15):

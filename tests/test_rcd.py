@@ -461,6 +461,14 @@ class TestFrequencyTable:
         assert table.proportion("a") == 0.4
         assert table.proportion("b") == 0.0
 
+    def test_value_equality(self):
+        def table(counts):
+            return FrequencyTable(kpi_names=("a", "b", "c"), counts=np.array(counts), n_runs=10)
+
+        assert table([4, 0, 7]) == table([4, 0, 7])
+        assert table([4, 0, 7]) != table([4, 1, 7])
+        assert table([4, 0, 7]) != "table"
+
 
 def count_kernel_keys(monkeypatch):
     """Wrap rcd's CI kernels to record the exact ordered input of each call."""

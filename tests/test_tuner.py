@@ -124,6 +124,14 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match=re.escape(bad)):
             run_grid(labeled, g_values, n_values, RcdConfig(), seed=0)
 
+    @pytest.mark.parametrize(
+        "n_values, bad", [((-5,), "n_values[0]"), ((10, 0), "n_values[1]")], ids=["negative", "zero"]
+    )
+    def test_n_below_one_rejected(self, n_values, bad):
+        labeled = scenario_labeled(0)
+        with pytest.raises(ConfigError, match=re.escape(f"{bad} must be >= 1")):
+            run_grid(labeled, (3,), n_values, RcdConfig(), seed=0)
+
     def test_g_bounds_checked(self):
         labeled = scenario_labeled(0)
         with pytest.raises(ConfigError, match="exceed"):
@@ -146,6 +154,16 @@ class TestRunGrid:
 def test_grid_rejects_non_integer_values(g_values, n_values, bad):
     with pytest.raises(ConfigError, match=re.escape(bad)):
         McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=[[[0]]])
+
+
+def test_grid_value_equality():
+    def grid(last):
+        counts = [[[1, 2], [3, 4]], [[5, 6], [7, last]]]
+        return McGrid(g_values=(3, 4), n_values=(10, 20), kpi_names=("a", "b"), counts=counts)
+
+    assert grid(8) == grid(8)
+    assert grid(8) != grid(9)
+    assert grid(8) != "grid"
 
 
 class TestEstimateP:
