@@ -46,6 +46,16 @@ class LabelConfig:
 DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)
 
 
+def check_sweep(values, key: str, least: int) -> None:
+    """Reject a sweep value below `least` or equal to an earlier one, naming
+    it as key[i]: a repeat would enter the tuner's statistics twice."""
+    for i, value in enumerate(values):
+        if value < least:
+            raise ConfigError(f"{key}[{i}] must be >= {least}, got {value}")
+        if value in values[:i]:
+            raise ConfigError(f"{key}[{i}] repeats the value {value}")
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo sweep; g_values None means 3..V for the loaded panel."""
@@ -59,14 +69,10 @@ class McConfig:
         if self.g_values is not None:
             if not self.g_values:
                 raise ConfigError("mc.g_values must be non-empty")
-            for i, g in enumerate(self.g_values):
-                if g < 2:
-                    raise ConfigError(f"mc.g_values[{i}] must be >= 2, got {g}")
+            check_sweep(self.g_values, "mc.g_values", least=2)
         if not self.n_values:
             raise ConfigError("mc.n_values must be non-empty")
-        for i, n in enumerate(self.n_values):
-            if n < 1:
-                raise ConfigError(f"mc.n_values[{i}] must be >= 1, got {n}")
+        check_sweep(self.n_values, "mc.n_values", least=1)
         if not 0.0 <= self.p_thr <= 1.0:
             raise ConfigError("mc.p_thr must lie in [0, 1]")
         if self.n_mode not in ("proportional", "absolute"):

@@ -254,6 +254,9 @@ def _read_rows(path: Path):
         if len(header) < 2:
             raise DataError(f"{path}: header must name a tick column and at least one KPI")
         names = tuple(h.strip() for h in header[1:])
+        if "" in names:
+            column = names.index("") + 2
+            raise DataError(f"{path}: header column {column} has no KPI name")
         if len(set(names)) != len(names):
             raise DataError("duplicate KPI name in header")
 
@@ -341,17 +344,10 @@ def apply_sla_rule(panel: KpiPanel, rule: SlaRule) -> list[tuple[int, int]]:
     least min_duration_ticks. Depends only on the named metric column."""
     series = panel.column(rule.metric)
     mask = _COMPARATORS[rule.comparator](series, rule.threshold)
-    ranges: list[tuple[int, int]] = []
-    start = None
-    for i, hit in enumerate(mask):
-        if hit and start is None:
-            start = i
-        elif not hit and start is not None:
-            ranges.append((start, i))
-            start = None
-    if start is not None:
-        ranges.append((start, len(mask)))
-    return [(s, e) for s, e in ranges if e - s >= rule.min_duration_ticks]
+    # the padded mask changes value where a run starts and one past its end
+    runs = np.flatnonzero(np.diff(np.r_[False, mask, False])).reshape(-1, 2)
+    runs = runs[runs[:, 1] - runs[:, 0] >= rule.min_duration_ticks]
+    return [(start, end) for start, end in runs.tolist()]
 
 
 def label_states(

@@ -101,6 +101,8 @@ class FrequencyTable:
         return cls(kpi_names=kpi_names, counts=counts, n_runs=len(runs))
 
     def __post_init__(self):
+        if self.n_runs < 1:
+            raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.shape != (len(self.kpi_names),):
             raise ConfigError("counts must align with kpi_names")

@@ -18,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
-from .stats import bh_adjust, bonferroni, direction_code, ks_two_sample, z_score
+from .stats import bh_adjust, bonferroni, ks_two_sample
 from .subgraph import CausalSubgraph
 
 CORRECTIONS = ("bonferroni", "bh_fdr", "none")
@@ -127,16 +127,25 @@ def direction_at_onset(
     """Direction of the onset window's mean relative to the normal state.
 
     With sigma = 0 (hard-constant normal window) the direction is the sign
-    of the raw difference.
+    of the raw difference. Raises ValueError for z_thr <= 0 or sigma < 0.
     """
+    if z_thr <= 0:
+        raise ValueError(f"z_thr must be positive, got {z_thr}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be non-negative, got {sigma}")
     series = np.asarray(series, dtype=float)
-    return _direction(float(series[onset : onset + window].mean()), mu, sigma, z_thr)
+    return int(_directions(series[onset : onset + window].mean(), mu, sigma, z_thr))
 
 
-def _direction(win_mean: float, mu: float, sigma: float, z_thr: float) -> int:
+def _directions(means, mu: float, sigma: float, z_thr: float) -> np.ndarray:
+    """Direction code in {-1, 0, +1} of each window mean: the sign of
+    z = (mean - mu) / sigma where |z| > z_thr, else 0; with sigma = 0 the
+    sign of mean - mu."""
+    diff = np.asarray(means, dtype=float) - mu
     if sigma == 0.0:
-        return int(np.sign(win_mean - mu))
-    return direction_code(z_score(win_mean, mu, sigma), z_thr)
+        return np.sign(diff)
+    z = diff / sigma
+    return np.sign(z) * (np.abs(z) > z_thr)
 
 
 def detect_events(
@@ -245,7 +254,9 @@ def deviation_traces(
     Zero before a KPI's detected onset (and everywhere for KPIs without an
     event); from the onset onward each tick carries the direction code of
     the forward window starting there, so a detected shift reads as a
-    sustained +1/-1 band once the window clears the transition.
+    sustained +1/-1 band once the window clears the transition. The window
+    means of a KPI's ticks are coded by one call of the array direction
+    rule that `direction_at_onset` also applies.
     """
     kpis = list(kpis)
     by_kpi = {e.kpi: e for e in events}
@@ -263,10 +274,10 @@ def deviation_traces(
         # one strided pass gives the mean of every whole window; the last
         # window - 1 ticks keep their per-tick means of clipped windows
         whole = (
-            sliding_window_view(series[onset:], cfg.window).mean(axis=1).tolist()
+            sliding_window_view(series[onset:], cfg.window).mean(axis=1)
             if end - onset >= cfg.window
-            else []
+            else np.empty(0)
         )
-        clipped = [float(series[tick:].mean()) for tick in range(onset + len(whole), end)]
-        traces[onset:end, j] = [_direction(m, mu, sigma, cfg.z_thr) for m in whole + clipped]
+        clipped = [series[tick:].mean() for tick in range(onset + whole.size, end)]
+        traces[onset:end, j] = _directions(np.r_[whole, clipped], mu, sigma, cfg.z_thr)
     return traces, kpis

@@ -31,8 +31,6 @@ __all__ = [
     "CiTestResult",
     "ks_two_sample",
     "ks_pvalue",
-    "z_score",
-    "direction_code",
     "ci_test",
     "batch_ci",
     "marginal_ci",
@@ -119,24 +117,6 @@ def ks_pvalue(d: float, n1: int, n2: int) -> float:
             break
         sign = -sign
     return float(min(1.0, max(0.0, 2.0 * total)))
-
-
-def z_score(x: float, mu: float, sigma: float) -> float:
-    """Standard score (x - mu) / sigma; sigma must be positive."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return (x - mu) / sigma
-
-
-def direction_code(z: float, thr: float) -> int:
-    """Deviation direction: +1 above +thr, -1 below -thr, 0 otherwise."""
-    if thr <= 0:
-        raise ValueError(f"threshold must be positive, got {thr}")
-    if z > thr:
-        return 1
-    if z < -thr:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)

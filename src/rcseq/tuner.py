@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import read_value
+from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel
 from .rcd import CiOracle, RcdConfig, rcd_multi_run
@@ -50,18 +50,22 @@ class McGrid:
     proportions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for what, least in (("g_values", 2), ("n_values", 1)):
+            values = read_value(tuple[int, ...], tuple(getattr(self, what)), what)
+            check_sweep(values, what, least)
+            object.__setattr__(self, what, values)
         counts = np.asarray(self.counts, dtype=np.int64)
         shape = (len(self.g_values), len(self.n_values), len(self.kpi_names))
         if counts.shape != shape:
             raise ConfigError(f"counts must have shape {shape}, got {counts.shape}")
+        n = np.asarray(self.n_values)[:, None]  # broadcasts over the g and KPI axes
+        if counts.min(initial=0) < 0 or np.any(counts > n):
+            raise ConfigError("counts must lie in [0, n] for their n")
         counts = counts.copy()
         counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
-        for what in ("g_values", "n_values"):
-            values = read_value(tuple[int, ...], tuple(getattr(self, what)), what)
-            object.__setattr__(self, what, values)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
-        proportions = counts / np.asarray(self.n_values)[None, :, None]
+        proportions = counts / n
         proportions.setflags(write=False)
         object.__setattr__(self, "proportions", proportions)
 
@@ -132,14 +136,11 @@ def run_grid(
     n_values = read_value(tuple[int, ...], tuple(n_values), "n_values")
     if not g_values or not n_values:
         raise ConfigError("g and n sweeps must be non-empty")
-    for i, n in enumerate(n_values):
-        if n < 1:
-            raise ConfigError(f"n_values[{i}] must be >= 1, got {n}")
+    check_sweep(g_values, "g_values", least=2)
+    check_sweep(n_values, "n_values", least=1)
     n_values = tuple(sorted(n_values))
     excluded = set(exclude)
     names = tuple(k for k in labeled.panel.kpi_names if k not in excluded)
-    if any(g < 2 for g in g_values):
-        raise ConfigError("all g values must be >= 2")
     if any(g > labeled.panel.n_kpis for g in g_values):
         raise ConfigError(
             f"g values must not exceed the panel KPI count ({labeled.panel.n_kpis})"

@@ -312,6 +312,8 @@ OUT_OF_RANGE = [
     ("mc: {g_values: []}", "mc.g_values"),
     ("mc: {g_values: [1]}", "mc.g_values[0]"),
     ("mc: {g_values: [3, 0]}", "mc.g_values[1]"),
+    ("mc: {g_values: [3, 3, 4]}", "mc.g_values[1]"),
+    ("mc: {n_values: [10, 15, 10]}", "mc.n_values[2]"),
     ("mc: {n_mode: foo}", "mc.n_mode"),
     ("subgraph: {tau_max: 0}", "subgraph.tau_max"),
     ("subgraph: {alpha: 1.5}", "subgraph.alpha"),

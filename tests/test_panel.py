@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,22 @@ def write_csv(tmp_path, text, name="panel.csv"):
     return p
 
 
+def reference_breach_runs(mask, min_duration_ticks):
+    """Maximal runs of True in the mask, one tick at a time, as half-open
+    ranges at least min_duration_ticks long."""
+    ranges = []
+    start = None
+    for i, hit in enumerate(mask):
+        if hit and start is None:
+            start = i
+        elif not hit and start is not None:
+            ranges.append((start, i))
+            start = None
+    if start is not None:
+        ranges.append((start, len(mask)))
+    return [(s, e) for s, e in ranges if e - s >= min_duration_ticks]
+
+
 def make_panel(values, names=None):
     values = np.asarray(values, dtype=float)
     names = tuple(names or (f"k{i}" for i in range(values.shape[1])))
@@ -32,6 +50,11 @@ class TestLoadCsv:
         assert panel.n_kpis == 2
         assert panel.kpi_names == ("A", "B")
         assert np.array_equal(panel.column("A"), [1.0, 1.5, 2.0])
+
+    def test_empty_kpi_name_names_column(self, tmp_path):
+        p = write_csv(tmp_path, "tick,,b\n0,1.0,2.0\n")
+        with pytest.raises(DataError, match="header column 2 has no KPI name"):
+            load_csv(p)
 
     def test_duplicate_kpi_name(self, tmp_path):
         p = write_csv(tmp_path, "t,A,A\n0,1,2\n")
@@ -179,6 +202,19 @@ class TestApplySlaRule:
         perturbed = values.copy()
         perturbed[:, [0, 2]] += 100.0
         assert apply_sla_rule(make_panel(perturbed, names=("a", "b", "c")), rule) == first
+
+    @pytest.mark.parametrize("comparator", ["<", "<=", ">", ">="])
+    def test_matches_reference_runs(self, comparator):
+        compare = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            # a few distinct levels, so every comparator meets ties at the threshold
+            values = rng.integers(0, 4, size=(int(rng.integers(1, 40)), 1)).astype(float)
+            panel = make_panel(values, names=("m",))
+            mask = [compare[comparator](v, 2.0) for v in values[:, 0]]
+            for min_duration in range(5):
+                rule = SlaRule("m", comparator, 2.0, min_duration)
+                assert apply_sla_rule(panel, rule) == reference_breach_runs(mask, min_duration)
 
     def test_bad_comparator(self):
         with pytest.raises(DataError, match="comparator"):

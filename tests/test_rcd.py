@@ -456,6 +456,10 @@ class TestFrequencyTable:
         with pytest.raises(ConfigError):
             FrequencyTable(kpi_names=("a",), counts=np.array([5]), n_runs=3)
 
+    def test_no_runs_rejected(self):
+        with pytest.raises(ConfigError, match="n_runs must be >= 1"):
+            FrequencyTable(kpi_names=("a",), counts=np.array([0]), n_runs=0)
+
     def test_proportion_lookup(self):
         table = FrequencyTable(kpi_names=("a", "b"), counts=np.array([4, 0]), n_runs=10)
         assert table.proportion("a") == 0.4

@@ -126,12 +126,47 @@ class TestDirection:
         assert direction_at_onset(series, 10, 16, mu=0.0, sigma=1.0, z_thr=3.0) == -1
 
     def test_hard_constant_normal_window(self):
+        # sigma = 0: the sign of the raw difference, however small
         series = np.full(30, 7.0)
         assert direction_at_onset(series, 0, 16, mu=2.0, sigma=0.0, z_thr=3.0) == 1
+        assert direction_at_onset(series, 0, 16, mu=7.5, sigma=0.0, z_thr=3.0) == -1
+        assert direction_at_onset(series, 0, 16, mu=7.0, sigma=0.0, z_thr=3.0) == 0
 
     def test_small_shift_codes_zero(self):
         series = np.full(30, 1.0)
         assert direction_at_onset(series, 0, 16, mu=0.0, sigma=1.0, z_thr=3.0) == 0
+
+    @pytest.mark.parametrize(
+        "level, code", [(10.0, 0), (16.0, 0), (16.4, 1), (4.0, 0), (2.0, -1)]
+    )
+    def test_strict_threshold(self, level, code):
+        # mu = 10, sigma = 2: z = 3 and z = -3 sit on the boundary and code 0
+        series = np.full(16, level)
+        assert direction_at_onset(series, 0, 16, mu=10.0, sigma=2.0, z_thr=3.0) == code
+
+    def test_affine_invariance(self):
+        rng = np.random.default_rng(9)
+        for _ in range(100):
+            series = rng.normal(size=16)
+            mu = rng.normal(scale=3.0)
+            sigma = rng.uniform(0.1, 5)
+            z_thr = rng.uniform(0.1, 3)
+            z = (series.mean() - mu) / sigma
+            if abs(abs(z) - z_thr) < 1e-9:
+                continue  # rounding may move a mean that sits on the boundary
+            a, b = rng.uniform(0.1, 10), rng.normal()
+            code = direction_at_onset(series, 0, 16, mu, sigma, z_thr)
+            moved = direction_at_onset(a * series + b, 0, 16, a * mu + b, a * sigma, z_thr)
+            assert moved == code == int(z > z_thr) - int(z < -z_thr)
+
+    @pytest.mark.parametrize(
+        "sigma, z_thr, match",
+        [(1.0, 0.0, "z_thr"), (1.0, -3.0, "z_thr"), (0.0, 0.0, "z_thr"), (-1.0, 3.0, "sigma")],
+        ids=["zero-z_thr", "negative-z_thr", "zero-z_thr-zero-sigma", "negative-sigma"],
+    )
+    def test_bad_arguments(self, sigma, z_thr, match):
+        with pytest.raises(ValueError, match=match):
+            direction_at_onset(np.zeros(16), 0, 16, mu=0.0, sigma=sigma, z_thr=z_thr)
 
 
 class TestDetectEvents:

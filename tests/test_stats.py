@@ -15,13 +15,11 @@ from rcseq.stats import (
     binomial_sd,
     bonferroni,
     ci_test,
-    direction_code,
     ks_pvalue,
     ks_two_sample,
     marginal_ci,
     screen_ci,
     stacked_ci,
-    z_score,
 )
 
 
@@ -244,33 +242,6 @@ class TestNormalTail:
         r, p = batch_ci(x, y)
         z = np.arctanh(r) * math.sqrt(120 - 3)
         assert np.array_equal(p, 2.0 * ndtr(-np.abs(z)))
-
-
-class TestZScore:
-    def test_spec_values(self):
-        assert z_score(10, 10, 2) == 0.0
-        assert direction_code(0.0, 3.0) == 0
-        assert z_score(16, 10, 2) == 3.0
-        assert direction_code(3.2, 3.0) == 1
-        assert z_score(2, 10, 2) == -4.0
-        assert direction_code(-4.0, 3.0) == -1
-
-    def test_affine_equivariance(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            x, mu = rng.normal(size=2)
-            sigma = rng.uniform(0.1, 5)
-            a = rng.uniform(0.1, 10)
-            b = rng.normal()
-            assert z_score(a * x + b, a * mu + b, a * sigma) == pytest.approx(
-                z_score(x, mu, sigma), rel=1e-10, abs=1e-10
-            )
-
-    def test_bad_sigma(self):
-        with pytest.raises(ValueError):
-            z_score(1.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            direction_code(1.0, 0.0)
 
 
 class TestPartialCorrelation:

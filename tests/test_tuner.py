@@ -132,6 +132,16 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match=re.escape(f"{bad} must be >= 1")):
             run_grid(labeled, (3,), n_values, RcdConfig(), seed=0)
 
+    @pytest.mark.parametrize(
+        "g_values, n_values, bad",
+        [((3, 3, 4), (10, 15), "g_values[1]"), ((3,), (10, 15, 10), "n_values[2]")],
+        ids=["g", "n"],
+    )
+    def test_repeated_sweep_value_rejected(self, g_values, n_values, bad):
+        labeled = scenario_labeled(0)
+        with pytest.raises(ConfigError, match=re.escape(f"{bad} repeats")):
+            run_grid(labeled, g_values, n_values, RcdConfig(), seed=0)
+
     def test_g_bounds_checked(self):
         labeled = scenario_labeled(0)
         with pytest.raises(ConfigError, match="exceed"):
@@ -154,6 +164,23 @@ class TestRunGrid:
 def test_grid_rejects_non_integer_values(g_values, n_values, bad):
     with pytest.raises(ConfigError, match=re.escape(bad)):
         McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=[[[0]]])
+
+
+@pytest.mark.parametrize(
+    "g_values, n_values, counts, bad",
+    [
+        ((3,), (0,), [[[0]]], "n_values[0] must be >= 1"),
+        ((3,), (2,), [[[5]]], "counts must lie in [0, n]"),
+        ((3,), (2,), [[[-1]]], "counts must lie in [0, n]"),
+        ((3,), (10, 2), [[[4], [3]]], "counts must lie in [0, n]"),
+        ((3, 3), (2,), [[[0]], [[0]]], "g_values[1] repeats"),
+        ((3,), (2, 2), [[[0], [0]]], "n_values[1] repeats"),
+    ],
+    ids=["n-zero", "count-above-n", "count-negative", "count-above-its-n", "repeated-g", "repeated-n"],
+)
+def test_grid_rejects_tables_the_sweep_cannot_produce(g_values, n_values, counts, bad):
+    with pytest.raises(ConfigError, match=re.escape(bad)):
+        McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=counts)
 
 
 def test_grid_value_equality():
