@@ -11,6 +11,7 @@ import argparse
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import yaml
 
@@ -34,10 +35,12 @@ from .report import (
     write_tuning_csv,
     write_tuning_params,
 )
-from .scm import Scenario, make_scenario, scenario_from_mapping
 from .sequence import CisReport, assemble_cis, detect_events, deviation_traces
 from .subgraph import build_subgraph, graph_diff
 from .tuner import consolidate, prominent_sources, run_grid, tuning_rows, variance_trend
+
+if TYPE_CHECKING:
+    from .scm import Scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -46,21 +49,24 @@ EXIT_ANALYSIS = 4
 
 
 def _load_scenario(cfg: PipelineConfig) -> Scenario | None:
+    if not (cfg.scenario or cfg.scenario_file):
+        return None
+    # the simulator is loaded only for scenario input and synth
+    from .scm import make_scenario, scenario_from_mapping
+
     if cfg.scenario:
         return make_scenario(cfg.scenario)
-    if cfg.scenario_file:
-        try:
-            text = Path(cfg.scenario_file).read_text(encoding="utf-8")
-        except FileNotFoundError:
-            raise ConfigError(f"scenario file not found: {cfg.scenario_file}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise unreadable(ConfigError, "scenario file", cfg.scenario_file, exc) from None
-        try:
-            doc = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"could not parse scenario file: {exc}") from exc
-        return scenario_from_mapping(doc or {})
-    return None
+    try:
+        text = Path(cfg.scenario_file).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"scenario file not found: {cfg.scenario_file}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(ConfigError, "scenario file", cfg.scenario_file, exc) from None
+    try:
+        doc = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"could not parse scenario file: {exc}") from exc
+    return scenario_from_mapping(doc or {})
 
 
 def _load_input(cfg: PipelineConfig):
@@ -383,15 +389,18 @@ COMMANDS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="YAML config file")
-    sub.add_argument("--seed", type=int, help="master seed override")
-    sub.add_argument("--out", help="output directory override")
-    sub.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
-    sub.add_argument("--cis-alpha", type=float, help="CIS significance override")
-    sub.add_argument("--input", help="input panel CSV (overrides config)")
-    sub.add_argument("--scenario", help="canned scenario name (overrides config)")
-    sub.add_argument("--scenario-file", help="declarative scenario YAML (overrides config)")
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand takes, as a parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML config file")
+    common.add_argument("--seed", type=int, help="master seed override")
+    common.add_argument("--out", help="output directory override")
+    common.add_argument("--jobs", type=int, help="accepted for compatibility; has no effect")
+    common.add_argument("--cis-alpha", type=float, help="CIS significance override")
+    common.add_argument("--input", help="input panel CSV (overrides config)")
+    common.add_argument("--scenario", help="canned scenario name (overrides config)")
+    common.add_argument("--scenario-file", help="declarative scenario YAML (overrides config)")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,9 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compare-states": "diff normal-state vs abnormal-state subgraphs",
         "run-all": "full pipeline: label, discover, subgraph, sequence, reports",
     }
+    common = _common_options()
     for name, fn in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text[name])
-        _add_common(sub)
+        sub = subparsers.add_parser(name, help=help_text[name], parents=[common])
         sub.set_defaults(fn=fn)
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -212,10 +213,12 @@ def _normalize_ticks(raw, kinds, line_nos, granularity_seconds: int) -> np.ndarr
 
 
 def _resolve_missing(values: np.ndarray, ticks: np.ndarray, names, line_nos, policy: str):
-    """Apply the configured missing-value policy; returns (values, ticks)."""
+    """Apply the configured missing-value policy; returns (values, ticks,
+    kept) where kept indexes the rows that remain."""
+    kept = np.arange(values.shape[0])
     nan_mask = np.isnan(values)
     if not nan_mask.any():
-        return values, ticks
+        return values, ticks, kept
     if policy == "fail":
         row, col = np.argwhere(nan_mask)[0]
         raise DataError(
@@ -224,7 +227,7 @@ def _resolve_missing(values: np.ndarray, ticks: np.ndarray, names, line_nos, pol
         )
     if policy == "drop-row":
         keep = ~nan_mask.any(axis=1)
-        return values[keep], ticks[keep]
+        return values[keep], ticks[keep], kept[keep]
     # linear interpolation between the nearest present neighbors per column
     for col in range(values.shape[1]):
         v = values[:, col]
@@ -239,53 +242,73 @@ def _resolve_missing(values: np.ndarray, ticks: np.ndarray, names, line_nos, pol
             )
         idx = np.arange(len(v))
         v[missing] = np.interp(idx[missing], idx[~missing], v[~missing])
-    return values, ticks
+    return values, ticks, kept
 
 
-def _read_rows(path: Path):
-    """The CSV's KPI names and, per data row, its tick, tick kind, values
-    and line number."""
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(header) < 2:
-            raise DataError(f"{path}: header must name a tick column and at least one KPI")
-        names = tuple(h.strip() for h in header[1:])
-        if "" in names:
-            column = names.index("") + 2
-            raise DataError(f"{path}: header column {column} has no KPI name")
-        if len(set(names)) != len(names):
-            raise DataError("duplicate KPI name in header")
+def _read_header(reader, path: Path) -> tuple[str, ...]:
+    """The KPI names of the CSV's header row, checked."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: empty file") from None
+    if len(header) < 2:
+        raise DataError(f"{path}: header must name a tick column and at least one KPI")
+    names = tuple(h.strip() for h in header[1:])
+    if "" in names:
+        column = names.index("") + 2
+        raise DataError(f"{path}: header column {column} has no KPI name")
+    if len(set(names)) != len(names):
+        raise DataError("duplicate KPI name in header")
+    return names
 
-        raw_ticks, kinds, rows, line_nos = [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
+
+def _read_table(fh, n_kpis: int):
+    """(ticks, values) of the data rows after the header, read by numpy's C
+    parser; None unless every tick is an integer, strictly increasing, and
+    every value finite."""
+    dtype = np.dtype([("tick", np.int64), ("values", np.float64, (n_kpis,))])
+    try:
+        # a header-only file warns rather than raising
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    ticks, values = table["tick"], table["values"]
+    if np.any(np.diff(ticks) <= 0) or not np.isfinite(values).all():
+        return None
+    return ticks, values
+
+
+def _read_rows(reader, names):
+    """Per data row of the CSV, its tick, tick kind, values and line number."""
+    width = len(names) + 1
+    raw_ticks, kinds, rows, line_nos = [], [], [], []
+    for row in reader:
+        # the file line the record ends on; a quoted cell may span lines
+        line_no = reader.line_num
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != width:
+            raise DataError(f"line {line_no}: expected {width} fields, got {len(row)}")
+        tick, kind = _parse_tick_cell(row[0], line_no)
+        raw_ticks.append(tick)
+        kinds.append(kind)
+        parsed = []
+        for name, cell in zip(names, row[1:]):
+            cell = cell.strip()
+            if cell == "":
+                parsed.append(math.nan)
                 continue
-            if len(row) != len(header):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
                 raise DataError(
-                    f"line {line_no}: expected {len(header)} fields, got {len(row)}"
-                )
-            tick, kind = _parse_tick_cell(row[0], line_no)
-            raw_ticks.append(tick)
-            kinds.append(kind)
-            parsed = []
-            for name, cell in zip(names, row[1:]):
-                cell = cell.strip()
-                if cell == "":
-                    parsed.append(math.nan)
-                    continue
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"line {line_no}: cannot parse value {cell!r} for KPI {name!r}"
-                    ) from None
-            rows.append(parsed)
-            line_nos.append(line_no)
-    return names, raw_ticks, kinds, rows, line_nos
+                    f"line {line_no}: cannot parse value {cell!r} for KPI {name!r}"
+                ) from None
+        rows.append(parsed)
+        line_nos.append(line_no)
+    return raw_ticks, kinds, rows, line_nos
 
 
 def load_csv(
@@ -300,6 +323,15 @@ def load_csv(
     Timestamps may be integers (used as ticks directly) or ISO-8601 strings
     (normalized to ticks at `granularity_seconds`). Empty cells are resolved
     per `missing`: 'fail' (default), 'drop-row', or 'linear-interpolate'.
+
+    The header is checked first, then the data rows take one of two routes
+    that give the same panel. Rows that all have an integer tick, strictly
+    increasing, and a finite number in every KPI column are read in one
+    pass of numpy's C parser (`np.loadtxt`). Every other file is read by the
+    Python row parser: ISO-8601 ticks, empty, `nan` or `inf` cells, quoted
+    cells, `1_000`, `#` in a cell, whitespace-only or ragged rows, unordered
+    ticks, a header-only file and bytes that are not UTF-8. Its errors name
+    the file line at fault.
     """
     if missing not in MISSING_POLICIES:
         raise DataError(f"missing policy must be one of {MISSING_POLICIES}, got {missing!r}")
@@ -309,19 +341,34 @@ def load_csv(
     if not path.exists():
         raise DataError(f"input file not found: {path}")
     try:
-        names, raw_ticks, kinds, rows, line_nos = _read_rows(path)
+        with path.open(newline="", encoding="utf-8") as fh:
+            names = _read_header(csv.reader(fh), path)
+            table = _read_table(fh, len(names))
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)  # the header, checked above
+                raw_ticks, kinds, rows, line_nos = _read_rows(reader, names)
     except (OSError, UnicodeDecodeError) as exc:
         raise unreadable(DataError, "input file", path, exc) from None
+    if table is not None:
+        return KpiPanel(ticks=table[0], kpi_names=names, values=table[1])
     if not rows:
         raise DataError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=float)
     ticks = _normalize_ticks(raw_ticks, kinds, line_nos, granularity_seconds)
-    values, ticks = _resolve_missing(values, ticks, names, line_nos, missing)
+    values, ticks, kept = _resolve_missing(values, ticks, names, line_nos, missing)
     if values.shape[0] == 0:
         raise DataError(f"{path}: every row was dropped by the missing-value policy")
     if np.any(np.diff(ticks) <= 0):
         bad = int(np.argwhere(np.diff(ticks) <= 0)[0, 0]) + 1
-        raise DataError(f"timestamps not strictly increasing at data row {bad + 1}")
+        row, prev = kept[bad], kept[bad - 1]
+        now, before = raw_ticks[row], raw_ticks[prev]
+        if kinds[0] == "iso":
+            now, before = now.isoformat(), before.isoformat()
+        raise DataError(
+            f"line {line_nos[row]}: timestamps not strictly increasing ({now} after {before})"
+        )
     return KpiPanel(
         ticks=ticks,
         kpi_names=names,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -578,3 +579,62 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_csv_commands_do_not_load_the_simulator(tmp_path):
+    # rcseq.scm is needed only for scenario input and synth
+    run("synth", "--scenario", "cascade", "--seed", 2, "--out", tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"""
+input: {{csv: {tmp_path / 'cascade_panel.csv'}}}
+sla: {{metric: dl_throughput, comparator: "<", threshold: -3.0, min_duration_ticks: 4}}
+label: {{normal_len: 120, abnormal_len: 120, lead_ticks: 20}}
+mc: {{g_values: [3], n_values: [2]}}
+seed: 2
+"""
+    )
+    out = str(tmp_path / "out")
+    code = (
+        "import sys\n"
+        "from rcseq.cli import main\n"
+        "for cmd in ('run-all', 'tune', 'compare-states'):\n"
+        f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r} + cmd]) == 0\n"
+        "    print(cmd, 'rcseq.scm' in sys.modules)\n"
+        f"assert main(['run-all', '--scenario', 'single_root', '--out', {out!r}]) == 0\n"
+        "print('scenario', 'rcseq.scm' in sys.modules)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.splitlines() == [
+        "run-all False", "tune False", "compare-states False", "scenario True"
+    ]
+
+
+# SHA-256 of each help text at 80 columns, as printed when every subcommand
+# built its own copy of the common options
+HELP_SHA256 = {
+    "": "a31887f17954d4cc6a8397ace9a5b951b3a800684a30cdec94eaf72c7712c169",
+    "synth": "214f1d3ac0013946d13c5ed8cd32b0aed9a9fd6e2a031bd3764ce62072d62c75",
+    "label": "64c5e20c0aa3ea4598aaf9daf01c3174f97b7127837b3796fc2ec6e9b7586240",
+    "discover": "935d8c707dde866ed869d8810684ba4889572f5d4b772c6ad4f7598466f58dd7",
+    "subgraph": "adfce51d60b39959c2af16434d1ecfa452f40450cec75663b9715d30045b29ac",
+    "sequence": "29f5451a07dcf7705db9b3df9edb4b45ae1341891ea8505445a5c2b5d5aa911b",
+    "tune": "56f19f2980d3fb66ab37e93718abe9baafd7e93094d9eadf06a113ca6f5eead7",
+    "compare-states": "6ef82bfde0f7ef44c87ef561ed8781097f3d7dc6de2366cca20e2510d8c67a0f",
+    "run-all": "b3786c0f0a91e54fc7a46a7fa0a82665f62c9d849625a36a6a419aa8374deaaf",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=lambda c: c or "rcseq")
+def test_help_text_unchanged(command, monkeypatch, capsys):
+    assert set(HELP_SHA256) == {"", *COMMANDS}
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == HELP_SHA256[command], text

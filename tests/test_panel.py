@@ -3,6 +3,7 @@ import operator
 import numpy as np
 import pytest
 
+from rcseq import panel as panel_module
 from rcseq.errors import DataError
 from rcseq.panel import (
     KpiPanel,
@@ -144,6 +145,91 @@ class TestLoadCsv:
         assert back.kpi_names == panel.kpi_names
         assert np.array_equal(back.ticks, panel.ticks)
         assert np.array_equal(back.values, panel.values)
+
+
+def panel_outcome(path, missing):
+    """A loaded panel as (ticks, names, value bytes), or its DataError text."""
+    try:
+        panel = load_csv(path, missing=missing)
+    except DataError as exc:
+        return str(exc)
+    return panel.ticks.tobytes(), panel.kpi_names, panel.values.tobytes()
+
+
+def no_row_parser(*args):
+    raise AssertionError("the row parser read a well-formed file")
+
+
+# (id, CSV text, missing policy, read by numpy's C parser)
+ROUTE_CASES = [
+    ("crlf", "t,a,b\r\n0,1.5,2\r\n1,2.5,3\r\n", "fail", True),
+    ("no-final-newline", "t,a\n0,1\n1,2", "fail", True),
+    ("single-row", "t,a,b\n0,1,2\n", "fail", True),
+    ("single-kpi", "t,a\n0,1\n1,2\n2,3\n", "fail", True),
+    ("number-forms", "t,a,b,c\n0,-0.0,1e-320,.5\n1,5.,+1, 2.25 \n", "fail", True),
+    ("blank-line", "t,a\n0,1\n\n1,2\n", "fail", True),
+    ("inf", "t,a\n0,1\n1,inf\n", "fail", False),
+    ("nan-fail", "t,a\n0,1\n1,nan\n2,3\n", "fail", False),
+    ("nan-drop-row", "t,a\n0,1\n1,nan\n2,3\n", "drop-row", False),
+    ("nan-interpolate", "t,a\n0,1\n1,nan\n2,3\n", "linear-interpolate", False),
+    ("hash-in-cell", "t,a\n0,1#2\n", "fail", False),
+    ("quoted-cell", 't,a\n0,"1.5"\n1,2\n', "fail", False),
+    ("underscore", "t,a\n0,1_000\n", "fail", False),
+    ("empty-cell", "t,a\n0,1\n1,\n2,3\n", "fail", False),
+    ("short-row", "t,a,b\n0,1\n", "fail", False),
+    ("whitespace-row", "t,a\n0,1\n   \n1,2\n", "fail", False),
+    ("iso-ticks", "time,a\n2025-01-01T00:00:00,1\n2025-01-01T00:00:15,2\n", "fail", False),
+    ("float-tick", "t,a\n1.0,1\n", "fail", False),
+    ("unordered-ticks", "t,a\n0,1\n0,2\n", "fail", False),
+]
+
+
+class TestLoadCsvRoutes:
+    @pytest.mark.parametrize(
+        "text, missing, fast", [c[1:] for c in ROUTE_CASES], ids=[c[0] for c in ROUTE_CASES]
+    )
+    def test_same_result_as_row_parser(self, tmp_path, monkeypatch, text, missing, fast):
+        p = tmp_path / "panel.csv"
+        p.write_bytes(text.encode("utf-8"))
+        with monkeypatch.context() as m:
+            m.setattr(panel_module, "_read_table", lambda fh, n_kpis: None)
+            want = panel_outcome(p, missing)
+        if fast:
+            monkeypatch.setattr(panel_module, "_read_rows", no_row_parser)
+        assert panel_outcome(p, missing) == want
+
+    def test_well_formed_file_skips_row_parser(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        panel = make_panel(rng.normal(size=(300, 6)), names=tuple("abcdef"))
+        save_csv(panel, tmp_path / "p.csv")
+        monkeypatch.setattr(panel_module, "_read_rows", no_row_parser)
+        back = load_csv(tmp_path / "p.csv")
+        assert back.ticks.tobytes() == panel.ticks.tobytes()
+        assert back.values.tobytes() == panel.values.tobytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_header_only_file(self, tmp_path):
+        p = write_csv(tmp_path, "t,a,b\n")
+        with pytest.raises(DataError, match="no data rows"):
+            load_csv(p)
+
+    def test_tick_order_error_after_dropped_row(self, tmp_path):
+        # line 3 is dropped, so the repeated tick is the 4th row kept
+        p = write_csv(tmp_path, "tick,a\n0,1\n1,\n2,3\n\n3,4\n3,5\n")
+        want = r"^line 7: timestamps not strictly increasing \(3 after 3\)$"
+        with pytest.raises(DataError, match=want):
+            load_csv(p, missing="drop-row")
+
+    def test_error_line_counts_lines_inside_quoted_cells(self, tmp_path):
+        p = write_csv(tmp_path, 't,a\n0,"1\n"\n1,x\n')
+        with pytest.raises(DataError, match="^line 4: cannot parse value 'x'"):
+            load_csv(p)
+
+    def test_tick_order_error_after_blank_line(self, tmp_path):
+        p = write_csv(tmp_path, "tick,a\n0,1\n\n\n1,2\n0,3\n")
+        want = r"^line 6: timestamps not strictly increasing \(0 after 1\)$"
+        with pytest.raises(DataError, match=want):
+            load_csv(p)
 
 
 class TestPanelInvariants:
