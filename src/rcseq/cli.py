@@ -8,6 +8,7 @@ compare-states, run-all. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -428,6 +429,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Process entry point of the `rcseq` command; returns its exit code.
+
+    The first thing `main` does is `gc.freeze()`: every object alive when it
+    starts (the interpreter's, numpy's, PyYAML's and rcseq's modules,
+    classes and functions, all made by import) moves to the collector's
+    permanent generation. Those objects live until the process ends, and
+    frozen, they are skipped by the collections the interpreter runs at
+    exit, so a fresh process no longer tears them down one by one. Objects
+    that `main` creates are collected as before.
+
+    A long-lived caller, such as a service or a test run, should call the
+    stage functions (`load_csv`, `rcd_runs`, `build_subgraph`, ...)
+    directly, or call `gc.unfreeze()` after `main`, so that its own garbage
+    alive at the call is not kept for the rest of the process.
+    """
+    gc.freeze()
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, **{f: getattr(args, f) for f in FLAG_KEYS})

@@ -46,7 +46,7 @@ class KpiPanel:
             raise DataError("ticks must align with the value rows")
         if ticks.size == 0:
             raise DataError("panel has no rows")
-        if np.any(np.diff(ticks) <= 0):
+        if np.any(ticks[1:] <= ticks[:-1]):
             raise DataError("ticks must be strictly increasing")
         names = tuple(self.kpi_names)
         if len(set(names)) != len(names):
@@ -176,9 +176,13 @@ class LabeledPanel:
 def _parse_tick_cell(cell: str, line_no: int):
     cell = cell.strip()
     try:
-        return int(cell), "int"
+        tick = int(cell)
     except ValueError:
         pass
+    else:
+        if not -(2**63) <= tick < 2**63:
+            raise DataError(f"line {line_no}: tick {cell!r} is outside the int64 range")
+        return tick, "int"
     try:
         return datetime.fromisoformat(cell), "iso"
     except ValueError:
@@ -275,7 +279,7 @@ def _read_table(fh, n_kpis: int):
     except (ValueError, Warning):
         return None
     ticks, values = table["tick"], table["values"]
-    if np.any(np.diff(ticks) <= 0) or not np.isfinite(values).all():
+    if np.any(ticks[1:] <= ticks[:-1]) or not np.isfinite(values).all():
         return None
     return ticks, values
 
@@ -360,8 +364,9 @@ def load_csv(
     values, ticks, kept = _resolve_missing(values, ticks, names, line_nos, missing)
     if values.shape[0] == 0:
         raise DataError(f"{path}: every row was dropped by the missing-value policy")
-    if np.any(np.diff(ticks) <= 0):
-        bad = int(np.argwhere(np.diff(ticks) <= 0)[0, 0]) + 1
+    unordered = ticks[1:] <= ticks[:-1]
+    if unordered.any():
+        bad = int(np.argmax(unordered)) + 1
         row, prev = kept[bad], kept[bad - 1]
         now, before = raw_ticks[row], raw_ticks[prev]
         if kinds[0] == "iso":

@@ -175,6 +175,12 @@ class TestRunAll:
         assert "data error" in capsys.readouterr().err
         assert not (out / "cis.json").exists()
 
+    def test_tick_outside_int64_is_data_error(self, tmp_path, capsys):
+        csv_path = tmp_path / "p.csv"
+        csv_path.write_text("t,a\n99999999999999999999,1\n")
+        assert run("label", "--input", csv_path, "--out", tmp_path / "o") == 3
+        assert "data error: line 2: tick" in capsys.readouterr().err
+
     def test_csv_without_sla_is_config_error(self, tmp_path):
         csv_path = tmp_path / "p.csv"
         csv_path.write_text("t,a\n0,1.0\n1,2.0\n")
@@ -612,6 +618,42 @@ seed: 2
     assert result.stdout.splitlines() == [
         "run-all False", "tune False", "compare-states False", "scenario True"
     ]
+
+
+def test_main_freezes_the_import_time_heap(tmp_path):
+    # objects made by import move to the permanent generation, so process
+    # exit does not collect them
+    run("synth", "--scenario", "cascade", "--seed", 2, "--out", tmp_path)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        f"""
+input: {{csv: {tmp_path / 'cascade_panel.csv'}}}
+sla: {{metric: dl_throughput, comparator: "<", threshold: -3.0, min_duration_ticks: 4}}
+label: {{normal_len: 120, abnormal_len: 120, lead_ticks: 20}}
+seed: 2
+"""
+    )
+    # main calls build_parser right after the freeze; objects frozen then
+    # may die during the run, so the count is read there
+    code = (
+        "import gc\n"
+        "from rcseq import cli\n"
+        "frozen, build = [], cli.build_parser\n"
+        "def build_parser():\n"
+        "    frozen.append(gc.get_freeze_count())\n"
+        "    return build()\n"
+        "cli.build_parser = build_parser\n"
+        "alive = len(gc.get_objects())\n"
+        f"argv = ['run-all', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "assert cli.main(argv) == 0\n"
+        "print(frozen[0] >= alive)\n"
+    )
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "True"
 
 
 # SHA-256 of each help text at 80 columns, as printed when every subcommand

@@ -98,6 +98,24 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="strictly increasing"):
             load_csv(p)
 
+    @pytest.mark.parametrize(
+        "text, line, tick",
+        [("t,A\n0,1\n99999999999999999999,2\n", 3, "99999999999999999999"),
+         ("t,A\n-9223372036854775809,1\n0,2\n", 2, "-9223372036854775809")],
+        ids=["above", "below"],
+    )
+    def test_tick_outside_int64_names_line(self, tmp_path, text, line, tick):
+        p = write_csv(tmp_path, text)
+        with pytest.raises(DataError, match=f"^line {line}: tick '{tick}' is outside"):
+            load_csv(p)
+
+    def test_int64_extreme_ticks(self, tmp_path):
+        # their difference does not fit in int64
+        p = write_csv(tmp_path, "t,A\n-9223372036854775808,1\n9223372036854775807,2\n")
+        assert load_csv(p).ticks.tolist() == [-(2**63), 2**63 - 1]
+        with pytest.raises(DataError, match="strictly increasing"):
+            KpiPanel(ticks=[2**63 - 1, -(2**63)], kpi_names=("a",), values=[[1.0], [2.0]])
+
     def test_iso_timestamps_normalize(self, tmp_path):
         p = write_csv(
             tmp_path,
@@ -181,6 +199,7 @@ ROUTE_CASES = [
     ("iso-ticks", "time,a\n2025-01-01T00:00:00,1\n2025-01-01T00:00:15,2\n", "fail", False),
     ("float-tick", "t,a\n1.0,1\n", "fail", False),
     ("unordered-ticks", "t,a\n0,1\n0,2\n", "fail", False),
+    ("int64-extremes", "t,a\n-9223372036854775808,1\n9223372036854775807,2\n", "fail", True),
 ]
 
 
