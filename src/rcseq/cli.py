@@ -11,16 +11,13 @@ import argparse
 import gc
 import sys
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
-import yaml
-
 from . import __version__
-from .config import FLAG_KEYS, PipelineConfig, load_config
-from .errors import AnalysisError, ConfigError, DataError, RcseqError, unreadable
+from .config import FLAG_KEYS, PipelineConfig, load_config, read_yaml
+from .errors import AnalysisError, ConfigError, DataError, RcseqError
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
-from .rcd import FrequencyTable, rcd_runs
+from .rcd import FrequencyTable, discovery_kpis, rcd_runs
 from .report import (
     OutputBundle,
     diff_to_dict,
@@ -37,7 +34,7 @@ from .report import (
     write_tuning_params,
 )
 from .sequence import CisReport, assemble_cis, detect_events, deviation_traces
-from .subgraph import build_subgraph, graph_diff
+from .subgraph import CausalSubgraph, build_subgraph, graph_diff
 from .tuner import consolidate, prominent_sources, run_grid, tuning_rows, variance_trend
 
 if TYPE_CHECKING:
@@ -57,17 +54,7 @@ def _load_scenario(cfg: PipelineConfig) -> Scenario | None:
 
     if cfg.scenario:
         return make_scenario(cfg.scenario)
-    try:
-        text = Path(cfg.scenario_file).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise ConfigError(f"scenario file not found: {cfg.scenario_file}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise unreadable(ConfigError, "scenario file", cfg.scenario_file, exc) from None
-    try:
-        doc = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse scenario file: {exc}") from exc
-    return scenario_from_mapping(doc or {})
+    return scenario_from_mapping(read_yaml(cfg.scenario_file, "scenario file") or {})
 
 
 def _load_input(cfg: PipelineConfig):
@@ -91,18 +78,16 @@ def _load_input(cfg: PipelineConfig):
     raise ConfigError("no input configured: set input.csv, input.scenario, or input.scenario_file")
 
 
+_CSV_GEOMETRY = {"normal_len": 120, "abnormal_len": 120, "lead_ticks": 0}
+
+
 def _label_geometry(cfg: PipelineConfig, scenario: Scenario | None):
-    lab = cfg.label
-    if scenario is not None:
-        return (
-            lab.normal_len if lab.normal_len is not None else scenario.normal_len,
-            lab.abnormal_len if lab.abnormal_len is not None else scenario.abnormal_len,
-            lab.lead_ticks if lab.lead_ticks is not None else scenario.lead_ticks,
-        )
-    return (
-        lab.normal_len if lab.normal_len is not None else 120,
-        lab.abnormal_len if lab.abnormal_len is not None else 120,
-        lab.lead_ticks if lab.lead_ticks is not None else 0,
+    """(normal_len, abnormal_len, lead_ticks): a setting the config leaves
+    unset takes the scenario's value, or _CSV_GEOMETRY's for CSV input."""
+    fallback = _CSV_GEOMETRY if scenario is None else {k: getattr(scenario, k) for k in _CSV_GEOMETRY}
+    return tuple(
+        fallback[key] if getattr(cfg.label, key) is None else getattr(cfg.label, key)
+        for key in _CSV_GEOMETRY
     )
 
 
@@ -143,7 +128,7 @@ def _rcd_exclude(cfg: PipelineConfig, sla: SlaRule) -> tuple[str, ...]:
 def _stage_discover(cfg: PipelineConfig, labeled: LabeledPanel, sla: SlaRule):
     exclude = _rcd_exclude(cfg, sla)
     runs = rcd_runs(labeled, cfg.rcd, exclude=exclude)
-    names = tuple(k for k in labeled.panel.kpi_names if k not in exclude)
+    names = discovery_kpis(labeled, exclude)
     table = FrequencyTable.from_runs(names, runs)
     candidates = [
         kpi
@@ -282,8 +267,8 @@ def _write_sequence(
     """cis.json and deviation_traces.csv; with no breach, a cis.json with no
     steps and no traces."""
     if state is None:
-        empty = {"steps": [], "nodes": [], "edges": [], "config": _cis_config_echo(cfg)}
-        write_json(bundle.path("cis.json"), empty)
+        empty = CisReport((), CausalSubgraph((), ()), (), (), _cis_config_echo(cfg))
+        write_cis(bundle, empty)
         return
     write_cis(bundle, state.report)
     traces, kpis = deviation_traces(state.labeled, state.events, state.nodes, cfg.cis)

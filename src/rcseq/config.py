@@ -235,22 +235,26 @@ FLAG_KEYS = {
 }
 
 
+def read_yaml(path, what: str):
+    """The parsed document of the YAML file at `path` that the user named as
+    their `what` ("config file", "scenario file"). A file that is missing,
+    unreadable or not YAML is a ConfigError naming its path."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise unreadable(ConfigError, what, path, exc) from None
+    try:
+        return yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"could not parse {what} {path}: {exc}") from exc
+
+
 def load_config(path=None, **flags) -> PipelineConfig:
     """The config file at `path` (None: all defaults) with the command-line
     `flags` (FLAG_KEYS names; None means not given) written into it."""
-    doc = {}
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise unreadable(ConfigError, "config file", path, exc) from None
-        try:
-            doc = _mapping(yaml.safe_load(text), "")
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"could not parse config {path}: {exc}") from exc
+    doc = {} if path is None else _mapping(read_yaml(path, "config file"), "")
     for flag, value in flags.items():
         if value is None:
             continue

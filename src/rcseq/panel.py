@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
 
@@ -29,17 +29,46 @@ _COMPARATORS = {
 MISSING_POLICIES = ("fail", "drop-row", "linear-interpolate")
 
 
+def read_only_copy(value, dtype) -> np.ndarray:
+    """A copy of `value` as a `dtype` array that cannot be written to."""
+    array = np.array(value, dtype=dtype)
+    array.setflags(write=False)
+    return array
+
+
+def value_eq(self, other) -> bool:
+    """`__eq__` of a dataclass record that holds arrays: the fields that take
+    part in comparison are equal one by one, arrays by value (the generated
+    `__eq__` would take an array comparison as a truth value)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = [(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare]
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True)
 class KpiPanel:
-    """Immutable T x V panel of finite KPI values on strictly increasing ticks."""
+    """Immutable T x V panel of finite KPI values on strictly increasing ticks;
+    a tick is an integer inside the int64 range."""
 
     ticks: np.ndarray
     kpi_names: tuple[str, ...]
     values: np.ndarray
 
+    __eq__ = value_eq
+
     def __post_init__(self):
-        ticks = np.asarray(self.ticks, dtype=np.int64)
-        values = np.asarray(self.values, dtype=float)
+        try:
+            raw = np.asarray(self.ticks)
+            with np.errstate(invalid="ignore"):
+                ticks = read_only_copy(raw, np.int64)
+            # a fractional, non-finite or out-of-range tick changes in the cast
+            integral = bool(np.all(ticks == raw))
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise DataError("ticks must be integers inside the int64 range")
+        values = read_only_copy(self.values, float)
         if values.ndim != 2:
             raise DataError("values must be a 2-d matrix")
         if ticks.ndim != 1 or ticks.shape[0] != values.shape[0]:
@@ -55,10 +84,6 @@ class KpiPanel:
             raise DataError("kpi_names must match the value columns")
         if not np.all(np.isfinite(values)):
             raise DataError("panel values must all be finite")
-        ticks = ticks.copy()
-        values = values.copy()
-        ticks.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "kpi_names", names)
         object.__setattr__(self, "values", values)

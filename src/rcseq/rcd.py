@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import AnalysisError, ConfigError
-from .panel import LabeledPanel
+from .panel import LabeledPanel, read_only_copy, value_eq
 # the marginal screen's binding; bench/tracer.py hooks it under this name
 from .stats import batch_ci as batch_marginal_ci
 from .stats import ci_test
@@ -38,6 +38,7 @@ __all__ = [
     "CandidateSet",
     "FrequencyTable",
     "CiOracle",
+    "discovery_kpis",
     "partition",
     "local_skeleton",
     "hierarchical_refine",
@@ -89,6 +90,8 @@ class FrequencyTable:
     counts: np.ndarray
     n_runs: int
 
+    __eq__ = value_eq
+
     @classmethod
     def from_runs(cls, kpi_names, runs) -> "FrequencyTable":
         """Count, per KPI, the runs whose candidate set contains it."""
@@ -103,24 +106,13 @@ class FrequencyTable:
     def __post_init__(self):
         if self.n_runs < 1:
             raise ConfigError(f"n_runs must be >= 1, got {self.n_runs}")
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = read_only_copy(self.counts, np.int64)
         if counts.shape != (len(self.kpi_names),):
             raise ConfigError("counts must align with kpi_names")
         if counts.min(initial=0) < 0 or counts.max(initial=0) > self.n_runs:
             raise ConfigError("counts must lie in [0, n_runs]")
-        counts = counts.copy()
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
-
-    def __eq__(self, other):
-        # the generated __eq__ would compare the counts arrays as truth values
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            (self.kpi_names, self.n_runs) == (other.kpi_names, other.n_runs)
-            and np.array_equal(self.counts, other.counts)
-        )
 
     @property
     def proportions(self) -> np.ndarray:
@@ -128,6 +120,17 @@ class FrequencyTable:
 
     def proportion(self, kpi: str) -> float:
         return float(self.counts[self.kpi_names.index(kpi)] / self.n_runs)
+
+
+def discovery_kpis(labeled: LabeledPanel, exclude=()) -> tuple[str, ...]:
+    """The KPIs discovery analyzes: the panel's KPIs minus `exclude`, in panel
+    order. They are every run's candidates to screen, the rows of the
+    frequency table and the tuner grid's KPI axis."""
+    excluded = set(exclude)
+    names = tuple(n for n in labeled.panel.kpi_names if n not in excluded)
+    if not names:
+        raise ConfigError("no KPIs left to analyze after exclusions")
+    return names
 
 
 def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
@@ -296,10 +299,7 @@ def rcd_single_run(
 ) -> CandidateSet:
     """One independent discovery run on the oracle's panel, with its own
     derived RNG stream; its warnings are distinct, in the order first seen."""
-    excluded = set(exclude)
-    names = [n for n in oracle.labeled.panel.kpi_names if n not in excluded]
-    if not names:
-        raise ConfigError("no KPIs left to analyze after exclusions")
+    names = discovery_kpis(oracle.labeled, exclude)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]))
     union: set[str] = set()
     warnings: list[str] = []
@@ -345,6 +345,5 @@ def rcd_multi_run(
 ) -> FrequencyTable:
     """Aggregate n_runs independent runs into per-KPI source frequencies;
     `oracle` is passed to `rcd_runs`."""
-    excluded = set(exclude)
-    names = tuple(n for n in labeled.panel.kpi_names if n not in excluded)
-    return FrequencyTable.from_runs(names, rcd_runs(labeled, cfg, exclude, oracle=oracle))
+    runs = rcd_runs(labeled, cfg, exclude, oracle=oracle)
+    return FrequencyTable.from_runs(discovery_kpis(labeled, exclude), runs)

@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import math
 import json
+from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .panel import LabeledPanel
 from .sequence import CisReport
 from .subgraph import CausalSubgraph, GraphDiff, to_dot
@@ -30,7 +32,8 @@ class OutputBundle:
     Used as a context manager: any exception raised inside the block,
     KeyboardInterrupt included, discards the files written so far, removes
     the directories the bundle created if they are left empty, and
-    propagates.
+    propagates. An output directory that cannot be created (a file is in
+    its place or on its path) is a ConfigError naming it and the reason.
     """
 
     def __init__(self, out_dir):
@@ -39,8 +42,13 @@ class OutputBundle:
         self.created = list(
             takewhile(lambda d: not d.exists(), (self.out_dir, *self.out_dir.parents))
         )
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.written: list[Path] = []
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            self.discard()
+            why = exc.strerror or str(exc)
+            raise ConfigError(f"cannot create output directory {self.out_dir}: {why}") from None
 
     def __enter__(self) -> "OutputBundle":
         return self
@@ -59,10 +67,10 @@ class OutputBundle:
             p.unlink(missing_ok=True)
         self.written.clear()
         for d in self.created:
-            try:
+            # rmdir removes only an empty directory: one that holds files the
+            # bundle did not write stays, and one a failed mkdir never made fails
+            with suppress(OSError):
                 d.rmdir()
-            except OSError:  # not empty: it holds files the bundle did not write
-                break
         self.created.clear()
 
 

@@ -102,13 +102,6 @@ def _adjust(p_raw: np.ndarray, correction: str) -> np.ndarray:
     return np.asarray(p_raw, dtype=float)  # "none": CisConfig admits no other
 
 
-def _ks_scan(segment, baseline, offsets, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """K-S test of each window of the segment against the baseline;
-    returns (raw p, d) per window."""
-    result = ks_two_sample(sliding_window_view(segment, window)[offsets], baseline)
-    return result.p_raw, result.d
-
-
 def _baseline_stats(labeled: LabeledPanel, kpi: str) -> tuple[float, float]:
     """Mean and sample sd of the KPI's normal window (sd 0 for one tick)."""
     baseline = labeled.normal_values(kpi)
@@ -172,9 +165,10 @@ def detect_events(
     raw = np.empty((len(kpis), len(offsets)))
     dstat = np.empty_like(raw)
     for i, kpi in enumerate(kpis):
-        raw[i], dstat[i] = _ks_scan(
-            labeled.abnormal_values(kpi), labeled.normal_values(kpi), offsets, cfg.window
-        )
+        # every window of the abnormal segment against the whole baseline
+        windows = sliding_window_view(labeled.abnormal_values(kpi), cfg.window)[offsets]
+        result = ks_two_sample(windows, labeled.normal_values(kpi))
+        raw[i], dstat[i] = result.p_raw, result.d
     adjusted = _adjust(raw.ravel(), cfg.correction).reshape(raw.shape)
     events = []
     for i, kpi in enumerate(kpis):

@@ -387,9 +387,7 @@ def _screen_block(x, yv, tops, cands):
     a[:, :, -1] = yv
     q, rr = np.linalg.qr(a)
     # below the intercept row, R's columns hold the centered top columns and y
-    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
-    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1:-1])
-    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :-1])).any(axis=1)
+    cent, collinear = _centered_collinear(rr, k)
     regular = np.flatnonzero(~collinear)
     # a singular R has no inverse, so only the regular members take one
     rinv = np.linalg.inv(rr[regular, :-1, :-1])[:, 1:k]
@@ -465,9 +463,7 @@ def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
     if n <= k + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {k + 3}")
     rr = np.linalg.qr(a, mode="r")
-    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
-    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1:-2])
-    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
+    cent, collinear = _centered_collinear(rr, k)
     rx = rr[:, -2, -2]
     ry = rr[:, -2, -1]
     r, p = _fisher_z(
@@ -481,6 +477,17 @@ def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(collinear).tolist():
         r[i : i + 1], p[i : i + 1] = batch_ci(a[i, :, -2:-1], a[i, :, -1], given=list(a[i, :, 1:-2].T))
     return r, p
+
+
+def _centered_collinear(rr, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The QR kernels' collinearity test on a stack of R factors of [1, k
+    conditioning series, tested series] matrices: the centered norm of each
+    column after the intercept, and whether a conditioning series has, by
+    the degeneracy rule, a residual norm on the columns before it (R's
+    diagonal entry) of at most 1e-12 of its centered norm (or of 1)."""
+    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
+    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1 : k + 1])
+    return cent, (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
 
 
 def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,8 @@ import numpy as np
 
 from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
-from .panel import LabeledPanel
-from .rcd import CiOracle, RcdConfig, rcd_multi_run
+from .panel import LabeledPanel, read_only_copy, value_eq
+from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run
 from .stats import binomial_sd
 
 __all__ = [
@@ -49,35 +49,23 @@ class McGrid:
     counts: np.ndarray  # shape (len(g_values), len(n_values), len(kpi_names))
     proportions: np.ndarray = field(init=False, repr=False, compare=False)
 
+    __eq__ = value_eq
+
     def __post_init__(self):
         for what, least in (("g_values", 2), ("n_values", 1)):
             values = read_value(tuple[int, ...], tuple(getattr(self, what)), what)
             check_sweep(values, what, least)
             object.__setattr__(self, what, values)
-        counts = np.asarray(self.counts, dtype=np.int64)
+        counts = read_only_copy(self.counts, np.int64)
         shape = (len(self.g_values), len(self.n_values), len(self.kpi_names))
         if counts.shape != shape:
             raise ConfigError(f"counts must have shape {shape}, got {counts.shape}")
         n = np.asarray(self.n_values)[:, None]  # broadcasts over the g and KPI axes
         if counts.min(initial=0) < 0 or np.any(counts > n):
             raise ConfigError("counts must lie in [0, n] for their n")
-        counts = counts.copy()
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "kpi_names", tuple(self.kpi_names))
-        proportions = counts / n
-        proportions.setflags(write=False)
-        object.__setattr__(self, "proportions", proportions)
-
-    def __eq__(self, other):
-        # the generated __eq__ would compare the counts arrays as truth values
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            (self.g_values, self.n_values, self.kpi_names)
-            == (other.g_values, other.n_values, other.kpi_names)
-            and np.array_equal(self.counts, other.counts)
-        )
+        object.__setattr__(self, "proportions", read_only_copy(counts / n, float))
 
     def proportion(self, g: int, n: int, kpi: str) -> float:
         gi = self.g_values.index(g)
@@ -139,13 +127,12 @@ def run_grid(
     check_sweep(g_values, "g_values", least=2)
     check_sweep(n_values, "n_values", least=1)
     n_values = tuple(sorted(n_values))
-    excluded = set(exclude)
-    names = tuple(k for k in labeled.panel.kpi_names if k not in excluded)
     if any(g > labeled.panel.n_kpis for g in g_values):
         raise ConfigError(
             f"g values must not exceed the panel KPI count ({labeled.panel.n_kpis})"
         )
     oracle = CiOracle(labeled)
+    names = discovery_kpis(labeled, exclude)
     counts = [
         rcd_multi_run(
             labeled,

@@ -11,8 +11,11 @@ import jsonschema
 import numpy as np
 import pytest
 
+from rcseq import cli
 from rcseq.cli import COMMANDS, main
+from rcseq.config import load_config
 from rcseq.panel import load_csv
+from rcseq.tuner import run_grid
 
 CIS_SCHEMA = {
     "type": "object",
@@ -347,6 +350,34 @@ class TestConfigPaths:
     def test_missing_config_file(self, tmp_path):
         assert run("run-all", "--config", tmp_path / "nope.yaml", "--out", tmp_path) == 2
 
+    @pytest.mark.parametrize(
+        "flag, what", [("--config", "config file"), ("--scenario-file", "scenario file")]
+    )
+    def test_broken_yaml_names_its_path(self, tmp_path, capsys, flag, what):
+        path = tmp_path / "broken.yaml"
+        path.write_text("name: [unclosed\n")
+        assert run("label", flag, path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"config error: could not parse {what} {path}: " in err, err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("include_sla", [False, True])
+    def test_discovery_kpis_agree_with_tuner_grid(self, tmp_path, include_sla):
+        # frequency.csv's rows and the tuner grid's KPI axis are one KPI set
+        cfg_path = tmp_path / "cfg.yaml"
+        cfg_path.write_text(
+            f"input: {{scenario: cascade}}\ninclude_sla_in_rcd: {str(include_sla).lower()}\n"
+        )
+        assert run("discover", "--config", cfg_path, "--out", tmp_path / "o") == 0
+        with (tmp_path / "o" / "frequency.csv").open() as fh:
+            kpis = tuple(r["kpi"] for r in csv.DictReader(fh))
+        cfg = load_config(cfg_path)
+        labeled, sla = cli._labeled_or_fail(cfg, "tune against")
+        exclude = cli._rcd_exclude(cfg, sla)
+        grid = run_grid(labeled, (3,), (1,), cfg.rcd, cfg.seed, exclude)
+        assert kpis == grid.kpi_names
+        assert (sla.metric in kpis) is include_sla
+
     def test_include_sla_in_rcd(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("input: {scenario: cascade}\ninclude_sla_in_rcd: true\nseed: 0\n")
@@ -461,6 +492,23 @@ def test_malformed_input_exits_with_its_code(tmp_path, capsys, command, flag, da
     err = capsys.readouterr().err
     assert message.format(path=path) in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "out, reason",
+    [("afile", "File exists"), ("afile/sub", "Not a directory"),
+     ("new/" + "x" * 300, "File name too long")],
+    ids=["file", "under-a-file", "name-too-long"],
+)
+def test_unusable_out_is_config_error(tmp_path, capsys, out, reason):
+    (tmp_path / "afile").write_text("kept\n")
+    out_dir = tmp_path / out
+    assert run("label", "--scenario", "single_root", "--out", out_dir) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out_dir}: {reason}" in err, err
+    # nothing is left behind, not even a parent the failed mkdir made
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 class TestOutputCleanup:

@@ -7,6 +7,7 @@ from rcseq import panel as panel_module
 from rcseq.errors import DataError
 from rcseq.panel import (
     KpiPanel,
+    LabeledPanel,
     SlaRule,
     apply_sla_rule,
     label_states,
@@ -124,6 +125,15 @@ class TestLoadCsv:
         )
         panel = load_csv(p, granularity_seconds=15)
         assert np.array_equal(panel.ticks, [0, 1, 2])
+
+    def test_utc_designator_equals_zero_offset(self, tmp_path):
+        # "Z" is read by datetime.fromisoformat from Python 3.11 on
+        rows = [("00:00", 1.0), ("00:15", 2.0), ("00:30", 4.0)]
+        zulu = "".join(f"2024-01-01T00:{t}Z,{v}\n" for t, v in rows)
+        offset = "".join(f"2024-01-01T00:{t}+00:00,{v}\n" for t, v in rows)
+        panel = load_csv(write_csv(tmp_path, "time,A\n" + zulu, "z.csv"))
+        assert panel == load_csv(write_csv(tmp_path, "time,A\n" + offset, "offset.csv"))
+        assert panel.ticks.tolist() == [0, 1, 2]
 
     def test_iso_off_grid(self, tmp_path):
         p = write_csv(
@@ -261,11 +271,50 @@ class TestPanelInvariants:
         with pytest.raises(DataError, match="finite"):
             make_panel([[1.0], [np.inf]])
 
+    @pytest.mark.parametrize(
+        "ticks",
+        [[0.5, 1.5, 2.7], [0.0, np.nan], [0.0, np.inf], [0.0, 2.0**63], [0, 2**63], [0, 2**70],
+         np.array([0, 2**63], dtype=np.uint64)],
+        ids=["fractional", "nan", "inf", "float-2^63", "int-2^63", "int-2^70", "uint64-2^63"],
+    )
+    def test_tick_not_an_int64_integer_rejected(self, ticks):
+        with pytest.raises(DataError, match="ticks must be integers inside the int64 range"):
+            KpiPanel(ticks=ticks, kpi_names=("a",), values=[[1.0]] * len(ticks))
+
+    def test_integral_float_ticks_accepted(self):
+        panel = KpiPanel(ticks=[-(2.0**63), 3.0], kpi_names=("a",), values=[[1.0], [2.0]])
+        assert panel.ticks.dtype == np.int64
+        assert panel.ticks.tolist() == [-(2**63), 3]
+
     def test_restrict_preserves_order(self):
         panel = make_panel([[1.0, 2.0, 3.0]], names=("a", "b", "c"))
         sub = panel.restrict(["c", "a"])
         assert sub.kpi_names == ("c", "a")
         assert np.array_equal(sub.values, [[3.0, 1.0]])
+
+
+class TestValueEquality:
+    """KpiPanel and LabeledPanel compare by value, arrays included."""
+
+    def panel(self, names=("a", "b"), ticks=(0, 1, 2, 3), last=8.0):
+        values = [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, last]]
+        return KpiPanel(ticks=np.array(ticks), kpi_names=names, values=np.array(values))
+
+    def test_kpi_panel(self):
+        assert self.panel() == self.panel()
+        assert self.panel() != self.panel(last=9.0)
+        assert self.panel() != self.panel(names=("a", "c"))
+        assert self.panel() != self.panel(ticks=(0, 1, 2, 4))
+        assert self.panel() != "panel"
+
+    def test_labeled_panel(self):
+        def labeled(panel, normal=(0, 2)):
+            return LabeledPanel(panel=panel, normal_window=normal, abnormal_window=(2, 4))
+
+        assert labeled(self.panel()) == labeled(self.panel())
+        assert labeled(self.panel()) != labeled(self.panel(last=9.0))
+        assert labeled(self.panel()) != labeled(self.panel(names=("a", "c")))
+        assert labeled(self.panel()) != labeled(self.panel(), normal=(1, 2))
 
 
 class TestApplySlaRule:

@@ -466,11 +466,13 @@ class TestFrequencyTable:
         assert table.proportion("b") == 0.0
 
     def test_value_equality(self):
-        def table(counts):
-            return FrequencyTable(kpi_names=("a", "b", "c"), counts=np.array(counts), n_runs=10)
+        def table(counts, names=("a", "b", "c"), n_runs=10):
+            return FrequencyTable(kpi_names=names, counts=np.array(counts), n_runs=n_runs)
 
         assert table([4, 0, 7]) == table([4, 0, 7])
         assert table([4, 0, 7]) != table([4, 1, 7])
+        assert table([4, 0, 7]) != table([4, 0, 7], names=("a", "b", "d"))
+        assert table([4, 0, 7]) != table([4, 0, 7], n_runs=11)
         assert table([4, 0, 7]) != "table"
 
 

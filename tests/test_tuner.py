@@ -184,12 +184,14 @@ def test_grid_rejects_tables_the_sweep_cannot_produce(g_values, n_values, counts
 
 
 def test_grid_value_equality():
-    def grid(last):
+    def grid(last, names=("a", "b"), g_values=(3, 4)):
         counts = [[[1, 2], [3, 4]], [[5, 6], [7, last]]]
-        return McGrid(g_values=(3, 4), n_values=(10, 20), kpi_names=("a", "b"), counts=counts)
+        return McGrid(g_values=g_values, n_values=(10, 20), kpi_names=names, counts=counts)
 
     assert grid(8) == grid(8)
     assert grid(8) != grid(9)
+    assert grid(8) != grid(8, names=("a", "c"))
+    assert grid(8) != grid(8, g_values=(3, 5))
     assert grid(8) != "grid"
 
 
