@@ -159,11 +159,11 @@ def _metadata(cfg: PipelineConfig, **extra) -> dict:
 
 
 def cmd_synth(cfg: PipelineConfig) -> int:
-    scenario = _load_scenario(cfg)
-    if scenario is None:
-        raise ConfigError("synth requires input.scenario or input.scenario_file")
-    panel, truth = scenario.build(cfg.seed)
     with OutputBundle(cfg.out_dir) as bundle:
+        scenario = _load_scenario(cfg)
+        if scenario is None:
+            raise ConfigError("synth requires input.scenario or input.scenario_file")
+        panel, truth = scenario.build(cfg.seed)
         save_csv(panel, bundle.path(f"{scenario.name}_panel.csv"))
         write_json(
             bundle.path(f"{scenario.name}_truth.json"),
@@ -184,9 +184,9 @@ def cmd_synth(cfg: PipelineConfig) -> int:
 
 
 def cmd_label(cfg: PipelineConfig) -> int:
-    panel, sla, scenario = _load_input(cfg)
-    labeled, breaches = _stage_label(cfg, panel, sla, scenario)
     with OutputBundle(cfg.out_dir) as bundle:
+        panel, sla, scenario = _load_input(cfg)
+        labeled, breaches = _stage_label(cfg, panel, sla, scenario)
         write_json(
             bundle.path("labels.json"),
             {
@@ -200,9 +200,9 @@ def cmd_label(cfg: PipelineConfig) -> int:
 
 
 def cmd_discover(cfg: PipelineConfig) -> int:
-    labeled, sla = _labeled_or_fail(cfg, "discover")
-    table, runs, candidates = _stage_discover(cfg, labeled, sla)
     with OutputBundle(cfg.out_dir) as bundle:
+        labeled, sla = _labeled_or_fail(cfg, "discover")
+        table, runs, candidates = _stage_discover(cfg, labeled, sla)
         write_frequency_csv(bundle, table)
         write_json(
             bundle.path("rcd_runs.json"),
@@ -212,12 +212,12 @@ def cmd_discover(cfg: PipelineConfig) -> int:
 
 
 def cmd_subgraph(cfg: PipelineConfig) -> int:
-    labeled, sla = _labeled_or_fail(cfg, "analyze")
-    _, _, candidates = _stage_discover(cfg, labeled, sla)
-    graph = build_subgraph(
-        labeled.window_panel("normal"), _scan_set(candidates, sla), cfg.subgraph
-    )
     with OutputBundle(cfg.out_dir) as bundle:
+        labeled, sla = _labeled_or_fail(cfg, "analyze")
+        _, _, candidates = _stage_discover(cfg, labeled, sla)
+        graph = build_subgraph(
+            labeled.window_panel("normal"), _scan_set(candidates, sla), cfg.subgraph
+        )
         write_subgraph_dot(bundle, graph, "subgraph.dot")
         write_json(bundle.path("subgraph.json"), subgraph_to_dict(graph))
     return EXIT_OK
@@ -276,15 +276,15 @@ def _write_sequence(
 
 
 def cmd_sequence(cfg: PipelineConfig) -> int:
-    state = _run_pipeline(cfg)
     with OutputBundle(cfg.out_dir) as bundle:
+        state = _run_pipeline(cfg)
         _write_sequence(bundle, cfg, state)
     return EXIT_OK
 
 
 def cmd_run_all(cfg: PipelineConfig) -> int:
-    state = _run_pipeline(cfg)
     with OutputBundle(cfg.out_dir) as bundle:
+        state = _run_pipeline(cfg)
         _write_sequence(bundle, cfg, state)
         if state is None:
             write_json(
@@ -313,50 +313,50 @@ def cmd_run_all(cfg: PipelineConfig) -> int:
 
 
 def cmd_tune(cfg: PipelineConfig) -> int:
-    labeled, sla = _labeled_or_fail(cfg, "tune against")
-    v = labeled.panel.n_kpis
-    g_values = cfg.mc.g_values
-    if g_values is None:
-        g_values = tuple(range(3, v + 1))
-        if not g_values:
-            raise ConfigError(
-                f"mc.g_values defaults to 3..V, which is empty for this panel's {v} KPIs;"
-                " set mc.g_values"
-            )
-    for i, g in enumerate(g_values):
-        if g > v:
-            raise ConfigError(
-                f"mc.g_values[{i}] must not exceed the panel KPI count ({v}), got {g}"
-            )
-    grid = run_grid(
-        labeled,
-        g_values=g_values,
-        n_values=cfg.mc.n_values,
-        base_cfg=cfg.rcd,
-        seed=cfg.seed,
-        exclude=_rcd_exclude(cfg, sla),
-    )
-    rows = tuning_rows(grid, n_mode=cfg.mc.n_mode)
-    prominent = prominent_sources(rows, p_thr=cfg.mc.p_thr)
-    params = None
-    if prominent:
-        params = consolidate(rows, prominent)
-    trends = None
-    if len(grid.n_values) >= 3:
-        trends = [variance_trend(grid, kpi) for kpi in grid.kpi_names]
     with OutputBundle(cfg.out_dir) as bundle:
+        labeled, sla = _labeled_or_fail(cfg, "tune against")
+        v = labeled.panel.n_kpis
+        g_values = cfg.mc.g_values
+        if g_values is None:
+            g_values = tuple(range(3, v + 1))
+            if not g_values:
+                raise ConfigError(
+                    f"mc.g_values defaults to 3..V, which is empty for this panel's {v} KPIs;"
+                    " set mc.g_values"
+                )
+        for i, g in enumerate(g_values):
+            if g > v:
+                raise ConfigError(
+                    f"mc.g_values[{i}] must not exceed the panel KPI count ({v}), got {g}"
+                )
+        grid = run_grid(
+            labeled,
+            g_values=g_values,
+            n_values=cfg.mc.n_values,
+            base_cfg=cfg.rcd,
+            seed=cfg.seed,
+            exclude=_rcd_exclude(cfg, sla),
+        )
+        rows = tuning_rows(grid, n_mode=cfg.mc.n_mode)
+        prominent = prominent_sources(rows, p_thr=cfg.mc.p_thr)
+        params = None
+        if prominent:
+            params = consolidate(rows, prominent)
+        trends = None
+        if len(grid.n_values) >= 3:
+            trends = [variance_trend(grid, kpi) for kpi in grid.kpi_names]
         write_tuning_csv(bundle, rows)
         write_tuning_params(bundle, params, trends, cfg.mc.p_thr)
     return EXIT_OK
 
 
 def cmd_compare_states(cfg: PipelineConfig) -> int:
-    labeled, _ = _labeled_or_fail(cfg, "compare")
-    nodes = tuple(labeled.panel.kpi_names)
-    normal = build_subgraph(labeled.window_panel("normal"), nodes, cfg.subgraph)
-    abnormal = build_subgraph(labeled.window_panel("abnormal"), nodes, cfg.subgraph)
-    diff = graph_diff(normal, abnormal)
     with OutputBundle(cfg.out_dir) as bundle:
+        labeled, _ = _labeled_or_fail(cfg, "compare")
+        nodes = tuple(labeled.panel.kpi_names)
+        normal = build_subgraph(labeled.window_panel("normal"), nodes, cfg.subgraph)
+        abnormal = build_subgraph(labeled.window_panel("abnormal"), nodes, cfg.subgraph)
+        diff = graph_diff(normal, abnormal)
         write_subgraph_dot(bundle, normal, "subgraph_normal.dot")
         write_subgraph_dot(bundle, abnormal, "subgraph_abnormal.dot")
         write_json(bundle.path("graph_diff.json"), diff_to_dict(diff))

@@ -8,6 +8,11 @@ survivors is hierarchically refined until a final full pass yields the
 run's candidate set. Repeating the run n times with independent RNG streams
 gives the per-KPI causal-source frequency table.
 
+Run i of base seed s shuffles with the stream of numpy's
+`default_rng(SeedSequence([s, i]))` and its `permutation`, computed here bit
+for bit by `Pcg64Stream`, so discovery never imports `numpy.random` and a
+numpy release that changes `Generator.permutation` cannot move the chunks.
+
 F is treated as a sink: survivors adjacent to F are reported as its parents
 directly, with no orientation phase.
 
@@ -22,7 +27,9 @@ as the Monte Carlo tuner, may pass one oracle to every call.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -39,6 +46,8 @@ __all__ = [
     "FrequencyTable",
     "CiOracle",
     "discovery_kpis",
+    "seed_state",
+    "Pcg64Stream",
     "partition",
     "local_skeleton",
     "hierarchical_refine",
@@ -133,13 +142,215 @@ def discovery_kpis(labeled: LabeledPanel, exclude=()) -> tuple[str, ...]:
     return names
 
 
-def partition(kpi_names, g: int, rng: np.random.Generator) -> list[list[str]]:
+# The chunk shuffle's random stream is computed here, bit for bit as numpy's
+# `default_rng(SeedSequence(entropy)).permutation(n)` computes it: the
+# SeedSequence entropy pool and `generate_state` (numpy/random/
+# bit_generator.pyx), PCG64's 128-bit LCG with XSL-RR output (O'Neill 2014),
+# and `Generator.shuffle`'s Fisher-Yates over `random_interval`'s masked
+# rejection with buffered 32-bit draws. NEP 19 fixes the bit generators'
+# streams across numpy releases but not `Generator.permutation`, so owning
+# the shuffle keeps the chunking fixed; it also keeps `numpy.random` out of
+# every discovery command.
+
+_M32 = 0xFFFFFFFF
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_MULT_A = 0x931E8875
+_MULT_B = 0x58F38DED
+_MIX_L = 0xCA01F9DD
+_MIX_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
+    """The first `count` terms of init * mult**k modulo 2**32."""
+    out = [init]
+    for _ in range(count - 1):
+        out.append(out[-1] * mult & _M32)
+    return tuple(out)
+
+
+# SeedSequence's hashes run through fixed constant sequences: the k-th hash
+# of a word xors it with entry k and multiplies it by entry k + 1. _HASH_A
+# mixes the entropy into the pool, _HASH_B draws state words from it.
+_HASH_A = _hash_constants(0x43B0D7E5, _MULT_A, 17)
+_HASH_B = _hash_constants(0x8B51F9DD, _MULT_B, 9)
+
+
+def _entropy_words(entropy) -> list[int]:
+    """SeedSequence's uint32 words of a sequence of non-negative ints: each
+    int gives its 32-bit words, least significant first (0 gives one word)."""
+    words = []
+    for value in entropy:
+        value = operator.index(value)  # as numpy, refuse floats
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        words.append(value & _M32)
+        while value := value >> 32:
+            words.append(value & _M32)
+    return words
+
+
+def _hash(value: int, x: int, y: int) -> int:
+    """SeedSequence's `hashmix` of a word with the constants x, y."""
+    v = (value ^ x) * y & _M32
+    return v ^ v >> 16
+
+
+def _mix(dst: int, hashed: int) -> int:
+    """SeedSequence's `mix` of a pool word with a hashed word."""
+    r = (_MIX_L * dst - _MIX_R * hashed) & _M32
+    return r ^ r >> 16
+
+
+@lru_cache(maxsize=256)
+def _pool_head(w0: int, w2: int, w3: int) -> tuple[int, int, int, int]:
+    """The pool mixing's steps that entropy word 1 does not reach: pool words
+    0, 2 and 3 after word 0 has mixed into the others, and the hash of word
+    0 that mixes into word 1. The runs of one base seed share them."""
+    a = _HASH_A
+    m0 = _hash(w0, a[0], a[1])
+    m2 = _mix(_hash(w2, a[2], a[3]), _hash(m0, a[5], a[6]))
+    m3 = _mix(_hash(w3, a[3], a[4]), _hash(m0, a[6], a[7]))
+    return m0, _hash(m0, a[4], a[5]), m2, m3
+
+
+def _entropy_pool(entropy) -> list[int]:
+    """numpy's `SeedSequence(entropy).pool`: the four uint32 words that its
+    `mix_entropy` makes of the entropy's words."""
+    words = _entropy_words(entropy)
+    # the first four words, or zeros where there are fewer, hash into the
+    # pool, and then every pool word mixes into every other
+    w0, w1, w2, w3 = (words + [0, 0, 0, 0])[:4]
+    m0, h0, m2, m3 = _pool_head(w0, w2, w3)
+    a = _HASH_A
+    m1 = _mix(_hash(w1, a[1], a[2]), h0)
+    # the mixes from words 1, 2 and 3, each three lines being
+    # m_d = _mix(m_d, _hash(m_s, a[k], a[k + 1])) with k counting up from 7;
+    # written out, as they run once per discovery run
+    L, R, M = _MIX_L, _MIX_R, _M32
+    v = (m1 ^ a[7]) * a[8] & M
+    r = (L * m0 - R * (v ^ v >> 16)) & M
+    m0 = r ^ r >> 16
+    v = (m1 ^ a[8]) * a[9] & M
+    r = (L * m2 - R * (v ^ v >> 16)) & M
+    m2 = r ^ r >> 16
+    v = (m1 ^ a[9]) * a[10] & M
+    r = (L * m3 - R * (v ^ v >> 16)) & M
+    m3 = r ^ r >> 16
+    v = (m2 ^ a[10]) * a[11] & M
+    r = (L * m0 - R * (v ^ v >> 16)) & M
+    m0 = r ^ r >> 16
+    v = (m2 ^ a[11]) * a[12] & M
+    r = (L * m1 - R * (v ^ v >> 16)) & M
+    m1 = r ^ r >> 16
+    v = (m2 ^ a[12]) * a[13] & M
+    r = (L * m3 - R * (v ^ v >> 16)) & M
+    m3 = r ^ r >> 16
+    v = (m3 ^ a[13]) * a[14] & M
+    r = (L * m0 - R * (v ^ v >> 16)) & M
+    m0 = r ^ r >> 16
+    v = (m3 ^ a[14]) * a[15] & M
+    r = (L * m1 - R * (v ^ v >> 16)) & M
+    m1 = r ^ r >> 16
+    v = (m3 ^ a[15]) * a[16] & M
+    r = (L * m2 - R * (v ^ v >> 16)) & M
+    m2 = r ^ r >> 16
+    pool = [m0, m1, m2, m3]
+    # each word past the fourth mixes into each pool word in turn, the
+    # hashes going on from constant 16
+    x = a[16]
+    for w in words[4:]:
+        for d in range(4):
+            y = x * _MULT_A & M
+            pool[d] = _mix(pool[d], _hash(w, x, y))
+            x = y
+    return pool
+
+
+def seed_state(entropy, n_words: int) -> list[int]:
+    """numpy's `SeedSequence(entropy).generate_state(n_words)` as ints: the
+    n_words uint32 words drawn from the entropy's pool. `entropy` is a
+    sequence of non-negative ints of any size."""
+    pool = _entropy_pool(entropy)
+    b = _hash_constants(_HASH_B[0], _MULT_B, n_words + 1)
+    return [_hash(pool[k % 4], b[k], b[k + 1]) for k in range(n_words)]
+
+
+class Pcg64Stream:
+    """The PCG64 stream of numpy's `default_rng(SeedSequence(entropy))`, with
+    that Generator's `permutation(n)` for an int n; each call continues the
+    stream, as successive numpy calls do."""
+
+    __slots__ = ("_state", "_inc", "_spare")
+
+    def __init__(self, entropy):
+        p = _entropy_pool(entropy)
+        # w = seed_state(entropy, 8), written out, as it runs once per
+        # discovery run
+        b, M = _HASH_B, _M32
+        v = (p[0] ^ b[0]) * b[1] & M
+        w0 = v ^ v >> 16
+        v = (p[1] ^ b[1]) * b[2] & M
+        w1 = v ^ v >> 16
+        v = (p[2] ^ b[2]) * b[3] & M
+        w2 = v ^ v >> 16
+        v = (p[3] ^ b[3]) * b[4] & M
+        w3 = v ^ v >> 16
+        v = (p[0] ^ b[4]) * b[5] & M
+        w4 = v ^ v >> 16
+        v = (p[1] ^ b[5]) * b[6] & M
+        w5 = v ^ v >> 16
+        v = (p[2] ^ b[6]) * b[7] & M
+        w6 = v ^ v >> 16
+        v = (p[3] ^ b[7]) * b[8] & M
+        w7 = v ^ v >> 16
+        # PCG64 seeds from the words as uint64 little-endian pairs: the first
+        # two pairs are the state's high and low halves, the next two the
+        # increment's
+        seed = w1 << 96 | w0 << 64 | w3 << 32 | w2
+        inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _M128 | 1
+        self._inc = inc
+        # PCG's seeding: step from state 0, add the seed, step again
+        self._state = ((inc + seed) * _PCG_MULT + inc) & _M128
+        # the high half of the last 64-bit output while it is unused
+        self._spare: int | None = None
+
+    def permutation(self, n: int) -> list[int]:
+        """A uniform permutation of range(n), as a list, for n < 2**32
+        (numpy draws 64-bit words from there on)."""
+        perm = list(range(n))
+        state, inc, spare = self._state, self._inc, self._spare
+        for i in range(n - 1, 0, -1):
+            # draw j in [0, i]: mask a 32-bit draw to i's bit width and
+            # redraw while it exceeds i
+            mask = (1 << i.bit_length()) - 1
+            while True:
+                if spare is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    rot = state >> 122
+                    x = ((state >> 64) ^ state) & _M64
+                    x = (x >> rot | x << (64 - rot)) & _M64
+                    j = x & mask
+                    spare = x >> 32
+                else:
+                    j = spare & mask
+                    spare = None
+                if j <= i:
+                    break
+            perm[i], perm[j] = perm[j], perm[i]
+        self._state, self._spare = state, spare
+        return perm
+
+
+def partition(kpi_names, g: int, rng: Pcg64Stream) -> list[list[str]]:
     """Shuffle the names uniformly and split them into ceil(V/g) chunks of
-    size at most g, covering every name exactly once."""
+    size at most g, covering every name exactly once. `rng` is any object
+    whose permutation(n) permutes range(n), such as a numpy Generator."""
     if g < 2:
         raise ConfigError(f"chunk size g must be >= 2, got {g}")
     names = list(kpi_names)
-    shuffled = [names[i] for i in rng.permutation(len(names)).tolist()]
+    shuffled = [names[i] for i in rng.permutation(len(names))]
     n_chunks = max(1, -(-len(names) // g))
     # the first len % n_chunks chunks take one extra name, as np.array_split
     size, extra = divmod(len(names), n_chunks)
@@ -251,7 +462,7 @@ def hierarchical_refine(
     g: int,
     alpha: float,
     max_cond: int,
-    rng: np.random.Generator,
+    rng: Pcg64Stream,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
@@ -261,7 +472,8 @@ def hierarchical_refine(
     set would never terminate otherwise). At most MAX_REFINE_PASSES passes
     run; stopping there while passes still remove KPIs adds a warning. The
     final pass screens the remaining set as a single chunk and supplies the
-    reported p-values. `oracle` is passed to every `local_skeleton` call.
+    reported p-values. `oracle` is passed to every `local_skeleton` call,
+    and `rng` to every `partition` call.
     """
     order = oracle.order
     survivors = sorted(survivor_union, key=order.__getitem__)
@@ -300,7 +512,7 @@ def rcd_single_run(
     """One independent discovery run on the oracle's panel, with its own
     derived RNG stream; its warnings are distinct, in the order first seen."""
     names = discovery_kpis(oracle.labeled, exclude)
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, run_index]))
+    rng = Pcg64Stream([cfg.seed, run_index])
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):

@@ -19,7 +19,7 @@ import numpy as np
 from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
-from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run
+from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run, seed_state
 from .stats import binomial_sd
 
 __all__ = [
@@ -105,7 +105,7 @@ class ConsolidatedParams:
 
 
 def _cell_seed(seed: int, g: int, n: int) -> int:
-    return int(np.random.SeedSequence([seed, g, n]).generate_state(1)[0])
+    return seed_state([seed, g, n], 1)[0]
 
 
 def run_grid(

@@ -511,6 +511,23 @@ def test_unusable_out_is_config_error(tmp_path, capsys, out, reason):
     assert (tmp_path / "afile").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["tune", "run-all"])
+def test_unusable_out_is_refused_before_the_analysis(tmp_path, capsys, monkeypatch, command):
+    # the output directory is checked before any stage runs, so a long
+    # sweep is never lost to an --out that cannot be written
+    def fail(*args, **kwargs):
+        raise AssertionError("an analysis stage ran before --out was checked")
+
+    monkeypatch.setattr("rcseq.cli.run_grid", fail)
+    monkeypatch.setattr("rcseq.cli.rcd_runs", fail)
+    out = tmp_path / "afile"
+    out.write_text("kept\n")
+    assert run(command, "--scenario", "single_root", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot create output directory {out}: File exists" in err, err
+    assert out.read_text() == "kept\n"
+
+
 class TestOutputCleanup:
     @pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
     def test_failed_write_discards_bundle(self, tmp_path, monkeypatch, exc):
@@ -636,7 +653,8 @@ def test_import_loads_no_scipy():
 
 
 def test_csv_commands_do_not_load_the_simulator(tmp_path):
-    # rcseq.scm is needed only for scenario input and synth
+    # rcseq.scm is needed only for scenario input and synth; numpy.random
+    # only for the simulator, as discovery computes its own shuffle stream
     run("synth", "--scenario", "cascade", "--seed", 2, "--out", tmp_path)
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
@@ -652,9 +670,9 @@ seed: 2
     code = (
         "import sys\n"
         "from rcseq.cli import main\n"
-        "for cmd in ('run-all', 'tune', 'compare-states'):\n"
+        "for cmd in ('discover', 'sequence', 'run-all', 'tune', 'compare-states'):\n"
         f"    assert main([cmd, '--config', {str(cfg)!r}, '--out', {out!r} + cmd]) == 0\n"
-        "    print(cmd, 'rcseq.scm' in sys.modules)\n"
+        "    print(cmd, 'rcseq.scm' in sys.modules, 'numpy.random' in sys.modules)\n"
         f"assert main(['run-all', '--scenario', 'single_root', '--out', {out!r}]) == 0\n"
         "print('scenario', 'rcseq.scm' in sys.modules)\n"
     )
@@ -664,7 +682,12 @@ seed: 2
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.splitlines() == [
-        "run-all False", "tune False", "compare-states False", "scenario True"
+        "discover False False",
+        "sequence False False",
+        "run-all False False",
+        "tune False False",
+        "compare-states False False",
+        "scenario True",
     ]
 
 

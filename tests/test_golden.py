@@ -3,9 +3,10 @@
 These pin the report bytes of fixed-seed runs so that a refactor can prove
 it changed no output. The hashes were recorded with Python 3.11.7,
 numpy 2.4.6 and PyYAML 6.0.3. Regenerate them only when that toolchain
-changes (a numpy upgrade may move the last bits of a float), and never in
-a change that also edits `src/`: a hash that moves together with the code
-proves nothing about the code.
+changes (a numpy upgrade may move the last bits of a float, but not
+discovery's chunking: rcseq computes its shuffle streams itself), and never
+in a change that also edits `src/`: a hash that moves together with the
+code proves nothing about the code.
 
 To print fresh hashes, run this file as a script:
 
