@@ -18,6 +18,7 @@ are any.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -43,6 +44,17 @@ subgraph: {tau_max: 9, alpha: 0.02, max_cond: 2}
 cis: {alpha: 0.05, window: 24, stride: 2, correction: bonferroni, z_thr: 2.5}
 """
 
+# CSV input: the cascade panel of `synth --scenario cascade --seed 3`, with
+# the scenario's SLA rule and label windows. `panel.csv` keeps its integer
+# ticks (numpy's C parser reads it); `panel_iso.csv` has ISO-8601 ticks 15 s
+# apart and one blank cell, so the row parser reads it and fills the gap.
+CSV_CONFIG = """
+input: {{csv: {csv}, missing: linear-interpolate}}
+sla: {{metric: dl_throughput, comparator: "<", threshold: -3.0, min_duration_ticks: 4}}
+label: {{normal_len: 120, abnormal_len: 120, lead_ticks: 20}}
+seed: 11
+"""
+
 CASES = {
     "synth": ("synth", "--scenario", "cascade", "--seed", "3"),
     "label": ("label", "--scenario", "cascade", "--seed", "3"),
@@ -61,6 +73,8 @@ CASES = {
     ),
     "tune": ("tune", "--config", "{config}"),
     "tune-jobs2": ("tune", "--config", "{config}", "--jobs", "2"),
+    "run-all-csv": ("run-all", "--config", "{csv_config}"),
+    "run-all-csv-iso": ("run-all", "--config", "{iso_config}"),
 }
 
 GOLDEN = {
@@ -162,19 +176,70 @@ GOLDEN = {
         "tuning_params.json":
             "5cb6b180a54c7736d5ac5f7b78c4d910dfb50e104adca75bd99cc246132df0fd",
     },
+    "run-all-csv": {
+        "cis.json":
+            "51bb2e38f43a4e711d399ad15e81dc679d76f9eae6eb7f37223c1923e9cd9e2c",
+        "deviation_traces.csv":
+            "12b06b81384820656344651733d2438af2fd88cc103dcf6c37afee7c034efc6f",
+        "histograms.csv":
+            "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
+        "run_metadata.json":
+            "6eb693338bea57afac43ed3208f5ae84cc9be5bd712f10f3e8153e6b40c33565",
+        "subgraph.dot":
+            "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
+    },
+    "run-all-csv-iso": {
+        "cis.json":
+            "51bb2e38f43a4e711d399ad15e81dc679d76f9eae6eb7f37223c1923e9cd9e2c",
+        "deviation_traces.csv":
+            "12b06b81384820656344651733d2438af2fd88cc103dcf6c37afee7c034efc6f",
+        "histograms.csv":
+            "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
+        "run_metadata.json":
+            "d0c881c18b0d2d10884974d980f195ab2c622a47c872270bfc3d248b320811f0",
+        "subgraph.dot":
+            "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
+    },
 }
+
+
+def write_csv_inputs() -> None:
+    """Write `panel.csv` and `panel_iso.csv` (see CSV_CONFIG) and their
+    configs into the current directory."""
+    assert main(["synth", "--scenario", "cascade", "--seed", "3", "--out", "synth"]) == 0
+    lines = Path("synth/cascade_panel.csv").read_text().splitlines()
+    Path("panel.csv").write_text("\n".join(lines) + "\n")
+    iso = [lines[0]]
+    for line in lines[1:]:
+        tick, rest = line.split(",", 1)
+        minutes, seconds = divmod(15 * int(tick), 60)
+        iso.append(f"2024-03-01T{minutes // 60:02d}:{minutes % 60:02d}:{seconds:02d}Z,{rest}")
+    # row 60's cce_load, a root cause in the normal window, left blank
+    cells = iso[61].split(",")
+    cells[1] = ""
+    iso[61] = ",".join(cells)
+    Path("panel_iso.csv").write_text("\n".join(iso) + "\n")
+    Path("csv.yaml").write_text(CSV_CONFIG.format(csv="panel.csv"))
+    Path("iso.yaml").write_text(CSV_CONFIG.format(csv="panel_iso.csv"))
 
 
 def output_hashes(case: str, workdir: Path) -> dict[str, str]:
     """Run one case into a fresh directory; map each output file name to
-    the SHA-256 of its bytes."""
+    the SHA-256 of its bytes. The case runs in workdir, so that the input
+    path its report echoes is the same on every run."""
     config = workdir / "tune.yaml"
     config.write_text(TUNE_CONFIG)
     stages = workdir / "stages.yaml"
     stages.write_text(STAGE_CONFIG)
     out = workdir / "out"
-    args = [a.format(config=config, stages=stages) for a in CASES[case]]
-    assert main([*args, "--out", str(out)]) == 0
+    args = [
+        a.format(config=config, stages=stages, csv_config="csv.yaml", iso_config="iso.yaml")
+        for a in CASES[case]
+    ]
+    with contextlib.chdir(workdir):
+        if case.startswith("run-all-csv"):
+            write_csv_inputs()
+        assert main([*args, "--out", str(out)]) == 0
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
         for p in sorted(out.iterdir())
