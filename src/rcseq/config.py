@@ -47,8 +47,11 @@ DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)
 
 
 def check_sweep(values, key: str, least: int) -> None:
-    """Reject a sweep value below `least` or equal to an earlier one, naming
-    it as key[i]: a repeat would enter the tuner's statistics twice."""
+    """Reject an empty sweep, and a sweep value below `least` or equal to an
+    earlier one, naming it as key[i]: a repeat would enter the tuner's
+    statistics twice."""
+    if not values:
+        raise ConfigError(f"{key} must be non-empty")
     for i, value in enumerate(values):
         if value < least:
             raise ConfigError(f"{key}[{i}] must be >= {least}, got {value}")
@@ -67,11 +70,7 @@ class McConfig:
 
     def __post_init__(self):
         if self.g_values is not None:
-            if not self.g_values:
-                raise ConfigError("mc.g_values must be non-empty")
             check_sweep(self.g_values, "mc.g_values", least=2)
-        if not self.n_values:
-            raise ConfigError("mc.n_values must be non-empty")
         check_sweep(self.n_values, "mc.n_values", least=1)
         if not 0.0 <= self.p_thr <= 1.0:
             raise ConfigError("mc.p_thr must lie in [0, 1]")

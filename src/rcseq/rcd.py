@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -46,7 +45,7 @@ __all__ = [
     "FrequencyTable",
     "CiOracle",
     "discovery_kpis",
-    "seed_state",
+    "seed_states",
     "Pcg64Stream",
     "partition",
     "local_skeleton",
@@ -155,7 +154,9 @@ def discovery_kpis(labeled: LabeledPanel, exclude=()) -> tuple[str, ...]:
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
 _MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_L = 0xCA01F9DD
 _MIX_R = 0x4973F715
@@ -168,13 +169,6 @@ def _hash_constants(init: int, mult: int, count: int) -> tuple[int, ...]:
     for _ in range(count - 1):
         out.append(out[-1] * mult & _M32)
     return tuple(out)
-
-
-# SeedSequence's hashes run through fixed constant sequences: the k-th hash
-# of a word xors it with entry k and multiplies it by entry k + 1. _HASH_A
-# mixes the entropy into the pool, _HASH_B draws state words from it.
-_HASH_A = _hash_constants(0x43B0D7E5, _MULT_A, 17)
-_HASH_B = _hash_constants(0x8B51F9DD, _MULT_B, 9)
 
 
 def _entropy_words(entropy) -> list[int]:
@@ -191,120 +185,64 @@ def _entropy_words(entropy) -> list[int]:
     return words
 
 
-def _hash(value: int, x: int, y: int) -> int:
-    """SeedSequence's `hashmix` of a word with the constants x, y."""
-    v = (value ^ x) * y & _M32
+def _hashmix(words: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's `hashmix` of uint32 words with the constants x, y."""
+    v = (words ^ x) * y
     return v ^ v >> 16
 
 
-def _mix(dst: int, hashed: int) -> int:
-    """SeedSequence's `mix` of a pool word with a hashed word."""
-    r = (_MIX_L * dst - _MIX_R * hashed) & _M32
+def _mix(dst: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's `mix` of pool words with hashed words."""
+    r = _MIX_L * dst - _MIX_R * hashed
     return r ^ r >> 16
 
 
-@lru_cache(maxsize=256)
-def _pool_head(w0: int, w2: int, w3: int) -> tuple[int, int, int, int]:
-    """The pool mixing's steps that entropy word 1 does not reach: pool words
-    0, 2 and 3 after word 0 has mixed into the others, and the hash of word
-    0 that mixes into word 1. The runs of one base seed share them."""
-    a = _HASH_A
-    m0 = _hash(w0, a[0], a[1])
-    m2 = _mix(_hash(w2, a[2], a[3]), _hash(m0, a[5], a[6]))
-    m3 = _mix(_hash(w3, a[3], a[4]), _hash(m0, a[6], a[7]))
-    return m0, _hash(m0, a[4], a[5]), m2, m3
+def seed_states(entropies, n_words: int) -> list[list[int]]:
+    """numpy's `SeedSequence(e).generate_state(n_words)` as ints, for every
+    entropy e, a sequence of non-negative ints, in `entropies`.
 
-
-def _entropy_pool(entropy) -> list[int]:
-    """numpy's `SeedSequence(entropy).pool`: the four uint32 words that its
-    `mix_entropy` makes of the entropy's words."""
-    words = _entropy_words(entropy)
-    # the first four words, or zeros where there are fewer, hash into the
-    # pool, and then every pool word mixes into every other
-    w0, w1, w2, w3 = (words + [0, 0, 0, 0])[:4]
-    m0, h0, m2, m3 = _pool_head(w0, w2, w3)
-    a = _HASH_A
-    m1 = _mix(_hash(w1, a[1], a[2]), h0)
-    # the mixes from words 1, 2 and 3, each three lines being
-    # m_d = _mix(m_d, _hash(m_s, a[k], a[k + 1])) with k counting up from 7;
-    # written out, as they run once per discovery run
-    L, R, M = _MIX_L, _MIX_R, _M32
-    v = (m1 ^ a[7]) * a[8] & M
-    r = (L * m0 - R * (v ^ v >> 16)) & M
-    m0 = r ^ r >> 16
-    v = (m1 ^ a[8]) * a[9] & M
-    r = (L * m2 - R * (v ^ v >> 16)) & M
-    m2 = r ^ r >> 16
-    v = (m1 ^ a[9]) * a[10] & M
-    r = (L * m3 - R * (v ^ v >> 16)) & M
-    m3 = r ^ r >> 16
-    v = (m2 ^ a[10]) * a[11] & M
-    r = (L * m0 - R * (v ^ v >> 16)) & M
-    m0 = r ^ r >> 16
-    v = (m2 ^ a[11]) * a[12] & M
-    r = (L * m1 - R * (v ^ v >> 16)) & M
-    m1 = r ^ r >> 16
-    v = (m2 ^ a[12]) * a[13] & M
-    r = (L * m3 - R * (v ^ v >> 16)) & M
-    m3 = r ^ r >> 16
-    v = (m3 ^ a[13]) * a[14] & M
-    r = (L * m0 - R * (v ^ v >> 16)) & M
-    m0 = r ^ r >> 16
-    v = (m3 ^ a[14]) * a[15] & M
-    r = (L * m1 - R * (v ^ v >> 16)) & M
-    m1 = r ^ r >> 16
-    v = (m3 ^ a[15]) * a[16] & M
-    r = (L * m2 - R * (v ^ v >> 16)) & M
-    m2 = r ^ r >> 16
-    pool = [m0, m1, m2, m3]
-    # each word past the fourth mixes into each pool word in turn, the
-    # hashes going on from constant 16
-    x = a[16]
-    for w in words[4:]:
-        for d in range(4):
-            y = x * _MULT_A & M
-            pool[d] = _mix(pool[d], _hash(w, x, y))
-            x = y
-    return pool
-
-
-def seed_state(entropy, n_words: int) -> list[int]:
-    """numpy's `SeedSequence(entropy).generate_state(n_words)` as ints: the
-    n_words uint32 words drawn from the entropy's pool. `entropy` is a
-    sequence of non-negative ints of any size."""
-    pool = _entropy_pool(entropy)
-    b = _hash_constants(_HASH_B[0], _MULT_B, n_words + 1)
-    return [_hash(pool[k % 4], b[k], b[k + 1]) for k in range(n_words)]
+    The batch runs SeedSequence's hashes once, each over a uint32 array
+    with one entry per entropy; array arithmetic wraps modulo 2**32 as the
+    hashes do. Every entropy must give the same number of uint32 words
+    (ValueError otherwise).
+    """
+    rows = [_entropy_words(e) for e in entropies]
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("the entropies of one batch must give the same number of words")
+    if not rows:
+        return []
+    # one row per word position; the pool pads entropy short of 4 words with 0
+    words = np.zeros((max(4, len(rows[0])), len(rows)), dtype=np.uint32)
+    words[: len(rows[0])] = np.array(rows, dtype=np.uint32).T
+    # mix_entropy's k-th hash xors with constant k and multiplies by constant
+    # k + 1: 4 hashes fill the pool, each pool word then mixes into the other
+    # three, and each word past the fourth into all four
+    a = np.array(_hash_constants(_INIT_A, _MULT_A, 4 * len(words) + 1), dtype=np.uint32)
+    a = a[:, None]  # one constant per row, broadcast over the batch
+    pool = _hashmix(words[:4], a[:4], a[1:5])
+    k = 4
+    for src in range(len(words)):
+        dst = [d for d in range(4) if d != src]
+        source = pool[src] if src < 4 else words[src]
+        hashed = _hashmix(source, a[k : k + len(dst)], a[k + 1 : k + 1 + len(dst)])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += len(dst)
+    # generate_state cycles over the pool with its own constants
+    b = np.array(_hash_constants(_INIT_B, _MULT_B, n_words + 1), dtype=np.uint32)[:, None]
+    state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
+    return state.T.tolist()
 
 
 class Pcg64Stream:
-    """The PCG64 stream of numpy's `default_rng(SeedSequence(entropy))`, with
-    that Generator's `permutation(n)` for an int n; each call continues the
-    stream, as successive numpy calls do."""
+    """The PCG64 stream that numpy seeds from 8 SeedSequence state words,
+    with the Generator's `permutation(n)` for an int n; each call continues
+    the stream, as successive numpy calls do. `Pcg64Stream.streams(entropies)`
+    gives the stream of `default_rng(SeedSequence(e))` for each entropy e."""
 
     __slots__ = ("_state", "_inc", "_spare")
 
-    def __init__(self, entropy):
-        p = _entropy_pool(entropy)
-        # w = seed_state(entropy, 8), written out, as it runs once per
-        # discovery run
-        b, M = _HASH_B, _M32
-        v = (p[0] ^ b[0]) * b[1] & M
-        w0 = v ^ v >> 16
-        v = (p[1] ^ b[1]) * b[2] & M
-        w1 = v ^ v >> 16
-        v = (p[2] ^ b[2]) * b[3] & M
-        w2 = v ^ v >> 16
-        v = (p[3] ^ b[3]) * b[4] & M
-        w3 = v ^ v >> 16
-        v = (p[0] ^ b[4]) * b[5] & M
-        w4 = v ^ v >> 16
-        v = (p[1] ^ b[5]) * b[6] & M
-        w5 = v ^ v >> 16
-        v = (p[2] ^ b[6]) * b[7] & M
-        w6 = v ^ v >> 16
-        v = (p[3] ^ b[7]) * b[8] & M
-        w7 = v ^ v >> 16
+    def __init__(self, words):
+        w0, w1, w2, w3, w4, w5, w6, w7 = words
         # PCG64 seeds from the words as uint64 little-endian pairs: the first
         # two pairs are the state's high and low halves, the next two the
         # increment's
@@ -315,6 +253,11 @@ class Pcg64Stream:
         self._state = ((inc + seed) * _PCG_MULT + inc) & _M128
         # the high half of the last 64-bit output while it is unused
         self._spare: int | None = None
+
+    @classmethod
+    def streams(cls, entropies) -> list["Pcg64Stream"]:
+        """One stream per entropy, seeded as one `seed_states` batch."""
+        return [cls(words) for words in seed_states(entropies, 8)]
 
     def permutation(self, n: int) -> list[int]:
         """A uniform permutation of range(n), as a list, for n < 2**32
@@ -506,13 +449,9 @@ def hierarchical_refine(
     )
 
 
-def rcd_single_run(
-    oracle: CiOracle, cfg: RcdConfig, run_index: int, exclude=()
-) -> CandidateSet:
-    """One independent discovery run on the oracle's panel, with its own
-    derived RNG stream; its warnings are distinct, in the order first seen."""
-    names = discovery_kpis(oracle.labeled, exclude)
-    rng = Pcg64Stream([cfg.seed, run_index])
+def _discovery_run(oracle: CiOracle, cfg: RcdConfig, names, rng: Pcg64Stream) -> CandidateSet:
+    """One discovery run over `names`, shuffled by `rng`; its warnings are
+    distinct, in the order first seen."""
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):
@@ -527,6 +466,15 @@ def rcd_single_run(
     return result
 
 
+def rcd_single_run(
+    oracle: CiOracle, cfg: RcdConfig, run_index: int, exclude=()
+) -> CandidateSet:
+    """Run `run_index` of `rcd_runs` alone, on the oracle's panel, with the
+    stream of entropy [cfg.seed, run_index]."""
+    [rng] = Pcg64Stream.streams([[cfg.seed, run_index]])
+    return _discovery_run(oracle, cfg, discovery_kpis(oracle.labeled, exclude), rng)
+
+
 def rcd_runs(
     labeled: LabeledPanel,
     cfg: RcdConfig,
@@ -536,16 +484,18 @@ def rcd_runs(
 ) -> list[CandidateSet]:
     """All n_runs candidate sets, in run order.
 
-    Runs are pure functions of (data, cfg, run index). They share one CI
-    oracle, which must be built from `labeled` (ValueError otherwise); None
-    builds a fresh one.
+    Runs are pure functions of (data, cfg, run index): run i shuffles with
+    the stream of entropy [cfg.seed, i], and the call seeds all of its
+    streams as one batch. Runs share one CI oracle, which must be built
+    from `labeled` (ValueError otherwise); None builds a fresh one.
     """
     if oracle is None:
         oracle = CiOracle(labeled)
     elif oracle.labeled is not labeled:
         raise ValueError("oracle was built from a different labeled panel")
-    exclude = tuple(exclude)
-    return [rcd_single_run(oracle, cfg, i, exclude) for i in range(cfg.n_runs)]
+    names = discovery_kpis(labeled, exclude)
+    streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
+    return [_discovery_run(oracle, cfg, names, rng) for rng in streams]
 
 
 def rcd_multi_run(

@@ -216,9 +216,16 @@ def write_tuning_params(
     write_json(bundle.path("tuning_params.json"), payload)
 
 
+# The most bins fd_bin_edges gives. The Freedman-Diaconis count has no
+# bound: a near-constant KPI with a short spike has a tiny IQR next to a
+# wide range, and can ask for 10**8 bins.
+MAX_HISTOGRAM_BINS = 2**16
+
+
 def fd_bin_edges(values) -> np.ndarray:
     """Freedman-Diaconis bin edges of a non-empty sample, bit for bit as
-    ``np.histogram_bin_edges(values, bins="fd")`` gives them.
+    ``np.histogram_bin_edges(values, bins="fd")`` gives them up to
+    MAX_HISTOGRAM_BINS bins; a sample that asks for more gets that many.
 
     numpy takes the quartiles from `np.percentile`, whose first call
     imports `numpy.ma` (about 13 ms). Here they come from `np.partition`
@@ -245,7 +252,7 @@ def fd_bin_edges(values) -> np.ndarray:
         g = h - j if j + 1 < n else 1.0
         quartiles.append(hi - (hi - lo) * (1.0 - g) if g >= 0.5 else lo + (hi - lo) * g)
     width = 2.0 * (quartiles[0] - quartiles[1]) * n ** (-1.0 / 3.0)
-    bins = int(np.ceil((last - first) / width)) if width else 1
+    bins = int(min(np.ceil((last - first) / width), MAX_HISTOGRAM_BINS)) if width else 1
     edges = np.linspace(first, last, bins + 1)
     if np.any(edges[:-1] >= edges[1:]):
         raise ValueError(

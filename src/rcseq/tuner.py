@@ -19,7 +19,7 @@ import numpy as np
 from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
-from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run, seed_state
+from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run, seed_states
 from .stats import binomial_sd
 
 __all__ = [
@@ -104,10 +104,6 @@ class ConsolidatedParams:
     prominent: tuple[str, ...]
 
 
-def _cell_seed(seed: int, g: int, n: int) -> int:
-    return seed_state([seed, g, n], 1)[0]
-
-
 def run_grid(
     labeled: LabeledPanel,
     g_values,
@@ -116,14 +112,13 @@ def run_grid(
     seed: int,
     exclude=(),
 ) -> McGrid:
-    """Execute the (g, n) sweep; each cell runs rcd_multi_run with an RNG
-    stream derived from (seed, g, n), so cells are independent and the grid
-    is deterministic. The cells share one CI oracle, so each distinct test
-    is computed once per sweep."""
+    """Execute the (g, n) sweep; each cell runs rcd_multi_run with the seed
+    word 0 of SeedSequence([seed, g, n]) gives, all cells seeded as one
+    batch, so cells are independent and the grid is deterministic. The
+    cells share one CI oracle, so each distinct test is computed once per
+    sweep."""
     g_values = read_value(tuple[int, ...], tuple(g_values), "g_values")
     n_values = read_value(tuple[int, ...], tuple(n_values), "n_values")
-    if not g_values or not n_values:
-        raise ConfigError("g and n sweeps must be non-empty")
     check_sweep(g_values, "g_values", least=2)
     check_sweep(n_values, "n_values", least=1)
     n_values = tuple(sorted(n_values))
@@ -133,15 +128,16 @@ def run_grid(
         )
     oracle = CiOracle(labeled)
     names = discovery_kpis(labeled, exclude)
+    cells = [(g, n) for g in g_values for n in n_values]
+    cell_seeds = seed_states([[seed, g, n] for g, n in cells], 1)
     counts = [
         rcd_multi_run(
             labeled,
-            replace(base_cfg, g=g, n_runs=n, seed=_cell_seed(seed, g, n)),
+            replace(base_cfg, g=g, n_runs=n, seed=cell_seed),
             exclude,
             oracle=oracle,
         ).counts
-        for g in g_values
-        for n in n_values
+        for (g, n), [cell_seed] in zip(cells, cell_seeds)
     ]
     counts = np.reshape(counts, (len(g_values), len(n_values), len(names)))
     return McGrid(g_values=g_values, n_values=n_values, kpi_names=names, counts=counts)

@@ -330,7 +330,7 @@ class TestLevelZeroMechanism:
 
         monkeypatch.setattr(rcd, "local_skeleton", recorded)
         rcd_runs(root_copies_labeled(0), RcdConfig(g=2, n_runs=3, seed=0))
-        assert set(callers) == {"rcd_single_run", "hierarchical_refine"}
+        assert set(callers) == {"_discovery_run", "hierarchical_refine"}
 
 
 class TestHierarchicalRefine:

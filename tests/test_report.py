@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rcseq.config import CisConfig
-from rcseq.report import OutputBundle, fd_bin_edges, write_traces_csv
+from rcseq.report import MAX_HISTOGRAM_BINS, OutputBundle, fd_bin_edges, write_traces_csv
 from rcseq.sequence import detect_events, deviation_traces
 from test_ci_equivalence import scenario_case
 
@@ -50,6 +50,16 @@ class TestFdBinEdges:
         # here the bin count turns on the last bit of the upper quartile,
         # which numpy interpolates down from the upper neighbour (g >= 0.5)
         assert_numpy_edges(np.array([0.02, -0.07, 0.03, 0.04, -0.01, 0.01, 0.02, 0.04]))
+
+    def test_bin_count_is_bounded(self):
+        # a near-constant KPI with a short spike: a tiny IQR next to a wide
+        # range, for which the Freedman-Diaconis rule asks for 1 118 943 bins
+        sample = np.random.default_rng(0).normal(0.0, 1e-4, 240)
+        sample[100:106] += 50.0
+        edges = fd_bin_edges(sample)
+        assert edges.size == MAX_HISTOGRAM_BINS + 1
+        assert edges[0] == sample.min() and edges[-1] == sample.max()
+        assert np.all(np.diff(edges) > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_raises_numpys_error(self, bad):

@@ -6,13 +6,12 @@ import pytest
 from published_rows import PUBLISHED_ROWS
 from rcseq.errors import AnalysisError, ConfigError
 from rcseq.panel import label_states
-from rcseq.rcd import RcdConfig, rcd_multi_run
+from rcseq.rcd import RcdConfig, rcd_multi_run, seed_states
 from rcseq.scm import make_scenario, single_root_scenario
 from rcseq.stats import binomial_sd
 from rcseq.tuner import (
     McGrid,
     TuningRow,
-    _cell_seed,
     consolidate,
     estimate_p,
     prominent_sources,
@@ -76,7 +75,7 @@ class TestRunGrid:
         """Each cell's counts from rcd_multi_run with a fresh oracle."""
         return [
             rcd_multi_run(
-                labeled, RcdConfig(g=g, n_runs=n, seed=_cell_seed(seed, g, n))
+                labeled, RcdConfig(g=g, n_runs=n, seed=seed_states([[seed, g, n]], 1)[0][0])
             ).counts
             for g in g_values
             for n in n_values
@@ -142,6 +141,14 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match=re.escape(f"{bad} repeats")):
             run_grid(labeled, g_values, n_values, RcdConfig(), seed=0)
 
+    @pytest.mark.parametrize(
+        "g_values, n_values, key", [((), (10,), "g_values"), ((3,), (), "n_values")]
+    )
+    def test_empty_sweep_rejected(self, g_values, n_values, key):
+        labeled = scenario_labeled(0)
+        with pytest.raises(ConfigError, match=f"^{key} must be non-empty$"):
+            run_grid(labeled, g_values, n_values, RcdConfig(), seed=0)
+
     def test_g_bounds_checked(self):
         labeled = scenario_labeled(0)
         with pytest.raises(ConfigError, match="exceed"):
@@ -180,6 +187,16 @@ def test_grid_rejects_non_integer_values(g_values, n_values, bad):
 )
 def test_grid_rejects_tables_the_sweep_cannot_produce(g_values, n_values, counts, bad):
     with pytest.raises(ConfigError, match=re.escape(bad)):
+        McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=counts)
+
+
+@pytest.mark.parametrize(
+    "g_values, n_values, key", [((), (10,), "g_values"), ((3,), (), "n_values")]
+)
+def test_grid_rejects_an_empty_sweep(g_values, n_values, key):
+    # an empty axis would build, and tuning_rows or variance_trend fail later
+    counts = np.zeros((len(g_values), len(n_values), 1), dtype=np.int64)
+    with pytest.raises(ConfigError, match=f"^{key} must be non-empty$"):
         McGrid(g_values=g_values, n_values=n_values, kpi_names=("k",), counts=counts)
 
 
