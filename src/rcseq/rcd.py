@@ -18,11 +18,15 @@ directly, with no orientation phase.
 
 Discovery runs in one process. Every CI test goes through one `CiOracle`:
 the pooled sample, each KPI's marginal p against F from one batch over all
-pooled columns, and a memo of the conditional tests, each computed once.
-A chunk's level 0 reads the marginal p's straight from that batch, so only
-levels >= 1 enumerate conditioning sets. The runs of one `rcd_runs` call
-share an oracle, and a caller that reruns discovery on the same panel, such
-as the Monte Carlo tuner, may pass one oracle to every call.
+pooled columns, the Gram matrix of the centered pooled KPI columns and F,
+and a memo of the conditional tests, each computed once. A chunk's level 0
+reads the marginal p's straight from that batch, so only levels >= 1
+enumerate conditioning sets. Each of their tests inverts one small block
+of the Gram, whatever the number of pooled rows; a nearly collinear block
+(a derived KPI next to its inputs) falls back to a least-squares solve on
+the rows. The runs of one `rcd_runs` call share an oracle, and a caller
+that reruns discovery on the same panel, such as the Monte Carlo tuner,
+may pass one oracle to every call.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
 # the marginal screen's binding; bench/tracer.py hooks it under this name
 from .stats import batch_ci as batch_marginal_ci
-from .stats import ci_test
+from .stats import ci_test, gram_ci
 
 __all__ = [
     "RcdConfig",
@@ -310,10 +314,14 @@ class CiOracle:
     binding: a column's batch p depends in its last bits on the columns that
     share its batch, so one batch gives each KPI one marginal p whichever
     chunk screens it. `marginal` maps each name to that p, and `order` maps
-    each name to its panel position. A conditional p depends in its last
-    bits on the order of S, so S is kept in the caller's order; a miss calls
-    the module's `ci_test` binding, the kernel's one-column call. A pooled
-    sample of n <= 3 rows, too few for any CI test, raises AnalysisError.
+    each name to its panel position. `gram` holds the cross products of the
+    centered pooled columns, the KPIs in panel order and F last. A
+    conditional p depends in its last bits on the order of S, so S is kept
+    in the caller's order; a miss calls the module's `gram_ci` binding on
+    the Gram, and the module's `ci_test` binding, the least-squares kernel's
+    one-column call on the rows, where `gram_ci` declines a nearly collinear
+    block. A pooled sample of n <= 3 rows, too few for any CI test, raises
+    AnalysisError.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -333,6 +341,9 @@ class CiOracle:
         self._p: dict[tuple[str, tuple[str, ...]], float] = {
             (name, ()): p for name, p in self.marginal.items()
         }
+        centered = np.column_stack([self.values, self.f])
+        centered -= centered.mean(axis=0)
+        self.gram = centered.T @ centered
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.order[name]]
@@ -341,8 +352,14 @@ class CiOracle:
         """p-value of name against F given the subset's columns, in order."""
         key = (name, subset)
         if key not in self._p:
-            given = [self.column(s) for s in subset]
-            self._p[key] = ci_test(self.column(name), self.f, given=given).p
+            order = self.order
+            # F is the Gram's last column
+            at = [order[s] for s in subset]
+            result = gram_ci(self.gram, order[name], len(order), at, self.f.size)
+            if result is None:
+                given = [self.column(s) for s in subset]
+                result = ci_test(self.column(name), self.f, given=given)
+            self._p[key] = result.p
         return self._p[key]
 
 

@@ -3,9 +3,12 @@
 The two-sample Kolmogorov-Smirnov test drives deviation detection, the
 partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
-proportion backs the Monte Carlo convergence diagnostics. Discovery's CI
-tests go through :func:`batch_ci`, one least-squares solve per
-conditioning set (:func:`ci_test` is its one-column call). The lagged
+proportion backs the Monte Carlo convergence diagnostics. Discovery's
+marginal CI tests go through :func:`batch_ci`, one least-squares solve per
+conditioning set (:func:`ci_test` is its one-column call), and its
+conditional tests through :func:`gram_ci`, the inverse of one small block
+of a Gram matrix, which hands the blocks it cannot resolve back to
+:func:`ci_test`. The lagged
 subgraph has three kernels shaped to its work: :func:`marginal_ci` tests
 one design's columns against every target, :func:`screen_ci` answers one
 parent-screen level of a stack of targets from one batched QR, and
@@ -33,6 +36,7 @@ __all__ = [
     "ks_pvalue",
     "ci_test",
     "batch_ci",
+    "gram_ci",
     "marginal_ci",
     "screen_ci",
     "stacked_ci",
@@ -273,6 +277,72 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     sx = np.linalg.norm(rx, axis=0)
     sy = float(np.linalg.norm(ry))
     return _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
+
+
+# The smallest share of a column's variance that the other columns of a
+# Gram block may leave unexplained before gram_ci declines the block.
+_GRAM_FLOOR = 1e-6
+
+
+def gram_ci(gram, x: int, y: int, given, n: int) -> CiTestResult | None:
+    """Partial-correlation CI test of column x against column y given the
+    columns `given`, from `gram`, the cross products of n centered rows;
+    None where the block cannot answer the test, which :func:`ci_test`
+    then answers from the rows.
+
+    With B the block of `gram` on [x, y, *given] and P its inverse,
+    r = -P01 / sqrt(P00 P11). It goes through :func:`_fisher_z` as
+    cov = -P01 / (P00 P11), sx = P00^-1/2 and sy = P11^-1/2 (the residual
+    norms of x and y on the block's other columns), nx = sqrt(Bxx) and
+    ny = sqrt(Byy), with n - len(given) - 3 degrees of freedom, so the
+    degeneracy rule and the tail are :func:`batch_ci`'s.
+
+    The block declines (None) when `inv` refuses it, or when a column's
+    relative residual variance on the others, rho_j = 1 / (Pjj Bjj), is
+    below _GRAM_FLOOR (or not a positive number). The floor comes from
+    the Gram's rounding. A cross product of two centered columns over n
+    rows is off by at most gamma_n = n u / (1 - n u) of the product of
+    their norms (u = 2**-53; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, section 3.1); the inverse's own rounding adds a
+    backward error of order k u, k = len(given) + 2, which the bounds take
+    in as gamma_(n+k). Scaled to unit diagonal, the block is thus off by E
+    with |E| <= k gamma. To first order P moves by -P E P, so each rho_j is
+    off by at most |E| |P| <= k^2 gamma rho_j / rho_min relative, and the
+    smallest rho is known only to within k^2 gamma. An exactly collinear
+    block can therefore show rho_min up to about k^2 gamma, and batch_ci's
+    rule, a residual norm of at most 1e-12 of the series' norm (rho up to
+    1e-24), is far below what a Gram resolves. The floor sits above
+    k^2 gamma for k <= 5 (max_cond 3) up to n = 10**7 rows (2.8e-8), so a
+    block that passes it is far from collinear, and batch_ci would call
+    none of its series degenerate.
+
+    Over a block that passes, |delta r| <= 2 |E| |P| <= 2 k^2 gamma /
+    rho_min, and since 1 - r^2 >= rho_min, Fisher's z moves by at most
+    sqrt(n - k - 1) |delta r| / rho_min.
+    """
+    idx = [x, y, *given]
+    if n <= len(given) + 3:
+        raise ValueError(f"insufficient sample: n={n} requires n > {len(given) + 3}")
+    block = gram[np.ix_(idx, idx)]
+    try:
+        prec = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return None
+    var = np.diagonal(block)
+    # 1 / rho_j for each column; the comparison is false for NaN
+    scaled = np.diagonal(prec) * var
+    if not ((scaled > 0.0) & (scaled <= 1.0 / _GRAM_FLOOR)).all():
+        return None
+    p00, p11, p01 = prec[0, 0], prec[1, 1], prec[0, 1]
+    r, p = _fisher_z(
+        np.array([-p01 / (p00 * p11)]),
+        np.array([p00**-0.5]),
+        np.array([p11**-0.5]),
+        math.sqrt(var[0]),
+        math.sqrt(var[1]),
+        n - len(given) - 3,
+    )
+    return CiTestResult(r=float(r[0]), p=float(p[0]))
 
 
 def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:

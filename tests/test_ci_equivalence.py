@@ -1,20 +1,24 @@
 """Pipeline equivalence of the CI kernels: discovery and the lagged subgraph
-run once through the package's kernels (`ci_test` in discovery; in the
-subgraph `marginal_ci` for every target's level 0, `screen_ci` for the
-screen's levels >= 1 and `stacked_ci` for MCI) and once through the scalar
-references kept in `test_stats`, one test, one target's marginal batch, or
-one target's screening level, at a time. Both must reach the same decisions with statistics equal to
-1e-12 relative."""
+run once through the package's kernels (in discovery `gram_ci`, with
+`ci_test` for the blocks it declines; in the subgraph `marginal_ci` for
+every target's level 0, `screen_ci` for the screen's levels >= 1 and
+`stacked_ci` for MCI) and once through the scalar references kept in
+`test_stats`, one test, one target's marginal batch, or one target's
+screening level, at a time. Both must reach the same decisions. The
+subgraph's statistics must agree to 1e-12 relative; each of discovery's
+conditional tests must agree within `gram_ci`'s stated error bound
+(`test_stats.gram_error_bound`), which its reported p's inherit."""
 
 import numpy as np
 import pytest
 
 from rcseq import rcd, stats, subgraph
 from rcseq.panel import KpiPanel, apply_sla_rule, label_states
-from rcseq.rcd import FrequencyTable, RcdConfig, rcd_runs
+from rcseq.rcd import CiOracle, FrequencyTable, RcdConfig, rcd_runs
 from rcseq.scm import make_scenario
 from rcseq.subgraph import SubgraphConfig, build_subgraph
 from test_stats import (
+    assert_within_gram_bound,
     reference_batch_marginal_ci,
     reference_ci_test,
     reference_screen_stack,
@@ -74,9 +78,42 @@ def wide_case(v, seed, collinear=False):
     return label_states(panel, 120, 120, 120), names[-1]
 
 
+def incident_case(noise, seed):
+    """An incident at the size discovery pools in practice: 960 rows of 1000
+    ticks. Three roots (noise sd 2.5) step up by 5 from tick 480 on, each
+    with two children at lags 2 and 3; the SLA metric follows the roots at
+    lag 4, and `noise` noise KPIs are centered within each window, so they
+    carry no dependence on F. Every root and child stays dependent on F
+    under conditioning, so each run screens them at levels 1-3: about 1200
+    distinct conditional tests."""
+    rng = np.random.default_rng(seed)
+    roots = 3
+    sla = 3 * roots
+    values = rng.standard_normal((1000, sla + 1 + noise))
+    for k in range(roots):
+        root = 3 * k
+        values[:, root] *= 2.5
+        values[480 + 4 * k :, root] += 5.0
+        values[2:, root + 1] += 0.8 * values[:-2, root]
+        values[3:, root + 2] += 0.8 * values[:-3, root]
+        values[4:, sla] += 0.5 * values[:-4, root]
+    for window in (slice(0, 480), slice(480, 960)):
+        values[window, sla + 1 :] -= values[window, sla + 1 :].mean(axis=0)
+    names = tuple(f"k{i:02d}" for i in range(values.shape[1]))
+    panel = KpiPanel(ticks=np.arange(1000), kpi_names=names, values=values)
+    return label_states(panel, 520, 480, 480, lead_ticks=40), names[sla]
+
+
+def run_discovery(labeled, sla_metric, seed):
+    """Discovery's runs, as `run-all` asks them, and their oracle."""
+    oracle = CiOracle(labeled)
+    return rcd_runs(labeled, RcdConfig(seed=seed), exclude=(sla_metric,), oracle=oracle), oracle
+
+
 def run_pipeline(labeled, sla_metric, seed):
-    """Discovery, then the subgraphs `run-all` and `compare-states` build."""
-    runs = rcd_runs(labeled, RcdConfig(seed=seed), exclude=(sla_metric,))
+    """Discovery, then the subgraphs `run-all` and `compare-states` build;
+    also returns discovery's oracle."""
+    runs, oracle = run_discovery(labeled, sla_metric, seed)
     names = tuple(k for k in labeled.panel.kpi_names if k != sla_metric)
     table = FrequencyTable.from_runs(names, runs)
     candidates = [k for k, p in zip(names, table.proportions) if p >= 0.5]
@@ -87,7 +124,68 @@ def run_pipeline(labeled, sla_metric, seed):
         graphs.append(build_subgraph(labeled.window_panel("normal"), scan, cfg))
         graphs.append(build_subgraph(labeled.window_panel("normal"), everything, cfg))
         graphs.append(build_subgraph(labeled.window_panel("abnormal"), everything, cfg))
-    return runs, graphs
+    return runs, graphs, oracle
+
+
+def record_gram_tests(monkeypatch):
+    """Point discovery's Gram seam at a recorder of each test it asks,
+    (x, y, given) with the kernel's answer."""
+    asked = []
+
+    def gram(gram, x, y, given, n):
+        result = stats.gram_ci(gram, x, y, given, n)
+        asked.append(((x, y, tuple(given)), result))
+        return result
+
+    monkeypatch.setattr(rcd, "gram_ci", gram)
+    return asked
+
+
+def route_discovery_to_reference(monkeypatch, calls):
+    """Make discovery's Gram seam decline every block, so each conditional
+    test falls back to rcd's `ci_test` binding, here the scalar reference
+    (counted in calls["rcd"]); returns the (x, y, given) it was asked."""
+    asked = []
+
+    def declined(gram, x, y, given, n):
+        asked.append((x, y, tuple(given)))
+        return None
+
+    def reference(*a, **kw):
+        calls["rcd"] += 1
+        return reference_ci_test(*a, **kw)
+
+    monkeypatch.setattr(rcd, "gram_ci", declined)
+    monkeypatch.setattr(rcd, "ci_test", reference)
+    return asked
+
+
+def assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs):
+    """Both runs asked the same conditional tests in the same order; each
+    Gram answer lies within the Gram route's bound of the reference, on the
+    same side of alpha; the runs agree on KPIs and warnings, and their p's
+    within the largest per-test bound on p."""
+    assert [key for key, _ in asked] == ref_asked
+    columns = np.column_stack([oracle.values, oracle.f])
+    alpha = RcdConfig().alpha
+    dp_max = 0.0
+    for (x, y, given), got in asked:
+        if got is None:
+            continue
+        ref = reference_ci_test(columns[:, x], columns[:, y], [columns[:, j] for j in given])
+        dp = assert_within_gram_bound(got, ref, oracle.gram, x, y, given, oracle.f.size)
+        dp_max = max(dp_max, dp)
+        assert (got.p > alpha) == (ref.p > alpha)
+
+    assert any(run.kpis for run in runs)
+    for run, ref in zip(runs, ref_runs, strict=True):
+        assert run.kpis == ref.kpis
+        assert run.warnings == ref.warnings
+        assert [name for name, _ in run.p_values] == [name for name, _ in ref.p_values]
+        for (_, p), (_, ref_p) in zip(run.p_values, ref.p_values):
+            # a reported p is the largest of a KPI's p's: the marginal one,
+            # the same bits on both runs, and conditional ones within dp_max
+            assert abs(p - ref_p) <= max(dp_max, RTOL * ref_p)
 
 
 def assert_close(got, want):
@@ -130,9 +228,10 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
         return stats_batch_ci(x_matrix, y, given=given)
 
     stats_batch_ci = stats.batch_ci
+    asked = record_gram_tests(monkeypatch)
     monkeypatch.setattr(subgraph, "stacked_ci", stacked)
     monkeypatch.setattr(stats, "batch_ci", batch)
-    runs, graphs = run_pipeline(labeled, sla_metric, seed)
+    runs, graphs, oracle = run_pipeline(labeled, sla_metric, seed)
     monkeypatch.undo()
     if args[-1] is True:
         # a derived KPI in an MCI conditioning set takes the lstsq route
@@ -147,23 +246,16 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
 
         return run
 
-    monkeypatch.setattr(rcd, "ci_test", counted("rcd", reference_ci_test))
+    ref_asked = route_discovery_to_reference(monkeypatch, calls)
     monkeypatch.setattr(subgraph, "marginal_ci", counted("marginal", reference_marginal))
     monkeypatch.setattr(subgraph, "screen_ci", counted("screen", reference_screen_stack))
     monkeypatch.setattr(subgraph, "stacked_ci", counted("mci", reference_stacked))
-    ref_runs, ref_graphs = run_pipeline(labeled, sla_metric, seed)
+    ref_runs, ref_graphs, _ = run_pipeline(labeled, sla_metric, seed)
     # discovery, every target's level 0, the parent screen (each member of
     # a round through reference_screen) and MCI all ran through the
     # references
     assert all(calls.values()), calls
-
-    assert any(run.kpis for run in runs)
-    for run, ref in zip(runs, ref_runs, strict=True):
-        assert run.kpis == ref.kpis
-        assert run.warnings == ref.warnings
-        assert [name for name, _ in run.p_values] == [name for name, _ in ref.p_values]
-        for (_, p), (_, ref_p) in zip(run.p_values, ref.p_values):
-            assert_close(p, ref_p)
+    assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs)
 
     assert any(graph.edges for graph in graphs)
     for graph, ref in zip(graphs, ref_graphs, strict=True):
@@ -172,3 +264,19 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
         for edge, ref_edge in zip(graph.edges, ref.edges):
             assert_close(edge.r, ref_edge.r)
             assert_close(edge.p, ref_edge.p)
+
+
+def test_discovery_matches_scalar_reference_at_incident_size(monkeypatch):
+    labeled, sla_metric = incident_case(10, 147)
+    asked = record_gram_tests(monkeypatch)
+    runs, oracle = run_discovery(labeled, sla_metric, 147)
+    monkeypatch.undo()
+    calls = {"rcd": 0}
+    ref_asked = route_discovery_to_reference(monkeypatch, calls)
+    ref_runs, _ = run_discovery(labeled, sla_metric, 147)
+    # discovery ran through the reference, on the incident's size and work
+    assert calls["rcd"] == len(ref_asked)
+    assert oracle.f.size >= 960
+    assert len(set(ref_asked)) >= 500
+    assert max(len(given) for *_, given in ref_asked) == 3
+    assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs)

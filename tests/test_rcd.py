@@ -477,22 +477,23 @@ class TestFrequencyTable:
 
 
 def count_kernel_keys(monkeypatch):
-    """Wrap rcd's CI kernels to record the exact ordered input of each call."""
-    keys = {"ci_test": [], "batch_marginal_ci": []}
-    ci_test, batch_marginal_ci = rcd.ci_test, rcd.batch_marginal_ci
+    """Wrap rcd's CI kernels to record the exact ordered input of each call:
+    the marginal batch, and the Gram kernel that a conditional test asks."""
+    keys = {"gram_ci": [], "batch_marginal_ci": []}
+    gram_ci, batch_marginal_ci = rcd.gram_ci, rcd.batch_marginal_ci
 
     def key(*arrays):
         return tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays)
 
-    def counted_ci_test(x, y, given=()):
-        keys["ci_test"].append(key(x, y, *given))
-        return ci_test(x, y, given=given)
+    def counted_gram_ci(gram, x, y, given, n):
+        keys["gram_ci"].append((*key(gram), x, y, tuple(given), n))
+        return gram_ci(gram, x, y, given, n)
 
     def counted_batch_marginal_ci(x_matrix, y):
         keys["batch_marginal_ci"].append(key(x_matrix, y))
         return batch_marginal_ci(x_matrix, y)
 
-    monkeypatch.setattr(rcd, "ci_test", counted_ci_test)
+    monkeypatch.setattr(rcd, "gram_ci", counted_gram_ci)
     monkeypatch.setattr(rcd, "batch_marginal_ci", counted_batch_marginal_ci)
     return keys
 
@@ -556,6 +557,48 @@ class TestCiMemo:
                 got = np.array([oracle.p_value(name, ()) for name in chunk])
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
                 assert np.array_equal(got > alpha, expected > alpha)
+
+    def test_declined_gram_blocks_fall_back_to_ci_test(self, monkeypatch):
+        # derived KPIs make the blocks that hold them with their inputs
+        # collinear; only those tests reach rcd's ci_test binding, and each
+        # p is the least-squares kernel's
+        rng = np.random.default_rng(12)
+        t = 240
+        values = rng.standard_normal((t, 5))
+        values[t // 2 :, :3] += 1.0
+        values[:, 3] = values[:, 0]
+        values[:, 4] = 2.0 * values[:, 0] - 0.5 * values[:, 1] + 1.0
+        names = ("a", "b", "c", "copy", "affine")
+        panel = KpiPanel(ticks=np.arange(t), kpi_names=names, values=values)
+        oracle = CiOracle(label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2))
+        fallbacks = []
+        ci_test = rcd.ci_test
+
+        def counted(x, y, given=()):
+            fallbacks.append(len(given))
+            return ci_test(x, y, given=given)
+
+        monkeypatch.setattr(rcd, "ci_test", counted)
+        keys = {
+            ("b", ("a",)): False,
+            ("c", ("a", "b")): False,
+            ("b", ("a", "copy")): True,
+            ("copy", ("a",)): True,
+            ("c", ("b", "affine", "a")): True,
+            ("affine", ("a", "b")): True,
+        }
+        for (name, subset), declined in keys.items():
+            before = len(fallbacks)
+            p = oracle.p_value(name, subset)
+            assert len(fallbacks) - before == declined, (name, subset)
+            given = [oracle.column(s) for s in subset]
+            want = batch_ci(oracle.column(name).reshape(-1, 1), oracle.f, given=given)[1][0]
+            if declined:
+                assert p == want
+            else:
+                assert p == pytest.approx(want, rel=1e-9) and (p > 0.05) == (want > 0.05)
+        # a KPI its set explains is degenerate: p = 1
+        assert oracle.p_value("copy", ("a",)) == oracle.p_value("affine", ("a", "b")) == 1.0
 
     def test_oracle_of_another_panel_rejected(self):
         labeled, other = self.labeled(), self.labeled()

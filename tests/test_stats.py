@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -503,6 +504,135 @@ class TestMarginalCi:
             marginal_ci(np.zeros((10, 2)), [np.arange(10.0), np.arange(9.0)])
         with pytest.raises(ValueError, match="2-D"):
             marginal_ci(np.zeros(10), [np.arange(10.0)])
+
+
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def centered_gram(columns):
+    """The cross products of the centered columns, as `CiOracle` builds them."""
+    c = np.column_stack(columns)
+    c -= c.mean(axis=0)
+    return c.T @ c
+
+
+def gram_error_bound(gram, x, y, given, n) -> tuple[float, float]:
+    """`gram_ci`'s stated bound on one test against the least-squares
+    kernel: |delta r| <= 2 k^2 gamma_(n+k) / rho_min and |delta z| <=
+    sqrt(n - k - 1) |delta r| / rho_min, rho_min being the block's smallest
+    relative residual variance."""
+    idx = [x, y, *given]
+    k = len(idx)
+    block = gram[np.ix_(idx, idx)]
+    rho_min = float((1.0 / (np.diagonal(np.linalg.inv(block)) * np.diagonal(block))).min())
+    m = (n + k) * UNIT_ROUNDOFF
+    dr = 2 * k * k * (m / (1 - m)) / rho_min
+    return dr, math.sqrt(n - k - 1) * dr / rho_min
+
+
+def assert_within_gram_bound(got, ref, gram, x, y, given, n) -> float:
+    """Assert that a `gram_ci` result is within its stated bound of the
+    reference result `ref`; returns the bound on |delta p| it implies."""
+    dr, dz = gram_error_bound(gram, x, y, given, n)
+    assert abs(got.r - ref.r) <= dr
+    dof = math.sqrt(n - len(given) - 3)
+    z, z_ref = math.atanh(got.r) * dof, math.atanh(ref.r) * dof
+    assert abs(z - z_ref) <= dz
+    # p = 2 Phi(-|z|) moves by at most 2 phi |delta z|, phi taken at the
+    # smaller |z| in reach; the relative 1e-12 takes in the tails' last bits
+    z_lo = max(0.0, abs(z_ref) - dz)
+    dp = 2.0 * math.exp(-0.5 * z_lo * z_lo) / math.sqrt(2.0 * math.pi) * dz + 1e-12 * ref.p
+    assert abs(got.p - ref.p) <= dp
+    return dp
+
+
+def gram_case(rng, n):
+    """Named columns of one pooled sample: the failure indicator f, KPIs that
+    shift with it, iid ones, and the shapes of derived KPIs: an exact copy,
+    an affine combination of two KPIs (as in the equivalence tests'
+    collinear-25 case), a pinned constant, and a copy plus 1e-9 noise."""
+    f = np.repeat([0.0, 1.0], n // 2)
+    base = rng.standard_normal((n, 6))
+    base[:, :3] += np.outer(f, [1.0, 0.6, 0.4])
+    base[:, 1] += 0.5 * base[:, 0]
+    columns = {f"k{j}": base[:, j] for j in range(6)}
+    columns["copy"] = base[:, 0].copy()
+    columns["affine"] = 2.0 * base[:, 0] - 0.5 * base[:, 1] + 1.0
+    columns["const"] = np.full(n, 5.0)
+    columns["near"] = base[:, 0] + 1e-9 * rng.standard_normal(n)
+    columns["f"] = f
+    return columns
+
+
+# (x, given, whether gram_ci declines the block): each derived shape in the
+# conditioning set, and as the tested series itself
+GRAM_CASES = [
+    ("k1", ("k0",), False),
+    ("k0", ("k1", "k2"), False),
+    ("k2", ("k0", "k1", "k3"), False),
+    ("k4", ("k0", "k5", "k1"), False),
+    ("k1", ("k0", "copy"), True),
+    ("copy", ("k0",), True),
+    ("k2", ("k0", "k1", "affine"), True),
+    ("affine", ("k1", "k0"), True),
+    ("k1", ("const",), True),
+    ("k1", ("k0", "const", "k2"), True),
+    ("const", ("k0",), True),
+    ("k1", ("near", "k0"), True),
+    ("near", ("k0",), True),
+]
+
+
+class TestGramCi:
+    def test_degenerate_blocks_take_the_least_squares_route(self):
+        columns = gram_case(np.random.default_rng(91), 240)
+        names = list(columns)
+        gram = centered_gram(list(columns.values()))
+        n, y = 240, names.index("f")
+        declined = 0
+        for x, given, guarded in GRAM_CASES:
+            at = [names.index(s) for s in given]
+            series = [columns[s] for s in given]
+            r, p = batch_ci(columns[x].reshape(-1, 1), columns["f"], given=series)
+            got = stats.gram_ci(gram, names.index(x), y, at, n)
+            assert (got is None) == guarded, (x, given)
+            if got is None:
+                # the oracle's route for a declined block: batch_ci's bits
+                declined += 1
+                got = ci_test(columns[x], columns["f"], given=series)
+                assert (got.r, got.p) == (r[0], p[0])
+            else:
+                ref = reference_ci_test(columns[x], columns["f"], given=series)
+                assert_within_gram_bound(got, ref, gram, names.index(x), y, at, n)
+                assert (got.p <= 0.05) == (p[0] <= 0.05)
+            if x in ("copy", "affine", "const"):
+                # a tested series that its set explains, or a constant
+                assert (got.r, got.p) == (0.0, 1.0)
+        assert declined == sum(guarded for *_, guarded in GRAM_CASES)
+
+    def test_well_conditioned_blocks_never_fall_back(self):
+        rng = np.random.default_rng(92)
+        n = 960
+        f = np.repeat([0.0, 1.0], n // 2)
+        x = rng.standard_normal((n, 10)) + np.outer(f, rng.uniform(0.0, 1.5, 10))
+        x[:, 1:5] += 0.7 * x[:, [0]]
+        gram = centered_gram([*x.T, f])
+        tested = 0
+        for size in range(4):
+            for subset in itertools.combinations(range(10), size + 1):
+                xi, given = subset[0], list(subset[1:])
+                got = stats.gram_ci(gram, xi, 10, given, n)
+                assert got is not None, subset
+                ref = reference_ci_test(x[:, xi], f, given=[x[:, j] for j in given])
+                assert_within_gram_bound(got, ref, gram, xi, 10, given, n)
+                tested += 1
+        assert tested == 10 + 45 + 120 + 210
+
+    def test_smallest_sample(self):
+        gram = np.eye(5)
+        for size in range(4):
+            with pytest.raises(ValueError, match=f"n={size + 3} requires n > {size + 3}"):
+                stats.gram_ci(gram, 0, 4, list(range(1, size + 1)), size + 3)
 
 
 def screen_case(rng, n, level):
