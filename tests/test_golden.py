@@ -92,7 +92,7 @@ GOLDEN = {
         "frequency.csv":
             "0b04ef9c46b7514612e847508134caf331b52e997325182cb72aa0507df049dc",
         "rcd_runs.json":
-            "ad74c5f665cccf31cb52dd67e2e45a59391404b720d61b6ef773183cb6387991",
+            "a05eb865c7c0e90fcb19dc1d48132890c72b710bc121f452bbbd5b5b5f774b53",
     },
     "subgraph": {
         "subgraph.dot":
@@ -114,7 +114,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "50cec9f2d21b45a984b1e256db97aeb017d544e0c1ee0949514414ca21c23892",
+            "9eb94df7ed1691a6691b7632d986fb8ca14d91cadf5d1ae2a0b97c341ec35142",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -126,7 +126,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "50cec9f2d21b45a984b1e256db97aeb017d544e0c1ee0949514414ca21c23892",
+            "9eb94df7ed1691a6691b7632d986fb8ca14d91cadf5d1ae2a0b97c341ec35142",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -152,7 +152,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "7fd2ce76b5afe74c67b7f0efd1e9b784801fb970bd75ef4f31baf836babc1736",
+            "3be94dcdc7ebe801e99ad4cf6cbd5ac5eeeda1ddc1e411f6a7c3cd7bfefaf034",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -184,7 +184,7 @@ GOLDEN = {
         "histograms.csv":
             "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
         "run_metadata.json":
-            "6eb693338bea57afac43ed3208f5ae84cc9be5bd712f10f3e8153e6b40c33565",
+            "c5da07ad4675e00b13efd1cfdcd6e7870819e496bba1867b64a9870fc2fcffc5",
         "subgraph.dot":
             "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
     },
@@ -196,7 +196,7 @@ GOLDEN = {
         "histograms.csv":
             "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
         "run_metadata.json":
-            "d0c881c18b0d2d10884974d980f195ab2c622a47c872270bfc3d248b320811f0",
+            "def8fbb039604becd2f3352a0d6dbf505825b112aeddf76825b102d536c8f1fd",
         "subgraph.dot":
             "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
     },
