@@ -8,16 +8,16 @@ marginal CI tests go through :func:`batch_ci`, one least-squares solve per
 conditioning set (:func:`ci_test` is its one-column call), and its
 conditional tests through :func:`gram_ci`, the inverse of one small block
 of a Gram matrix, which hands the blocks it cannot resolve back to
-:func:`ci_test`. The lagged
-subgraph has three kernels shaped to its work: :func:`marginal_ci` tests
-one design's columns against every target, :func:`screen_ci` answers one
-parent-screen level of a stack of targets from one batched QR, and
-:func:`stacked_ci` answers a stack of MCI tests from one batched QR. The
-QR kernels fall back to :func:`batch_ci` only where conditioning series
-are collinear. All of them take r and p from one degeneracy rule and one
-Fisher-z tail, a port of the Cephes `ndtr` that `scipy.special` wraps
-(scipy's p-values to the bit, without scipy). Its fits are written once,
-shared by the scalar tail and the vectorised one large calls run.
+:func:`ci_test`. The lagged subgraph has three kernels shaped to its work:
+:func:`marginal_ci` tests one design's columns against every target,
+:func:`screen_ci` answers one parent-screen level of a stack of targets
+from one batched QR, and :func:`stacked_ci` answers a stack of MCI tests
+from one batched QR. The QR kernels fall back to :func:`batch_ci` only
+where conditioning series are collinear. All of them take r and p from
+one degeneracy rule and one Fisher-z tail, a port of the Cephes `ndtr`
+that `scipy.special` wraps (scipy's p-values to the bit, without scipy).
+Its fits are written once, shared by the scalar tail and the vectorised
+one large calls run.
 
 All functions here are pure and reentrant.
 """
@@ -306,9 +306,10 @@ def gram_ci(gram, x: int, y: int, given, n: int) -> CiTestResult | None:
     Algorithms, 2002, section 3.1); the inverse's own rounding adds a
     backward error of order k u, k = len(given) + 2, which the bounds take
     in as gamma_(n+k). Scaled to unit diagonal, the block is thus off by E
-    with |E| <= k gamma. To first order P moves by -P E P, so each rho_j is
-    off by at most |E| |P| <= k^2 gamma rho_j / rho_min relative, and the
-    smallest rho is known only to within k^2 gamma. An exactly collinear
+    with |E| <= k gamma, and |P| <= k / rho_min (P's trace is the sum of
+    the 1 / rho_j). To first order P moves by -P E P, so each rho_j is off
+    by at most |E| |P| <= k^2 gamma / rho_min relative, and the smallest
+    rho is known only to within k^2 gamma. An exactly collinear
     block can therefore show rho_min up to about k^2 gamma, and batch_ci's
     rule, a residual norm of at most 1e-12 of the series' norm (rho up to
     1e-24), is far below what a Gram resolves. The floor sits above
@@ -320,9 +321,9 @@ def gram_ci(gram, x: int, y: int, given, n: int) -> CiTestResult | None:
     rho_min, and since 1 - r^2 >= rho_min, Fisher's z moves by at most
     sqrt(n - k - 1) |delta r| / rho_min.
     """
-    idx = [x, y, *given]
     if n <= len(given) + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {len(given) + 3}")
+    idx = [x, y, *given]
     block = gram[np.ix_(idx, idx)]
     try:
         prec = np.linalg.inv(block)
