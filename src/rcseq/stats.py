@@ -5,19 +5,19 @@ partial-correlation CI test with Fisher-z significance drives conditional
 independence testing, and the binomial standard deviation of a sample
 proportion backs the Monte Carlo convergence diagnostics. Discovery's
 marginal CI tests go through :func:`batch_ci`, one least-squares solve per
-conditioning set (:func:`ci_test` is its one-column call), and its
-conditional tests through :func:`gram_ci`, the inverse of one small block
-of a Gram matrix, which hands the blocks it cannot resolve back to
-:func:`ci_test`. The lagged subgraph has three kernels shaped to its work:
-:func:`marginal_ci` tests one design's columns against every target,
-:func:`screen_ci` answers one parent-screen level of a stack of targets
-from one batched QR, and :func:`stacked_ci` answers a stack of MCI tests
-from one batched QR. The QR kernels fall back to :func:`batch_ci` only
-where conditioning series are collinear. All of them take r and p from
-one degeneracy rule and one Fisher-z tail, a port of the Cephes `ndtr`
-that `scipy.special` wraps (scipy's p-values to the bit, without scipy).
-Its fits are written once, shared by the scalar tail and the vectorised
-one large calls run.
+conditioning set (:func:`ci_test` is its one-column call). Discovery's
+conditional tests, and those of the lagged parent screen, go through
+:func:`stacked_gram_ci`, the inverse of one small Gram block per test, a
+stack of blocks per call (:func:`gram_ci` is its one-block call); the
+callers answer the blocks it declines from the rows with :func:`batch_ci`.
+The lagged subgraph has two more kernels shaped to its work:
+:func:`marginal_ci` tests one design's columns against every target, and
+:func:`stacked_ci` answers a stack of MCI tests from one batched QR,
+falling back to :func:`batch_ci` where conditioning series are collinear.
+All of them take r and p from one degeneracy rule and one Fisher-z tail, a
+port of the Cephes `ndtr` that `scipy.special` wraps (scipy's p-values to
+the bit, without scipy). Its fits are written once, shared by the scalar
+tail and the vectorised one large calls run.
 
 All functions here are pure and reentrant.
 """
@@ -37,8 +37,8 @@ __all__ = [
     "ci_test",
     "batch_ci",
     "gram_ci",
+    "stacked_gram_ci",
     "marginal_ci",
-    "screen_ci",
     "stacked_ci",
     "bonferroni",
     "bh_adjust",
@@ -137,8 +137,6 @@ _SQRT1_2 = 0.70710678118654752440
 _VECTOR_TAIL_MIN = 150
 # Tests per Fisher-z call in marginal_ci.
 _MARGINAL_BLOCK = 2048
-# Stack entries (members * n * (level + 3)) per batched QR in screen_ci.
-_SCREEN_BLOCK = 1 << 14
 _MAXLOG = 7.09782712893383996843e2  # log of the largest double
 
 
@@ -280,7 +278,7 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
 
 
 # The smallest share of a column's variance that the other columns of a
-# Gram block may leave unexplained before gram_ci declines the block.
+# Gram block may leave unexplained before stacked_gram_ci declines the block.
 _GRAM_FLOOR = 1e-6
 
 
@@ -288,62 +286,97 @@ def gram_ci(gram, x: int, y: int, given, n: int) -> CiTestResult | None:
     """Partial-correlation CI test of column x against column y given the
     columns `given`, from `gram`, the cross products of n centered rows;
     None where the block cannot answer the test, which :func:`ci_test`
-    then answers from the rows.
+    then answers from the rows. The one-block call of
+    :func:`stacked_gram_ci`, on the block of `gram` on [x, y, *given]."""
+    idx = [x, y, *given]
+    block = gram.take(idx, axis=0).take(idx, axis=1)
+    r, p, answered = stacked_gram_ci(block[np.newaxis], n)
+    return CiTestResult(r=float(r[0]), p=float(p[0])) if answered[0] else None
 
-    With B the block of `gram` on [x, y, *given] and P its inverse,
-    r = -P01 / sqrt(P00 P11). It goes through :func:`_fisher_z` as
-    cov = -P01 / (P00 P11), sx = P00^-1/2 and sy = P11^-1/2 (the residual
-    norms of x and y on the block's other columns), nx = sqrt(Bxx) and
-    ny = sqrt(Byy), with n - len(given) - 3 degrees of freedom, so the
-    degeneracy rule and the tail are :func:`batch_ci`'s.
 
-    The block declines (None) when `inv` refuses it, or when a column's
-    relative residual variance on the others, rho_j = 1 / (Pjj Bjj), is
-    below _GRAM_FLOOR (or not a positive number). The floor comes from
-    the Gram's rounding. A cross product of two centered columns over n
-    rows is off by at most gamma_n = n u / (1 - n u) of the product of
-    their norms (u = 2**-53; Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, section 3.1); the inverse's own rounding adds a
-    backward error of order k u, k = len(given) + 2, which the bounds take
-    in as gamma_(n+k). Scaled to unit diagonal, the block is thus off by E
-    with |E| <= k gamma, and |P| <= k / rho_min (P's trace is the sum of
-    the 1 / rho_j). To first order P moves by -P E P, so each rho_j is off
-    by at most |E| |P| <= k^2 gamma / rho_min relative, and the smallest
-    rho is known only to within k^2 gamma. An exactly collinear
-    block can therefore show rho_min up to about k^2 gamma, and batch_ci's
-    rule, a residual norm of at most 1e-12 of the series' norm (rho up to
-    1e-24), is far below what a Gram resolves. The floor sits above
-    k^2 gamma for k <= 5 (max_cond 3) up to n = 10**7 rows (2.8e-8), so a
-    block that passes it is far from collinear, and batch_ci would call
-    none of its series degenerate.
+def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial-correlation CI tests, one per Gram block of a stack.
+
+    blocks is (tests, k, k): block i holds the cross products of n centered
+    rows of [x, y, *given], and x is tested against y given the k - 2
+    other columns. Returns (r, p, answered), one entry per block; r and p
+    are NaN where answered is False, a block the caller answers from the
+    rows instead. Each block's entries are bit for bit what a stack holding
+    that block alone gives it.
+
+    With B a block and P its inverse, r = -P01 / sqrt(P00 P11). It goes
+    through :func:`_fisher_z` as cov = -P01 / (P00 P11), sx = P00^-1/2 and
+    sy = P11^-1/2 (the residual norms of x and y on the block's other
+    columns), nx = sqrt(Bxx) and ny = sqrt(Byy), with n - k - 1 degrees of
+    freedom, so the degeneracy rule and the tail are :func:`batch_ci`'s.
+    The powers are Python's, the C library's `pow`: numpy's vectorised
+    power differs from it in the last bits.
+
+    A block is declined when `inv` refuses it, or when a column's relative
+    residual variance on the others, rho_j = 1 / (Pjj Bjj), is below
+    _GRAM_FLOOR (or not a positive number). A batched `inv` refuses the
+    whole stack if one block is exactly singular, so such a stack is
+    inverted block by block. The floor comes from the Gram's rounding. A
+    cross product of two centered columns over n rows is off by at most
+    gamma_n = n u / (1 - n u) of the product of their norms (u = 2**-53;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    section 3.1); the inverse's own rounding adds a backward error of
+    order k u, which the bounds take in as gamma_(n+k). Scaled to unit
+    diagonal, the block is thus off by E with |E| <= k gamma, and
+    |P| <= k / rho_min (P's trace is the sum of the 1 / rho_j). To first
+    order P moves by -P E P, so each rho_j is off by at most
+    |E| |P| <= k^2 gamma / rho_min relative, and the smallest rho is known
+    only to within k^2 gamma. An exactly collinear block can therefore
+    show rho_min up to about k^2 gamma, and batch_ci's rule, a residual
+    norm of at most 1e-12 of the series' norm (rho up to 1e-24), is far
+    below what a Gram resolves. The floor sits above k^2 gamma for k <= 5
+    (max_cond 3) up to n = 10**7 rows (2.8e-8), so a block that passes it
+    is far from collinear, and batch_ci would call none of its series
+    degenerate.
 
     Over a block that passes, |delta r| <= 2 |E| |P| <= 2 k^2 gamma /
     rho_min, and since 1 - r^2 >= rho_min, Fisher's z moves by at most
     sqrt(n - k - 1) |delta r| / rho_min.
     """
-    if n <= len(given) + 3:
-        raise ValueError(f"insufficient sample: n={n} requires n > {len(given) + 3}")
-    idx = [x, y, *given]
-    block = gram[np.ix_(idx, idx)]
+    b = np.asarray(blocks, dtype=float)
+    if b.ndim != 3 or b.shape[1] != b.shape[2] or b.shape[1] < 2:
+        raise ValueError("blocks must be a (tests, k, k) stack of [x, y, *given] Gram blocks")
+    k = b.shape[1]
+    if n <= k + 1:
+        raise ValueError(f"insufficient sample: n={n} requires n > {k + 1}")
     try:
-        prec = np.linalg.inv(block)
+        prec = np.linalg.inv(b)
     except np.linalg.LinAlgError:
-        return None
-    var = np.diagonal(block)
-    # 1 / rho_j for each column; the comparison is false for NaN
-    scaled = np.diagonal(prec) * var
-    if not ((scaled > 0.0) & (scaled <= 1.0 / _GRAM_FLOOR)).all():
-        return None
-    p00, p11, p01 = prec[0, 0], prec[1, 1], prec[0, 1]
-    r, p = _fisher_z(
-        np.array([-p01 / (p00 * p11)]),
-        np.array([p00**-0.5]),
-        np.array([p11**-0.5]),
-        math.sqrt(var[0]),
-        math.sqrt(var[1]),
-        n - len(given) - 3,
+        prec = np.full(b.shape, np.nan)
+        for i, block in enumerate(b):
+            try:
+                prec[i] = np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                pass
+    var = np.diagonal(b, axis1=1, axis2=2)
+    # 1 / rho_j for each column; the comparisons are false for NaN
+    scaled = np.diagonal(prec, axis1=1, axis2=2) * var
+    answered = ((scaled > 0.0) & (scaled <= 1.0 / _GRAM_FLOOR)).all(axis=1)
+    if np.count_nonzero(answered) == len(b):
+        return (*_gram_fisher_z(prec, var, n - k - 1), answered)
+    r = np.full(len(b), np.nan)
+    p = np.full(len(b), np.nan)
+    r[answered], p[answered] = _gram_fisher_z(prec[answered], var[answered], n - k - 1)
+    return r, p, answered
+
+
+def _gram_fisher_z(prec, var, dof: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stacked_gram_ci`'s r and p for blocks that pass the floor,
+    from their inverses and their diagonals; P00 and P11 are positive."""
+    p00, p11 = prec[:, 0, 0], prec[:, 1, 1]
+    return _fisher_z(
+        -prec[:, 0, 1] / (p00 * p11),
+        np.array([v**-0.5 for v in p00.tolist()]),
+        np.array([v**-0.5 for v in p11.tolist()]),
+        np.sqrt(var[:, 0]),
+        np.sqrt(var[:, 1]),
+        dof,
     )
-    return CiTestResult(r=float(r[0]), p=float(p[0]))
 
 
 def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -386,123 +419,6 @@ def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
     return r, p
 
 
-def screen_ci(design, ys, tops, cands) -> tuple[np.ndarray, np.ndarray]:
-    """One level of the lagged parent screen for a stack of targets.
-
-    design holds candidate series as columns. Member i of the stack has
-    the target series ys[i], the level + 1 column indices tops[i],
-    strongest first, and the column indices cands[i]. Every column of
-    cands[i] is tested against ys[i] given top[:level], and each top[j]
-    with j < level given the other level members of top. Returns (r, p)
-    arrays holding, member after member, one entry per column of cands[i]
-    and then one per member of top[:level], as :func:`batch_ci` would give
-    them (same degeneracy rule, same Fisher-z p with n - level - 3 degrees
-    of freedom, so n must exceed level + 3). Every member's entries are
-    bit for bit what a stack holding that member alone gives it.
-
-    One batched Householder QR of the members' [1, top, y] matrices serves
-    every test; the leading columns of a member's QR are the QR of
-    A = [1, top], and R's last column holds Q'y. The residuals on
-    [1, top[:level]] come from the leading level + 1 columns of Q, on the
-    n rows, one member at a time, so no (members, n, candidates) array is
-    built. For top[j], with beta = R^-1 Q'y, e the residual of y on A and
-    s_j = 1 / |row j of R^-1|, the residual norm of top[j] on the other
-    columns of A, r_j = beta_j s_j / sqrt(|e|^2 + beta_j^2 s_j^2): y's
-    residual on the others is beta_j times top[j]'s plus e, orthogonal to
-    it, so every term is a sum of squares. beta is one member's
-    matrix-vector product; a batched einsum moves its last bits. One
-    Fisher-z call then answers the tests of every member of the QR.
-
-    The members run in blocks of about _SCREEN_BLOCK stack entries, one
-    batched QR each, so the stack's memory does not grow with the number
-    of targets: one QR over a 50-KPI window's 50 members raised a run's
-    peak RSS by about 0.7 MB, blocks of about 25 by about 0.25 MB.
-
-    A member of top that is, by the degeneracy rule, a linear combination
-    of the columns before it (a copied or derived KPI) leaves R singular.
-    That member's level runs as level + 1 grouped :func:`batch_ci` calls
-    instead; that route is kept only because it is the one that handles
-    this input.
-    """
-    x = np.asarray(design, dtype=float)
-    yv = np.asarray(ys, dtype=float)
-    tops = np.asarray(tops, dtype=np.intp)
-    if x.ndim != 2 or yv.ndim != 2 or tops.ndim != 2:
-        raise ValueError("design, ys and tops must be 2-D, with one series and one top per member")
-    n = x.shape[0]
-    members, k = tops.shape
-    level = k - 1
-    if yv.shape != (members, n) or len(cands) != members:
-        raise ValueError(
-            f"{members} tops need {members} series of length {n} and {members} candidate sets,"
-            f" got series {yv.shape} and {len(cands)} sets"
-        )
-    if n <= level + 3:
-        raise ValueError(f"insufficient sample: n={n} requires n > {level + 3}")
-    step = max(1, _SCREEN_BLOCK // (n * (k + 2)))
-    blocks = [
-        _screen_block(x, yv[i : i + step], tops[i : i + step], cands[i : i + step])
-        for i in range(0, members, step)
-    ]
-    return np.concatenate([r for r, _ in blocks]), np.concatenate([p for _, p in blocks])
-
-
-def _screen_block(x, yv, tops, cands):
-    """:func:`screen_ci` for one block of members."""
-    n = x.shape[0]
-    members, k = tops.shape
-    level = k - 1
-    a = np.empty((members, n, k + 2))
-    a[:, :, 0] = 1.0
-    a[:, :, 1:-1] = x[:, tops].transpose(1, 0, 2)
-    a[:, :, -1] = yv
-    q, rr = np.linalg.qr(a)
-    # below the intercept row, R's columns hold the centered top columns and y
-    cent, collinear = _centered_collinear(rr, k)
-    regular = np.flatnonzero(~collinear)
-    # a singular R has no inverse, so only the regular members take one
-    rinv = np.linalg.inv(rr[regular, :-1, :-1])[:, 1:k]
-    s = 1.0 / np.sqrt(np.einsum("tij,tij->ti", rinv, rinv))
-    tests = []
-    for j, i in enumerate(regular.tolist()):
-        xi = x[:, cands[i]]
-        q1 = q[i, :, :k]  # spans [1, top[:level]]
-        proj = q1.T @ xi
-        rx = xi - q1 @ proj
-        # y's residual on [1, top[:level]] lies along Q's last two columns,
-        # and R's corner is the norm of e
-        ry = q[i, :, k:] @ rr[i, k:, -1]
-        ee = rr[i, -1, -1] ** 2
-        sx2 = np.einsum("ij,ij->j", rx, rx)
-        # a column's centered norm: its residual plus its part along top[:level]
-        nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
-        bs = (rinv[j] @ rr[i, :-1, -1]) * s[j]
-        tests.append((
-            np.concatenate([rx.T @ ry, bs * s[j]]),
-            np.concatenate([np.sqrt(sx2), s[j]]),
-            np.sqrt(np.concatenate([np.full(xi.shape[1], rr[i, k, -1] ** 2 + ee), ee + bs * bs])),
-            np.concatenate([nx, cent[i, :level]]),
-            np.full(xi.shape[1] + level, cent[i, -1]),
-        ))
-    sizes = [len(c) + level for c in cands]
-    r = np.empty(sum(sizes))
-    p = np.empty(sum(sizes))
-    if tests:
-        at = np.repeat(~collinear, sizes)
-        r[at], p[at] = _fisher_z(*map(np.concatenate, zip(*tests)), n - level - 3)
-    bounds = np.cumsum([0] + sizes)
-    for i in np.flatnonzero(collinear).tolist():
-        t = a[i, :, 1:-1]
-        groups = [batch_ci(x[:, cands[i]], yv[i], given=list(t[:, :level].T))]
-        groups += [
-            batch_ci(t[:, [j]], yv[i], given=[t[:, c] for c in range(k) if c != j])
-            for j in range(level)
-        ]
-        r[bounds[i] : bounds[i + 1]] = np.concatenate([g[0] for g in groups])
-        p[bounds[i] : bounds[i + 1]] = np.concatenate([g[1] for g in groups])
-    return r, p
-
-
 def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
     """Partial-correlation CI tests, one per matrix of a stack.
 
@@ -534,7 +450,12 @@ def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
     if n <= k + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {k + 3}")
     rr = np.linalg.qr(a, mode="r")
-    cent, collinear = _centered_collinear(rr, k)
+    # each column's centered norm; a conditioning series whose residual on
+    # the columns before it (R's diagonal entry) is at most 1e-12 of that
+    # norm (or of 1) is collinear with them
+    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
+    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1 : k + 1])
+    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
     rx = rr[:, -2, -2]
     ry = rr[:, -2, -1]
     r, p = _fisher_z(
@@ -550,17 +471,6 @@ def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
     return r, p
 
 
-def _centered_collinear(rr, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The QR kernels' collinearity test on a stack of R factors of [1, k
-    conditioning series, tested series] matrices: the centered norm of each
-    column after the intercept, and whether a conditioning series has, by
-    the degeneracy rule, a residual norm on the columns before it (R's
-    diagonal entry) of at most 1e-12 of its centered norm (or of 1)."""
-    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
-    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1 : k + 1])
-    return cent, (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
-
-
 def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
     """r = cov / (sx * sy) per test, from the residuals' inner product cov
     and norms sx and sy (arrays, or one value for every test), with its
@@ -571,10 +481,11 @@ def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
     ok = (sx > _DEGENERATE_TOL * np.maximum(1.0, nx)) & (sy > _DEGENERATE_TOL * np.maximum(1.0, ny))
     r = np.zeros(ok.shape)
     np.divide(cov, sx * sy, out=r, where=ok)
-    r = np.clip(r, -1.0, 1.0)
+    # np.clip's bits, without its dispatch cost on small arrays
+    r = np.minimum(np.maximum(r, -1.0), 1.0)
     saturated = np.abs(r) >= 1.0
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(dof)
-    if saturated.any():
+    if np.count_nonzero(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
     if zval.size >= _VECTOR_TAIL_MIN:
         p = _normal_tail(zval)

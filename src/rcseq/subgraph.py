@@ -8,12 +8,12 @@ edges carry a lag of at least one tick, so the graph is acyclic by
 construction.
 
 A window's work is a few array operations: one lagged design shared by
-every target, one kernel call for every target's level 0, one batched QR
-per screening round, and one batched QR per group of MCI tests with the
-same rows and conditioning-set size. The targets' screens advance in
-lockstep: a round is one (sweep, level) step of every target still
-screening, and each target keeps its own state, so no target's parents
-depend on the others.
+every target, one kernel call for every target's level 0, one stacked
+Gram-block kernel call per screening round, and one batched QR per group
+of MCI tests with the same rows and conditioning-set size. The targets' screens
+advance in lockstep: a round is one (sweep, level) step of every target
+still screening, and each target keeps its own state, so no target's
+parents depend on the others.
 
 Self-dependencies (a KPI explaining itself at some lag) participate as
 conditioning context but are not emitted as subgraph edges; the subgraph
@@ -32,7 +32,7 @@ from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
 # ci_test is no longer called here; the binding stays for the benchmark's
 # tracer (bench/tracer.py), which hooks it by this module's name
-from .stats import ci_test, marginal_ci, screen_ci, stacked_ci  # noqa: F401
+from .stats import batch_ci, ci_test, marginal_ci, stacked_ci, stacked_gram_ci  # noqa: F401
 
 __all__ = [
     "SubgraphConfig",
@@ -145,19 +145,20 @@ def select_lagged_parents(
     survivors, for level = 0..cfg.max_cond; candidates with p > cfg.alpha
     drop out after each level. Level 0 is one `stats.marginal_ci` call over
     every candidate, in the first sweep only: a survivor has passed its
-    marginal test, and no later sweep can change it. Each level >= 1 is one
-    `stats.screen_ci` call, which answers a candidate outside the top
-    `level` and each one inside it from one regression on the level + 1
-    strongest (a collinear top takes the kernel's grouped `batch_ci`
-    route); a level whose top an earlier sweep screened is skipped, as its
+    marginal test, and no later sweep can change it. A candidate outside
+    the top `level` is conditioned on them, and each one inside on the rest
+    of the level + 1 strongest. Each level >= 1 is one
+    `stats.stacked_gram_ci` call on the tests' Gram blocks; a block it
+    declines (a copied or derived KPI next to its inputs) is answered by
+    `stats.batch_ci` on the rows. A level whose top an earlier sweep screened is skipped, as its
     tests would repeat. The sweep repeats until the survivor set is stable,
     at most MAX_PARENT_SWEEPS times; stopping there while the set still
     changes emits a RuntimeWarning. Returns the surviving (X, tau) pairs
     ranked by strength (minimum |r| across their tests), strongest first.
 
     This is the lockstep screen of :func:`build_subgraph` with one target:
-    each of that call's rounds is one `stats.screen_ci` call over every
-    target, and the target gets the parents it gets here.
+    each of that call's rounds is one `stats.stacked_gram_ci` call over
+    every target, and the target gets the parents it gets here.
     """
     nodes = tuple(nodes) if nodes is not None else panel.kpi_names
     if target not in nodes:
@@ -183,23 +184,25 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
     call answers every target's level 0. The targets' screens then advance
     in lockstep, one (sweep, level) round at a time: every target still
     sweeping whose top of that level is new joins the round, and one
-    `stats.screen_ci` call answers the round. Each target keeps its own
-    survivors, strengths, screened tops and stopping rule, so no target's
-    parents depend on the others. The callers emit the sweep-cap
-    warnings, so that they point at their own callers. The design and the
-    screen's arrays are released on return, before the MCI stacks are
-    gathered, which keeps a run's peak memory where it was with one design
-    per target.
+    `stats.stacked_gram_ci` call answers the round (:func:`_screen_round`).
+    Each target keeps its own survivors, strengths, screened tops and
+    stopping rule, so no target's parents depend on the others. The
+    callers emit the sweep-cap warnings, so that they point at their own
+    callers. The design is released on return, before the MCI stacks are
+    gathered.
     """
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
     ys = [panel.column(name)[cfg.tau_max:] for name in targets]
-    r0, p0 = marginal_ci(design, ys)
-    ys = np.array(ys)
+    strength, p0 = marginal_ci(design, ys)
     # row i holds target i's candidates, column indices in (name, lag) order;
     # a candidate's strength starts at its level-0 |r|
+    np.abs(strength, out=strength)
     alive = np.ones((len(targets), len(keys)), dtype=bool)
-    strength = np.abs(r0)
     screened = [set() for _ in targets]  # each target's screened tops
+    # the later levels' Gram blocks take centered series
+    design -= design.mean(axis=0)
+    ys = np.array(ys)
+    ys -= ys.mean(axis=1, keepdims=True)
 
     def ranked(i):
         # strongest first; a stable sort breaks ties in (name, lag) order
@@ -215,7 +218,7 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
             alive[p0 > cfg.alpha] = False
         levelling = sweeping.tolist()
         for level in range(1, cfg.max_cond + 1):
-            members, tops, cands = [], [], []
+            members, tops, outsides = [], [], []
             # a target whose survivors cannot fill the top ends its sweep
             levelling = [i for i in levelling if np.count_nonzero(alive[i]) > level]
             for i in levelling:
@@ -226,30 +229,75 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
                 if key in screened[i]:
                     continue
                 screened[i].add(key)
-                # a candidate outside top[:level] is conditioned on
-                # top[:level], one inside it on the rest of top; every test
-                # of the round is set up before any runs, so removals take
-                # effect after it
+                # every test of the round is set up before any runs, so
+                # removals take effect after it
                 outside = alive[i].copy()
                 outside[top[:level]] = False
                 members.append(i)
                 tops.append(top)
-                cands.append(np.flatnonzero(outside))
+                outsides.append(np.flatnonzero(outside))
             if not members:
                 continue
-            r, p = screen_ci(design, ys[members], tops, cands)
-            rows = np.repeat(members, [c.size + level for c in cands])
-            inside = [top[:level] for top in tops]
-            cols = np.concatenate([c for pair in zip(cands, inside) for c in pair])
-            strength[rows, cols] = np.minimum(strength[rows, cols], np.abs(r))
+            rows, xs, r, p = _screen_round(design, ys, members, tops, outsides)
+            strength[rows, xs] = np.minimum(strength[rows, xs], np.abs(r))
             drop = p > cfg.alpha
-            alive[rows[drop], cols[drop]] = False
+            alive[rows[drop], xs[drop]] = False
         sweeping = sweeping[(alive[sweeping] != before[sweeping]).any(axis=1)]
         if not sweeping.size:
             break
     parents = {name: tuple(keys[c] for c in ranked(i).tolist()) for i, name in enumerate(targets)}
     capped = {targets[i]: int(np.count_nonzero(alive[i])) for i in sweeping.tolist()}
     return parents, capped
+
+
+def _screen_round(design, ys, members, tops, outsides):
+    """One screening round. Target members[m], with the series
+    ys[members[m]] and the level + 1 design columns tops[m], strongest
+    first, has each design column of outsides[m] tested given
+    top[:level], then each top[j], j < level, given the rest of top.
+    design and ys are centered. Returns (rows, xs, r, p): the target and
+    the tested column of every test, member after member, with its r and
+    p.
+
+    A test's Gram block [x, y, *given] takes x's squared norm, x's cross
+    products with z = [y, top] and z's own Gram, so each member costs two
+    small products and no target's Gram over all its survivors is built:
+    a round's memory follows its number of tests. One
+    `stats.stacked_gram_ci` call answers the round. The blocks it declines
+    (a copied or derived KPI next to its inputs) run as one
+    `stats.batch_ci` call on the rows per (target, conditioning set).
+    """
+    level = len(tops[0]) - 1
+    tops = np.asarray(tops)
+    sizes = [o.size + level for o in outsides]
+    xs = np.concatenate([c for outside, top in zip(outsides, tops) for c in (outside, top[:level])])
+    at = np.repeat(np.arange(len(members)), sizes)  # each test's member
+    ends = np.cumsum(sizes)
+    z = np.empty((len(members), design.shape[0], level + 2))
+    z[:, :, 0] = ys[members]
+    z[:, :, 1:] = design[:, tops].transpose(1, 0, 2)
+    cross = np.concatenate([design[:, xs[end - size : end]].T @ zm for zm, size, end in zip(z, sizes, ends)])
+    core = z.transpose(0, 2, 1) @ z
+    # each test's given as positions in top: top[:level] for a column
+    # outside it, and the rest of top for each top[j], j < level
+    slots = np.tile(np.arange(level), (xs.size, 1))
+    inside = [np.delete(np.arange(level + 1), j) for j in range(level)]
+    slots[(ends[:, np.newaxis] - level + np.arange(level)).ravel()] = np.tile(inside, (len(members), 1))
+    # the columns of z in a test's block: y, then its given
+    sel = np.column_stack([np.zeros(xs.size, dtype=np.intp), 1 + slots])
+    blocks = np.empty((xs.size, level + 2, level + 2))
+    blocks[:, 0, 0] = np.einsum("ij,ij->j", design, design)[xs]
+    blocks[:, 0, 1:] = blocks[:, 1:, 0] = cross[np.arange(xs.size)[:, np.newaxis], sel]
+    blocks[:, 1:, 1:] = core[at[:, np.newaxis, np.newaxis], sel[:, :, np.newaxis], sel[:, np.newaxis, :]]
+    r, p, answered = stacked_gram_ci(blocks, design.shape[0])
+    rows = np.asarray(members)[at]
+    givens = tops[at[:, np.newaxis], slots]
+    groups = {}
+    for t in np.flatnonzero(~answered).tolist():
+        groups.setdefault((rows[t], tuple(givens[t].tolist())), []).append(t)
+    for (i, given), tests in groups.items():
+        r[tests], p[tests] = batch_ci(design[:, xs[tests]], ys[i], given=list(design[:, given].T))
+    return rows, xs, r, p
 
 
 def _warn_capped(capped):
@@ -350,8 +398,8 @@ def build_subgraph(
     """Parent selection for every node, then MCI over every surviving
     cross-KPI link; deterministic for fixed inputs. Every node's screen
     shares one lagged design and one level-0 kernel call, the screens
-    advance in lockstep with one `stats.screen_ci` call per (sweep, level)
-    round, and the MCI tests run as stacks. Each node gets the parents
+    advance in lockstep with one `stats.stacked_gram_ci` call per (sweep,
+    level) round, and the MCI tests run as stacks. Each node gets the parents
     :func:`select_lagged_parents` gives it, and each node whose screen
     stops at the sweep cap with its set still changing emits one
     RuntimeWarning. The window must be longer than

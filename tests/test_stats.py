@@ -19,8 +19,8 @@ from rcseq.stats import (
     ks_pvalue,
     ks_two_sample,
     marginal_ci,
-    screen_ci,
     stacked_ci,
+    stacked_gram_ci,
 )
 
 
@@ -564,6 +564,18 @@ def gram_case(rng, n):
     return columns
 
 
+def well_conditioned_case():
+    """A pooled sample of 960 rows: ten KPIs that shift with the failure
+    indicator f, four of them leaning on the first, and their centered
+    Gram, f last."""
+    rng = np.random.default_rng(92)
+    n = 960
+    f = np.repeat([0.0, 1.0], n // 2)
+    x = rng.standard_normal((n, 10)) + np.outer(f, rng.uniform(0.0, 1.5, 10))
+    x[:, 1:5] += 0.7 * x[:, [0]]
+    return x, f, centered_gram([*x.T, f])
+
+
 # (x, given, whether gram_ci declines the block): each derived shape in the
 # conditioning set, and as the tested series itself
 GRAM_CASES = [
@@ -611,12 +623,8 @@ class TestGramCi:
         assert declined == sum(guarded for *_, guarded in GRAM_CASES)
 
     def test_well_conditioned_blocks_never_fall_back(self):
-        rng = np.random.default_rng(92)
-        n = 960
-        f = np.repeat([0.0, 1.0], n // 2)
-        x = rng.standard_normal((n, 10)) + np.outer(f, rng.uniform(0.0, 1.5, 10))
-        x[:, 1:5] += 0.7 * x[:, [0]]
-        gram = centered_gram([*x.T, f])
+        x, f, gram = well_conditioned_case()
+        n = f.size
         for size in range(4):
             for subset in itertools.combinations(range(10), size + 1):
                 xi, given = subset[0], list(subset[1:])
@@ -632,217 +640,115 @@ class TestGramCi:
                 stats.gram_ci(gram, 0, 4, list(range(1, size + 1)), size + 3)
 
 
-def screen_case(rng, n, level):
-    """batch_case's columns and y, with top = the level conditioning series
-    followed by one more that y leans on."""
-    x, y, given = batch_case(rng, n, level)
-    return x, y, np.column_stack([*given, rng.normal(size=n) + 0.4 * y])
-
-
-def reference_screen(x, y, top):
-    """Every test one screening level makes, one scalar reference test each:
-    the columns of x given top[:level], then each top[j], j < level, given
-    the rest of top."""
-    level = top.shape[1] - 1
-    tests = [reference_ci_test(x[:, j], y, given=list(top[:, :level].T)) for j in range(x.shape[1])]
-    tests += [
-        reference_ci_test(top[:, j], y, given=[top[:, c] for c in range(level + 1) if c != j])
-        for j in range(level)
-    ]
-    return np.array([t.r for t in tests]), np.array([t.p for t in tests])
-
-
-def reference_screen_stack(design, ys, tops, cands):
-    """Every member of a screen_ci call through reference_screen, in
-    the order screen_ci returns them."""
-    tests = [
-        reference_screen(design[:, c], y, design[:, top]) for y, top, c in zip(ys, tops, cands)
-    ]
-    return np.concatenate([r for r, _ in tests]), np.concatenate([p for _, p in tests])
-
-
-def reference_screen_qr(x, y, top):
-    """One screening level for one target from one 2-D QR of [1, top, y]:
-    the kernel as it stood before screen_ci took a stack of targets.
-    Kept as the bitwise reference for every member of a stack; the
-    screen's decisions, and through them the golden outputs, rest on
-    these bits. A collinear top runs as level + 1 grouped batch_ci calls."""
-    n, k = top.shape
-    level = k - 1
-    a = np.column_stack([np.ones(n), top, y])
-    q, rr = np.linalg.qr(a)
-    cent = np.sqrt(np.einsum("ij,ij->j", rr[1:, 1:], rr[1:, 1:]))
-    if (np.abs(rr.diagonal()[1:-1]) <= _DEGENERATE_TOL * np.maximum(1.0, cent[:-1])).any():
-        groups = [batch_ci(x, y, given=list(top[:, :level].T))]
-        groups += [
-            batch_ci(top[:, [j]], y, given=[top[:, c] for c in range(k) if c != j])
-            for j in range(level)
-        ]
-        return np.concatenate([r for r, _ in groups]), np.concatenate([p for _, p in groups])
-    q1 = q[:, :k]
-    proj = q1.T @ x
-    rx = x - q1 @ proj
-    ry = q[:, k:] @ rr[k:, -1]
-    ee = rr[-1, -1] ** 2
-    sx2 = np.einsum("ij,ij->j", rx, rx)
-    nx = np.sqrt(sx2 + np.einsum("ij,ij->j", proj[1:], proj[1:]))
-    rinv = np.linalg.inv(rr[:-1, :-1])[1:k]
-    s = 1.0 / np.sqrt(np.einsum("ij,ij->i", rinv, rinv))
-    bs = (rinv @ rr[:-1, -1]) * s
-    return stats._fisher_z(
-        np.concatenate([rx.T @ ry, bs * s]),
-        np.concatenate([np.sqrt(sx2), s]),
-        np.sqrt(np.concatenate([np.full(x.shape[1], rr[k, -1] ** 2 + ee), ee + bs * bs])),
-        np.concatenate([nx, cent[:level]]),
-        cent[-1],
-        n - level - 3,
+def reference_gram_ci(gram, x, y, given, n) -> CiTestResult | None:
+    """`gram_ci` as it stood before it became the one-block call of
+    `stacked_gram_ci`: one 2-D inverse and numpy's scalar powers. Kept as
+    the bitwise reference for discovery's conditional p-values, on which
+    the golden outputs rest."""
+    idx = [x, y, *given]
+    block = gram[np.ix_(idx, idx)]
+    try:
+        prec = np.linalg.inv(block)
+    except np.linalg.LinAlgError:
+        return None
+    var = np.diagonal(block)
+    scaled = np.diagonal(prec) * var
+    if not ((scaled > 0.0) & (scaled <= 1.0 / stats._GRAM_FLOOR)).all():
+        return None
+    p00, p11, p01 = prec[0, 0], prec[1, 1], prec[0, 1]
+    r, p = stats._fisher_z(
+        np.array([-p01 / (p00 * p11)]),
+        np.array([p00**-0.5]),
+        np.array([p11**-0.5]),
+        math.sqrt(var[0]),
+        math.sqrt(var[1]),
+        n - len(given) - 3,
     )
+    return CiTestResult(r=float(r[0]), p=float(p[0]))
 
 
-def screen_stack_of(members):
-    """screen_ci's arguments for members given as (x, y, top) triples:
-    every member's columns and top side by side in one design."""
-    design = np.column_stack([m for x, _, top in members for m in (x, top)])
-    widths = np.cumsum([0] + [m.shape[1] for x, _, top in members for m in (x, top)])
-    cands = [np.arange(widths[2 * i], widths[2 * i + 1]) for i in range(len(members))]
-    tops = np.array([np.arange(widths[2 * i + 1], widths[2 * i + 2]) for i in range(len(members))])
-    return design, np.array([y for _, y, _ in members]), tops, cands
+def bits(*values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-class TestScreenCi:
-    @staticmethod
-    def assert_members_bitwise(design, ys, tops, cands):
-        """One stacked call, each member's entries bit for bit those of a
-        stack holding that member alone and of reference_screen_qr."""
-        r, p = screen_ci(design, ys, tops, cands)
-        level = tops.shape[1] - 1
-        bounds = np.cumsum([0] + [len(c) + level for c in cands])
-        assert r.shape == p.shape == (bounds[-1],)
-        for i, c in enumerate(cands):
-            got = r[bounds[i] : bounds[i + 1]], p[bounds[i] : bounds[i + 1]]
-            alone = screen_ci(design, ys[i : i + 1], tops[i : i + 1], [c])
-            ref = reference_screen_qr(design[:, c], ys[i], design[:, tops[i]])
-            for want in (alone, ref):
-                for g, w in zip(got, want, strict=True):
-                    assert np.array_equal(g.view(np.int64), w.view(np.int64)), i
-        return r, p
+class TestStackedGramCi:
+    def test_one_block_call_keeps_its_bits(self):
+        _, _, gram = well_conditioned_case()
+        blocks = 0
+        for size in range(4):
+            for subset in itertools.combinations(range(10), size + 1):
+                xi, given = subset[0], list(subset[1:])
+                got = stats.gram_ci(gram, xi, 10, given, 960)
+                want = reference_gram_ci(gram, xi, 10, given, 960)
+                assert bits(got.r, got.p) == bits(want.r, want.p), subset
+                blocks += 1
+        assert blocks == 385
 
     @staticmethod
-    def assert_matches_reference(design, ys, tops, cands):
-        """The stack bitwise per member (assert_members_bitwise) and against
-        the scalar reference: |dr|, |dp| <= 1e-12 and the same decisions at
-        0.05."""
-        r, p = TestScreenCi.assert_members_bitwise(design, ys, tops, cands)
-        ref_r, ref_p = reference_screen_stack(design, ys, tops, cands)
-        assert np.max(np.abs(r - ref_r)) <= 1e-12
-        assert np.max(np.abs(p - ref_p)) <= 1e-12
-        assert np.array_equal(p <= 0.05, ref_p <= 0.05)
-        return r, p
+    def assert_each_block_alone(blocks, n):
+        """One stacked call; each block's r, p and answer bit for bit those
+        of a stack holding that block alone."""
+        r, p, answered = stacked_gram_ci(blocks, n)
+        assert r.shape == p.shape == answered.shape == (len(blocks),)
+        for i, block in enumerate(blocks):
+            (r_alone,), (p_alone,), (answered_alone,) = stacked_gram_ci(block[np.newaxis], n)
+            assert bits(r[i], p[i]) == bits(r_alone, p_alone), i
+            assert answered[i] == answered_alone, i
+        assert np.isnan(r[~answered]).all() and np.isnan(p[~answered]).all()
+        return answered
 
-    @staticmethod
-    def count_batch_ci(monkeypatch):
-        calls = []
-
-        def counted(x_matrix, y, given=()):
-            calls.append(len(given))
-            return batch_ci(x_matrix, y, given=given)
-
-        monkeypatch.setattr(stats, "batch_ci", counted)
-        return calls
-
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_matches_reference(self, monkeypatch, level):
-        calls = self.count_batch_ci(monkeypatch)
-        rng = np.random.default_rng(90 + level)
-        for n in (level + 4, level + 9, 120):
-            members = [screen_case(rng, n, level) for _ in range(4)]
-            # a member whose survivors are its top alone tests only top[:level]
-            _, y, top = screen_case(rng, n, level)
-            members.insert(2, (np.empty((n, 0)), y, top))
-            r, p = self.assert_matches_reference(*screen_stack_of(members))
-            # the pinned column, and the two collinear with top[:level]
-            # (the second at 1e7 scale), are degenerate in every member
-            at = np.cumsum([0] + [x.shape[1] + level for x, _, _ in members])[[0, 1, 3, 4]]
-            for i in at:
-                assert (r[i + 2 : i + 5] == 0.0).all() and (p[i + 2 : i + 5] == 1.0).all()
-            # a batch of one
-            self.assert_matches_reference(*screen_stack_of(members[:1]))
-        # full-rank tops are answered from the one QR
-        assert calls == []
-
-    def test_blocks_are_bitwise_one_stack(self, monkeypatch):
-        # a stack larger than a block runs as several QRs with the same bits
-        rng = np.random.default_rng(95)
-        args = screen_stack_of([screen_case(rng, 60, 2) for _ in range(5)])
-        whole = screen_ci(*args)
-        for entries in (1, 60 * 5 * 2):  # one member, and two, per block
-            monkeypatch.setattr(stats, "_SCREEN_BLOCK", entries)
-            for got, want in zip(screen_ci(*args), whole, strict=True):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_y_in_span_of_top(self, level):
-        rng = np.random.default_rng(100 + level)
-        x, _, top = screen_case(rng, 60, level)
-        # y is exactly explained by every member of top but top[1]
-        weights = np.arange(level + 1) - 1.0
-        y = 2.0 + top @ weights
-        members = [(x, y, top), screen_case(rng, 60, level)]
-        r, p = self.assert_matches_reference(*screen_stack_of(members))
-        r, p, r_top, p_top = r[:8], p[:8], r[8 : 8 + level], p[8 : 8 + level]
-        leans = weights[:level] != 0.0
-        assert (np.abs(r_top[leans]) >= 1.0 - 1e-12).all() and (p_top[leans] <= 1e-12).all()
-        assert not r_top[~leans].any() and (p_top[~leans] == 1.0).all()
-        if level == 1:  # y is in the span of [1, top[:level]] itself
-            assert not r.any() and (p == 1.0).all()
-
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_rank_deficient_top_takes_the_grouped_route(self, monkeypatch, level):
-        rng = np.random.default_rng(110 + level)
-        members = [screen_case(rng, 60, level) for _ in range(4)]
-        x, y, top = members[1]
-        duplicate = top.copy()
-        duplicate[:, level] = top[:, level - 1]
-        members[1] = (x, y, duplicate)
-        x, y, top = members[3]
-        derived = top.copy()
-        derived[:, level] = 3.0 - 2.0 * top[:, 0] + (top[:, 1] if level > 1 else 0.0)
-        members[3] = (x, y, derived)
-        calls = self.count_batch_ci(monkeypatch)
-        r, p = screen_ci(*screen_stack_of(members))
-        monkeypatch.undo()
-        # only the two collinear members take batch_ci: one call for the
-        # columns and one per member of top[:level], each
-        assert calls == [level] * (2 * (level + 1))
-        bounds = np.cumsum([0] + [x.shape[1] + level for x, _, _ in members])
-        for i in (1, 3):
-            x, y, case = members[i]
-            want = [batch_ci(x, y, given=list(case[:, :level].T))]
-            want += [
-                batch_ci(case[:, [j]], y, given=[case[:, c] for c in range(level + 1) if c != j])
-                for j in range(level)
+    def test_each_block_as_if_alone(self):
+        # every subset of one size of the well-conditioned sample, more than
+        # _fisher_z's vector-tail threshold at three and four given, mixed
+        # with blocks that hold a derived or constant column
+        _, _, gram = well_conditioned_case()
+        columns = gram_case(np.random.default_rng(93), 240)
+        names = list(columns)
+        derived = centered_gram(list(columns.values()))
+        f = names.index("f")
+        for size in range(4):
+            subsets = list(itertools.combinations(range(10), size + 1))
+            blocks = [gram[np.ix_(idx, idx)] for idx in ([s[0], 10, *s[1:]] for s in subsets)]
+            declined = [
+                (names.index(x), f, *(names.index(s) for s in given))
+                for x, given, guarded in GRAM_CASES
+                if guarded and len(given) == size
             ]
-            for g, w in zip((r, p), zip(*want), strict=True):
-                got = g[bounds[i] : bounds[i + 1]]
-                assert np.array_equal(got.view(np.int64), np.concatenate(w).view(np.int64))
-        self.assert_matches_reference(*screen_stack_of(members))
+            # the derived blocks come from a sample of 240 rows, but the floor
+            # does not depend on n, so they decline at 960 rows as well
+            blocks[1:1] = [derived[np.ix_(idx, idx)] for idx in declined]
+            answered = self.assert_each_block_alone(np.array(blocks), 960)
+            assert answered.tolist() == [True] + [False] * len(declined) + [True] * (len(subsets) - 1)
 
-    @pytest.mark.parametrize("level", [1, 2, 3])
-    def test_smallest_sample(self, level):
-        rng = np.random.default_rng(120 + level)
-        args = screen_stack_of([screen_case(rng, level + 3, level)])
-        with pytest.raises(ValueError, match=f"n={level + 3} requires n > {level + 3}"):
-            screen_ci(*args)
+    def test_singular_block_declines_only_itself(self):
+        # a constant column makes its block exactly singular, and a batched
+        # inverse then refuses the whole stack
+        _, _, gram = well_conditioned_case()
+        padded = np.zeros((12, 12))
+        padded[:11, :11] = gram  # column 11 is a constant series
+        stack = np.array([padded[np.ix_(idx, idx)] for idx in ([0, 10, 1], [2, 10, 11], [3, 10, 4])])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(stack)
+        answered = self.assert_each_block_alone(stack, 960)
+        assert answered.tolist() == [True, False, True]
 
-    def test_mismatched_lengths(self):
-        design, ys, tops = np.zeros((10, 4)), np.zeros((2, 10)), np.array([[0, 1], [1, 2]])
-        need = "2 tops need 2 series of length 10 and 2 candidate sets"
-        with pytest.raises(ValueError, match=need):
-            screen_ci(design, ys[:, :9], tops, [[3], [3]])
-        with pytest.raises(ValueError, match=r"got series \(2, 10\) and 1 sets"):
-            screen_ci(design, ys, tops, [[3]])
-        with pytest.raises(ValueError, match="2-D"):
-            screen_ci(design, ys, tops[0], [[3]])
+    def test_not_a_stack(self):
+        with pytest.raises(ValueError, match="stack"):
+            stacked_gram_ci(np.eye(3), 10)
+        with pytest.raises(ValueError, match="n=4 requires n > 4"):
+            stacked_gram_ci(np.eye(3)[np.newaxis], 4)
+
+
+def count_batch_ci(monkeypatch):
+    """Record the size of the conditioning set of every stats.batch_ci call."""
+    calls = []
+
+    def counted(x_matrix, y, given=()):
+        calls.append(len(given))
+        return batch_ci(x_matrix, y, given=given)
+
+    monkeypatch.setattr(stats, "batch_ci", counted)
+    return calls
 
 
 def stacked_case(rng, tests, n, k):
@@ -875,7 +781,7 @@ def reference_stacked(design):
 class TestStackedCi:
     @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
     def test_matches_reference(self, monkeypatch, k):
-        calls = TestScreenCi.count_batch_ci(monkeypatch)
+        calls = count_batch_ci(monkeypatch)
         rng = np.random.default_rng(130 + k)
         for n in (k + 4, k + 9, 112):
             design = stack(*stacked_case(rng, 12, n, k))
@@ -909,7 +815,7 @@ class TestStackedCi:
         # norm finds it collinear
         given[5] *= 1e7
         given[5, :, 2] = given[5, :, 0] - 0.5 * given[5, :, 1]
-        calls = TestScreenCi.count_batch_ci(monkeypatch)
+        calls = count_batch_ci(monkeypatch)
         r, p = stacked_ci(stack(x, y, given))
         monkeypatch.undo()
         assert calls == [3, 3, 3]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -9,7 +10,7 @@ from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, screen_ci, stacked_ci
+from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, stacked_ci, stacked_gram_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -21,7 +22,7 @@ from rcseq.subgraph import (
     select_lagged_parents,
     to_dot,
 )
-from test_stats import reference_ci_test
+from test_stats import assert_within_gram_bound, batch_case, centered_gram, reference_ci_test
 
 
 def chain_panel(seed, t=1000, lag1=2, lag2=2, w=0.9):
@@ -156,15 +157,15 @@ class TestSelectLaggedParents:
                 ), (target, max_cond)
 
     def test_collinear_top_takes_the_grouped_route(self, monkeypatch):
-        # the copied KPI ranks next to its original, so some level's top is
-        # rank-deficient and screen_ci hands that member to batch_ci
+        # the copied KPI ranks next to its original, so some level's blocks
+        # are singular and the screen hands them to batch_ci
         grouped = []
 
         def counted_batch_ci(x_matrix, y, given=()):
             grouped.append(len(given))
             return batch_ci(x_matrix, y, given=given)
 
-        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
+        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
         panel = screen_panel(145, 25, 120, collinear=True)
         for target in panel.kpi_names[::5]:
             select_lagged_parents(panel, target, SubgraphConfig())
@@ -173,9 +174,12 @@ class TestSelectLaggedParents:
     @staticmethod
     def count_kernels(monkeypatch):
         """Record every screen kernel call: the marginal call with its
-        number of series, and each screen_ci call with its level and
-        its members' (target series, top) pairs; a level-0 batch_ci call
-        would be recorded too."""
+        number of series, and each stacked_gram_ci call with its level and
+        its members' (target, top) pairs; a level-0 batch_ci call would be
+        recorded too. A round's blocks run member by member, each member's
+        tests of top[:level] last, so a member is a run of blocks sharing
+        the target's entry B11, and its first test of top[0] holds every
+        member of top in its diagonal."""
         calls = []
 
         def counted_batch_ci(x_matrix, y, given=()):
@@ -187,24 +191,27 @@ class TestSelectLaggedParents:
             calls.append(("marginal_ci", 0, len(ys)))
             return marginal_ci(x_matrix, ys)
 
-        def counted_screen_ci(design, ys, tops, cands):
-            members = [(y.tobytes(), np.asarray(top).tobytes()) for y, top in zip(ys, tops)]
-            calls.append(("screen_ci", len(tops[0]) - 1, members))
-            return screen_ci(design, ys, tops, cands)
+        def counted_stacked_gram_ci(blocks, n):
+            level = blocks.shape[1] - 2
+            members = []
+            for y, run in itertools.groupby(blocks, key=lambda b: b[1, 1].tobytes()):
+                members.append((y, list(run)[-level].diagonal().tobytes()))
+            calls.append(("stacked_gram_ci", level, members))
+            return stacked_gram_ci(blocks, n)
 
-        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
+        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
         monkeypatch.setattr(subgraph, "marginal_ci", counted_marginal_ci)
-        monkeypatch.setattr(subgraph, "screen_ci", counted_screen_ci)
+        monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
         return calls
 
     @staticmethod
     def assert_one_call_per_round(calls, max_cond):
-        """screen_ci calls only, at most one per (sweep, level) round: no
+        """stacked_gram_ci calls only, at most one per (sweep, level) round: no
         more than MAX_PARENT_SWEEPS * max_cond calls, each holding a target
         at most once. Each target's first sweep runs levels 1, 2, ... in
         turn, and no target screens a top twice. Returns each target's
         levels in call order."""
-        assert all(kernel == "screen_ci" for kernel, *_ in calls)
+        assert all(kernel == "stacked_gram_ci" for kernel, *_ in calls)
         assert len(calls) <= MAX_PARENT_SWEEPS * max_cond
         levels, tops = {}, {}
         for _, level, members in calls:
@@ -336,6 +343,125 @@ class TestSelectLaggedParents:
             args = ["compare-states", "--scenario", "cascade", "--seed", "1", "--out", tmp_path]
             assert main([str(a) for a in args]) == 0
         assert [str(w.message) for w in caught if "sweep cap" in str(w.message)] == []
+
+
+def round_member(rng, n, level):
+    """batch_case's columns and y, with top = the level conditioning series
+    followed by one more that y leans on."""
+    x, y, given = batch_case(rng, n, level)
+    return x, y, np.column_stack([*given, rng.normal(size=n) + 0.4 * y])
+
+
+def round_of(members):
+    """The arguments of one `subgraph._screen_round` call for members given
+    as (x, y, top) triples: every member's columns and top side by side in
+    one centered design, the members' centered series, and each member's
+    top and the columns tested outside top[:level] (those of x, and
+    top[level])."""
+    design = np.column_stack([m for x, _, top in members for m in (x, top)])
+    design -= design.mean(axis=0)
+    ys = np.array([y for _, y, _ in members])
+    ys -= ys.mean(axis=1, keepdims=True)
+    tops, outsides = [], []
+    start = 0
+    for x, _, top in members:
+        level = top.shape[1] - 1
+        top_at = np.arange(start + x.shape[1], start + x.shape[1] + level + 1)
+        tops.append(top_at)
+        outsides.append(np.append(np.arange(start, start + x.shape[1]), top_at[level]))
+        start = top_at[-1] + 1
+    return design, ys, list(range(len(members))), tops, outsides
+
+
+class TestScreenRound:
+    @staticmethod
+    def run_round(monkeypatch, members):
+        """One round; every test against the scalar reference, within the
+        Gram route's bound where the kernel answered and to 1e-12 where
+        batch_ci did, with the same decision at 0.05. Returns r, p and the
+        conditioning sets of the batch_ci calls."""
+        design, ys, _, tops, outsides = args = round_of(members)
+        grouped = []
+
+        def counted_batch_ci(x_matrix, y, given=()):
+            grouped.append(len(given))
+            return batch_ci(x_matrix, y, given=given)
+
+        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
+        rows, xs, r, p = subgraph._screen_round(*args)
+        monkeypatch.undo()
+        n = design.shape[0]
+        level = len(tops[0]) - 1
+        tests = [
+            (i, x, top[:level] if x not in top[:level] else np.delete(top, list(top).index(x)))
+            for i, (top, outside) in enumerate(zip(tops, outsides))
+            for x in [*outside, *top[:level]]
+        ]
+        assert rows.tolist() == [i for i, _, _ in tests] and xs.tolist() == [x for _, x, _ in tests]
+        for t, (i, x, given) in enumerate(tests):
+            series = [design[:, x], ys[i], *(design[:, g] for g in given)]
+            ref = reference_ci_test(series[0], series[1], given=series[2:])
+            idx = list(range(len(series)))
+            answered = stacked_gram_ci(centered_gram(series)[np.newaxis], n)[2][0]
+            if answered:
+                got = stats.CiTestResult(r=r[t], p=p[t])
+                assert_within_gram_bound(got, ref, centered_gram(series), 0, 1, idx[2:], n)
+            else:
+                assert abs(r[t] - ref.r) <= 1e-12 and abs(p[t] - ref.p) <= 1e-12
+            assert (p[t] <= 0.05) == (ref.p <= 0.05), t
+        return r, p, grouped
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_matches_reference(self, monkeypatch, level):
+        rng = np.random.default_rng(90 + level)
+        members = [round_member(rng, 120, level) for _ in range(4)]
+        r, p, grouped = self.run_round(monkeypatch, members)
+        # the pinned column, and the two collinear with top[:level] (the
+        # second at 1e7 scale), are degenerate in every member, and each
+        # member's three go to one batch_ci call
+        starts = np.cumsum([0] + [x.shape[1] + 1 + level for x, _, _ in members])
+        for i in starts[:-1]:
+            assert (r[i + 2 : i + 5] == 0.0).all() and (p[i + 2 : i + 5] == 1.0).all()
+        assert grouped == [level] * len(members)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_collinear_top_groups_its_declined_blocks(self, monkeypatch, level):
+        rng = np.random.default_rng(110 + level)
+        members = [round_member(rng, 60, level) for _ in range(3)]
+        x, y, top = members[1]
+        copied = top.copy()
+        copied[:, level] = top[:, level - 1]
+        members[1] = (x[:, :2], y, copied)
+        r, p, grouped = self.run_round(monkeypatch, members[1:2])
+        # the copy given top[:level] (which holds its original), and each
+        # top[j] given the rest of top (which holds the original or the
+        # copy): one batch_ci call per conditioning set
+        assert grouped == [level] * (level + 1)
+        r_all, p_all, grouped = self.run_round(monkeypatch, members)
+        # in a round with other members (one call each, for their pinned and
+        # collinear columns), the same calls and the same bits
+        assert grouped == [level] * (1 + (level + 1) + 1)
+        at = members[0][0].shape[1] + 1 + level
+        assert bits(r_all[at : at + r.size]) == bits(r) and bits(p_all[at : at + p.size]) == bits(p)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_y_in_span_of_top(self, monkeypatch, level):
+        rng = np.random.default_rng(100 + level)
+        x, _, top = round_member(rng, 60, level)
+        # y is exactly explained by every member of top but top[1]
+        weights = np.arange(level + 1) - 1.0
+        y = 2.0 + top @ weights
+        r, p, _ = self.run_round(monkeypatch, [(x, y, top), round_member(rng, 60, level)])
+        r_top, p_top = r[9 : 9 + level], p[9 : 9 + level]
+        leans = weights[:level] != 0.0
+        assert (np.abs(r_top[leans]) >= 1.0 - 1e-12).all() and (p_top[leans] <= 1e-12).all()
+        assert not r_top[~leans].any() and (p_top[~leans] == 1.0).all()
+        if level == 1:  # y is in the span of [1, top[:level]] itself
+            assert not r[:9].any() and (p[:9] == 1.0).all()
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 class TestSubgraphConfig:
