@@ -22,7 +22,7 @@ from rcseq.subgraph import (
     select_lagged_parents,
     to_dot,
 )
-from test_stats import assert_within_gram_bound, batch_case, centered_gram, reference_ci_test
+from test_stats import assert_within_gram_bound, batch_case, bits, centered_gram, reference_ci_test
 
 
 def chain_panel(seed, t=1000, lag1=2, lag2=2, w=0.9):
@@ -401,11 +401,10 @@ class TestScreenRound:
         for t, (i, x, given) in enumerate(tests):
             series = [design[:, x], ys[i], *(design[:, g] for g in given)]
             ref = reference_ci_test(series[0], series[1], given=series[2:])
-            idx = list(range(len(series)))
-            answered = stacked_gram_ci(centered_gram(series)[np.newaxis], n)[2][0]
-            if answered:
+            gram = centered_gram(series)
+            if stacked_gram_ci(gram[np.newaxis], n)[2][0]:
                 got = stats.CiTestResult(r=r[t], p=p[t])
-                assert_within_gram_bound(got, ref, centered_gram(series), 0, 1, idx[2:], n)
+                assert_within_gram_bound(got, ref, gram, 0, 1, list(range(2, len(series))), n)
             else:
                 assert abs(r[t] - ref.r) <= 1e-12 and abs(p[t] - ref.p) <= 1e-12
             assert (p[t] <= 0.05) == (ref.p <= 0.05), t
@@ -458,10 +457,6 @@ class TestScreenRound:
         assert not r_top[~leans].any() and (p_top[~leans] == 1.0).all()
         if level == 1:  # y is in the span of [1, top[:level]] itself
             assert not r[:9].any() and (p[:9] == 1.0).all()
-
-
-def bits(values):
-    return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
 class TestSubgraphConfig:
