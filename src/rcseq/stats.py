@@ -6,14 +6,12 @@ independence testing, and the binomial standard deviation of a sample
 proportion backs the Monte Carlo convergence diagnostics. Discovery's
 marginal CI tests go through :func:`batch_ci`, one least-squares solve per
 conditioning set (:func:`ci_test` is its one-column call). Discovery's
-conditional tests, and those of the lagged parent screen, go through
-:func:`stacked_gram_ci`, the inverse of one small Gram block per test, a
-stack of blocks per call (:func:`gram_ci` is its one-block call); the
-callers answer the blocks it declines from the rows with :func:`batch_ci`.
-The lagged subgraph has two more kernels shaped to its work:
-:func:`marginal_ci` tests one design's columns against every target, and
-:func:`stacked_ci` answers a stack of MCI tests from one batched QR,
-falling back to :func:`batch_ci` where conditioning series are collinear.
+conditional tests, and those of the lagged parent screen and of MCI, go
+through :func:`stacked_gram_ci`, the inverse of one small Gram block per
+test, a stack of blocks per call (:func:`gram_ci` is its one-block call);
+the callers answer the blocks it declines from the rows with
+:func:`batch_ci`. The lagged subgraph has one more kernel shaped to its
+work: :func:`marginal_ci` tests one design's columns against every target.
 All of them take r and p from one degeneracy rule and one Fisher-z tail, a
 port of the Cephes `ndtr` that `scipy.special` wraps (scipy's p-values to
 the bit, without scipy). Its fits are written once, shared by the scalar
@@ -39,7 +37,6 @@ __all__ = [
     "gram_ci",
     "stacked_gram_ci",
     "marginal_ci",
-    "stacked_ci",
     "bonferroni",
     "bh_adjust",
     "binomial_sd",
@@ -329,10 +326,10 @@ def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     only to within k^2 gamma. An exactly collinear block can therefore
     show rho_min up to about k^2 gamma, and batch_ci's rule, a residual
     norm of at most 1e-12 of the series' norm (rho up to 1e-24), is far
-    below what a Gram resolves. The floor sits above k^2 gamma for k <= 5
-    (max_cond 3) up to n = 10**7 rows (2.8e-8), so a block that passes it
-    is far from collinear, and batch_ci would call none of its series
-    degenerate.
+    below what a Gram resolves. The floor sits above k^2 gamma for k <= 8
+    (an MCI test at max_cond 3) up to n = 10**7 rows (7.1e-8), so a block
+    that passes it is far from collinear, and batch_ci would call none of
+    its series degenerate.
 
     Over a block that passes, |delta r| <= 2 |E| |P| <= 2 k^2 gamma /
     rho_min, and since 1 - r^2 >= rho_min, Fisher's z moves by at most
@@ -416,58 +413,6 @@ def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
             cov[i] = xc.T @ yc
             ny[i] = np.linalg.norm(yc)
         r[start : start + step], p[start : start + step] = _fisher_z(cov, nx, ny, nx, ny, n - 3)
-    return r, p
-
-
-def stacked_ci(design) -> tuple[np.ndarray, np.ndarray]:
-    """Partial-correlation CI tests, one per matrix of a stack.
-
-    design is (tests, n, k + 3). The columns of design[i] are [1, S, x, y]:
-    an intercept column of ones, k conditioning series, then x and y, and
-    x is tested against y given S. Every test has the same n and k. Returns
-    (r, p) arrays, one entry per test, as ``batch_ci(x, y, given=S)`` would
-    give them (same degeneracy rule, same Fisher-z p with n - k - 3 degrees
-    of freedom, so n must exceed k + 3).
-
-    One batched Householder QR of the stack answers every test. Below the
-    intercept row, R's columns hold the centered series. x's residual on
-    [1, S] is R[-2, -2] times Q's second-last column, and y's is R[-2, -1]
-    times that column plus R[-1, -1] times the last, so r comes from those
-    three entries of R. Taking the intercept as a column of the input, and
-    not adding it here, spares a copy of the stack.
-
-    A test whose conditioning series are, by the degeneracy rule, linearly
-    dependent (a derived KPI next to its inputs) leaves R singular; it runs
-    as its own :func:`batch_ci` call, whose least-squares solve handles
-    that input.
-    """
-    a = np.asarray(design, dtype=float)
-    if a.ndim != 3 or a.shape[2] < 3:
-        raise ValueError("design must be a (tests, n, k + 3) stack of [1, S, x, y] columns")
-    n, k = a.shape[1], a.shape[2] - 3
-    if not (a[:, :, 0] == 1.0).all():
-        raise ValueError("design's first column must be the intercept, all ones")
-    if n <= k + 3:
-        raise ValueError(f"insufficient sample: n={n} requires n > {k + 3}")
-    rr = np.linalg.qr(a, mode="r")
-    # each column's centered norm; a conditioning series whose residual on
-    # the columns before it (R's diagonal entry) is at most 1e-12 of that
-    # norm (or of 1) is collinear with them
-    cent = np.sqrt(np.einsum("tij,tij->tj", rr[:, 1:, 1:], rr[:, 1:, 1:]))
-    diag = np.abs(np.diagonal(rr, axis1=1, axis2=2)[:, 1 : k + 1])
-    collinear = (diag <= _DEGENERATE_TOL * np.maximum(1.0, cent[:, :k])).any(axis=1)
-    rx = rr[:, -2, -2]
-    ry = rr[:, -2, -1]
-    r, p = _fisher_z(
-        rx * ry,
-        np.abs(rx),
-        np.sqrt(ry * ry + rr[:, -1, -1] ** 2),
-        cent[:, -2],
-        cent[:, -1],
-        n - k - 3,
-    )
-    for i in np.flatnonzero(collinear).tolist():
-        r[i : i + 1], p[i : i + 1] = batch_ci(a[i, :, -2:-1], a[i, :, -1], given=list(a[i, :, 1:-2].T))
     return r, p
 
 

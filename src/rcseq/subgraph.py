@@ -8,9 +8,9 @@ edges carry a lag of at least one tick, so the graph is acyclic by
 construction.
 
 A window's work is a few array operations: one lagged design shared by
-every target, one kernel call for every target's level 0, one stacked
-Gram-block kernel call per screening round, and one batched QR per group
-of MCI tests with the same rows and conditioning-set size. The targets' screens
+every target, one kernel call for every target's level 0, and one call of
+the stacked Gram-block kernel per screening round and per group of MCI
+tests with the same rows and conditioning-set size. The targets' screens
 advance in lockstep: a round is one (sweep, level) step of every target
 still screening, and each target keeps its own state, so no target's
 parents depend on the others.
@@ -32,7 +32,7 @@ from .errors import AnalysisError, ConfigError, DataError
 from .panel import KpiPanel
 # ci_test is no longer called here; the binding stays for the benchmark's
 # tracer (bench/tracer.py), which hooks it by this module's name
-from .stats import batch_ci, ci_test, marginal_ci, stacked_ci, stacked_gram_ci  # noqa: F401
+from .stats import batch_ci, ci_test, marginal_ci, stacked_gram_ci  # noqa: F401
 
 __all__ = [
     "SubgraphConfig",
@@ -354,8 +354,11 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
     return the edges with p <= cfg.alpha, in test order within each group.
 
     Tests with the same number of aligned rows and of conditioners form a
-    group, and each group is one :func:`stats.stacked_ci` call, one batched
-    QR, on series gathered from the panel in one indexing operation.
+    group. One indexing operation gathers a group's [x, y, *S] series from
+    the panel, and one `stats.stacked_gram_ci` call answers the group from
+    the Gram blocks of the centered series. A block it declines (a derived
+    KPI next to its inputs, or a constant series) is answered by
+    `stats.batch_ci` on that test's uncentered rows.
     """
     t = panel.n_ticks
     groups = {}
@@ -363,10 +366,6 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
         _, tau, _, cond = test
         t0 = max([tau] + [lag for _, lag in cond])
         groups.setdefault((t - t0, len(cond)), []).append(test)
-    # the panel behind a column of ones, so that one indexing operation
-    # gathers a group's [1, S, x, y] stack
-    values = np.ones((t, len(panel.kpi_names) + 1))
-    values[:, 1:] = panel.values
     edges = []
     for (rows, k), members in groups.items():
         if rows <= k + 3:
@@ -376,14 +375,20 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
         # each test's series as (column, lag) pairs; a series starts `lag`
         # rows before the group's first target row
         cols = np.array([
-            [0]
-            + [panel.index_of(name) + 1 for name, _ in cond]
-            + [panel.index_of(x_name) + 1, panel.index_of(target) + 1]
+            [panel.index_of(x_name), panel.index_of(target)] + [panel.index_of(name) for name, _ in cond]
             for x_name, _, target, cond in members
         ])
-        lags = np.array([[0] + [lag for _, lag in cond] + [tau, 0] for _, tau, _, cond in members])
-        stack = sliding_window_view(values, rows, axis=0)[t - rows - lags, cols]
-        r, p = stacked_ci(stack.transpose(0, 2, 1))
+        lags = np.array([[tau, 0] + [lag for _, lag in cond] for _, tau, _, cond in members])
+        windows = sliding_window_view(panel.values, rows, axis=0)
+        starts = t - rows - lags
+        stack = windows[starts, cols]
+        stack -= stack.mean(axis=2, keepdims=True)
+        r, p, answered = stacked_gram_ci(stack @ stack.transpose(0, 2, 1), rows)
+        # the stack was centered in place, so a declined test's rows are
+        # gathered again
+        for i in np.flatnonzero(~answered).tolist():
+            x, y, *given = windows[starts[i], cols[i]]
+            r[i : i + 1], p[i : i + 1] = batch_ci(x[:, np.newaxis], y, given=given)
         for (x_name, tau, target, _), r_i, p_i in zip(members, r.tolist(), p.tolist()):
             if p_i <= cfg.alpha:
                 edges.append(LaggedEdge(source=x_name, target=target, lag=tau, r=r_i, p=p_i))
@@ -399,9 +404,10 @@ def build_subgraph(
     cross-KPI link; deterministic for fixed inputs. Every node's screen
     shares one lagged design and one level-0 kernel call, the screens
     advance in lockstep with one `stats.stacked_gram_ci` call per (sweep,
-    level) round, and the MCI tests run as stacks. Each node gets the parents
-    :func:`select_lagged_parents` gives it, and each node whose screen
-    stops at the sweep cap with its set still changing emits one
+    level) round, and the MCI tests take one more call per group of tests
+    with the same rows and conditioning-set size. Each node gets the
+    parents :func:`select_lagged_parents` gives it, and each node whose
+    screen stops at the sweep cap with its set still changing emits one
     RuntimeWarning. The window must be longer than
     2 * tau_max + 2 * max_cond + 3 ticks, what the largest MCI test can
     need."""

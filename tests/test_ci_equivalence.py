@@ -1,14 +1,15 @@
 """Pipeline equivalence of the CI kernels: discovery and the lagged subgraph
 run once through the package's kernels (`stacked_gram_ci` for discovery's
 conditional tests, through `gram_ci`, and for the parent screen's levels
->= 1, with `batch_ci` or `ci_test` for the blocks it declines;
-`marginal_ci` for every target's level 0 and `stacked_ci` for MCI) and
-once through the scalar references kept in `test_stats`, one test, or one
-target's marginal batch, at a time. Both must reach the same decisions.
-The subgraph's edge statistics must agree to 1e-12 relative; each of
-discovery's conditional tests must agree within the Gram route's stated
-error bound (`test_stats.gram_error_bound`), which its reported p's
-inherit."""
+>= 1 and MCI, with `batch_ci` or `ci_test` for the blocks it declines;
+`marginal_ci` for every target's level 0) and once through the scalar
+references kept in `test_stats`, one test, or one target's marginal batch,
+at a time. Both must reach the same decisions and the same subgraph edges.
+Each of discovery's conditional tests, and each edge's MCI statistics,
+must agree within the Gram route's stated error bound
+(`test_stats.gram_error_bound`) where the kernel answered, and to 1e-12
+relative where the rows did; discovery's reported p's inherit the
+bound."""
 
 import numpy as np
 import pytest
@@ -20,10 +21,11 @@ from rcseq.scm import make_scenario
 from rcseq.subgraph import SubgraphConfig, build_subgraph
 from test_stats import (
     assert_within_gram_bound,
+    centered_gram,
     reference_batch_marginal_ci,
     reference_ci_test,
-    reference_stacked,
 )
+from test_subgraph import record_mci
 
 RTOL = 1e-12
 
@@ -222,50 +224,68 @@ def decline_every_block(blocks, n):
 def route_subgraph_to_reference(monkeypatch, calls):
     """Send every target's level 0, every screen test and every MCI test
     through the scalar references, counted in calls["marginal"],
-    calls["screen"] and calls["mci"]: the screen's Gram seam declines every
-    block, so each reaches the screen's batch_ci binding."""
+    calls["screen"] and calls["mci"]: the Gram seam declines every block,
+    so each screen and MCI test reaches subgraph's batch_ci binding."""
+    _, mci = record_mci(monkeypatch)
 
-    def counted(stage, reference):
-        def run(*a, **kw):
-            calls[stage] += 1
-            return reference(*a, **kw)
+    def marginal(*a, **kw):
+        calls["marginal"] += 1
+        return reference_marginal(*a, **kw)
 
-        return run
+    def batch(*a, **kw):
+        calls["mci" if mci else "screen"] += 1
+        return reference_batch(*a, **kw)
 
-    monkeypatch.setattr(subgraph, "marginal_ci", counted("marginal", reference_marginal))
+    monkeypatch.setattr(subgraph, "marginal_ci", marginal)
     monkeypatch.setattr(subgraph, "stacked_gram_ci", decline_every_block)
-    monkeypatch.setattr(subgraph, "batch_ci", counted("screen", reference_batch))
-    monkeypatch.setattr(subgraph, "stacked_ci", counted("mci", reference_stacked))
+    monkeypatch.setattr(subgraph, "batch_ci", batch)
+
+
+def mci_rows(panel, test):
+    """The aligned [x, y, *S] rows of one MCI test, a (source, tau,
+    target, conditioners) tuple of `subgraph._mci_edges`."""
+    x_name, tau, target, cond = test
+    t = panel.n_ticks
+    t0 = max([tau] + [lag for _, lag in cond])
+    return [panel.column(name)[t0 - lag : t - lag] for name, lag in [(x_name, tau), (target, 0), *cond]]
+
+
+def assert_edges_match(graph, ref, mci_call):
+    """The same edges, each edge's r and p within the Gram route's bound of
+    the reference, on the block of its test's own aligned rows, where the
+    kernel answers that block, and to RTOL where the rows do."""
+    assert [e.key for e in graph.edges] == [e.key for e in ref.edges]
+    panel, tests = mci_call
+    by_key = {(x_name, target, tau): (x_name, tau, target, cond) for x_name, tau, target, cond in tests}
+    for edge, ref_edge in zip(graph.edges, ref.edges):
+        rows = mci_rows(panel, by_key[edge.key])
+        gram, n = centered_gram(rows), rows[0].size
+        if stats.stacked_gram_ci(gram[np.newaxis], n)[2][0]:
+            assert_within_gram_bound(edge, ref_edge, gram, 0, 1, list(range(2, len(rows))), n)
+        else:
+            assert_close(edge.r, ref_edge.r)
+            assert_close(edge.p, ref_edge.p)
 
 
 @pytest.mark.parametrize("build, args", CASES.values(), ids=CASES.keys())
 def test_kernel_matches_scalar_reference(monkeypatch, build, args):
     labeled, sla_metric = build(*args)
     seed = args[1]
-    # the package's run; count MCI tests sent down the least-squares route
+    # the package's run; count MCI tests sent to batch_ci on the rows
     lstsq_mci = []
-    inside = []
-
-    def stacked(design):
-        inside.append(True)
-        try:
-            return stats.stacked_ci(design)
-        finally:
-            inside.pop()
 
     def batch(x_matrix, y, given=()):
-        if inside:
+        if mci:
             lstsq_mci.append(len(given))
-        return stats_batch_ci(x_matrix, y, given=given)
+        return stats.batch_ci(x_matrix, y, given=given)
 
-    stats_batch_ci = stats.batch_ci
     asked = record_gram_tests(monkeypatch)
-    monkeypatch.setattr(subgraph, "stacked_ci", stacked)
-    monkeypatch.setattr(stats, "batch_ci", batch)
+    mci_calls, mci = record_mci(monkeypatch)
+    monkeypatch.setattr(subgraph, "batch_ci", batch)
     runs, graphs, oracle = run_pipeline(labeled, sla_metric, seed)
     monkeypatch.undo()
     if args[-1] is True:
-        # a derived KPI in an MCI conditioning set takes the lstsq route
+        # a derived KPI in an MCI conditioning set takes the row route
         assert lstsq_mci and min(lstsq_mci) >= 2
 
     calls = {"rcd": 0, "marginal": 0, "screen": 0, "mci": 0}
@@ -278,12 +298,9 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
     assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs)
 
     assert any(graph.edges for graph in graphs)
-    for graph, ref in zip(graphs, ref_graphs, strict=True):
+    for graph, ref, mci_call in zip(graphs, ref_graphs, mci_calls, strict=True):
         assert graph.nodes == ref.nodes
-        assert [e.key for e in graph.edges] == [e.key for e in ref.edges]
-        for edge, ref_edge in zip(graph.edges, ref.edges):
-            assert_close(edge.r, ref_edge.r)
-            assert_close(edge.p, ref_edge.p)
+        assert_edges_match(graph, ref, mci_call)
 
 
 def test_discovery_matches_scalar_reference_at_incident_size(monkeypatch):
@@ -305,11 +322,10 @@ def test_discovery_matches_scalar_reference_at_incident_size(monkeypatch):
 def test_subgraph_matches_scalar_reference_at_incident_size(monkeypatch):
     """The lagged subgraph of the incident case's two 480-tick windows,
     through the package's kernels and through the scalar references: the
-    same parents for every target and the same edges. Edge statistics are
-    left out: this case's MCI p's reach about 1e-215, where the batched QR
-    and the scalar reference differ by about 1.1e-12 relative
-    (3.199997294746647e-215 against 3.1999972947430063e-215), beyond RTOL,
-    and no bound for p's that small is stated yet (ROADMAP item 8(b))."""
+    same parents for every target, and the same edges with their r and p
+    within the Gram route's bound. This case's MCI p's reach about
+    1e-215, where |delta p| / p grows with |z| |delta z| and a fixed
+    relative tolerance no longer holds."""
     labeled, _ = incident_case(10, 147)
     windows = [labeled.window_panel(state) for state in ("normal", "abnormal")]
     everything = labeled.panel.kpi_names
@@ -327,6 +343,7 @@ def test_subgraph_matches_scalar_reference_at_incident_size(monkeypatch):
         return screens, graphs
 
     select = subgraph._select_all_parents
+    mci_calls, _ = record_mci(monkeypatch)
     screens, graphs = build()
     monkeypatch.undo()
     calls = {"marginal": 0, "screen": 0, "mci": 0}
@@ -336,5 +353,6 @@ def test_subgraph_matches_scalar_reference_at_incident_size(monkeypatch):
     assert {w.n_ticks for w in windows} == {480}
     assert screens == ref_screens
     assert any(graph.edges for graph in graphs)
-    for graph, ref in zip(graphs, ref_graphs, strict=True):
-        assert [e.key for e in graph.edges] == [e.key for e in ref.edges]
+    assert min(e.p for graph in graphs for e in graph.edges) < 1e-200
+    for graph, ref, mci_call in zip(graphs, ref_graphs, mci_calls, strict=True):
+        assert_edges_match(graph, ref, mci_call)

@@ -19,7 +19,6 @@ from rcseq.stats import (
     ks_pvalue,
     ks_two_sample,
     marginal_ci,
-    stacked_ci,
     stacked_gram_ci,
 )
 
@@ -671,6 +670,27 @@ def bits(*values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
+def stacked_case(rng, tests, n, k):
+    """A stack of MCI-shaped tests: each x leans on y, given series that
+    both lean on; one x is collinear with its given set (a constant when k
+    is 0), one y is constant and one x is pinned."""
+    given = rng.normal(size=(tests, n, k))
+    x = rng.normal(size=(tests, n)) + 0.5 * given.sum(axis=2)
+    y = rng.normal(size=(tests, n)) + rng.uniform(-0.6, 0.6, (tests, 1)) * x + 0.4 * given.sum(axis=2)
+    x[1] = 1.5 - given[1] @ np.arange(1.0, k + 1)
+    y[2] = -2.0
+    x[3] = 4.25
+    return x, y, given
+
+
+def mci_blocks(x, y, given):
+    """The Gram blocks of a stacked_case, from each test's centered
+    [x, y, *given] stack, as the subgraph's MCI builds them."""
+    c = np.concatenate([x[:, np.newaxis], y[:, np.newaxis], given.transpose(0, 2, 1)], axis=1)
+    c -= c.mean(axis=2, keepdims=True)
+    return c @ c.transpose(0, 2, 1)
+
+
 class TestStackedGramCi:
     def test_one_block_call_keeps_its_bits(self):
         _, _, gram = well_conditioned_case()
@@ -732,115 +752,64 @@ class TestStackedGramCi:
         answered = self.assert_each_block_alone(stack, 960)
         assert answered.tolist() == [True, False, True]
 
+    def assert_mci_stack(self, x, y, given, declined):
+        """One stacked call on MCI-shaped tests. Exactly the blocks
+        `declined` are declined, and each answered block is within the
+        Gram bound of the scalar reference, on the same side of 0.05.
+        Returns each declined test's batch_ci answer on the rows, by
+        position."""
+        n, k = given.shape[1:]
+        blocks = mci_blocks(x, y, given)
+        answered = self.assert_each_block_alone(blocks, n)
+        assert np.flatnonzero(~answered).tolist() == declined
+        r, p, _ = stacked_gram_ci(blocks, n)
+        rows = {}
+        for i in range(len(blocks)):
+            ref = reference_ci_test(x[i], y[i], given=list(given[i].T))
+            if answered[i]:
+                got = CiTestResult(r=r[i], p=p[i])
+                gram = centered_gram([x[i], y[i], *given[i].T])
+                assert_within_gram_bound(got, ref, gram, 0, 1, list(range(2, k + 2)), n)
+            else:
+                (r_i,), (p_i,) = batch_ci(x[i, :, np.newaxis], y[i], given=list(given[i].T))
+                got = rows[i] = CiTestResult(r=r_i, p=p_i)
+                assert abs(got.r - ref.r) <= 1e-12 and abs(got.p - ref.p) <= 1e-12
+            assert (got.p <= 0.05) == (ref.p <= 0.05), i
+        return rows
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
+    def test_mci_shapes(self, k):
+        rng = np.random.default_rng(130 + k)
+        for n in (k + 4, k + 9, 112):
+            # the collinear x, the constant y and the pinned x are declined,
+            # and degenerate on the rows
+            rows = self.assert_mci_stack(*stacked_case(rng, 12, n, k), declined=[1, 2, 3])
+            assert all((got.r, got.p) == (0.0, 1.0) for got in rows.values())
+
+    def test_mci_collinear_conditioners(self):
+        rng = np.random.default_rng(141)
+        x, y, given = stacked_case(rng, 9, 80, 3)
+        given[4, :, 2] = given[4, :, 0]  # a duplicated conditioner
+        given[5, :, 1] = 3.0 - 2.0 * given[5, :, 0] + given[5, :, 2]  # a derived one
+        # one at a scale where only a tolerance relative to the column's
+        # norm finds it collinear
+        given[6] *= 1e7
+        given[6, :, 2] = given[6, :, 0] - 0.5 * given[6, :, 1]
+        rows = self.assert_mci_stack(x, y, given, declined=[1, 2, 3, 4, 5, 6])
+        # the rows answer the tests whose given set is rank-deficient
+        assert all(rows[i].r != 0.0 and rows[i].p < 1.0 for i in (4, 5, 6))
+
     def test_not_a_stack(self):
         with pytest.raises(ValueError, match="stack"):
             stacked_gram_ci(np.eye(3), 10)
         with pytest.raises(ValueError, match="n=4 requires n > 4"):
             stacked_gram_ci(np.eye(3)[np.newaxis], 4)
 
-
-def count_batch_ci(monkeypatch):
-    """Record the size of the conditioning set of every stats.batch_ci call."""
-    calls = []
-
-    def counted(x_matrix, y, given=()):
-        calls.append(len(given))
-        return batch_ci(x_matrix, y, given=given)
-
-    monkeypatch.setattr(stats, "batch_ci", counted)
-    return calls
-
-
-def stacked_case(rng, tests, n, k):
-    """A stack of MCI-shaped tests: each x leans on y, given series that
-    both lean on; one x is collinear with its given set (a constant when k
-    is 0), one y is constant and one x is pinned."""
-    given = rng.normal(size=(tests, n, k))
-    x = rng.normal(size=(tests, n)) + 0.5 * given.sum(axis=2)
-    y = rng.normal(size=(tests, n)) + rng.uniform(-0.6, 0.6, (tests, 1)) * x + 0.4 * given.sum(axis=2)
-    x[1] = 1.5 - given[1] @ np.arange(1.0, k + 1)
-    y[2] = -2.0
-    x[3] = 4.25
-    return x, y, given
-
-
-def stack(x, y, given):
-    """The [1, S, x, y] stack stacked_ci takes."""
-    ones = np.ones(x.shape + (1,))
-    return np.concatenate([ones, given, x[:, :, None], y[:, :, None]], axis=2)
-
-
-def reference_stacked(design):
-    """Every test of a stack as one scalar reference test."""
-    tests = [
-        reference_ci_test(d[:, -2], d[:, -1], given=list(d[:, 1:-2].T)) for d in design
-    ]
-    return np.array([t.r for t in tests]), np.array([t.p for t in tests])
-
-
-class TestStackedCi:
-    @pytest.mark.parametrize("k", [0, 1, 2, 4, 6])
-    def test_matches_reference(self, monkeypatch, k):
-        calls = count_batch_ci(monkeypatch)
-        rng = np.random.default_rng(130 + k)
-        for n in (k + 4, k + 9, 112):
-            design = stack(*stacked_case(rng, 12, n, k))
-            r, p = stacked_ci(design)
-            ref_r, ref_p = reference_stacked(design)
-            assert np.max(np.abs(r - ref_r)) <= 1e-12
-            assert np.max(np.abs(p - ref_p)) <= 1e-12
-            assert np.array_equal(p <= 0.05, ref_p <= 0.05)
-            # the collinear x, the constant y and the pinned x are degenerate
-            assert (r[1:4] == 0.0).all() and (p[1:4] == 1.0).all()
-        # full-rank conditioning sets are answered from the batched QR
-        assert calls == []
-
-    def test_batch_of_one_is_bitwise_the_stack(self):
-        rng = np.random.default_rng(140)
-        design = stack(*stacked_case(rng, 9, 60, 3))
-        r, p = stacked_ci(design)
-        for i in range(9):
-            one_r, one_p = stacked_ci(design[i : i + 1])
-            assert (one_r[0], one_p[0]) == (r[i], p[i])
-        # a transposed view of the same stack gives the same bits
-        view = np.ascontiguousarray(design.transpose(0, 2, 1)).transpose(0, 2, 1)
-        assert all(np.array_equal(a, b) for a, b in zip(stacked_ci(view), (r, p)))
-
-    def test_collinear_member_takes_the_lstsq_route(self, monkeypatch):
-        rng = np.random.default_rng(141)
-        x, y, given = stacked_case(rng, 6, 80, 3)
-        given[2, :, 2] = given[2, :, 0]  # a duplicated conditioner
-        given[4, :, 1] = 3.0 - 2.0 * given[4, :, 0] + given[4, :, 2]  # a derived one
-        # one at a scale where only a tolerance relative to the column's
-        # norm finds it collinear
-        given[5] *= 1e7
-        given[5, :, 2] = given[5, :, 0] - 0.5 * given[5, :, 1]
-        calls = count_batch_ci(monkeypatch)
-        r, p = stacked_ci(stack(x, y, given))
-        monkeypatch.undo()
-        assert calls == [3, 3, 3]
-        for i in (2, 4, 5):
-            want_r, want_p = batch_ci(x[i, :, None], y[i], given=list(given[i].T))
-            assert (r[i], p[i]) == (want_r[0], want_p[0])
-        ref_r, ref_p = reference_stacked(stack(x, y, given))
-        assert np.max(np.abs(r - ref_r)) <= 1e-12
-        assert np.max(np.abs(p - ref_p)) <= 1e-12
-
     @pytest.mark.parametrize("k", [0, 2])
-    def test_smallest_sample(self, k):
+    def test_mci_smallest_sample(self, k):
         rng = np.random.default_rng(150 + k)
         with pytest.raises(ValueError, match=f"n={k + 3} requires n > {k + 3}"):
-            stacked_ci(stack(*stacked_case(rng, 4, k + 3, k)))
-
-    def test_invalid_design(self):
-        with pytest.raises(ValueError, match="tests, n, k"):
-            stacked_ci(np.ones((10, 3)))
-        with pytest.raises(ValueError, match="tests, n, k"):
-            stacked_ci(np.ones((2, 10, 2)))
-        design = np.ones((2, 10, 4))
-        design[1, 3, 0] = 0.0
-        with pytest.raises(ValueError, match="intercept"):
-            stacked_ci(design)
+            stacked_gram_ci(mci_blocks(*stacked_case(rng, 4, k + 3, k)), k + 3)
 
 
 class TestCorrections:

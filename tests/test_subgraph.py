@@ -10,7 +10,7 @@ from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, stacked_ci, stacked_gram_ci
+from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, stacked_gram_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -68,6 +68,26 @@ def derived_panel(seed, v=25, t=120):
     values[2:, y] += 0.8 * values[:-2, x]
     values[3:, y] += 0.8 * values[:-3, derived]
     return KpiPanel(ticks=panel.ticks, kpi_names=panel.kpi_names, values=values)
+
+
+def record_mci(monkeypatch):
+    """Wrap subgraph._mci_edges. Returns (calls, running): calls gets the
+    (panel, tests) of every call, and running holds a marker while one
+    runs, so that a kernel recorder can tell MCI's calls from the
+    screen's."""
+    calls, running = [], []
+    mci_edges = subgraph._mci_edges
+
+    def recorded(panel, tests, cfg):
+        calls.append((panel, tests))
+        running.append(True)
+        try:
+            return mci_edges(panel, tests, cfg)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(subgraph, "_mci_edges", recorded)
+    return calls, running
 
 
 def reference_select_lagged_parents(panel, target, cfg):
@@ -176,14 +196,16 @@ class TestSelectLaggedParents:
         """Record every screen kernel call: the marginal call with its
         number of series, and each stacked_gram_ci call with its level and
         its members' (target, top) pairs; a level-0 batch_ci call would be
-        recorded too. A round's blocks run member by member, each member's
-        tests of top[:level] last, so a member is a run of blocks sharing
-        the target's entry B11, and its first test of top[0] holds every
+        recorded too. MCI's calls of the same bindings are not recorded.
+        A round's blocks run member by member, each member's tests of
+        top[:level] last, so a member is a run of blocks sharing the
+        target's entry B11, and its first test of top[0] holds every
         member of top in its diagonal."""
         calls = []
+        _, mci = record_mci(monkeypatch)
 
         def counted_batch_ci(x_matrix, y, given=()):
-            if not given:
+            if not given and not mci:
                 calls.append(("batch_ci", 0, None))
             return batch_ci(x_matrix, y, given=given)
 
@@ -192,11 +214,12 @@ class TestSelectLaggedParents:
             return marginal_ci(x_matrix, ys)
 
         def counted_stacked_gram_ci(blocks, n):
-            level = blocks.shape[1] - 2
-            members = []
-            for y, run in itertools.groupby(blocks, key=lambda b: b[1, 1].tobytes()):
-                members.append((y, list(run)[-level].diagonal().tobytes()))
-            calls.append(("stacked_gram_ci", level, members))
+            if not mci:
+                level = blocks.shape[1] - 2
+                members = []
+                for y, run in itertools.groupby(blocks, key=lambda b: b[1, 1].tobytes()):
+                    members.append((y, list(run)[-level].diagonal().tobytes()))
+                calls.append(("stacked_gram_ci", level, members))
             return stacked_gram_ci(blocks, n)
 
         monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
@@ -584,45 +607,40 @@ class TestBuildSubgraph:
             with pytest.raises(AnalysisError, match="need more than 25 ticks .*, got 25$"):
                 build_subgraph(short, panel.kpi_names, cfg)
 
-    def test_one_batched_qr_per_mci_group(self, monkeypatch):
-        stacks, qr_calls, lstsq = [], [], []
-        inside = []
-        qr, batch = np.linalg.qr, stats.batch_ci
+    def test_one_gram_call_per_mci_group(self, monkeypatch):
+        groups, lstsq, qr_calls = [], [], []
+        qr = np.linalg.qr
 
-        def counted_stacked(design):
-            stacks.append((design.shape[1], design.shape[2] - 3, design.shape[0]))
-            qr_calls.append(0)
-            inside.append(True)
-            try:
-                return stacked_ci(design)
-            finally:
-                inside.pop()
-
-        def counted_qr(a, mode="reduced"):
-            if inside and np.ndim(a) == 3:
-                qr_calls[-1] += 1
-            return qr(a, mode=mode)
+        def counted_stacked_gram_ci(blocks, n):
+            if mci:
+                groups.append((n, blocks.shape[1] - 2, len(blocks)))
+            return stacked_gram_ci(blocks, n)
 
         def counted_batch_ci(x_matrix, y, given=()):
-            if inside:
+            if mci:
                 lstsq.append(len(given))
-            return batch(x_matrix, y, given=given)
+            return batch_ci(x_matrix, y, given=given)
 
-        monkeypatch.setattr(subgraph, "stacked_ci", counted_stacked)
+        def counted_qr(*args, **kwargs):
+            qr_calls.append(True)
+            return qr(*args, **kwargs)
+
+        _, mci = record_mci(monkeypatch)
+        monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
+        monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
-        monkeypatch.setattr(stats, "batch_ci", counted_batch_ci)
         panel = derived_panel(21)
         cfg = SubgraphConfig()
         graph = build_subgraph(panel, panel.kpi_names, cfg)
         monkeypatch.undo()
-        # one stacked call, and one batched QR, per (rows, |S|) group
-        keys = [(rows, k) for rows, k, _ in stacks]
+        # one stacked_gram_ci call per (rows, |S|) group, and no QR anywhere
+        keys = [(rows, k) for rows, k, _ in groups]
         assert len(set(keys)) == len(keys) > 1
-        assert qr_calls == [1] * len(stacks)
+        assert qr_calls == []
         parents = {name: select_lagged_parents(panel, name, cfg) for name in panel.kpi_names}
         links = [(s, lag, t) for t in parents for s, lag in parents[t] if s != t]
-        assert sum(size for _, _, size in stacks) == len(links)
-        # the derived KPI's MCI set goes down the least-squares route
+        assert sum(size for _, _, size in groups) == len(links)
+        # the derived KPI's MCI set goes to batch_ci on the rows
         assert lstsq and min(lstsq) >= 3
         # and every edge is what the one-link call finds
         for edge in graph.edges:
