@@ -98,7 +98,7 @@ GOLDEN = {
         "subgraph.dot":
             "32cf5af549e4d047f15ebd4bb99acf38bac37391687a349ee00ce0eaa4b93748",
         "subgraph.json":
-            "b24d2d1a38433b10e15dd1b84e42d41a1c07098413edbc88a9df04303f677bcd",
+            "a8e37084886574a927c156c8099db74e9a837f8d1920c0ca4fb7b49fcb25d9f9",
     },
     "sequence": {
         "cis.json":
