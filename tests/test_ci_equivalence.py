@@ -273,6 +273,7 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
     seed = args[1]
     # the package's run; count MCI tests sent to batch_ci on the rows
     lstsq_mci = []
+    mci_calls, mci = record_mci(monkeypatch)
 
     def batch(x_matrix, y, given=()):
         if mci:
@@ -280,7 +281,6 @@ def test_kernel_matches_scalar_reference(monkeypatch, build, args):
         return stats.batch_ci(x_matrix, y, given=given)
 
     asked = record_gram_tests(monkeypatch)
-    mci_calls, mci = record_mci(monkeypatch)
     monkeypatch.setattr(subgraph, "batch_ci", batch)
     runs, graphs, oracle = run_pipeline(labeled, sla_metric, seed)
     monkeypatch.undo()

@@ -609,6 +609,7 @@ class TestBuildSubgraph:
 
     def test_one_gram_call_per_mci_group(self, monkeypatch):
         groups, lstsq, qr_calls = [], [], []
+        _, mci = record_mci(monkeypatch)
         qr = np.linalg.qr
 
         def counted_stacked_gram_ci(blocks, n):
@@ -625,7 +626,6 @@ class TestBuildSubgraph:
             qr_calls.append(True)
             return qr(*args, **kwargs)
 
-        _, mci = record_mci(monkeypatch)
         monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
         monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
         monkeypatch.setattr(np.linalg, "qr", counted_qr)
