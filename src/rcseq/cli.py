@@ -3,12 +3,16 @@
 Subcommands: synth, label, discover, subgraph, sequence, tune,
 compare-states, run-all. Exit codes: 0 success, 2 configuration error,
 3 data error, 4 analysis error.
+
+Each command loads only the stage modules it runs (`COMMAND_STAGES`):
+`main` imports them once the command is known, before it reads any input.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import sys
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
@@ -17,7 +21,6 @@ from . import __version__
 from .config import FLAG_KEYS, PipelineConfig, load_config, read_yaml
 from .errors import AnalysisError, ConfigError, DataError, RcseqError
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
-from .rcd import FrequencyTable, discovery_kpis, rcd_runs
 from .report import (
     OutputBundle,
     diff_to_dict,
@@ -33,12 +36,64 @@ from .report import (
     write_tuning_csv,
     write_tuning_params,
 )
-from .sequence import CisReport, assemble_cis, detect_events, deviation_traces
-from .subgraph import CausalSubgraph, build_subgraph, graph_diff
-from .tuner import consolidate, prominent_sources, run_grid, tuning_rows, variance_trend
 
 if TYPE_CHECKING:
+    # the stage names are bound at run time by _load_stages
+    from .rcd import FrequencyTable, discovery_kpis, rcd_runs
     from .scm import Scenario
+    from .sequence import CisReport, assemble_cis, detect_events, deviation_traces
+    from .subgraph import CausalSubgraph, build_subgraph, graph_diff
+    from .tuner import consolidate, prominent_sources, run_grid, tuning_rows, variance_trend
+
+# The names this module takes from each stage module. `main` binds the ones
+# of the command's stages as globals of this module, where the commands
+# look them up when they call them.
+STAGE_NAMES = {
+    "rcd": ("FrequencyTable", "discovery_kpis", "rcd_runs"),
+    "subgraph": ("CausalSubgraph", "build_subgraph", "graph_diff"),
+    "sequence": ("CisReport", "assemble_cis", "detect_events", "deviation_traces"),
+    "tuner": ("consolidate", "prominent_sources", "run_grid", "tuning_rows", "variance_trend"),
+}
+
+# The stage modules each command runs; label and synth run none (scenario
+# input loads the simulator, rcseq.scm, on its own).
+COMMAND_STAGES = {
+    "synth": (),
+    "label": (),
+    "discover": ("rcd",),
+    "subgraph": ("rcd", "subgraph"),
+    "sequence": ("rcd", "subgraph", "sequence"),
+    "tune": ("rcd", "tuner"),
+    "compare-states": ("subgraph",),
+    "run-all": ("rcd", "subgraph", "sequence"),
+}
+
+_STAGE_OF = {name: stage for stage, names in STAGE_NAMES.items() for name in names}
+
+
+def _stage_module(stage: str):
+    return importlib.import_module(f".{stage}", __package__)
+
+
+def _load_stages(command: str) -> None:
+    """Import the command's stage modules and bind the names it takes from
+    them. A name that is bound already, such as a wrapper a tracer put in
+    its place, is kept."""
+    for stage in COMMAND_STAGES[command]:
+        module = _stage_module(stage)
+        for name in STAGE_NAMES[stage]:
+            globals().setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    # Resolves a stage name that no command has bound yet, importing its
+    # module. It exists only for the benchmark's tracer (bench/tracer.py),
+    # which reads and patches names such as `rcd_runs` and `build_subgraph`
+    # on this module before `main` runs; delete it with that patching.
+    if name not in _STAGE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_stage_module(_STAGE_OF[name]), name)
+
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -416,21 +471,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Process entry point of the `rcseq` command; returns its exit code.
 
-    The first thing `main` does is `gc.freeze()`: every object alive when it
-    starts (the interpreter's, numpy's, PyYAML's and rcseq's modules,
-    classes and functions, all made by import) moves to the collector's
+    Once the arguments name the command, `main` imports the stage modules
+    it runs (`COMMAND_STAGES`; `label`, `synth`, `--help` and `--version`
+    import none) and then calls `gc.freeze()`, before it reads the config
+    or any input. Every object alive then (the interpreter's, numpy's,
+    PyYAML's and rcseq's modules, classes and functions, the command's
+    stage modules included, all made by import) moves to the collector's
     permanent generation. Those objects live until the process ends, and
     frozen, they are skipped by the collections the interpreter runs at
     exit, so a fresh process no longer tears them down one by one. Objects
-    that `main` creates are collected as before.
+    that `main` creates after the freeze are collected as before.
 
     A long-lived caller, such as a service or a test run, should call the
     stage functions (`load_csv`, `rcd_runs`, `build_subgraph`, ...)
     directly, or call `gc.unfreeze()` after `main`, so that its own garbage
     alive at the call is not kept for the rest of the process.
     """
-    gc.freeze()
     args = build_parser().parse_args(argv)
+    _load_stages(args.command)
+    gc.freeze()
     try:
         cfg = load_config(args.config, **{f: getattr(args, f) for f in FLAG_KEYS})
         return args.fn(cfg)

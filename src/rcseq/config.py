@@ -5,6 +5,10 @@ The config file is a YAML document with one section per stage
 every value has a default, so an empty file (or none at all) is valid for
 scenario-driven runs. Command-line flags are written into the parsed
 mapping, so both pass the same checks.
+
+Every section's dataclass is defined here, the stages' own (`RcdConfig`,
+`SubgraphConfig`, `CisConfig`) included, so that reading a config loads no
+analysis module. `rcd`, `subgraph` and `sequence` re-export theirs.
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ import yaml
 
 from .errors import ConfigError, DataError, FieldError, unreadable
 from .panel import MISSING_POLICIES, SlaRule
-from .rcd import RcdConfig
-from .sequence import CisConfig
-from .subgraph import SubgraphConfig
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,78 @@ class LabelConfig:
             raise ConfigError("label.lead_ticks must be non-negative")
         if self.breach_index < 0:
             raise ConfigError("label.breach_index must be non-negative")
+
+
+@dataclass(frozen=True)
+class RcdConfig:
+    """Discovery parameters: chunk size g, number of runs, CI significance,
+    conditioning-set cap, and the base seed all RNG streams derive from."""
+
+    g: int = 5
+    n_runs: int = 10
+    alpha: float = 0.05
+    max_cond: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.g < 2:
+            raise ConfigError(f"rcd.g must be >= 2, got {self.g}")
+        if self.n_runs < 1:
+            raise ConfigError(f"rcd.n_runs must be positive, got {self.n_runs}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"rcd.alpha must lie in (0, 1), got {self.alpha}")
+        if self.max_cond < 0:
+            raise ConfigError(f"rcd.max_cond must be non-negative, got {self.max_cond}")
+        if self.seed < 0:
+            raise ConfigError(f"rcd.seed must be non-negative, got {self.seed}")
+
+
+@dataclass(frozen=True)
+class SubgraphConfig:
+    """Subgraph parameters: the largest lag tested, the CI significance
+    level, and the cap on each conditioning set."""
+
+    tau_max: int = 8
+    alpha: float = 0.05
+    max_cond: int = 3
+
+    def __post_init__(self):
+        if self.tau_max < 1:
+            raise ConfigError(f"subgraph.tau_max must be >= 1, got {self.tau_max}")
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"subgraph.alpha must lie in (0, 1), got {self.alpha}")
+        if self.max_cond < 0:
+            raise ConfigError(f"subgraph.max_cond must be non-negative, got {self.max_cond}")
+
+
+CORRECTIONS = ("bonferroni", "bh_fdr", "none")
+
+
+@dataclass(frozen=True)
+class CisConfig:
+    """Onset-scan parameters: the significance level the adjusted p must
+    clear, the K-S window and its stride in ticks, the multiple-testing
+    correction, and the |z| that codes a deviation direction."""
+
+    alpha: float = 0.1
+    window: int = 16
+    stride: int = 4
+    correction: str = "bh_fdr"
+    z_thr: float = 3.0
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < 1.0:
+            raise ConfigError(f"cis.alpha must lie in (0, 1), got {self.alpha}")
+        if self.window < 8:
+            raise ConfigError(f"cis.window must be >= 8 ticks, got {self.window}")
+        if self.stride < 1:
+            raise ConfigError(f"cis.stride must be >= 1, got {self.stride}")
+        if self.correction not in CORRECTIONS:
+            raise ConfigError(
+                f"cis.correction must be one of {CORRECTIONS}, got {self.correction!r}"
+            )
+        if self.z_thr <= 0:
+            raise ConfigError(f"cis.z_thr must be positive, got {self.z_thr}")
 
 
 DEFAULT_N_SET = (10, 15, 20, 25, 30, 40, 50)

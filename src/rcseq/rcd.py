@@ -37,6 +37,8 @@ from itertools import combinations
 
 import numpy as np
 
+# RcdConfig is defined with the other config sections and re-exported here
+from .config import RcdConfig
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
 # the marginal screen's binding; bench/tracer.py hooks it under this name
@@ -58,30 +60,6 @@ __all__ = [
     "rcd_runs",
     "rcd_multi_run",
 ]
-
-
-@dataclass(frozen=True)
-class RcdConfig:
-    """Discovery parameters: chunk size g, number of runs, CI significance,
-    conditioning-set cap, and the base seed all RNG streams derive from."""
-
-    g: int = 5
-    n_runs: int = 10
-    alpha: float = 0.05
-    max_cond: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ConfigError(f"rcd.g must be >= 2, got {self.g}")
-        if self.n_runs < 1:
-            raise ConfigError(f"rcd.n_runs must be positive, got {self.n_runs}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"rcd.alpha must lie in (0, 1), got {self.alpha}")
-        if self.max_cond < 0:
-            raise ConfigError(f"rcd.max_cond must be non-negative, got {self.max_cond}")
-        if self.seed < 0:
-            raise ConfigError(f"rcd.seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)

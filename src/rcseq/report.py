@@ -14,14 +14,19 @@ import json
 from contextlib import suppress
 from itertools import takewhile
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError
 from .panel import LabeledPanel
-from .sequence import CisReport
-from .subgraph import CausalSubgraph, GraphDiff, to_dot
-from .tuner import ConsolidatedParams, TrendResult, TuningRow
+
+if TYPE_CHECKING:
+    # for annotations only: writing a command's reports loads no analysis
+    # module that the command did not run
+    from .sequence import CisReport
+    from .subgraph import CausalSubgraph, GraphDiff
+    from .tuner import ConsolidatedParams, TrendResult, TuningRow
 
 TABLE_COLUMNS = ("KPI Name", "Parameter g", "Probability Estimation", "Optimal n")
 
@@ -120,6 +125,9 @@ def write_cis(bundle: OutputBundle, report: CisReport) -> None:
 
 
 def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
+    # the caller built the subgraph, so its module is loaded by now
+    from .subgraph import to_dot
+
     write_text(
         bundle.path("subgraph.dot"),
         to_dot(
@@ -131,6 +139,8 @@ def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
 
 
 def write_subgraph_dot(bundle: OutputBundle, graph: CausalSubgraph, name: str) -> None:
+    from .subgraph import to_dot
+
     write_text(bundle.path(name), to_dot(graph))
 
 

@@ -16,12 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalysisError, ConfigError
+# CisConfig and CORRECTIONS are defined with the other config sections and
+# re-exported here
+from .config import CORRECTIONS, CisConfig
+from .errors import AnalysisError
 from .panel import LabeledPanel
 from .stats import bh_adjust, bonferroni, ks_two_sample
 from .subgraph import CausalSubgraph
-
-CORRECTIONS = ("bonferroni", "bh_fdr", "none")
 
 __all__ = [
     "CisConfig",
@@ -33,33 +34,6 @@ __all__ = [
     "order_events",
     "assemble_cis",
 ]
-
-
-@dataclass(frozen=True)
-class CisConfig:
-    """Onset-scan parameters: the significance level the adjusted p must
-    clear, the K-S window and its stride in ticks, the multiple-testing
-    correction, and the |z| that codes a deviation direction."""
-
-    alpha: float = 0.1
-    window: int = 16
-    stride: int = 4
-    correction: str = "bh_fdr"
-    z_thr: float = 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"cis.alpha must lie in (0, 1), got {self.alpha}")
-        if self.window < 8:
-            raise ConfigError(f"cis.window must be >= 8 ticks, got {self.window}")
-        if self.stride < 1:
-            raise ConfigError(f"cis.stride must be >= 1, got {self.stride}")
-        if self.correction not in CORRECTIONS:
-            raise ConfigError(
-                f"cis.correction must be one of {CORRECTIONS}, got {self.correction!r}"
-            )
-        if self.z_thr <= 0:
-            raise ConfigError(f"cis.z_thr must be positive, got {self.z_thr}")
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalysisError, ConfigError, DataError
+# SubgraphConfig is defined with the other config sections and re-exported here
+from .config import SubgraphConfig
+from .errors import AnalysisError, DataError
 from .panel import KpiPanel
 # ci_test is no longer called here; the binding stays for the benchmark's
 # tracer (bench/tracer.py), which hooks it by this module's name
@@ -45,24 +47,6 @@ __all__ = [
     "graph_diff",
     "to_dot",
 ]
-
-
-@dataclass(frozen=True)
-class SubgraphConfig:
-    """Subgraph parameters: the largest lag tested, the CI significance
-    level, and the cap on each conditioning set."""
-
-    tau_max: int = 8
-    alpha: float = 0.05
-    max_cond: int = 3
-
-    def __post_init__(self):
-        if self.tau_max < 1:
-            raise ConfigError(f"subgraph.tau_max must be >= 1, got {self.tau_max}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"subgraph.alpha must lie in (0, 1), got {self.alpha}")
-        if self.max_cond < 0:
-            raise ConfigError(f"subgraph.max_cond must be non-negative, got {self.max_cond}")
 
 
 @dataclass(frozen=True)

@@ -704,27 +704,42 @@ label: {{normal_len: 120, abnormal_len: 120, lead_ticks: 20}}
 seed: 2
 """
     )
-    # main calls build_parser right after the freeze; objects frozen then
-    # may die during the run, so the count is read there
+    # main calls load_config right after the freeze; objects frozen then
+    # may die during the run, so the heap is read there. The command's stage
+    # modules are imported inside main, before the freeze: every object
+    # their namespaces hold must be frozen, that is, missing from
+    # gc.get_objects(), which lists the collected generations only
     code = (
-        "import gc\n"
+        "import gc, sys\n"
         "from rcseq import cli\n"
-        "frozen, build = [], cli.build_parser\n"
-        "def build_parser():\n"
+        "frozen, loose, load = [], [], cli.load_config\n"
+        "def load_config(*args, **kwargs):\n"
         "    frozen.append(gc.get_freeze_count())\n"
-        "    return build()\n"
-        "cli.build_parser = build_parser\n"
+        "    young = {id(o) for o in gc.get_objects()}\n"
+        "    stages = [m for n, m in sys.modules.items() if n.startswith('rcseq.')]\n"
+        "    loose.extend(\n"
+        "        f'{m.__name__}.{k}' for m in stages for k, v in vars(m).items() if id(v) in young\n"
+        "    )\n"
+        "    return load(*args, **kwargs)\n"
+        "cli.load_config = load_config\n"
         "alive = len(gc.get_objects())\n"
+        "before = {n for n in sys.modules if n.startswith('rcseq.')}\n"
         f"argv = ['run-all', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
         "assert cli.main(argv) == 0\n"
         "print(frozen[0] >= alive)\n"
+        "print(sorted({'rcseq.rcd', 'rcseq.subgraph', 'rcseq.sequence'} - before))\n"
+        "print(loose)\n"
     )
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "True"
+    assert result.stdout.splitlines() == [
+        "True",
+        "['rcseq.rcd', 'rcseq.sequence', 'rcseq.subgraph']",
+        "[]",
+    ]
 
 
 # SHA-256 of each help text at 80 columns, as printed when every subcommand
