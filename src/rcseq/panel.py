@@ -87,6 +87,9 @@ class KpiPanel:
         object.__setattr__(self, "ticks", ticks)
         object.__setattr__(self, "kpi_names", names)
         object.__setattr__(self, "values", values)
+        # index_of's lookup table; not a field, so ==, repr and value_eq
+        # ignore it
+        object.__setattr__(self, "_columns", {name: i for i, name in enumerate(names)})
 
     @property
     def n_ticks(self) -> int:
@@ -98,8 +101,8 @@ class KpiPanel:
 
     def index_of(self, name: str) -> int:
         try:
-            return self.kpi_names.index(name)
-        except ValueError:
+            return self._columns[name]
+        except (KeyError, TypeError):
             raise DataError(f"unknown metric: {name!r}") from None
 
     def column(self, name: str) -> np.ndarray:

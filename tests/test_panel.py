@@ -1,3 +1,4 @@
+import dataclasses
 import operator
 
 import numpy as np
@@ -291,6 +292,24 @@ class TestPanelInvariants:
         sub = panel.restrict(["c", "a"])
         assert sub.kpi_names == ("c", "a")
         assert np.array_equal(sub.values, [[3.0, 1.0]])
+
+
+    def test_index_of(self):
+        panel = make_panel([[1.0, 2.0, 3.0]], names=("a", "b", "c"))
+        assert [panel.index_of(n) for n in ("c", "a", "b")] == [2, 0, 1]
+        assert panel.index_of(np.str_("b")) == 1
+        for unknown in ("d", 0, ["a"]):
+            with pytest.raises(DataError, match="unknown metric"):
+                panel.index_of(unknown)
+
+    def test_lookup_table_is_not_a_field(self):
+        # index_of's table stays out of the dataclass fields, so repr and
+        # equality read the fields only
+        panel = make_panel([[1.0, 2.0]], names=("a", "b"))
+        assert [f.name for f in dataclasses.fields(panel)] == ["ticks", "kpi_names", "values"]
+        assert repr(panel).startswith("KpiPanel(ticks=array([0]), kpi_names=('a', 'b'), values=")
+        assert "_columns" not in repr(panel)
+        assert dataclasses.replace(panel, kpi_names=("b", "a")).index_of("a") == 1
 
 
 class TestValueEquality:
