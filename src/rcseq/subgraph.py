@@ -333,15 +333,24 @@ def _mci_conditioners(source, parents_of_target, parents_of_source, cfg):
     return tuple(dict.fromkeys(cond_target + cond_source))
 
 
+# The most values one MCI gather holds. A group of tests whose [x, y, *S]
+# series need more is gathered and answered in chunks of tests, so MCI's
+# memory is bounded whatever the window's length. A group of a 120-tick
+# window fits in one chunk up to 1100 tests.
+MCI_CHUNK_VALUES = 1 << 20
+
+
 def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
     """Run MCI tests, each a (source, tau, target, conditioners) tuple, and
     return the edges with p <= cfg.alpha, in test order within each group.
 
     Tests with the same number of aligned rows and of conditioners form a
-    group. One indexing operation gathers a group's [x, y, *S] series from
-    the panel, and one `stats.stacked_gram_ci` call answers the group from
-    the Gram blocks of the centered series. A block it declines (a derived
-    KPI next to its inputs, or a constant series) is answered by
+    group. One indexing operation gathers a chunk of a group's [x, y, *S]
+    series from the panel, at most MCI_CHUNK_VALUES values, and one
+    `stats.stacked_gram_ci` call answers the chunk from the Gram blocks of
+    the centered series; a block's answer does not depend on the other
+    blocks of its call, so the chunking changes no bit. A block it declines
+    (a derived KPI next to its inputs, or a constant series) is answered by
     `stats.batch_ci` on that test's uncentered rows.
     """
     t = panel.n_ticks
@@ -365,14 +374,19 @@ def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
         lags = np.array([[tau, 0] + [lag for _, lag in cond] for _, tau, _, cond in members])
         windows = sliding_window_view(panel.values, rows, axis=0)
         starts = t - rows - lags
-        stack = windows[starts, cols]
-        stack -= stack.mean(axis=2, keepdims=True)
-        r, p, answered = stacked_gram_ci(stack @ stack.transpose(0, 2, 1), rows)
-        # the stack was centered in place, so a declined test's rows are
-        # gathered again
-        for i in np.flatnonzero(~answered).tolist():
-            x, y, *given = windows[starts[i], cols[i]]
-            r[i : i + 1], p[i : i + 1] = batch_ci(x[:, np.newaxis], y, given=given)
+        r, p = np.empty(len(members)), np.empty(len(members))
+        chunk = max(1, MCI_CHUNK_VALUES // ((k + 2) * rows))
+        for lo in range(0, len(members), chunk):
+            hi = min(lo + chunk, len(members))
+            stack = windows[starts[lo:hi], cols[lo:hi]]
+            stack -= stack.mean(axis=2, keepdims=True)
+            r[lo:hi], p[lo:hi], answered = stacked_gram_ci(stack @ stack.transpose(0, 2, 1), rows)
+            del stack  # released before the next chunk is gathered
+            # the stack was centered in place, so a declined test's rows are
+            # gathered again
+            for i in (lo + np.flatnonzero(~answered)).tolist():
+                x, y, *given = windows[starts[i], cols[i]]
+                r[i : i + 1], p[i : i + 1] = batch_ci(x[:, np.newaxis], y, given=given)
         for (x_name, tau, target, _), r_i, p_i in zip(members, r.tolist(), p.tolist()):
             if p_i <= cfg.alpha:
                 edges.append(LaggedEdge(source=x_name, target=target, lag=tau, r=r_i, p=p_i))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,6 +89,19 @@ def record_mci(monkeypatch):
 
     monkeypatch.setattr(subgraph, "_mci_edges", recorded)
     return calls, running
+
+
+def mci_tests(panel, cfg):
+    """build_subgraph's MCI tests over every KPI of the panel."""
+    nodes = panel.kpi_names
+    parents, _ = subgraph._select_all_parents(panel, nodes, nodes, cfg)
+    return [
+        (source, lag, target,
+         subgraph._mci_conditioners((source, lag), parents[target], parents[source], cfg))
+        for target in nodes
+        for source, lag in parents[target]
+        if source != target
+    ]
 
 
 def reference_select_lagged_parents(panel, target, cfg):
@@ -647,6 +661,50 @@ class TestBuildSubgraph:
             one = mci_edge_test(panel, (edge.source, edge.lag), edge.target,
                                 parents[edge.target], parents[edge.source], cfg)
             assert one == edge
+
+    def test_chunked_gather_changes_no_bit(self, monkeypatch):
+        # one test per chunk, at an alpha that makes nearly every test an
+        # edge. k018 -> k015 given k019 and both its inputs is declined by
+        # the kernel; here it sits amid a group of its shape, so that its
+        # row answer must land in a later chunk's place
+        panel = derived_panel(21)
+        cond = (("k019", 3), ("k016", 3), ("k017", 3), ("k013", 8))
+        shaped = [(f"k{i:03d}", 2, "k015", cond) for i in (*range(13), 18, 20, 21)]
+        tests = mci_tests(panel, SubgraphConfig()) + shaped
+        every = SubgraphConfig(alpha=1 - 1e-12)
+        whole = subgraph._mci_edges(panel, tests, every)
+        declined = []
+        stacked = subgraph.stacked_gram_ci
+
+        def counted_stacked_gram_ci(blocks, n):
+            r, p, answered = stacked(blocks, n)
+            declined.append(np.count_nonzero(~answered))
+            return r, p, answered
+
+        monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
+        monkeypatch.setattr(subgraph, "MCI_CHUNK_VALUES", 1)
+        chunked = subgraph._mci_edges(panel, tests, every)
+        assert len(declined) == len(tests) and sum(declined) >= 2
+        assert ("k018", "k015", 2) in {e.key for e in whole}
+        assert len(whole) > len(tests) // 2
+        assert [(e.key, bits(e.r, e.p)) for e in chunked] == [(e.key, bits(e.r, e.p)) for e in whole]
+
+    def test_mci_gather_memory_is_bounded(self):
+        # 25 KPIs x 20 000 ticks: gathering each group at once held every
+        # test's [x, y, *S] rows, about 36 MB of traced peak here; a chunk
+        # holds at most MCI_CHUNK_VALUES values (8 MiB)
+        panel = screen_panel(0, 25, 20_000)
+        cfg = SubgraphConfig()
+        tests = mci_tests(panel, cfg)
+        assert len(tests) > 100
+        tracemalloc.start()
+        try:
+            edges = subgraph._mci_edges(panel, tests, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert edges
+        assert peak < 10 * 2**20
 
     def test_edges_always_lagged(self):
         panel = chain_panel(seed=5)
