@@ -10,7 +10,8 @@ construction.
 A window's work is a few array operations: one lagged design shared by
 every target, one kernel call for every target's level 0, and one call of
 the stacked Gram-block kernel per screening round and per group of MCI
-tests with the same rows and conditioning-set size. The targets' screens
+tests with the same rows and conditioning-set size (per bounded chunk of
+a group, on long windows). The targets' screens
 advance in lockstep: a round is one (sweep, level) step of every target
 still screening, and each target keeps its own state, so no target's
 parents depend on the others.
@@ -403,7 +404,8 @@ def build_subgraph(
     shares one lagged design and one level-0 kernel call, the screens
     advance in lockstep with one `stats.stacked_gram_ci` call per (sweep,
     level) round, and the MCI tests take one more call per group of tests
-    with the same rows and conditioning-set size. Each node gets the
+    with the same rows and conditioning-set size (per chunk of
+    MCI_CHUNK_VALUES values, when a group needs more). Each node gets the
     parents :func:`select_lagged_parents` gives it, and each node whose
     screen stops at the sweep cap with its set still changing emits one
     RuntimeWarning. The window must be longer than
