@@ -15,12 +15,27 @@ To print fresh hashes, run this file as a script:
 With `--diff` it prints only the (case, file) pairs whose hash differs
 from GOLDEN, a file missing on one side included, and exits 1 if there
 are any.
+
+To show what a byte-changing commit moved, dump every case's outputs at
+the commit before it and compare them at the commit itself:
+
+    PYTHONPATH=src python tests/test_golden.py --dump /tmp/before
+    PYTHONPATH=src python tests/test_golden.py --compare /tmp/before
+
+`--dump DIR` writes each case's files under `DIR/<case>/`. `--compare DIR`
+reruns every case and, for each file whose bytes differ from the dump,
+prints every JSON float field that moved (list indices written `[]`) with
+the number of values that moved and their largest relative change. Any
+other difference (a file missing on one side, a non-JSON file, a key, a
+length, a string or an integer that differs) is printed as FAIL, and the
+exit status is then 1.
 """
 
 import argparse
 import contextlib
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -223,10 +238,10 @@ def write_csv_inputs() -> None:
     Path("iso.yaml").write_text(CSV_CONFIG.format(csv="panel_iso.csv"))
 
 
-def output_hashes(case: str, workdir: Path) -> dict[str, str]:
-    """Run one case into a fresh directory; map each output file name to
-    the SHA-256 of its bytes. The case runs in workdir, so that the input
-    path its report echoes is the same on every run."""
+def run_case(case: str, workdir: Path) -> Path:
+    """Run one case into a fresh directory and return it. The case runs in
+    workdir, so that the input path its report echoes is the same on every
+    run."""
     config = workdir / "tune.yaml"
     config.write_text(TUNE_CONFIG)
     stages = workdir / "stages.yaml"
@@ -240,9 +255,14 @@ def output_hashes(case: str, workdir: Path) -> dict[str, str]:
         if case.startswith("run-all-csv"):
             write_csv_inputs()
         assert main([*args, "--out", str(out)]) == 0
+    return out
+
+
+def output_hashes(case: str, workdir: Path) -> dict[str, str]:
+    """Map each output file name of one case to the SHA-256 of its bytes."""
     return {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(out.iterdir())
+        for p in sorted(run_case(case, workdir).iterdir())
     }
 
 
@@ -254,6 +274,53 @@ def moved_hashes(recorded: dict[str, dict[str, str]]) -> list[tuple[str, str]]:
         for name in sorted(hashes.keys() | GOLDEN[case].keys())
         if hashes.get(name) != GOLDEN[case].get(name)
     ]
+
+
+def moved_floats(old, new, path: str = "", moved=None) -> dict[str, tuple[int, float]]:
+    """Walk two JSON documents together and map each float field that
+    moved (list indices written `[]`) to (values moved, largest relative
+    change). Raises ValueError at the first difference of any other kind."""
+    moved = {} if moved is None else moved
+    if isinstance(old, float) and isinstance(new, float):
+        if old != new and not (math.isnan(old) and math.isnan(new)):
+            count, worst = moved.get(path, (0, 0.0))
+            rel = abs(new - old) / abs(old) if old else math.inf
+            moved[path] = (count + 1, max(worst, rel))
+    elif isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        for key in old:
+            moved_floats(old[key], new[key], f"{path}.{key}" if path else key, moved)
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for a, b in zip(old, new):
+            moved_floats(a, b, f"{path}[]", moved)
+    elif type(old) is not type(new) or old != new:
+        raise ValueError(f"{path or '<root>'}: {old!r} -> {new!r}")
+    return moved
+
+
+def compare_outputs(dumped: Path, out: Path) -> list[str]:
+    """Report lines for one case: each moved float field of a file whose
+    bytes differ from the dump, or a FAIL line for any other difference."""
+    lines = []
+    for name in sorted({p.name for p in dumped.iterdir()} | {p.name for p in out.iterdir()}):
+        old, new = dumped / name, out / name
+        if not (old.exists() and new.exists()):
+            lines.append(f"FAIL {name}: missing {'in the dump' if new.exists() else 'now'}")
+            continue
+        if old.read_bytes() == new.read_bytes():
+            continue
+        if old.suffix != ".json":
+            lines.append(f"FAIL {name}: bytes differ")
+            continue
+        try:
+            moved = moved_floats(json.loads(old.read_text()), json.loads(new.read_text()))
+        except ValueError as exc:
+            lines.append(f"FAIL {name}: {exc}")
+            continue
+        lines.extend(
+            f"{name} {field}: {count} moved, max relative change {worst:.3g}"
+            for field, (count, worst) in moved.items()
+        )
+    return lines
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -274,12 +341,70 @@ def test_moved_hashes_names_only_the_moved_files():
     ]
 
 
+def test_moved_floats_names_fields_and_rejects_other_changes():
+    old = {"runs": [{"p_values": {"a": 0.5, "b": 1e-30}, "run": 0}], "edges": [{"p": 0.25}]}
+    new = {"runs": [{"p_values": {"a": 0.5, "b": 1.5e-30}, "run": 0}], "edges": [{"p": 0.3}]}
+    assert moved_floats(old, old) == {}
+    assert moved_floats(old, new) == {
+        "runs[].p_values.b": (1, pytest.approx(0.5)),
+        "edges[].p": (1, pytest.approx(0.2)),
+    }
+    for changed in (
+        {**new, "runs": [{**new["runs"][0], "run": 1}]},
+        {**new, "edges": [{"p": 1}]},
+        {**new, "edges": []},
+        {**new, "extra": 0.0},
+    ):
+        with pytest.raises(ValueError):
+            moved_floats(old, changed)
+
+
+def test_compare_outputs_lists_moved_floats_and_fails_other_files(tmp_path):
+    dumped, out = tmp_path / "dump", tmp_path / "out"
+    for d, p in ((dumped, 0.25), (out, 0.5)):
+        d.mkdir()
+        (d / "same.csv").write_text("a,b\n")
+        (d / "edges.json").write_text(json.dumps({"edges": [{"p": p}]}))
+        (d / "graph.dot").write_text(f"digraph {{ {p} }}\n")
+    (dumped / "gone.json").write_text("{}")
+    assert compare_outputs(dumped, out) == [
+        "edges.json edges[].p: 1 moved, max relative change 1",
+        "FAIL gone.json: missing now",
+        "FAIL graph.dot: bytes differ",
+    ]
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Print the output hashes of every case.")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--diff", action="store_true", help="print only the moved (case, file) pairs"
     )
+    mode.add_argument(
+        "--dump", metavar="DIR", type=Path, help="write every case's outputs under DIR/<case>/"
+    )
+    mode.add_argument(
+        "--compare",
+        metavar="DIR",
+        type=Path,
+        help="list the JSON float fields that moved against a --dump DIR",
+    )
     args = parser.parse_args()
+    if args.dump or args.compare:
+        failed = False
+        for name in CASES:
+            with tempfile.TemporaryDirectory() as tmp:
+                out = run_case(name, Path(tmp))
+                if args.dump:
+                    (args.dump / name).mkdir(parents=True, exist_ok=True)
+                    for p in out.iterdir():
+                        (args.dump / name / p.name).write_bytes(p.read_bytes())
+                    continue
+                lines = compare_outputs(args.compare / name, out)
+            failed |= any(line.startswith("FAIL") for line in lines)
+            for line in lines:
+                print(name, line)
+        sys.exit(1 if failed else 0)
     recorded = {}
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
