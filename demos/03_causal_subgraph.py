@@ -10,8 +10,9 @@ severed.
 """
 
 from rcseq.panel import label_states
+from rcseq.report import to_dot
 from rcseq.scm import ScmSpec, InterventionSpec, generate, inject
-from rcseq.subgraph import SubgraphConfig, build_subgraph, graph_diff, to_dot
+from rcseq.subgraph import SubgraphConfig, build_subgraph, graph_diff
 
 spec = ScmSpec(
     nodes=("cce_load", "prb_util", "dl_throughput"),

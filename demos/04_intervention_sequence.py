@@ -12,10 +12,10 @@ that traces the fault into the SLA breach.
 import json
 
 from rcseq.panel import label_states
-from rcseq.report import cis_to_dict
+from rcseq.report import cis_to_dict, to_dot
 from rcseq.scm import make_scenario
 from rcseq.sequence import CisConfig, assemble_cis, detect_events, order_events
-from rcseq.subgraph import SubgraphConfig, build_subgraph, to_dot
+from rcseq.subgraph import SubgraphConfig, build_subgraph
 
 scenario = make_scenario("cascade")
 panel, truth = scenario.build(seed=0)

@@ -4,7 +4,7 @@ Subcommands: synth, label, discover, subgraph, sequence, tune,
 compare-states, run-all. Exit codes: 0 success, 2 configuration error,
 3 data error, 4 analysis error.
 
-Each command loads only the stage modules it runs (`COMMAND_STAGES`):
+Each command loads only the stage modules it runs (`COMMANDS`):
 `main` imports them once the command is known, before it reads any input.
 """
 
@@ -15,11 +15,11 @@ import gc
 import importlib
 import sys
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from . import __version__
 from .config import FLAG_KEYS, PipelineConfig, load_config, read_yaml
-from .errors import AnalysisError, ConfigError, DataError, RcseqError
+from .errors import ConfigError, DataError, RcseqError
 from .panel import LabeledPanel, SlaRule, apply_sla_rule, label_states, load_csv, save_csv
 from .report import (
     OutputBundle,
@@ -55,19 +55,6 @@ STAGE_NAMES = {
     "tuner": ("consolidate", "prominent_sources", "run_grid", "tuning_rows", "variance_trend"),
 }
 
-# The stage modules each command runs; label and synth run none (scenario
-# input loads the simulator, rcseq.scm, on its own).
-COMMAND_STAGES = {
-    "synth": (),
-    "label": (),
-    "discover": ("rcd",),
-    "subgraph": ("rcd", "subgraph"),
-    "sequence": ("rcd", "subgraph", "sequence"),
-    "tune": ("rcd", "tuner"),
-    "compare-states": ("subgraph",),
-    "run-all": ("rcd", "subgraph", "sequence"),
-}
-
 _STAGE_OF = {name: stage for stage, names in STAGE_NAMES.items() for name in names}
 
 
@@ -79,7 +66,7 @@ def _load_stages(command: str) -> None:
     """Import the command's stage modules and bind the names it takes from
     them. A name that is bound already, such as a wrapper a tracer put in
     its place, is kept."""
-    for stage in COMMAND_STAGES[command]:
+    for stage in COMMANDS[command].stages:
         module = _stage_module(stage)
         for name in STAGE_NAMES[stage]:
             globals().setdefault(name, getattr(module, name))
@@ -418,15 +405,47 @@ def cmd_compare_states(cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its function, the stage modules it runs and its help
+    text."""
+
+    fn: Callable[[PipelineConfig], int]
+    stages: tuple[str, ...]
+    help: str
+
+
+# label and synth run no stage module (scenario input loads the simulator,
+# rcseq.scm, on its own)
 COMMANDS = {
-    "synth": cmd_synth,
-    "label": cmd_label,
-    "discover": cmd_discover,
-    "subgraph": cmd_subgraph,
-    "sequence": cmd_sequence,
-    "tune": cmd_tune,
-    "compare-states": cmd_compare_states,
-    "run-all": cmd_run_all,
+    "synth": Command(
+        cmd_synth, (), "generate a synthetic fault scenario (panel CSV + ground truth JSON)"
+    ),
+    "label": Command(cmd_label, (), "evaluate the SLA rule and emit the window labeling"),
+    "discover": Command(
+        cmd_discover, ("rcd",), "run root-cause discovery and emit the frequency table"
+    ),
+    "subgraph": Command(
+        cmd_subgraph,
+        ("rcd", "subgraph"),
+        "build the normal-state causal subgraph over the candidates",
+    ),
+    "sequence": Command(
+        cmd_sequence,
+        ("rcd", "subgraph", "sequence"),
+        "emit the causal intervention sequence report",
+    ),
+    "tune": Command(
+        cmd_tune, ("rcd", "tuner"), "Monte Carlo parameter sweep and consolidated g*/n*"
+    ),
+    "compare-states": Command(
+        cmd_compare_states, ("subgraph",), "diff normal-state vs abnormal-state subgraphs"
+    ),
+    "run-all": Command(
+        cmd_run_all,
+        ("rcd", "subgraph", "sequence"),
+        "full pipeline: label, discover, subgraph, sequence, reports",
+    ),
 }
 
 
@@ -451,20 +470,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rcseq {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    help_text = {
-        "synth": "generate a synthetic fault scenario (panel CSV + ground truth JSON)",
-        "label": "evaluate the SLA rule and emit the window labeling",
-        "discover": "run root-cause discovery and emit the frequency table",
-        "subgraph": "build the normal-state causal subgraph over the candidates",
-        "sequence": "emit the causal intervention sequence report",
-        "tune": "Monte Carlo parameter sweep and consolidated g*/n*",
-        "compare-states": "diff normal-state vs abnormal-state subgraphs",
-        "run-all": "full pipeline: label, discover, subgraph, sequence, reports",
-    }
     common = _common_options()
-    for name, fn in COMMANDS.items():
-        sub = subparsers.add_parser(name, help=help_text[name], parents=[common])
-        sub.set_defaults(fn=fn)
+    for name, command in COMMANDS.items():
+        sub = subparsers.add_parser(name, help=command.help, parents=[common])
+        sub.set_defaults(fn=command.fn)
     return parser
 
 
@@ -472,7 +481,7 @@ def main(argv=None) -> int:
     """Process entry point of the `rcseq` command; returns its exit code.
 
     Once the arguments name the command, `main` imports the stage modules
-    it runs (`COMMAND_STAGES`; `label`, `synth`, `--help` and `--version`
+    it runs (`COMMANDS`; `label`, `synth`, `--help` and `--version`
     import none) and then calls `gc.freeze()`, before it reads the config
     or any input. Every object alive then (the interpreter's, numpy's,
     PyYAML's and rcseq's modules, classes and functions, the command's
@@ -499,7 +508,7 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"rcseq: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (AnalysisError, RcseqError) as exc:
+    except RcseqError as exc:
         print(f"rcseq: analysis error: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
 

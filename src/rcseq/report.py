@@ -124,10 +124,34 @@ def write_cis(bundle: OutputBundle, report: CisReport) -> None:
     write_json(bundle.path("cis.json"), cis_to_dict(report))
 
 
-def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
-    # the caller built the subgraph, so its module is loaded by now
-    from .subgraph import to_dot
+def to_dot(
+    graph: CausalSubgraph,
+    flagged_nodes=(),
+    flagged_edges=(),
+) -> str:
+    """Deterministic DOT rendering; nodes and edges in lexicographic order.
 
+    Flagged nodes carry intervention=true, flagged edges sequence=true
+    (flagged_edges holds (source, target, lag) triples).
+    """
+    flagged_nodes = set(flagged_nodes)
+    flagged_edges = set(flagged_edges)
+    lines = ["digraph causal_subgraph {", "  rankdir=LR;"]
+    for node in sorted(graph.nodes):
+        attrs = [f'label="{node}"']
+        if node in flagged_nodes:
+            attrs.append("intervention=true")
+        lines.append(f'  "{node}" [{", ".join(attrs)}];')
+    for edge in sorted(graph.edges, key=lambda e: e.key):
+        attrs = [f'label="lag={edge.lag}, r={edge.r:.3f}"', f"lag={edge.lag}"]
+        if edge.key in flagged_edges:
+            attrs.append("sequence=true")
+        lines.append(f'  "{edge.source}" -> "{edge.target}" [{", ".join(attrs)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
     write_text(
         bundle.path("subgraph.dot"),
         to_dot(
@@ -139,8 +163,6 @@ def write_cis_dot(bundle: OutputBundle, report: CisReport) -> None:
 
 
 def write_subgraph_dot(bundle: OutputBundle, graph: CausalSubgraph, name: str) -> None:
-    from .subgraph import to_dot
-
     write_text(bundle.path(name), to_dot(graph))
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "mci_edge_test",
     "build_subgraph",
     "graph_diff",
-    "to_dot",
 ]
 
 
@@ -154,16 +153,15 @@ def select_lagged_parents(
         raise AnalysisError(
             f"window too short for parent selection: need more than {minimum} ticks, got {t}"
         )
-    parents, capped = _select_all_parents(panel, nodes, (target,), cfg)
-    _warn_capped(capped)
-    return parents[target]
+    return _select_all_parents(panel, nodes, (target,), cfg)[target]
 
 
 def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
     """The parent screen of :func:`select_lagged_parents` for every target,
     with the (X, tau) candidates of every node. Returns the parents as a
-    dict, and a dict of the targets that stopped at the sweep cap with the
-    set still changing, each with its number of candidates left.
+    dict. Each target that stops at the sweep cap with its set still
+    changing emits one RuntimeWarning, attributed to the caller of the
+    public function that called this.
 
     One lagged design serves every target, and one `stats.marginal_ci`
     call answers every target's level 0. The targets' screens then advance
@@ -171,10 +169,8 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
     sweeping whose top of that level is new joins the round, and one
     `stats.stacked_gram_ci` call answers the round (:func:`_screen_round`).
     Each target keeps its own survivors, strengths, screened tops and
-    stopping rule, so no target's parents depend on the others. The
-    callers emit the sweep-cap warnings, so that they point at their own
-    callers. The design is released on return, before the MCI stacks are
-    gathered.
+    stopping rule, so no target's parents depend on the others. The design
+    is released on return, before the MCI stacks are gathered.
     """
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
     ys = [panel.column(name)[cfg.tau_max:] for name in targets]
@@ -230,9 +226,14 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
         sweeping = sweeping[(alive[sweeping] != before[sweeping]).any(axis=1)]
         if not sweeping.size:
             break
-    parents = {name: tuple(keys[c] for c in ranked(i).tolist()) for i, name in enumerate(targets)}
-    capped = {targets[i]: int(np.count_nonzero(alive[i])) for i in sweeping.tolist()}
-    return parents, capped
+    for i in sweeping.tolist():
+        warnings.warn(
+            f"parent selection for {targets[i]!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
+            f" with {np.count_nonzero(alive[i])} candidates left and the set still changing",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return {name: tuple(keys[c] for c in ranked(i).tolist()) for i, name in enumerate(targets)}
 
 
 def _screen_round(design, ys, members, tops, outsides):
@@ -283,19 +284,6 @@ def _screen_round(design, ys, members, tops, outsides):
     for (i, given), tests in groups.items():
         r[tests], p[tests] = batch_ci(design[:, xs[tests]], ys[i], given=list(design[:, given].T))
     return rows, xs, r, p
-
-
-def _warn_capped(capped):
-    """One RuntimeWarning per target whose screen stopped at the sweep cap
-    with its set still changing, attributed to the caller of the public
-    function that calls this."""
-    for target, left in capped.items():
-        warnings.warn(
-            f"parent selection for {target!r} stopped at the {MAX_PARENT_SWEEPS}-sweep cap"
-            f" with {left} candidates left and the set still changing",
-            RuntimeWarning,
-            stacklevel=3,
-        )
 
 
 def mci_edge_test(
@@ -425,8 +413,7 @@ def build_subgraph(
             f"window too short for the lagged subgraph: need more than {minimum} ticks"
             f" (2 * tau_max + 2 * max_cond + 3), got {t}"
         )
-    parents, capped = _select_all_parents(normal_panel, nodes, nodes, cfg)
-    _warn_capped(capped)
+    parents = _select_all_parents(normal_panel, nodes, nodes, cfg)
     # every surviving cross-KPI link, self-dependencies being conditioning
     # context only
     tests = [
@@ -457,30 +444,3 @@ def graph_diff(g_normal: CausalSubgraph, g_abnormal: CausalSubgraph) -> GraphDif
         removed=tuple(sorted(normal - abnormal)),
         common=tuple(sorted(normal & abnormal)),
     )
-
-
-def to_dot(
-    graph: CausalSubgraph,
-    flagged_nodes=(),
-    flagged_edges=(),
-) -> str:
-    """Deterministic DOT rendering; nodes and edges in lexicographic order.
-
-    Flagged nodes carry intervention=true, flagged edges sequence=true
-    (flagged_edges holds (source, target, lag) triples).
-    """
-    flagged_nodes = set(flagged_nodes)
-    flagged_edges = set(flagged_edges)
-    lines = ["digraph causal_subgraph {", "  rankdir=LR;"]
-    for node in sorted(graph.nodes):
-        attrs = [f'label="{node}"']
-        if node in flagged_nodes:
-            attrs.append("intervention=true")
-        lines.append(f'  "{node}" [{", ".join(attrs)}];')
-    for edge in sorted(graph.edges, key=lambda e: e.key):
-        attrs = [f'label="lag={edge.lag}, r={edge.r:.3f}"', f"lag={edge.lag}"]
-        if edge.key in flagged_edges:
-            attrs.append("sequence=true")
-        lines.append(f'  "{edge.source}" -> "{edge.target}" [{", ".join(attrs)}];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -335,7 +335,7 @@ def test_subgraph_matches_scalar_reference_at_incident_size(monkeypatch):
 
         def recorded(*args):
             result = select(*args)
-            screens.append(result[0])
+            screens.append(result)
             return result
 
         monkeypatch.setattr(subgraph, "_select_all_parents", recorded)

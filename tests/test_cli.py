@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
@@ -447,7 +448,9 @@ class TestConfigPaths:
     )
     def test_flag_equals_yaml_key(self, tmp_path, monkeypatch, flags, base, same):
         seen = []
-        monkeypatch.setitem(COMMANDS, "label", lambda cfg: seen.append(cfg) or 0)
+        monkeypatch.setitem(
+            COMMANDS, "label", replace(COMMANDS["label"], fn=lambda cfg: seen.append(cfg) or 0)
+        )
         (tmp_path / "base.yaml").write_text(base + "\n")
         (tmp_path / "same.yaml").write_text(same + "\n")
         assert run("label", "--config", tmp_path / "base.yaml", *flags) == 0

@@ -10,6 +10,7 @@ from rcseq import stats, subgraph
 from rcseq.cli import main
 from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
+from rcseq.report import to_dot
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
 from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, stacked_gram_ci
 from rcseq.subgraph import (
@@ -21,7 +22,6 @@ from rcseq.subgraph import (
     graph_diff,
     mci_edge_test,
     select_lagged_parents,
-    to_dot,
 )
 from test_stats import assert_within_gram_bound, batch_case, bits, centered_gram, reference_ci_test
 
@@ -94,7 +94,7 @@ def record_mci(monkeypatch):
 def mci_tests(panel, cfg):
     """build_subgraph's MCI tests over every KPI of the panel."""
     nodes = panel.kpi_names
-    parents, _ = subgraph._select_all_parents(panel, nodes, nodes, cfg)
+    parents = subgraph._select_all_parents(panel, nodes, nodes, cfg)
     return [
         (source, lag, target,
          subgraph._mci_conditioners((source, lag), parents[target], parents[source], cfg))
@@ -307,7 +307,7 @@ class TestSelectLaggedParents:
 
         def recorded(*args):
             result = select(*args)
-            screens.append(result[0])
+            screens.append(result)
             return result
 
         select = subgraph._select_all_parents
