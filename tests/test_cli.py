@@ -294,6 +294,21 @@ class TestStageCommands:
         header = (tmp_path / "deviation_traces.csv").read_text().splitlines()[0]
         assert header.startswith("tick,")
 
+    def test_sequence_without_breach(self, tmp_path):
+        # the SLA never breaches: only an empty cis.json, and no traces
+        assert run("sequence", "--scenario", "null", "--seed", 1, "--out", tmp_path) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["cis.json"]
+        cis = json.loads((tmp_path / "cis.json").read_text())
+        jsonschema.validate(cis, CIS_SCHEMA)
+        assert cis == {
+            "steps": [],
+            "nodes": [],
+            "edges": [],
+            "config": {
+                "cis_alpha": 0.1, "window": 16, "stride": 4, "correction": "bh_fdr", "z_thr": 3.0,
+            },
+        }
+
 
 # config values of the wrong type, and the key each error must name
 MISTYPED = [
