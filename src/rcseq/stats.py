@@ -12,10 +12,8 @@ test, a stack of blocks per call (:func:`gram_ci` is its one-block call);
 the callers answer the blocks it declines from the rows with
 :func:`batch_ci`. The lagged subgraph has one more kernel shaped to its
 work: :func:`marginal_ci` tests one design's columns against every target.
-All of them take r and p from one degeneracy rule and one Fisher-z tail, a
-port of the Cephes `ndtr` that `scipy.special` wraps (scipy's p-values to
-the bit, without scipy). Its fits are written once, shared by the scalar
-tail and the vectorised one large calls run.
+All of them take r and p from one degeneracy rule and one Fisher-z tail,
+the C library's `erfc` through `math.erfc`, one call per test.
 
 All functions here are pure and reentrant.
 """
@@ -129,101 +127,8 @@ class CiTestResult:
 
 
 _SQRT1_2 = 0.70710678118654752440
-# From this many values on, _fisher_z takes the tail from _normal_tail:
-# the same bits, with a fixed cost of about 30 scalar calls.
-_VECTOR_TAIL_MIN = 150
 # Tests per Fisher-z call in marginal_ci.
 _MARGINAL_BLOCK = 2048
-_MAXLOG = 7.09782712893383996843e2  # log of the largest double
-
-
-def _erf_fit(x):
-    """Cephes erf's rational fit in x^2 for |x| < 1 (x a float or array)."""
-    s = x * x
-    return x * (
-        (((9.60497373987051638749e0 * s + 9.00260197203842689217e1) * s
-          + 2.23200534594684319226e3) * s + 7.00332514112805075473e3) * s
-        + 5.55923013010394962768e4
-    ) / (
-        ((((s + 3.35617141647503099647e1) * s + 5.21357949780152679795e2) * s
-          + 4.59432382970980127987e3) * s + 2.26290000613890934246e4) * s
-        + 4.92673942608635921086e4
-    )
-
-
-def _erfc_fit_mid(x):
-    """Cephes erfc's fit (p, q) for 1 <= x < 8: erfc(x) = exp(-x^2) p / q."""
-    p = ((((((((2.46196981473530512524e-10 * x + 5.64189564831068821977e-1) * x
-               + 7.46321056442269912687e0) * x + 4.86371970985681366614e1) * x
-             + 1.96520832956077098242e2) * x + 5.26445194995477358631e2) * x
-           + 9.34528527171957607540e2) * x + 1.02755188689515710272e3) * x
-         + 5.57535335369399327526e2)
-    q = (((((((x + 1.32281951154744992508e1) * x + 8.67072140885989742329e1) * x
-             + 3.54937778887819891062e2) * x + 9.75708501743205489753e2) * x
-           + 1.82390916687909736289e3) * x + 2.24633760818710981792e3) * x
-         + 1.65666309194161350182e3) * x + 5.57535340817727675546e2
-    return p, q
-
-
-def _erfc_fit_far(x):
-    """Cephes erfc's rational fit (p, q) for x >= 8, as :func:`_erfc_fit_mid`."""
-    p = ((((5.64189583547755073984e-1 * x + 1.27536670759978104416e0) * x
-           + 5.01905042251180477414e0) * x + 6.16021097993053585195e0) * x
-         + 7.40974269950448939160e0) * x + 2.97886665372100240670e0
-    q = (((((x + 2.26052863220117276590e0) * x + 9.39603524938001434673e0) * x
-           + 1.20489539808096656605e1) * x + 1.70814450747565897222e1) * x
-         + 9.60896809063285878198e0) * x + 3.36907645100081516050e0
-    return p, q
-
-
-def _normal_two_sided(z: float) -> float:
-    """Two-sided standard-normal tail 2 * ndtr(-|z|), bit for bit as the
-    Cephes `ndtr`/`erf`/`erfc` compute it (scipy.special.ndtr wraps them).
-
-    With x = |z| / sqrt(2): erf's fit below x = 1, then erfc's two fits,
-    split at x = 8, and 0 once exp(-x^2) would underflow. The fits, in
-    Cephes' Horner order, are shared with :func:`_normal_tail`. The
-    exponential is `math.exp`, the C library's, as in Cephes; `np.exp` and
-    `math.erfc` differ from it in the last bits.
-    """
-    if z != z:
-        return math.nan
-    x = abs(z) * _SQRT1_2
-    if x < 1.0:
-        erf = _erf_fit(x)
-        if x < _SQRT1_2:
-            return 2.0 * (0.5 + 0.5 * -erf)
-        return 2.0 * (0.5 * (1.0 - erf))
-    if -x * x < -_MAXLOG:
-        return 0.0
-    p, q = _erfc_fit_mid(x) if x < 8.0 else _erfc_fit_far(x)
-    return 2.0 * (0.5 * (math.exp(-x * x) * p / q))
-
-
-def _normal_tail(z: np.ndarray) -> np.ndarray:
-    """:func:`_normal_two_sided` over a float array, bit for bit.
-
-    Each branch runs the same fits on its entries as numpy elementwise
-    operations, which round as Python's do, and `math.exp` once per entry
-    of the x >= 1 branches. A NaN z gives NaN.
-    """
-    x = np.abs(z) * _SQRT1_2
-    out = np.full(x.shape, np.nan)
-    small = x < 1.0
-    if small.any():
-        xs = x[small]
-        erf = _erf_fit(xs)
-        out[small] = np.where(xs < _SQRT1_2, 2.0 * (0.5 + 0.5 * -erf), 2.0 * (0.5 * (1.0 - erf)))
-    # x < 8 cannot underflow exp(-x^2); past _MAXLOG the tail is 0
-    underflow = -x * x < -_MAXLOG
-    out[underflow] = 0.0
-    for at, fit in (((x >= 1.0) & (x < 8.0), _erfc_fit_mid), ((x >= 8.0) & ~underflow, _erfc_fit_far)):
-        if at.any():
-            xa = x[at]
-            p, q = fit(xa)
-            e = np.array([math.exp(v) for v in (-xa * xa).tolist()])
-            out[at] = 2.0 * (0.5 * (e * p / q))
-    return out
 
 
 def ci_test(x, y, given=()) -> CiTestResult:
@@ -432,10 +337,10 @@ def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(dof)
     if np.count_nonzero(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    if zval.size >= _VECTOR_TAIL_MIN:
-        p = _normal_tail(zval)
-    else:
-        p = np.array([_normal_two_sided(z) for z in zval.ravel().tolist()]).reshape(zval.shape)
+    # the two-sided normal tail 2 * Phi(-|z|) = erfc(|z| / sqrt(2)), from
+    # the C library; NaN gives NaN and an infinite z gives 0
+    x = np.abs(zval) * _SQRT1_2
+    p = np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
     p = np.where(ok, p, 1.0)
     return r, p
 

@@ -4,13 +4,14 @@ import math
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import kolmogorov, ndtr  # scipy is a test-only oracle
+import mpmath  # a test-only oracle, as scipy is
+from scipy.special import kolmogorov  # scipy is a test-only oracle
 
 from rcseq import stats
 from rcseq.stats import (
     _DEGENERATE_TOL,
+    _SQRT1_2,
     CiTestResult,
-    _normal_two_sided,
     batch_ci,
     bh_adjust,
     binomial_sd,
@@ -153,95 +154,67 @@ class TestKsTwoSample:
             assert ours.p_raw == pytest.approx(float(kolmogorov(lam)), abs=1e-10)
 
 
-_MAXLOG = 7.09782712893383996843e2
-
-# Cephes switches form at |z| = 1, sqrt(2) and 8 sqrt(2), and returns 0 past
-# sqrt(2 MAXLOG); each edge is tested with its neighbouring doubles
-CEPHES_EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * _MAXLOG))
+def normal_two_sided(z: float) -> float:
+    """The two-sided normal tail of one z, as `stats._fisher_z` takes it."""
+    return math.erfc(abs(z) * _SQRT1_2)
 
 
-def edge_points(edge, ulps=40):
-    below, above = [edge], [edge]
-    for _ in range(ulps):
-        below.append(math.nextafter(below[-1], 0.0))
-        above.append(math.nextafter(above[-1], math.inf))
-    return below + above
+def fisher_z_of(r, dof):
+    """The z that `stats._fisher_z` tests for correlations r, |r| < 1."""
+    return np.arctanh(r) * math.sqrt(dof)
 
 
 class TestNormalTail:
-    def test_matches_scipy_ndtr_bitwise(self):
+    def test_matches_mpmath_oracle(self):
+        # relative error of p within 3 times what rounding x = |z| / sqrt(2)
+        # alone causes, (2 x^2 + 1) u, against erfc at 50 digits, for z in
+        # [0, 37.5], where the true p is a normal double (>= DBL_MIN)
         rng = np.random.default_rng(2024)
-        z = np.concatenate(
-            [
-                rng.uniform(-40.0, 40.0, 40_000),
-                rng.normal(size=30_000),
-                rng.standard_cauchy(20_000),
-                rng.uniform(-12.0, 12.0, 20_000),
-                *(np.array(edge_points(edge)) for edge in CEPHES_EDGES),
-                -np.array(edge_points(1.0)),
-                [0.0, -0.0, np.inf, -np.inf, np.nan],
-            ]
-        )
-        assert z.size >= 100_000
-        ours = np.array([_normal_two_sided(v) for v in z.tolist()])
-        ref = 2.0 * ndtr(-np.abs(z))
-        finite = ~np.isnan(ref)
-        assert np.array_equal(ours[finite].view(np.int64), ref[finite].view(np.int64))
-        assert np.isnan(ours[~finite]).all()
+        dof = 10_000
+        z = np.concatenate([np.linspace(0.0, 37.5, 2001), rng.uniform(0.0, 37.5, 2000)])
+        r = np.tanh(z / math.sqrt(dof))
+        r[1::2] *= -1.0
+        got_r, p = stats._fisher_z(r, np.ones(r.size), 1.0, 1.0, 1.0, dof)
+        assert np.array_equal(got_r, r)
+        zs = fisher_z_of(r, dof)
+        assert np.abs(zs).max() <= 37.5 and np.count_nonzero(np.abs(zs) > 37.0) > 10
+        with mpmath.workdps(50):
+            for zv, pv in zip(zs.tolist(), p.tolist()):
+                x = abs(zv) / math.sqrt(2.0)
+                want = mpmath.erfc(abs(mpmath.mpf(zv)) / mpmath.sqrt(2))
+                rel = abs((mpmath.mpf(pv) - want) / want)
+                assert rel <= 3.0 * (2.0 * x * x + 1.0) * 2.0**-53, (zv, pv)
+        # r = +-0 gives z = +-0 and p = 1, r = +-1 gives z = +-inf and p = 0,
+        # and NaN gives NaN
+        _, p = stats._fisher_z(np.array([0.0, -0.0, 1.0, -1.0, np.nan]), np.ones(5), 1.0, 1.0, 1.0, dof)
+        assert p[:4].tolist() == [1.0, 1.0, 0.0, 0.0] and np.isnan(p[4])
 
-    def test_vector_tail_matches_scalar_bitwise(self):
-        rng = np.random.default_rng(2026)
-        subnormal = np.array([5e-324, 1e-310, 2.2250738585072009e-308, np.finfo(float).tiny])
-        z = np.concatenate(
-            [
-                rng.uniform(-40.0, 40.0, 400_000),
-                rng.normal(size=300_000),
-                rng.standard_cauchy(150_000),
-                rng.uniform(-12.0, 12.0, 150_000),
-                *(np.array(edge_points(edge)) for edge in CEPHES_EDGES),
-                *(-np.array(edge_points(edge)) for edge in CEPHES_EDGES),
-                subnormal,
-                -subnormal,
-                [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan],
-            ]
-        )
-        assert z.size >= 1_000_000
-        want = np.array([_normal_two_sided(v) for v in z.tolist()])
-        got = stats._normal_tail(z)
-        nan = np.isnan(z)
-        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
-        assert np.isnan(got[nan]).all() and np.isnan(want[nan]).all()
-        # every branch is taken, and the tail keeps the input's shape
-        x = np.abs(z) / math.sqrt(2.0)
-        for branch in (x < math.sqrt(0.5), x < 1.0, x < 8.0, x >= 8.0, want == 0.0):
-            assert branch.any()
-        assert stats._normal_tail(z[:12].reshape(3, 4)).shape == (3, 4)
-
-    def test_fisher_z_same_bits_either_side_of_dispatch(self, monkeypatch):
+    def test_fisher_z_same_bits_either_side_of_dispatch(self):
+        # a test's p does not depend on the size of the call, at the sizes
+        # either side of where an earlier tail switched implementations too
         rng = np.random.default_rng(77)
-        for size in (1, stats._VECTOR_TAIL_MIN - 1, stats._VECTOR_TAIL_MIN, 2000):
+        for size in (1, 149, 150, 2000):
             cov = rng.normal(size=size) * rng.choice([0.01, 0.3, 3.0], size)
             sx = np.ones(size)
             sx[::7] = 0.0  # degenerate: r = 0, p = 1
             cov[3::11] = 1.0  # saturated: |r| = 1, p = 0
-            args = (cov, sx, 1.0, np.ones(size), 1.0, 40)
-            monkeypatch.setattr(stats, "_VECTOR_TAIL_MIN", 0)
-            vector = stats._fisher_z(*args)
-            monkeypatch.setattr(stats, "_VECTOR_TAIL_MIN", size + 1)
-            scalar = stats._fisher_z(*args)
-            monkeypatch.undo()
-            default = stats._fisher_z(*args)
-            for got in (vector, default):
-                for a, b in zip(got, scalar, strict=True):
-                    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            ones = np.ones(size)
+            r, p = stats._fisher_z(cov, sx, 1.0, ones, 1.0, 40)
+            assert (p[::7] == 1.0).all() and (p[3::11][sx[3::11] > 0.0] == 0.0).all()
+            for i in range(size):
+                alone = stats._fisher_z(cov[i : i + 1], sx[i : i + 1], 1.0, ones[i : i + 1], 1.0, 40)
+                assert bits(r[i], p[i]) == bits(alone[0][0], alone[1][0]), (size, i)
+        # and the tail keeps the shape of a stack of tests
+        r2, p2 = stats._fisher_z(cov.reshape(40, 50), sx.reshape(40, 50), 1.0, 1.0, 1.0, 40)
+        assert bits(*r2.ravel(), *p2.ravel()) == bits(*r, *p)
 
-    def test_batch_fisher_z_p_matches_scipy_bitwise(self):
+    def test_batch_fisher_z_p_is_the_tail_of_its_z(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=(120, 40))
         y = rng.normal(size=120) + x @ rng.uniform(-0.3, 0.3, 40)
         r, p = batch_ci(x, y)
-        z = np.arctanh(r) * math.sqrt(120 - 3)
-        assert np.array_equal(p, 2.0 * ndtr(-np.abs(z)))
+        want = [normal_two_sided(z) for z in fisher_z_of(r, 120 - 3).tolist()]
+        assert bits(*p) == bits(*want)
 
 
 class TestPartialCorrelation:
@@ -327,7 +300,7 @@ def reference_fisher_z_test(r: float, n: int, n_cond: int) -> CiTestResult:
         zval = math.inf if r > 0 else -math.inf
     else:
         zval = math.atanh(r) * math.sqrt(n - n_cond - 3)
-    return CiTestResult(r=float(r), p=_normal_two_sided(zval))
+    return CiTestResult(r=float(r), p=normal_two_sided(zval))
 
 
 def reference_ci_test(x, y, given=()) -> CiTestResult:
@@ -374,7 +347,7 @@ def reference_batch_marginal_ci(x_matrix, y):
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - 3)
     if np.any(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    p = np.array([_normal_two_sided(z) for z in zval.tolist()])
+    p = np.array([normal_two_sided(z) for z in zval.tolist()])
     p = np.where(ok, p, 1.0)
     return r, p
 

@@ -12,7 +12,7 @@ from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.report import to_dot
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import _normal_two_sided, batch_ci, ci_test, marginal_ci, stacked_gram_ci
+from rcseq.stats import batch_ci, ci_test, marginal_ci, stacked_gram_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -23,7 +23,14 @@ from rcseq.subgraph import (
     mci_edge_test,
     select_lagged_parents,
 )
-from test_stats import assert_within_gram_bound, batch_case, bits, centered_gram, reference_ci_test
+from test_stats import (
+    assert_within_gram_bound,
+    batch_case,
+    bits,
+    centered_gram,
+    normal_two_sided,
+    reference_ci_test,
+)
 
 
 def chain_panel(seed, t=1000, lag1=2, lag2=2, w=0.9):
@@ -570,8 +577,8 @@ class TestMciEdgeTest:
         assert edge.p == pytest.approx(want.p, rel=1e-12, abs=0.0)
         # Fisher's z has n - |set S| - 3 degrees of freedom
         z = math.atanh(edge.r)
-        assert edge.p == pytest.approx(_normal_two_sided(z * math.sqrt(n - 1 - 3)), rel=1e-12, abs=0.0)
-        assert edge.p != pytest.approx(_normal_two_sided(z * math.sqrt(n - 2 - 3)), rel=1e-6, abs=0.0)
+        assert edge.p == pytest.approx(normal_two_sided(z * math.sqrt(n - 1 - 3)), rel=1e-12, abs=0.0)
+        assert edge.p != pytest.approx(normal_two_sided(z * math.sqrt(n - 2 - 3)), rel=1e-6, abs=0.0)
 
     def test_insufficient_overlap(self):
         panel = noise_panel(0, t=400)
