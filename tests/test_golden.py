@@ -107,13 +107,13 @@ GOLDEN = {
         "frequency.csv":
             "0b04ef9c46b7514612e847508134caf331b52e997325182cb72aa0507df049dc",
         "rcd_runs.json":
-            "a05eb865c7c0e90fcb19dc1d48132890c72b710bc121f452bbbd5b5b5f774b53",
+            "848161db4ecae3deb4493fba7d8fa56f751d3e168b248c5f4bfd391bea7deac4",
     },
     "subgraph": {
         "subgraph.dot":
             "32cf5af549e4d047f15ebd4bb99acf38bac37391687a349ee00ce0eaa4b93748",
         "subgraph.json":
-            "a8e37084886574a927c156c8099db74e9a837f8d1920c0ca4fb7b49fcb25d9f9",
+            "a9a54246a28cb1a867457dad84b1477707c3759641becc42a0bca5bb30ca8b6e",
     },
     "sequence": {
         "cis.json":
@@ -129,7 +129,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "9eb94df7ed1691a6691b7632d986fb8ca14d91cadf5d1ae2a0b97c341ec35142",
+            "1b02c09079f84a843c6a79aef114b324903d082daf09f5fabe438d4c0b98f7e9",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -141,7 +141,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "9eb94df7ed1691a6691b7632d986fb8ca14d91cadf5d1ae2a0b97c341ec35142",
+            "1b02c09079f84a843c6a79aef114b324903d082daf09f5fabe438d4c0b98f7e9",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -167,7 +167,7 @@ GOLDEN = {
         "histograms.csv":
             "43d8c6362a62ba888ad665227a2d3397b047c96b670a239a1edb0077702f76c5",
         "run_metadata.json":
-            "3be94dcdc7ebe801e99ad4cf6cbd5ac5eeeda1ddc1e411f6a7c3cd7bfefaf034",
+            "1770a9e5fc2c85d5d9649d9d1154f3fb2917b828b020e0e178bd37470811368b",
         "subgraph.dot":
             "d96a4d72ce30fafa58db4c8377d7024a16dde08927101f8f9f892b720d7781f0",
     },
@@ -199,7 +199,7 @@ GOLDEN = {
         "histograms.csv":
             "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
         "run_metadata.json":
-            "c5da07ad4675e00b13efd1cfdcd6e7870819e496bba1867b64a9870fc2fcffc5",
+            "3b38d6e74be2e720143f9dc8b27919212f2b851d2d93c03df6378097bec7ba50",
         "subgraph.dot":
             "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
     },
@@ -211,7 +211,7 @@ GOLDEN = {
         "histograms.csv":
             "a3f96ffcee90725f628c6d26c3681167d0e13a7460d240b3758a7fa033f61dd9",
         "run_metadata.json":
-            "def8fbb039604becd2f3352a0d6dbf505825b112aeddf76825b102d536c8f1fd",
+            "a2e43cba870849245497bfac6f98e68d131d1572c9e227d0edb65690cccc90bc",
         "subgraph.dot":
             "610c543a860ea49aeb6aeba0c478c8c29a18483b17373bbcb59122eb8feebf01",
     },
