@@ -70,10 +70,31 @@ label: {{normal_len: 120, abnormal_len: 120, lead_ticks: 20}}
 seed: 11
 """
 
+# Discovery on autocorrelated input: root -> mid -> sla at lag 2 beside 12
+# AR(1) noise KPIs (phi 0.9), which stay dependent on F at levels 1-3, so
+# the conditional tests run into the hundreds (860 at seed 0).
+AUTOCORRELATED_SCENARIO = """
+name: autocorrelated
+nodes: [root, mid, sla, n01, n02, n03, n04, n05, n06, n07, n08, n09, n10, n11, n12]
+edges: [[root, mid, 2, 0.8], [mid, sla, 2, 0.8],
+  [n01, n01, 1, 0.9], [n02, n02, 1, 0.9], [n03, n03, 1, 0.9], [n04, n04, 1, 0.9],
+  [n05, n05, 1, 0.9], [n06, n06, 1, 0.9], [n07, n07, 1, 0.9], [n08, n08, 1, 0.9],
+  [n09, n09, 1, 0.9], [n10, n10, 1, 0.9], [n11, n11, 1, 0.9], [n12, n12, 1, 0.9]]
+sla: {metric: sla, comparator: ">", threshold: 3.0, min_duration_ticks: 4}
+interventions: [{target: root, kind: soft, onset: 200, shift: 4.0}]
+horizon: 400
+normal_len: 120
+abnormal_len: 120
+lead_ticks: 16
+"""
+
 CASES = {
     "synth": ("synth", "--scenario", "cascade", "--seed", "3"),
     "label": ("label", "--scenario", "cascade", "--seed", "3"),
     "discover": ("discover", "--scenario", "cascade", "--seed", "3"),
+    "discover-autocorrelated": (
+        "discover", "--scenario-file", "autocorrelated.yaml", "--seed", "0"
+    ),
     "subgraph": ("subgraph", "--scenario", "cascade", "--seed", "3"),
     "sequence": ("sequence", "--scenario", "cascade", "--seed", "3"),
     "run-all-jobs1": ("run-all", "--scenario", "cascade", "--seed", "11", "--jobs", "1"),
@@ -108,6 +129,12 @@ GOLDEN = {
             "0b04ef9c46b7514612e847508134caf331b52e997325182cb72aa0507df049dc",
         "rcd_runs.json":
             "848161db4ecae3deb4493fba7d8fa56f751d3e168b248c5f4bfd391bea7deac4",
+    },
+    "discover-autocorrelated": {
+        "frequency.csv":
+            "042f2a623c0d5cb4ad2cfe3106e0d8f2a238c3d07bdb356e3c7704ae47e57dde",
+        "rcd_runs.json":
+            "7eff0aae062c0a03d864509478cc188596b922866eb709607a38b18f9b0d832e",
     },
     "subgraph": {
         "subgraph.dot":
@@ -246,6 +273,7 @@ def run_case(case: str, workdir: Path) -> Path:
     config.write_text(TUNE_CONFIG)
     stages = workdir / "stages.yaml"
     stages.write_text(STAGE_CONFIG)
+    (workdir / "autocorrelated.yaml").write_text(AUTOCORRELATED_SCENARIO)
     out = workdir / "out"
     args = [
         a.format(config=config, stages=stages, csv_config="csv.yaml", iso_config="iso.yaml")
