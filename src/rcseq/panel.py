@@ -108,15 +108,6 @@ class KpiPanel:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.index_of(name)]
 
-    def restrict(self, names) -> "KpiPanel":
-        """Sub-panel with the given KPI columns, in the given order."""
-        idx = [self.index_of(n) for n in names]
-        return KpiPanel(
-            ticks=self.ticks,
-            kpi_names=tuple(names),
-            values=self.values[:, idx],
-        )
-
 
 _COMPARATOR_ALIASES = {"≤": "<=", "≥": ">="}
 

@@ -287,13 +287,6 @@ class TestPanelInvariants:
         assert panel.ticks.dtype == np.int64
         assert panel.ticks.tolist() == [-(2**63), 3]
 
-    def test_restrict_preserves_order(self):
-        panel = make_panel([[1.0, 2.0, 3.0]], names=("a", "b", "c"))
-        sub = panel.restrict(["c", "a"])
-        assert sub.kpi_names == ("c", "a")
-        assert np.array_equal(sub.values, [[3.0, 1.0]])
-
-
     def test_index_of(self):
         panel = make_panel([[1.0, 2.0, 3.0]], names=("a", "b", "c"))
         assert [panel.index_of(n) for n in ("c", "a", "b")] == [2, 0, 1]

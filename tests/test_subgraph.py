@@ -582,9 +582,10 @@ class TestMciEdgeTest:
 
     def test_insufficient_overlap(self):
         panel = noise_panel(0, t=400)
-        short = panel.restrict(["w0", "w1"])
-        tiny = type(panel)(
-            ticks=short.ticks[:6], kpi_names=short.kpi_names, values=short.values[:6]
+        tiny = KpiPanel(
+            ticks=panel.ticks[:6],
+            kpi_names=("w0", "w1"),
+            values=np.column_stack([panel.column("w0"), panel.column("w1")])[:6],
         )
         with pytest.raises(AnalysisError, match="insufficient overlap"):
             mci_edge_test(tiny, ("w0", 3), "w1", (), (), SubgraphConfig(alpha=0.05))
