@@ -21,12 +21,14 @@ the pooled sample, each KPI's marginal p against F from one batch over all
 pooled columns, the Gram matrix of the centered pooled KPI columns and F,
 and a memo of the conditional tests, each computed once. A chunk's level 0
 reads the marginal p's straight from that batch, so only levels >= 1
-enumerate conditioning sets. Each of their tests inverts one small block
-of the Gram, whatever the number of pooled rows; a nearly collinear block
-(a derived KPI next to its inputs) falls back to a least-squares solve on
-the rows. The runs of one `rcd_runs` call share an oracle, and a caller
-that reruns discovery on the same panel, such as the Monte Carlo tuner,
-may pass one oracle to every call.
+enumerate conditioning sets. Each (chunk, level) asks all of its tests at
+once, and the memo's misses go to one `stats.stacked_gram_ci` call, which
+inverts one small block of the Gram per test, whatever the number of
+pooled rows; a nearly collinear block (a derived KPI next to its inputs)
+falls back to a least-squares solve on the rows. The runs of one
+`rcd_runs` call share an oracle, and a caller that reruns discovery on the
+same panel, such as the Monte Carlo tuner, may pass one oracle to every
+call.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
 # the marginal screen's binding; bench/tracer.py hooks it under this name
 from .stats import batch_ci as batch_marginal_ci
-from .stats import ci_test, gram_ci
+from .stats import ci_test, stacked_gram_ci
 
 __all__ = [
     "RcdConfig",
@@ -295,11 +297,12 @@ class CiOracle:
     each name to its panel position. `gram` holds the cross products of the
     centered pooled columns, the KPIs in panel order and F last. A
     conditional p depends in its last bits on the order of S, so S is kept
-    in the caller's order; a miss calls the module's `gram_ci` binding on
-    the Gram, and the module's `ci_test` binding, the least-squares kernel's
-    one-column call on the rows, where `gram_ci` declines a nearly collinear
-    block. A pooled sample of n <= 3 rows, too few for any CI test, raises
-    AnalysisError.
+    in the caller's order. `p_values` answers the memo's misses of one call
+    with one call of the module's `stacked_gram_ci` binding on their Gram
+    blocks, and each block it declines, a nearly collinear one, with the
+    module's `ci_test` binding, the least-squares kernel's one-column call
+    on the rows. A pooled sample of n <= 3 rows, too few for any CI test,
+    raises AnalysisError.
     """
 
     def __init__(self, labeled: LabeledPanel):
@@ -326,19 +329,30 @@ class CiOracle:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.order[name]]
 
-    def p_value(self, name: str, subset: tuple[str, ...]) -> float:
-        """p-value of name against F given the subset's columns, in order."""
-        key = (name, subset)
-        if key not in self._p:
-            order = self.order
-            # F is the Gram's last column
-            at = [order[s] for s in subset]
-            result = gram_ci(self.gram, order[name], len(order), at, self.f.size)
-            if result is None:
+    def p_values(self, keys) -> list[float]:
+        """p-value of each (name, subset) key, name against F given the
+        subset's columns in order; the subsets of one call have one size.
+        The kernel gives each block the bits of a one-block call, so a p
+        does not depend on the keys it is asked with. A call whose keys are
+        all in the memo does not touch numpy."""
+        memo = self._p
+        try:
+            # the memo answers most calls whole, such as a tuner's reruns
+            return [memo[key] for key in keys]
+        except KeyError:
+            pass
+        missing = [key for key in keys if key not in memo]
+        order = self.order
+        # each test's block is the Gram's on [X, F, *S]; F is its last column
+        idx = np.array([[order[x], len(order), *(order[s] for s in sub)] for x, sub in missing])
+        blocks = self.gram[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
+        _, p, answered = stacked_gram_ci(blocks, self.f.size)
+        for (name, subset), p_key, ok in zip(missing, p.tolist(), answered.tolist()):
+            if not ok:
                 given = [self.column(s) for s in subset]
-                result = ci_test(self.column(name), self.f, given=given)
-            self._p[key] = result.p
-        return self._p[key]
+                p_key = ci_test(self.column(name), self.f, given=given).p
+            memo[name, subset] = p_key
+        return [memo[key] for key in keys]
 
 
 def local_skeleton(
@@ -352,7 +366,10 @@ def local_skeleton(
     to reject (p > alpha). Removals are applied only after a level
     completes, so results do not depend on within-level order. Level 0 is
     one pass over the chunk that reads each member's p from
-    `oracle.marginal`, the oracle's one marginal batch.
+    `oracle.marginal`, the oracle's one marginal batch. Each level >= 1
+    asks all of its (member, subset) tests in one `oracle.p_values` call,
+    those after a member's first p > alpha included; they change no
+    result, since a removed member's maximum is not reported.
 
     Returns (survivors mapped to their maximum observed p-value, warnings
     for any levels skipped due to sample size). `oracle` answers the CI
@@ -376,15 +393,16 @@ def local_skeleton(
                 f"conditioning level {level} skipped: pooled sample n={n} too small"
             )
             continue
-        removed: list[str] = []
-        for name in adjacency:
-            others = [o for o in adjacency if o != name]
-            for subset in combinations(others, level):
-                p = oracle.p_value(name, subset)
-                p_max[name] = max(p_max[name], p)
-                if p > alpha:
-                    removed.append(name)
-                    break
+        keys = [
+            (name, subset)
+            for name in adjacency
+            for subset in combinations([o for o in adjacency if o != name], level)
+        ]
+        removed: set[str] = set()
+        for (name, _), p in zip(keys, oracle.p_values(keys)):
+            p_max[name] = max(p_max[name], p)
+            if p > alpha:
+                removed.add(name)
         if removed:
             adjacency = [a for a in adjacency if a not in removed]
     return {name: p_max[name] for name in adjacency}, warnings

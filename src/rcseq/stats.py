@@ -8,12 +8,13 @@ marginal CI tests go through :func:`batch_ci`, one least-squares solve per
 conditioning set (:func:`ci_test` is its one-column call). Discovery's
 conditional tests, and those of the lagged parent screen and of MCI, go
 through :func:`stacked_gram_ci`, the inverse of one small Gram block per
-test, a stack of blocks per call (:func:`gram_ci` is its one-block call);
-the callers answer the blocks it declines from the rows with
-:func:`batch_ci`. The lagged subgraph has one more kernel shaped to its
-work: :func:`marginal_ci` tests one design's columns against every target.
-All of them take r and p from one degeneracy rule and one Fisher-z tail,
-the C library's `erfc` through `math.erfc`, one call per test.
+test, a stack of blocks per call: discovery makes one call per (chunk,
+level), the parent screen one per round and MCI one per group. The callers
+answer the blocks it declines from the rows with :func:`batch_ci`. The
+lagged subgraph has one more kernel shaped to its work: :func:`marginal_ci`
+tests one design's columns against every target. All of them take r and p
+from one degeneracy rule and one Fisher-z tail, the C library's `erfc`
+through `math.erfc`, one call per test.
 
 All functions here are pure and reentrant.
 """
@@ -32,7 +33,6 @@ __all__ = [
     "ks_pvalue",
     "ci_test",
     "batch_ci",
-    "gram_ci",
     "stacked_gram_ci",
     "marginal_ci",
     "bonferroni",
@@ -182,18 +182,6 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
 # The smallest share of a column's variance that the other columns of a
 # Gram block may leave unexplained before stacked_gram_ci declines the block.
 _GRAM_FLOOR = 1e-6
-
-
-def gram_ci(gram, x: int, y: int, given, n: int) -> CiTestResult | None:
-    """Partial-correlation CI test of column x against column y given the
-    columns `given`, from `gram`, the cross products of n centered rows;
-    None where the block cannot answer the test, which :func:`ci_test`
-    then answers from the rows. The one-block call of
-    :func:`stacked_gram_ci`, on the block of `gram` on [x, y, *given]."""
-    idx = [x, y, *given]
-    block = gram.take(idx, axis=0).take(idx, axis=1)
-    r, p, answered = stacked_gram_ci(block[np.newaxis], n)
-    return CiTestResult(r=float(r[0]), p=float(p[0])) if answered[0] else None
 
 
 def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,7 +1,8 @@
 """Pipeline equivalence of the CI kernels: discovery and the lagged subgraph
 run once through the package's kernels (`stacked_gram_ci` for discovery's
-conditional tests, through `gram_ci`, and for the parent screen's levels
->= 1 and MCI, with `batch_ci` or `ci_test` for the blocks it declines;
+conditional tests, one call per (chunk, level), and for the parent
+screen's levels >= 1 and MCI, with `batch_ci` or `ci_test` for the blocks
+it declines;
 `marginal_ci` for every target's level 0) and once through the scalar
 references kept in `test_stats`, one test, or one target's marginal batch,
 at a time. Both must reach the same decisions and the same subgraph edges.
@@ -17,6 +18,7 @@ import pytest
 from rcseq import rcd, stats, subgraph
 from rcseq.panel import KpiPanel, apply_sla_rule, label_states
 from rcseq.rcd import CiOracle, FrequencyTable, RcdConfig, rcd_runs
+from rcseq.stats import CiTestResult
 from rcseq.scm import make_scenario
 from rcseq.subgraph import SubgraphConfig, build_subgraph
 from test_stats import (
@@ -129,17 +131,30 @@ def run_pipeline(labeled, sla_metric, seed):
     return runs, graphs, oracle
 
 
-def record_gram_tests(monkeypatch):
-    """Point discovery's Gram seam at a recorder of each test it asks,
-    (x, y, given) with the kernel's answer."""
-    asked = []
+def record_gram_tests(monkeypatch, kernel=stats.stacked_gram_ci):
+    """Point discovery's Gram seam at `kernel`, recording each test the
+    oracle sends it, (x, y, given) with x and y its Gram columns, with the
+    kernel's answer, None where it declines the block."""
+    asked, pending = [], []
+    p_values = CiOracle.p_values
 
-    def gram(gram, x, y, given, n):
-        result = stats.gram_ci(gram, x, y, given, n)
-        asked.append(((x, y, tuple(given)), result))
-        return result
+    def recorded_p_values(oracle, keys):
+        order = oracle.order
+        pending[:] = [
+            (order[name], len(order), tuple(order[s] for s in subset))
+            for name, subset in keys
+            if (name, subset) not in oracle._p
+        ]
+        return p_values(oracle, keys)
 
-    monkeypatch.setattr(rcd, "gram_ci", gram)
+    def gram(blocks, n):
+        r, p, answered = kernel(blocks, n)
+        for test, r_i, p_i, ok in zip(pending, r.tolist(), p.tolist(), answered.tolist(), strict=True):
+            asked.append((test, CiTestResult(r=r_i, p=p_i) if ok else None))
+        return r, p, answered
+
+    monkeypatch.setattr(CiOracle, "p_values", recorded_p_values)
+    monkeypatch.setattr(rcd, "stacked_gram_ci", gram)
     return asked
 
 
@@ -147,19 +162,13 @@ def route_discovery_to_reference(monkeypatch, calls):
     """Make discovery's Gram seam decline every block, so each conditional
     test falls back to rcd's `ci_test` binding, here the scalar reference
     (counted in calls["rcd"]); returns the (x, y, given) it was asked."""
-    asked = []
-
-    def declined(gram, x, y, given, n):
-        asked.append((x, y, tuple(given)))
-        return None
 
     def reference(*a, **kw):
         calls["rcd"] += 1
         return reference_ci_test(*a, **kw)
 
-    monkeypatch.setattr(rcd, "gram_ci", declined)
     monkeypatch.setattr(rcd, "ci_test", reference)
-    return asked
+    return record_gram_tests(monkeypatch, decline_every_block)
 
 
 def assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs):
@@ -167,7 +176,8 @@ def assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs):
     Gram answer lies within the Gram route's bound of the reference, on the
     same side of alpha; the runs agree on KPIs and warnings, and their p's
     within the largest per-test bound on p."""
-    assert [key for key, _ in asked] == ref_asked
+    assert [key for key, _ in asked] == [key for key, _ in ref_asked]
+    assert all(result is None for _, result in ref_asked)
     columns = np.column_stack([oracle.values, oracle.f])
     alpha = RcdConfig().alpha
     dp_max = 0.0
@@ -314,8 +324,8 @@ def test_discovery_matches_scalar_reference_at_incident_size(monkeypatch):
     # discovery ran through the reference, on the incident's size and work
     assert calls["rcd"] == len(ref_asked)
     assert oracle.f.size >= 960
-    assert len(set(ref_asked)) >= 500
-    assert max(len(given) for *_, given in ref_asked) == 3
+    assert len({key for key, _ in ref_asked}) >= 500
+    assert max(len(given) for (*_, given), _ in ref_asked) == 3
     assert_discovery_matches(asked, ref_asked, oracle, runs, ref_runs)
 
 

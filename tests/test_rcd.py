@@ -21,7 +21,7 @@ from rcseq.rcd import (
 )
 from rcseq.config import DEFAULT_N_SET
 from rcseq.scm import make_scenario, single_root_scenario
-from rcseq.stats import batch_ci
+from rcseq.stats import batch_ci, ci_test, stacked_gram_ci
 from rcseq.tuner import run_grid
 
 
@@ -53,6 +53,23 @@ def root_copies_labeled(seed, n_copies=8, t=240):
 def scenario_labeled(seed):
     panel, _ = single_root_scenario().build(seed)
     return label_states(panel, 120, normal_len=120, abnormal_len=120)
+
+
+def autocorrelated_labeled(seed, v=30, t=240, phi=0.9):
+    """A root that steps up with F, its lag-2 child, and v - 3 AR(1) KPIs at
+    phi, which drift with F over so few ticks and stay dependent on it at
+    levels 1-3; the last KPI is an affine copy of the child, so the blocks
+    that hold both are declined."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((t, v))
+    for i in range(1, t):
+        x[i, 2:] += phi * x[i - 1, 2:]
+    x[t // 2 :, 0] += 1.5
+    x[2:, 1] += 0.8 * x[:-2, 0]
+    x[:, -1] = 2.0 * x[:, 1] + 1.0
+    names = ("root", "child", *(f"ar{i:02d}" for i in range(v - 3)), "derived")
+    panel = KpiPanel(ticks=np.arange(t), kpi_names=names, values=x)
+    return label_states(panel, t // 2, normal_len=t // 2, abnormal_len=t // 2)
 
 
 class TestConfig:
@@ -197,8 +214,10 @@ class TestLocalSkeleton:
 
 
 def reference_local_skeleton(oracle, chunk, alpha, max_cond):
-    """The skeleton loop as it was before level 0 read the marginal map:
-    every level, level 0 included, asks `oracle.p_value` for each subset."""
+    """The skeleton loop as it was before level 0 read the marginal map and
+    each level asked its tests at once: every level, level 0 included, asks
+    the oracle for one subset at a time and stops at a member's first
+    p > alpha."""
     chunk = list(chunk)
     if not chunk:
         raise ConfigError("chunk must be non-empty")
@@ -219,7 +238,7 @@ def reference_local_skeleton(oracle, chunk, alpha, max_cond):
         for name in adjacency:
             others = [o for o in adjacency if o != name]
             for subset in combinations(others, level):
-                p = oracle.p_value(name, subset)
+                [p] = oracle.p_values([(name, subset)])
                 p_max[name] = max(p_max[name], p)
                 if p > alpha:
                     removed.append(name)
@@ -244,8 +263,8 @@ class StubOracle:
         self.marginal = dict(marginal)
         self.conditional = conditional
 
-    def p_value(self, name, subset):
-        return self.conditional if subset else self.marginal[name]
+    def p_values(self, keys):
+        return [self.conditional if subset else self.marginal[name] for name, subset in keys]
 
 
 class TestSkeletonEquivalence:
@@ -299,26 +318,72 @@ class TestSkeletonEquivalence:
         assert np.array_equal(counts, grid())
 
 
+class TestAutocorrelatedPanel:
+    def test_memo_entries_keep_one_block_bits(self):
+        # each conditional p has the bits of its block asked alone, or of
+        # ci_test on the rows where that block is declined
+        labeled = autocorrelated_labeled(0)
+        oracle = CiOracle(labeled)
+        rcd_runs(labeled, RcdConfig(g=8, n_runs=4, seed=0), oracle=oracle)
+        order, n = oracle.order, oracle.f.size
+        conditional = {key: p for key, p in oracle._p.items() if key[1]}
+        assert len(conditional) > 1000
+        assert max(len(subset) for _, subset in conditional) == 3
+        declined = 0
+        for (name, subset), p in conditional.items():
+            idx = [order[name], len(order), *(order[s] for s in subset)]
+            _, (want,), (answered,) = stacked_gram_ci(oracle.gram[np.ix_(idx, idx)][np.newaxis], n)
+            if not answered:
+                declined += 1
+                want = ci_test(oracle.column(name), oracle.f, [oracle.column(s) for s in subset]).p
+            assert p.hex() == float(want).hex(), (name, subset)
+        assert declined
+
+    def test_random_chunks_match_reference(self):
+        # the reference asks its own oracle one test at a time
+        labeled = autocorrelated_labeled(1)
+        oracle, ref_oracle = CiOracle(labeled), CiOracle(labeled)
+        names = list(labeled.panel.kpi_names)
+        rng = np.random.default_rng(1)
+        for _ in range(8):
+            chunk = [names[i] for i in rng.permutation(len(names))[: rng.integers(5, 13)]]
+            for alpha in (0.01, 0.05, 0.2):
+                assert_same_skeleton(
+                    local_skeleton(oracle, chunk, alpha, 3),
+                    reference_local_skeleton(ref_oracle, chunk, alpha, 3),
+                )
+        assert max(len(subset) for _, subset in ref_oracle._p) == 3
+
+    def test_memo_hits_do_not_touch_numpy(self, monkeypatch):
+        labeled = autocorrelated_labeled(0)
+        oracle = CiOracle(labeled)
+        chunk = list(labeled.panel.kpi_names[:10])
+        want = local_skeleton(oracle, chunk, 0.05, 3)
+        monkeypatch.setattr(rcd, "np", None)
+        assert local_skeleton(oracle, chunk, 0.05, 3) == want
+
+
 class TestLevelZeroMechanism:
     def test_discovery_asks_no_marginal_p_value(self, monkeypatch):
-        # level 0 reads oracle.marginal; p_value only answers conditional tests
-        subsets = []
-        p_value = CiOracle.p_value
+        # level 0 reads oracle.marginal; p_values only answers conditional
+        # tests, and each call holds one level's subsets
+        sizes = []
+        p_values = CiOracle.p_values
 
-        def recorded(self, name, subset):
-            subsets.append(subset)
-            return p_value(self, name, subset)
+        def recorded(self, keys):
+            sizes.append({len(subset) for _, subset in keys})
+            return p_values(self, keys)
 
-        monkeypatch.setattr(CiOracle, "p_value", recorded)
+        monkeypatch.setattr(CiOracle, "p_values", recorded)
         panel, _ = make_scenario("cascade").build(0)
         labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
         rcd_runs(labeled, RcdConfig(g=3, n_runs=8, seed=0))
-        assert subsets and all(subsets)
+        assert sizes and all(len(call) == 1 and 0 not in call for call in sizes)
 
     def test_marginal_p_value_still_answers(self):
         oracle = CiOracle(scenario_labeled(0))
-        for name, p in oracle.marginal.items():
-            assert oracle.p_value(name, ()) == p
+        keys = [(name, ()) for name in oracle.marginal]
+        assert oracle.p_values(keys) == list(oracle.marginal.values())
 
     def test_skeleton_is_called_through_the_module_binding(self, monkeypatch):
         callers = []
@@ -477,23 +542,23 @@ class TestFrequencyTable:
 
 
 def count_kernel_keys(monkeypatch):
-    """Wrap rcd's CI kernels to record the exact ordered input of each call:
-    the marginal batch, and the Gram kernel that a conditional test asks."""
-    keys = {"gram_ci": [], "batch_marginal_ci": []}
-    gram_ci, batch_marginal_ci = rcd.gram_ci, rcd.batch_marginal_ci
+    """Wrap rcd's CI kernels to record the exact input of each test: the
+    marginal batch, and each Gram block of a conditional test, in order."""
+    keys = {"stacked_gram_ci": [], "batch_marginal_ci": []}
+    stacked_gram_ci, batch_marginal_ci = rcd.stacked_gram_ci, rcd.batch_marginal_ci
 
     def key(*arrays):
         return tuple((a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays)
 
-    def counted_gram_ci(gram, x, y, given, n):
-        keys["gram_ci"].append((*key(gram), x, y, tuple(given), n))
-        return gram_ci(gram, x, y, given, n)
+    def counted_stacked_gram_ci(blocks, n):
+        keys["stacked_gram_ci"].extend((*key(block), n) for block in blocks)
+        return stacked_gram_ci(blocks, n)
 
     def counted_batch_marginal_ci(x_matrix, y):
         keys["batch_marginal_ci"].append(key(x_matrix, y))
         return batch_marginal_ci(x_matrix, y)
 
-    monkeypatch.setattr(rcd, "gram_ci", counted_gram_ci)
+    monkeypatch.setattr(rcd, "stacked_gram_ci", counted_stacked_gram_ci)
     monkeypatch.setattr(rcd, "batch_marginal_ci", counted_batch_marginal_ci)
     return keys
 
@@ -554,7 +619,7 @@ class TestCiMemo:
             for chunk in partition(panel.kpi_names, g, rng):
                 x_matrix = np.column_stack([oracle.column(name) for name in chunk])
                 expected = batch_ci(x_matrix, oracle.f)[1]
-                got = np.array([oracle.p_value(name, ()) for name in chunk])
+                got = np.array(oracle.p_values([(name, ()) for name in chunk]))
                 np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
                 assert np.array_equal(got > alpha, expected > alpha)
 
@@ -587,18 +652,22 @@ class TestCiMemo:
             ("c", ("b", "affine", "a")): True,
             ("affine", ("a", "b")): True,
         }
-        for (name, subset), declined in keys.items():
+        for size in (1, 2, 3):
+            # one call per subset size, as a level asks, with answered and
+            # declined blocks side by side in its stack
+            group = {key: declined for key, declined in keys.items() if len(key[1]) == size}
             before = len(fallbacks)
-            p = oracle.p_value(name, subset)
-            assert len(fallbacks) - before == declined, (name, subset)
-            given = [oracle.column(s) for s in subset]
-            want = batch_ci(oracle.column(name).reshape(-1, 1), oracle.f, given=given)[1][0]
-            if declined:
-                assert p == want
-            else:
-                assert p == pytest.approx(want, rel=1e-9) and (p > 0.05) == (want > 0.05)
+            got = oracle.p_values(list(group))
+            assert fallbacks[before:] == [size] * sum(group.values())
+            for ((name, subset), declined), p in zip(group.items(), got):
+                given = [oracle.column(s) for s in subset]
+                want = batch_ci(oracle.column(name).reshape(-1, 1), oracle.f, given=given)[1][0]
+                if declined:
+                    assert p == want
+                else:
+                    assert p == pytest.approx(want, rel=1e-9) and (p > 0.05) == (want > 0.05)
         # a KPI its set explains is degenerate: p = 1
-        assert oracle.p_value("copy", ("a",)) == oracle.p_value("affine", ("a", "b")) == 1.0
+        assert oracle.p_values([("copy", ("a",))]) == oracle.p_values([("affine", ("a", "b"))]) == [1.0]
 
     def test_oracle_of_another_panel_rejected(self):
         labeled, other = self.labeled(), self.labeled()

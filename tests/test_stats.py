@@ -488,8 +488,17 @@ def centered_gram(columns):
     return c.T @ c
 
 
+def one_block_ci(gram, x, y, given, n) -> CiTestResult | None:
+    """The test of column x against column y given the columns `given`, as
+    a one-block `stacked_gram_ci` call on the block of `gram` on
+    [x, y, *given]; None where the kernel declines the block."""
+    idx = [x, y, *given]
+    (r,), (p,), (answered,) = stacked_gram_ci(gram[np.ix_(idx, idx)][np.newaxis], n)
+    return CiTestResult(r=float(r), p=float(p)) if answered else None
+
+
 def gram_error_bound(gram, x, y, given, n) -> tuple[float, float]:
-    """`gram_ci`'s stated bound on one test against the least-squares
+    """`stacked_gram_ci`'s stated bound on one test against the least-squares
     kernel: |delta r| <= 2 k^2 gamma_(n+k) / rho_min and |delta z| <=
     sqrt(n - k - 1) |delta r| / rho_min, rho_min being the block's smallest
     relative residual variance."""
@@ -503,7 +512,7 @@ def gram_error_bound(gram, x, y, given, n) -> tuple[float, float]:
 
 
 def assert_within_gram_bound(got, ref, gram, x, y, given, n) -> float:
-    """Assert that a `gram_ci` result is within its stated bound of the
+    """Assert that a Gram-route result is within its stated bound of the
     reference result `ref`; returns the bound on |delta p| it implies."""
     dr, dz = gram_error_bound(gram, x, y, given, n)
     assert abs(got.r - ref.r) <= dr
@@ -548,8 +557,8 @@ def well_conditioned_case():
     return x, f, centered_gram([*x.T, f])
 
 
-# (x, given, whether gram_ci declines the block): each derived shape in the
-# conditioning set, and as the tested series itself
+# (x, given, whether the Gram kernel declines the block): each derived
+# shape in the conditioning set, and as the tested series itself
 GRAM_CASES = [
     ("k1", ("k0",), False),
     ("k0", ("k1", "k2"), False),
@@ -578,7 +587,7 @@ class TestGramCi:
             at = [names.index(s) for s in given]
             series = [columns[s] for s in given]
             r, p = batch_ci(columns[x].reshape(-1, 1), columns["f"], given=series)
-            got = stats.gram_ci(gram, names.index(x), y, at, n)
+            got = one_block_ci(gram, names.index(x), y, at, n)
             assert (got is None) == guarded, (x, given)
             if got is None:
                 # the oracle's route for a declined block: batch_ci's bits
@@ -600,7 +609,7 @@ class TestGramCi:
         for size in range(4):
             for subset in itertools.combinations(range(10), size + 1):
                 xi, given = subset[0], list(subset[1:])
-                got = stats.gram_ci(gram, xi, 10, given, n)
+                got = one_block_ci(gram, xi, 10, given, n)
                 assert got is not None, subset
                 ref = reference_ci_test(x[:, xi], f, given=[x[:, j] for j in given])
                 assert_within_gram_bound(got, ref, gram, xi, 10, given, n)
@@ -609,14 +618,14 @@ class TestGramCi:
         gram = np.eye(5)
         for size in range(4):
             with pytest.raises(ValueError, match=f"n={size + 3} requires n > {size + 3}"):
-                stats.gram_ci(gram, 0, 4, list(range(1, size + 1)), size + 3)
+                one_block_ci(gram, 0, 4, list(range(1, size + 1)), size + 3)
 
 
 def reference_gram_ci(gram, x, y, given, n) -> CiTestResult | None:
-    """`gram_ci` as it stood before it became the one-block call of
-    `stacked_gram_ci`: one 2-D inverse and numpy's scalar powers. Kept as
-    the bitwise reference for discovery's conditional p-values, on which
-    the golden outputs rest."""
+    """The one-block Gram test as it stood before `stacked_gram_ci`: one
+    2-D inverse and numpy's scalar powers. Kept as the bitwise reference
+    for discovery's conditional p-values, on which the golden outputs
+    rest."""
     idx = [x, y, *given]
     block = gram[np.ix_(idx, idx)]
     try:
@@ -671,7 +680,7 @@ class TestStackedGramCi:
         for size in range(4):
             for subset in itertools.combinations(range(10), size + 1):
                 xi, given = subset[0], list(subset[1:])
-                got = stats.gram_ci(gram, xi, 10, given, 960)
+                got = one_block_ci(gram, xi, 10, given, 960)
                 want = reference_gram_ci(gram, xi, 10, given, 960)
                 assert bits(got.r, got.p) == bits(want.r, want.p), subset
                 blocks += 1
