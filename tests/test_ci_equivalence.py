@@ -161,7 +161,8 @@ def record_gram_tests(monkeypatch, kernel=stats.stacked_gram_ci):
 def route_discovery_to_reference(monkeypatch, calls):
     """Make discovery's Gram seam decline every block, so each conditional
     test falls back to rcd's `ci_test` binding, here the scalar reference
-    (counted in calls["rcd"]); returns the (x, y, given) it was asked."""
+    (counted in calls["rcd"]); returns each (x, y, given) it was asked,
+    paired with None."""
 
     def reference(*a, **kw):
         calls["rcd"] += 1

@@ -366,19 +366,26 @@ class TestAutocorrelatedPanel:
 class TestLevelZeroMechanism:
     def test_discovery_asks_no_marginal_p_value(self, monkeypatch):
         # level 0 reads oracle.marginal; p_values only answers conditional
-        # tests, and each call holds one level's subsets
-        sizes = []
-        p_values = CiOracle.p_values
+        # tests, each call holds one level's subsets, and makes at most one
+        # kernel call
+        sizes, kernel_calls = [], []
+        p_values, stacked = CiOracle.p_values, rcd.stacked_gram_ci
 
         def recorded(self, keys):
             sizes.append({len(subset) for _, subset in keys})
             return p_values(self, keys)
 
+        def counted(blocks, n):
+            kernel_calls.append(len(blocks))
+            return stacked(blocks, n)
+
         monkeypatch.setattr(CiOracle, "p_values", recorded)
+        monkeypatch.setattr(rcd, "stacked_gram_ci", counted)
         panel, _ = make_scenario("cascade").build(0)
         labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
         rcd_runs(labeled, RcdConfig(g=3, n_runs=8, seed=0))
         assert sizes and all(len(call) == 1 and 0 not in call for call in sizes)
+        assert 0 < len(kernel_calls) <= len(sizes) and all(kernel_calls)
 
     def test_marginal_p_value_still_answers(self):
         oracle = CiOracle(scenario_labeled(0))
