@@ -72,7 +72,8 @@ seed: 11
 
 # Discovery on autocorrelated input: root -> mid -> sla at lag 2 beside 12
 # AR(1) noise KPIs (phi 0.9), which stay dependent on F at levels 1-3, so
-# the conditional tests run into the hundreds (860 at seed 0).
+# the conditional tests run into the hundreds (860 at seed 0). Its default
+# tune sweep has refinement passes and a fractional P (n03 and n04 at g 8).
 AUTOCORRELATED_SCENARIO = """
 name: autocorrelated
 nodes: [root, mid, sla, n01, n02, n03, n04, n05, n06, n07, n08, n09, n10, n11, n12]
@@ -109,6 +110,9 @@ CASES = {
     ),
     "tune": ("tune", "--config", "{config}"),
     "tune-jobs2": ("tune", "--config", "{config}", "--jobs", "2"),
+    "tune-autocorrelated": (
+        "tune", "--scenario-file", "autocorrelated.yaml", "--seed", "0"
+    ),
     "run-all-csv": ("run-all", "--config", "{csv_config}"),
     "run-all-csv-iso": ("run-all", "--config", "{iso_config}"),
 }
@@ -217,6 +221,12 @@ GOLDEN = {
             "ceefccd86718c066cbcabf369b607a24d74d508971ca0592541bd1898cb36b50",
         "tuning_params.json":
             "5cb6b180a54c7736d5ac5f7b78c4d910dfb50e104adca75bd99cc246132df0fd",
+    },
+    "tune-autocorrelated": {
+        "tuning.csv":
+            "867733b8f4fb92b9b828544deb821b2cb12a40db016ad7521e87899d72afebe6",
+        "tuning_params.json":
+            "e25654cdb43ddc16d7d52cfe0ed9cc0955632f1770ddde1f0f53f81c17c67b02",
     },
     "run-all-csv": {
         "cis.json":
