@@ -19,16 +19,22 @@ directly, with no orientation phase.
 Discovery runs in one process. Every CI test goes through one `CiOracle`:
 the pooled sample, each KPI's marginal p against F from one batch over all
 pooled columns, the Gram matrix of the centered pooled KPI columns and F,
-and a memo of the conditional tests, each computed once. A chunk's level 0
-reads the marginal p's straight from that batch, so only levels >= 1
-enumerate conditioning sets. Each (chunk, level) asks all of its tests at
-once, and the memo's misses go to one `stats.stacked_gram_ci` call, which
+a memo of the conditional tests, each computed once, and a memo of the
+chunk screens. A chunk's level 0 reads the marginal p's straight from that
+batch, so only levels >= 1 enumerate conditioning sets. Removals take
+effect only after a level completes, as in PC-stable (Colombo & Maathuis,
+JMLR 2014), so a chunk's levels >= 1 depend only on the set of members
+that pass level 0, not on the chunk's order: every screen goes through
+`CiOracle.screen`, which computes `local_skeleton` once per such set,
+taken in panel order. Each (chunk, level) asks all of its tests at once,
+and the memo's misses go to one `stats.stacked_gram_ci` call, which
 inverts one small block of the Gram per test, whatever the number of
 pooled rows; a nearly collinear block (a derived KPI next to its inputs)
 falls back to a least-squares solve on the rows. The runs of one
 `rcd_runs` call share an oracle, and a caller that reruns discovery on the
 same panel, such as the Monte Carlo tuner, may pass one oracle to every
-call.
+call; each distinct test and each distinct level-0 survivor set is then
+computed once.
 """
 
 from __future__ import annotations
@@ -301,7 +307,9 @@ class CiOracle:
     with one call of the module's `stacked_gram_ci` binding on their Gram
     blocks, and each block it declines, a nearly collinear one, with the
     module's `ci_test` binding, the least-squares kernel's one-column call
-    on the rows. A pooled sample of n <= 3 rows, too few for any CI test,
+    on the rows. `screen` answers discovery's chunk screens from a second
+    memo, keyed by (the chunk's level-0 survivors in panel order, alpha,
+    max_cond). A pooled sample of n <= 3 rows, too few for any CI test,
     raises AnalysisError.
     """
 
@@ -325,6 +333,9 @@ class CiOracle:
         centered = np.column_stack([self.values, self.f])
         centered -= centered.mean(axis=0)
         self.gram = centered.T @ centered
+        self._skeletons: dict[
+            tuple[tuple[str, ...], float, int], tuple[dict[str, float], list[str]]
+        ] = {}
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.order[name]]
@@ -354,6 +365,38 @@ class CiOracle:
             memo[name, subset] = p_key
         return [memo[key] for key in keys]
 
+    def screen(
+        self, chunk, alpha: float, max_cond: int
+    ) -> tuple[dict[str, float], list[str]]:
+        """`local_skeleton` of the chunk, computed once per (the chunk's
+        level-0 survivors in panel order, alpha, max_cond).
+
+        Removals take effect only after a level completes, so a chunk's
+        levels >= 1 depend only on the set of members that pass level 0, and
+        `local_skeleton` of those members in panel order is the skeleton of
+        every chunk with that set. A miss calls the module's
+        `local_skeleton` binding. Fewer than two survivors leave no level
+        >= 1 to run, so their level 0 is the answer, with no call. A memo
+        result is shared by every call that hits it; callers must not
+        modify it.
+        """
+        p_max = _level_zero(self.marginal, chunk, alpha)
+        if len(p_max) < 2:
+            return p_max, []
+        survivors = tuple(sorted(p_max, key=self.order.__getitem__))
+        key = (survivors, alpha, max_cond)
+        result = self._skeletons.get(key)
+        if result is None:
+            result = self._skeletons[key] = local_skeleton(self, survivors, alpha, max_cond)
+        return result
+
+
+def _level_zero(marginal, chunk, alpha: float) -> dict[str, float]:
+    """The screen's level 0: each chunk member whose marginal p against F in
+    `marginal` is not > alpha, mapped to that p (at least 0.0), in chunk
+    order."""
+    return {name: max(0.0, p) for name in chunk if not (p := marginal[name]) > alpha}
+
 
 def local_skeleton(
     oracle: CiOracle, chunk, alpha: float, max_cond: int
@@ -373,15 +416,16 @@ def local_skeleton(
 
     Returns (survivors mapped to their maximum observed p-value, warnings
     for any levels skipped due to sample size). `oracle` answers the CI
-    tests.
+    tests. This is the pure per-chunk function; discovery calls it through
+    `CiOracle.screen`, on a chunk's level-0 survivors in panel order, once
+    per distinct set of them.
     """
     chunk = list(chunk)
     if not chunk:
         raise ConfigError("chunk must be non-empty")
     n = oracle.f.size
-    marginal = oracle.marginal
     # the oracle guarantees n > 3, so level 0 always runs
-    p_max = {name: max(0.0, p) for name in chunk if not (p := marginal[name]) > alpha}
+    p_max = _level_zero(oracle.marginal, chunk, alpha)
     adjacency = list(p_max)
     warnings: list[str] = []
 
@@ -428,8 +472,8 @@ def hierarchical_refine(
     set would never terminate otherwise). At most MAX_REFINE_PASSES passes
     run; stopping there while passes still remove KPIs adds a warning. The
     final pass screens the remaining set as a single chunk and supplies the
-    reported p-values. `oracle` is passed to every `local_skeleton` call,
-    and `rng` to every `partition` call.
+    reported p-values. Every screen, the final pass included, is an
+    `oracle.screen` call, and `rng` is passed to every `partition` call.
     """
     order = oracle.order
     survivors = sorted(survivor_union, key=order.__getitem__)
@@ -444,7 +488,7 @@ def hierarchical_refine(
         passes += 1
         kept: list[str] = []
         for chunk in partition(survivors, g, rng):
-            surv, warn = local_skeleton(oracle, chunk, alpha, max_cond)
+            surv, warn = oracle.screen(chunk, alpha, max_cond)
             kept.extend(surv)
             warnings.extend(warn)
         if len(kept) == len(survivors):
@@ -452,7 +496,7 @@ def hierarchical_refine(
         survivors = sorted(kept, key=order.__getitem__)
     if not survivors:
         return CandidateSet(kpis=(), p_values=(), warnings=tuple(warnings))
-    final, warn = local_skeleton(oracle, survivors, alpha, max_cond)
+    final, warn = oracle.screen(survivors, alpha, max_cond)
     warnings.extend(warn)
     kept = sorted(final, key=order.__getitem__)
     return CandidateSet(
@@ -468,7 +512,7 @@ def _discovery_run(oracle: CiOracle, cfg: RcdConfig, names, rng: Pcg64Stream) ->
     union: set[str] = set()
     warnings: list[str] = []
     for chunk in partition(names, cfg.g, rng):
-        surv, warn = local_skeleton(oracle, chunk, cfg.alpha, cfg.max_cond)
+        surv, warn = oracle.screen(chunk, cfg.alpha, cfg.max_cond)
         union.update(surv)
         warnings.extend(warn)
     result = hierarchical_refine(union, oracle, cfg.g, cfg.alpha, cfg.max_cond, rng)

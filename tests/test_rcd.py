@@ -393,6 +393,8 @@ class TestLevelZeroMechanism:
         assert oracle.p_values(keys) == list(oracle.marginal.values())
 
     def test_skeleton_is_called_through_the_module_binding(self, monkeypatch):
+        # every computed screen is a call of rcd.local_skeleton from the
+        # oracle's screen memo
         callers = []
         skeleton = rcd.local_skeleton
 
@@ -402,7 +404,124 @@ class TestLevelZeroMechanism:
 
         monkeypatch.setattr(rcd, "local_skeleton", recorded)
         rcd_runs(root_copies_labeled(0), RcdConfig(g=2, n_runs=3, seed=0))
-        assert set(callers) == {"_discovery_run", "hierarchical_refine"}
+        assert callers and set(callers) == {"screen"}
+
+
+def tune_shape_labeled(seed, t=240):
+    """The tune benchmark's panel shape: a root pinned at 6 over the abnormal
+    window, its lag-2 mediator, the SLA metric at lag 2 after that, and 5
+    noise KPIs centred within each window, so that none of them passes
+    level 0."""
+    rng = np.random.default_rng(seed)
+    half = t // 2
+    x = rng.standard_normal((t, 8))
+    x[half:, 0] = 6.0
+    x[2:, 1] += 0.9 * x[:-2, 0]
+    x[2:, 2] -= 0.9 * x[:-2, 1]
+    for window in (slice(0, half), slice(half, t)):
+        x[window, 3:] -= x[window, 3:].mean(axis=0)
+    names = ("rrc_users", "cce_util", "dl_throughput", "sinr_avg", "rach_rate",
+             "mac_bler_1", "mac_bler_2", "mac_bler_3")
+    panel = KpiPanel(ticks=np.arange(t), kpi_names=names, values=x)
+    return label_states(panel, half, normal_len=half, abnormal_len=half)
+
+
+def record_screens(monkeypatch):
+    """Record each screen's level-0 survivors, as a sorted tuple, and the
+    chunk of each `local_skeleton` call the memo makes."""
+    asked, computed = [], []
+    screen, skeleton = CiOracle.screen, rcd.local_skeleton
+
+    def recorded_screen(self, chunk, alpha, max_cond):
+        asked.append(tuple(sorted(n for n in chunk if not self.marginal[n] > alpha)))
+        return screen(self, chunk, alpha, max_cond)
+
+    def recorded_skeleton(oracle, chunk, alpha, max_cond):
+        computed.append(tuple(chunk))
+        return skeleton(oracle, chunk, alpha, max_cond)
+
+    monkeypatch.setattr(CiOracle, "screen", recorded_screen)
+    monkeypatch.setattr(rcd, "local_skeleton", recorded_skeleton)
+    return asked, computed
+
+
+class TestScreenMemo:
+    @staticmethod
+    def assert_screen_matches(labeled, chunks, alphas, max_conds):
+        """The memo against local_skeleton on its own oracle: the survivor
+        set and warnings of the chunk in its order, and every bit of the
+        chunk in panel order."""
+        oracle, ref_oracle = CiOracle(labeled), CiOracle(labeled)
+        order = oracle.order
+        for chunk in chunks:
+            in_panel_order = sorted(chunk, key=order.__getitem__)
+            for alpha in alphas:
+                for max_cond in max_conds:
+                    got = oracle.screen(chunk, alpha, max_cond)
+                    surv, warnings = local_skeleton(ref_oracle, chunk, alpha, max_cond)
+                    assert set(got[0]) == set(surv) and got[1] == warnings
+                    assert_same_skeleton(
+                        got, local_skeleton(ref_oracle, in_panel_order, alpha, max_cond)
+                    )
+                    # a hit gives the bits of the miss
+                    assert_same_skeleton(oracle.screen(chunk[::-1], alpha, max_cond), got)
+
+    @staticmethod
+    def random_chunks(names, rng, count, smallest=1):
+        return [
+            [names[i] for i in rng.permutation(len(names))[: rng.integers(smallest, len(names) + 1)]]
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("scenario", ["cascade", "single_root", "null"])
+    def test_scenario_chunks_match_local_skeleton(self, scenario):
+        rng = np.random.default_rng(sum(map(ord, scenario)))
+        for seed in range(4):
+            panel, _ = make_scenario(scenario).build(seed)
+            labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+            chunks = self.random_chunks(list(panel.kpi_names), rng, 10)
+            self.assert_screen_matches(labeled, chunks, (0.01, 0.05, 0.2), range(4))
+
+    def test_autocorrelated_chunks_match_local_skeleton(self):
+        labeled = autocorrelated_labeled(2)
+        rng = np.random.default_rng(2)
+        chunks = self.random_chunks(list(labeled.panel.kpi_names)[:14], rng, 6, smallest=5)
+        self.assert_screen_matches(labeled, chunks, (0.01, 0.05, 0.2), (1, 3))
+
+    def test_small_sample_skip_matches_local_skeleton(self):
+        # pooled n=6 skips levels 3 and 4 on every chunk that reaches them
+        labeled = TestLocalSkeleton.small_labeled(3, 3, 5)
+        chunks = ["edcba", "bd", "ace", "a"]
+        self.assert_screen_matches(labeled, chunks, (0.5, 1.0), range(6))
+        surv, warnings = CiOracle(labeled).screen("edcba", 1.0, 4)
+        assert list(surv) == list("abcde")
+        assert warnings == [
+            "conditioning level 3 skipped: pooled sample n=6 too small",
+            "conditioning level 4 skipped: pooled sample n=6 too small",
+        ]
+
+    def test_sweep_computes_each_level_zero_set_once(self, monkeypatch):
+        labeled = tune_shape_labeled(143)
+        asked, computed = record_screens(monkeypatch)
+        run_grid(labeled, range(3, 9), DEFAULT_N_SET, RcdConfig(), 143, ("dl_throughput",))
+        # one computed skeleton per distinct set of two or more survivors,
+        # each called with its members in panel order
+        assert len(computed) == len(set(computed))
+        assert {tuple(sorted(chunk)) for chunk in computed} == {s for s in asked if len(s) > 1}
+        order = labeled.panel.kpi_names
+        assert all(list(c) == sorted(c, key=order.index) for c in computed)
+        assert len(asked) > 1000 and len(computed) == 1
+
+    def test_warm_oracle_computes_no_skeleton(self, monkeypatch):
+        labeled = autocorrelated_labeled(0)
+        cfg = RcdConfig(g=6, n_runs=6, seed=1)
+        oracle = CiOracle(labeled)
+        asked, computed = record_screens(monkeypatch)
+        first = rcd_runs(labeled, cfg, oracle=oracle)
+        assert computed and len(computed) == len(set(computed))
+        computed.clear()
+        assert rcd_runs(labeled, cfg, oracle=oracle) == first
+        assert computed == [] and len(asked) > 0
 
 
 class TestHierarchicalRefine:
