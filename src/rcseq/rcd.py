@@ -374,7 +374,9 @@ class CiOracle:
         Removals take effect only after a level completes, so a chunk's
         levels >= 1 depend only on the set of members that pass level 0, and
         `local_skeleton` of those members in panel order is the skeleton of
-        every chunk with that set. A miss calls the module's
+        every chunk with that set; the chunk's own order would change only
+        the order of its conditioning sets, and with it the last bits of a
+        p. A miss calls the module's
         `local_skeleton` binding. Fewer than two survivors leave no level
         >= 1 to run, so their level 0 is the answer, with no call. A memo
         result is shared by every call that hits it; callers must not
