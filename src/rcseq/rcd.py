@@ -30,11 +30,16 @@ taken in panel order. Each (chunk, level) asks all of its tests at once,
 and the memo's misses go to one `stats.stacked_gram_ci` call, which
 inverts one small block of the Gram per test, whatever the number of
 pooled rows; a nearly collinear block (a derived KPI next to its inputs)
-falls back to a least-squares solve on the rows. The runs of one
-`rcd_runs` call share an oracle, and a caller that reruns discovery on the
-same panel, such as the Monte Carlo tuner, may pass one oracle to every
-call; each distinct test and each distinct level-0 survivor set is then
-computed once.
+falls back to a least-squares solve on the rows. A run's final pass
+screens its remaining survivors as one chunk, so its candidate set depends
+only on them, alpha and max_cond: `CiOracle.candidates` builds it once per
+such key and hands the same frozen object to every run that reaches it.
+The runs of one `rcd_runs` call share an oracle, and a caller that reruns
+discovery on the same panel, such as the Monte Carlo tuner, may pass one
+oracle to every call; each distinct test, each distinct level-0 survivor
+set and each distinct final survivor set is then computed once. Such a
+caller may also seed the runs' streams itself, as one batch over all of
+its calls, and pass each call its own (`rcd_runs(..., streams=...)`).
 """
 
 from __future__ import annotations
@@ -309,6 +314,8 @@ class CiOracle:
     module's `ci_test` binding, the least-squares kernel's one-column call
     on the rows. `screen` answers discovery's chunk screens from a second
     memo, keyed by (the chunk's level-0 survivors in panel order, alpha,
+    max_cond), and `candidates` answers the runs' final passes from a
+    third, keyed by (the final pass's survivors in panel order, alpha,
     max_cond). A pooled sample of n <= 3 rows, too few for any CI test,
     raises AnalysisError.
     """
@@ -336,6 +343,7 @@ class CiOracle:
         self._skeletons: dict[
             tuple[tuple[str, ...], float, int], tuple[dict[str, float], list[str]]
         ] = {}
+        self._candidates: dict[tuple[tuple[str, ...], float, int], CandidateSet] = {}
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.order[name]]
@@ -390,6 +398,30 @@ class CiOracle:
         result = self._skeletons.get(key)
         if result is None:
             result = self._skeletons[key] = local_skeleton(self, survivors, alpha, max_cond)
+        return result
+
+    def candidates(self, survivors, alpha: float, max_cond: int) -> CandidateSet:
+        """The candidate set of a discovery run's final pass over
+        `survivors`, built once per (the survivors in panel order, alpha,
+        max_cond).
+
+        The final pass screens the survivors as one chunk, so its result
+        depends only on that key; a miss takes it from `screen`, and lists
+        the kept KPIs, their p-values and the screen's warnings in panel
+        order. Every call with the key returns the same frozen object.
+        """
+        order = self.order
+        members = tuple(sorted(survivors, key=order.__getitem__))
+        key = (members, alpha, max_cond)
+        result = self._candidates.get(key)
+        if result is None:
+            final, warnings = self.screen(members, alpha, max_cond)
+            kept = sorted(final, key=order.__getitem__)
+            result = self._candidates[key] = CandidateSet(
+                kpis=tuple(kept),
+                p_values=tuple((name, float(final[name])) for name in kept),
+                warnings=tuple(warnings),
+            )
         return result
 
 
@@ -474,11 +506,13 @@ def hierarchical_refine(
     set would never terminate otherwise). At most MAX_REFINE_PASSES passes
     run; stopping there while passes still remove KPIs adds a warning. The
     final pass screens the remaining set as a single chunk and supplies the
-    reported p-values. Every screen, the final pass included, is an
-    `oracle.screen` call, and `rng` is passed to every `partition` call.
+    reported p-values. Each refinement screen is an `oracle.screen` call,
+    and `rng` is passed to every `partition` call, on the survivors in
+    panel order. The final pass is `oracle.candidates` of the remaining
+    set, shared by every call that ends on that set; the warnings of any
+    refinement passes go before its own, on a copy.
     """
-    order = oracle.order
-    survivors = sorted(survivor_union, key=order.__getitem__)
+    survivors = list(survivor_union)
     warnings: list[str] = []
     passes = 0
     while len(survivors) > g:
@@ -489,23 +523,18 @@ def hierarchical_refine(
             break
         passes += 1
         kept: list[str] = []
-        for chunk in partition(survivors, g, rng):
+        # the shuffle permutes positions: give it the survivors in panel order
+        for chunk in partition(sorted(survivors, key=oracle.order.__getitem__), g, rng):
             surv, warn = oracle.screen(chunk, alpha, max_cond)
             kept.extend(surv)
             warnings.extend(warn)
         if len(kept) == len(survivors):
             break
-        survivors = sorted(kept, key=order.__getitem__)
-    if not survivors:
-        return CandidateSet(kpis=(), p_values=(), warnings=tuple(warnings))
-    final, warn = oracle.screen(survivors, alpha, max_cond)
-    warnings.extend(warn)
-    kept = sorted(final, key=order.__getitem__)
-    return CandidateSet(
-        kpis=tuple(kept),
-        p_values=tuple((name, float(final[name])) for name in kept),
-        warnings=tuple(warnings),
-    )
+        survivors = kept
+    result = oracle.candidates(survivors, alpha, max_cond)
+    if warnings:
+        result = replace(result, warnings=(*warnings, *result.warnings))
+    return result
 
 
 def _discovery_run(oracle: CiOracle, cfg: RcdConfig, names, rng: Pcg64Stream) -> CandidateSet:
@@ -540,20 +569,27 @@ def rcd_runs(
     exclude=(),
     *,
     oracle: CiOracle | None = None,
+    streams: list[Pcg64Stream] | None = None,
 ) -> list[CandidateSet]:
     """All n_runs candidate sets, in run order.
 
     Runs are pure functions of (data, cfg, run index): run i shuffles with
     the stream of entropy [cfg.seed, i], and the call seeds all of its
-    streams as one batch. Runs share one CI oracle, which must be built
-    from `labeled` (ValueError otherwise); None builds a fresh one.
+    streams as one batch. A caller that has seeded them already, such as
+    a tuner sweep seeding every run of every cell as one batch, passes them
+    as `streams`, one fresh stream per run (ValueError on a length other
+    than n_runs). Runs share one CI oracle, which must be built from
+    `labeled` (ValueError otherwise); None builds a fresh one.
     """
     if oracle is None:
         oracle = CiOracle(labeled)
     elif oracle.labeled is not labeled:
         raise ValueError("oracle was built from a different labeled panel")
+    if streams is None:
+        streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
+    elif len(streams) != cfg.n_runs:
+        raise ValueError(f"got {len(streams)} streams for {cfg.n_runs} runs")
     names = discovery_kpis(labeled, exclude)
-    streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
     return [_discovery_run(oracle, cfg, names, rng) for rng in streams]
 
 
@@ -563,8 +599,9 @@ def rcd_multi_run(
     exclude=(),
     *,
     oracle: CiOracle | None = None,
+    streams: list[Pcg64Stream] | None = None,
 ) -> FrequencyTable:
     """Aggregate n_runs independent runs into per-KPI source frequencies;
-    `oracle` is passed to `rcd_runs`."""
-    runs = rcd_runs(labeled, cfg, exclude, oracle=oracle)
+    `oracle` and `streams` are passed to `rcd_runs`."""
+    runs = rcd_runs(labeled, cfg, exclude, oracle=oracle, streams=streams)
     return FrequencyTable.from_runs(discovery_kpis(labeled, exclude), runs)

@@ -7,19 +7,21 @@ slopes are negative). Per KPI, the selected g is the one whose mean
 proportion is the median across g, the optimal n is the sweep value with
 the greatest proportional variance reduction, and the per-KPI choices
 consolidate to global parameters as maxima over the prominent-source set.
-The sweep runs in one process, and all of its cells share one CI oracle.
+The sweep runs in one process, all of its cells share one CI oracle, and
+the shuffle streams of all of its runs are seeded as one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import numpy as np
 
 from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
-from .rcd import CiOracle, RcdConfig, discovery_kpis, rcd_multi_run, seed_states
+from .rcd import CiOracle, Pcg64Stream, RcdConfig, discovery_kpis, rcd_multi_run, seed_states
 from .stats import binomial_sd
 
 __all__ = [
@@ -113,10 +115,13 @@ def run_grid(
     exclude=(),
 ) -> McGrid:
     """Execute the (g, n) sweep; each cell runs rcd_multi_run with the seed
-    word 0 of SeedSequence([seed, g, n]) gives, all cells seeded as one
-    batch, so cells are independent and the grid is deterministic. The
-    cells share one CI oracle, so each distinct test is computed once per
-    sweep."""
+    word 0 of SeedSequence([seed, g, n]) gives, so cells are independent
+    and the grid is deterministic. The sweep seeds in two batches: one for
+    its cells, and one for the streams of every run of every cell, run i
+    of a cell with seed s taking the stream of entropy [s, i]; each cell's
+    rcd_multi_run call receives its own runs' streams. The cells share one
+    CI oracle, so each distinct test, screen and final candidate set is
+    computed once per sweep."""
     g_values = read_value(tuple[int, ...], tuple(g_values), "g_values")
     n_values = read_value(tuple[int, ...], tuple(n_values), "n_values")
     check_sweep(g_values, "g_values", least=2)
@@ -129,15 +134,21 @@ def run_grid(
     oracle = CiOracle(labeled)
     names = discovery_kpis(labeled, exclude)
     cells = [(g, n) for g in g_values for n in n_values]
-    cell_seeds = seed_states([[seed, g, n] for g, n in cells], 1)
+    cell_seeds = [word for [word] in seed_states([[seed, g, n] for g, n in cells], 1)]
+    # every run of every cell in one batch; each cell takes its n in turn
+    streams = Pcg64Stream.streams(
+        [cell_seed, i] for (_, n), cell_seed in zip(cells, cell_seeds) for i in range(n)
+    )
+    runs = iter(streams)
     counts = [
         rcd_multi_run(
             labeled,
             replace(base_cfg, g=g, n_runs=n, seed=cell_seed),
             exclude,
             oracle=oracle,
+            streams=list(islice(runs, n)),
         ).counts
-        for (g, n), [cell_seed] in zip(cells, cell_seeds)
+        for (g, n), cell_seed in zip(cells, cell_seeds)
     ]
     counts = np.reshape(counts, (len(g_values), len(n_values), len(names)))
     return McGrid(g_values=g_values, n_values=n_values, kpi_names=names, counts=counts)

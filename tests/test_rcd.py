@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -11,6 +12,7 @@ from rcseq.rcd import (
     CandidateSet,
     CiOracle,
     FrequencyTable,
+    Pcg64Stream,
     RcdConfig,
     hierarchical_refine,
     local_skeleton,
@@ -522,6 +524,190 @@ class TestScreenMemo:
         computed.clear()
         assert rcd_runs(labeled, cfg, oracle=oracle) == first
         assert computed == [] and len(asked) > 0
+
+
+LEVEL_3_SKIPPED = "conditioning level 3 skipped: pooled sample n=6 too small"
+
+
+def reference_refine(oracle, survivor_union, g, alpha, max_cond, rng):
+    """hierarchical_refine with no memo: every screen is local_skeleton of
+    its chunk in panel order, and the final candidate set is built from
+    local_skeleton directly, with the warnings of every pass in order."""
+    order = oracle.order
+
+    def screen(chunk):
+        return local_skeleton(oracle, sorted(chunk, key=order.__getitem__), alpha, max_cond)
+
+    survivors = sorted(survivor_union, key=order.__getitem__)
+    warnings, passes = [], 0
+    while len(survivors) > g:
+        if passes == rcd.MAX_REFINE_PASSES:
+            warnings.append(
+                f"refinement stopped at the {passes}-pass cap with {len(survivors)} KPIs left"
+            )
+            break
+        passes += 1
+        kept = []
+        for chunk in partition(survivors, g, rng):
+            surv, warn = screen(chunk)
+            kept.extend(surv)
+            warnings.extend(warn)
+        if len(kept) == len(survivors):
+            break
+        survivors = sorted(kept, key=order.__getitem__)
+    final = {}
+    if survivors:
+        final, warn = screen(survivors)
+        warnings.extend(warn)
+    kept = sorted(final, key=order.__getitem__)
+    return CandidateSet(
+        kpis=tuple(kept),
+        p_values=tuple((name, float(final[name])) for name in kept),
+        warnings=tuple(warnings),
+    )
+
+
+def reference_runs(labeled, cfg, exclude=()):
+    """rcd_runs with no memo, on its own oracle: each run screens its chunks
+    with local_skeleton, refines through reference_refine and lists its
+    warnings once each, in the order first seen."""
+    oracle = CiOracle(labeled)
+    order = oracle.order
+    names = list(rcd.discovery_kpis(labeled, exclude))
+    runs = []
+    for rng in Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs)):
+        union, warnings = set(), []
+        for chunk in partition(names, cfg.g, rng):
+            chunk = sorted(chunk, key=order.__getitem__)
+            surv, warn = local_skeleton(oracle, chunk, cfg.alpha, cfg.max_cond)
+            union.update(surv)
+            warnings.extend(warn)
+        result = reference_refine(oracle, union, cfg.g, cfg.alpha, cfg.max_cond, rng)
+        warnings.extend(result.warnings)
+        runs.append(replace(result, warnings=tuple(dict.fromkeys(warnings))))
+    return runs
+
+
+def assert_same_runs(got, want):
+    """Candidate sets equal bit for bit: KPIs, the hex of every p, warnings."""
+    assert len(got) == len(want)
+    for run, ref in zip(got, want):
+        assert run.kpis == ref.kpis
+        assert [(k, p.hex()) for k, p in run.p_values] == [(k, p.hex()) for k, p in ref.p_values]
+        assert run.warnings == ref.warnings
+
+
+class TestFinalPassMemo:
+    @staticmethod
+    def assert_runs_match(labeled, g_values, alphas, max_conds, n_runs=6, exclude=()):
+        """Every run on one shared oracle, across the configs, against the
+        reference on its own."""
+        oracle = CiOracle(labeled)
+        for g in g_values:
+            for alpha in alphas:
+                for max_cond in max_conds:
+                    cfg = RcdConfig(g=g, alpha=alpha, max_cond=max_cond, n_runs=n_runs, seed=g)
+                    assert_same_runs(
+                        rcd_runs(labeled, cfg, exclude, oracle=oracle),
+                        reference_runs(labeled, cfg, exclude),
+                    )
+
+    @pytest.mark.parametrize("scenario", ["cascade", "single_root", "null"])
+    def test_scenario_runs_match_reference(self, scenario):
+        for seed in range(3):
+            panel, _ = make_scenario(scenario).build(seed)
+            labeled = label_states(panel, 120, normal_len=120, abnormal_len=120)
+            self.assert_runs_match(labeled, (2, 3, 5), (0.01, 0.05, 0.2), (0, 1, 3))
+
+    def test_autocorrelated_runs_match_reference(self):
+        # unions above g: the runs make refinement passes
+        self.assert_runs_match(autocorrelated_labeled(0), (4, 8), (0.01, 0.05, 0.2), (1, 3), 4)
+
+    def test_tune_shape_runs_match_reference(self):
+        self.assert_runs_match(
+            tune_shape_labeled(143), (3, 5, 8), (0.01, 0.05, 0.2), (0, 1, 3), 8, ("dl_throughput",)
+        )
+
+    def test_refinement_warnings_come_first(self):
+        # pooled n=6 skips levels 3 and 4 in every pass that reaches them;
+        # hierarchical_refine lists its passes' warnings, then the final
+        # pass's, and every run lists each warning once
+        labeled = TestLocalSkeleton.small_labeled(3, 3, 9)
+        oracle, ref_oracle = CiOracle(labeled), CiOracle(labeled)
+        names = labeled.panel.kpi_names
+        for max_cond in range(6):
+            for seed in range(3):
+                [rng, ref_rng] = Pcg64Stream.streams([[seed]] * 2)
+                got = hierarchical_refine(names, oracle, 5, 0.999, max_cond, rng)
+                want = reference_refine(ref_oracle, names, 5, 0.999, max_cond, ref_rng)
+                assert_same_runs([got], [want])
+                # the chunks of 5 and 4 and the final pass each skip level 3
+                assert got.warnings.count(LEVEL_3_SKIPPED) == (3 if max_cond >= 3 else 0)
+        self.assert_runs_match(labeled, (2, 4, 5), (0.5, 0.999), range(6), 4)
+
+    def test_pass_cap_warning_comes_first(self, monkeypatch):
+        monkeypatch.setattr(rcd, "MAX_REFINE_PASSES", 1)
+        labeled = root_copies_labeled(0)
+        self.assert_runs_match(labeled, (2, 3), (0.05,), (1, 3), 3)
+        oracle = CiOracle(labeled)
+        runs = rcd_runs(labeled, RcdConfig(g=2, n_runs=3, seed=2), oracle=oracle)
+        cap = "refinement stopped at the 1-pass cap"
+        assert all(run.warnings[0].startswith(cap) for run in runs)
+
+    def test_empty_union(self):
+        oracle = CiOracle(noise_labeled(0))
+        empty = hierarchical_refine([], oracle, 3, 0.05, 3, Pcg64Stream.streams([[0]])[0])
+        assert empty == CandidateSet(kpis=(), p_values=(), warnings=())
+        assert oracle.candidates((), 0.05, 3) is empty
+
+    def test_one_object_per_member_set(self):
+        # the key is the members in panel order, alpha and max_cond
+        labeled = autocorrelated_labeled(1)
+        oracle, ref_oracle = CiOracle(labeled), CiOracle(labeled)
+        names = list(labeled.panel.kpi_names)
+        rng = np.random.default_rng(1)
+        for _ in range(6):
+            members = [names[i] for i in rng.permutation(len(names))[: rng.integers(2, 9)]]
+            for alpha in (0.01, 0.2):
+                for max_cond in (0, 3):
+                    got = oracle.candidates(members, alpha, max_cond)
+                    assert oracle.candidates(members[::-1], alpha, max_cond) is got
+                    # g = len(members): the reference makes no pass, so draws nothing
+                    want = reference_refine(
+                        ref_oracle, members, len(members), alpha, max_cond, None
+                    )
+                    assert_same_runs([got], [want])
+
+    def test_sweep_builds_each_final_set_once(self, monkeypatch):
+        labeled = tune_shape_labeled(143)
+        built, finals, runs = [], [], []
+        candidates, runs_of = CiOracle.candidates, rcd.rcd_runs
+
+        def counted(*args, **kwargs):
+            built.append(CandidateSet(*args, **kwargs))
+            return built[-1]
+
+        def recorded_candidates(self, survivors, alpha, max_cond):
+            key = (tuple(sorted(survivors)), alpha, max_cond)
+            finals.append((key, candidates(self, survivors, alpha, max_cond)))
+            return finals[-1][1]
+
+        def recorded_runs(*args, **kwargs):
+            result = runs_of(*args, **kwargs)
+            runs.extend(result)
+            return result
+
+        monkeypatch.setattr(rcd, "CandidateSet", counted)
+        monkeypatch.setattr(CiOracle, "candidates", recorded_candidates)
+        monkeypatch.setattr(rcd, "rcd_runs", recorded_runs)
+        run_grid(labeled, range(3, 9), DEFAULT_N_SET, RcdConfig(), 143, ("dl_throughput",))
+        objects = {}
+        for key, result in finals:
+            assert objects.setdefault(key, result) is result
+        assert len(runs) == len(finals) > 1000
+        assert len(built) == len(objects) == 1
+        # with no warnings to add, a run is its final pass's object
+        assert all(run is result for run, (_, result) in zip(runs, finals))
 
 
 class TestHierarchicalRefine:

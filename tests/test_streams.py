@@ -9,7 +9,8 @@ of every discovery run stays where numpy put it.
 import numpy as np
 import pytest
 
-from rcseq.rcd import Pcg64Stream, partition, seed_states
+from rcseq.rcd import Pcg64Stream, RcdConfig, partition, rcd_runs, seed_states
+from test_rcd import autocorrelated_labeled
 
 # word boundaries of SeedSequence's entropy: one, two, three and seven words
 SEEDS = [0, 1, 143, 2**32 - 1, 2**32, 2**64 + 5, 2**200]
@@ -91,3 +92,18 @@ def test_entropy_must_be_non_negative_ints():
 def test_partition_takes_either_stream():
     names = [f"k{i}" for i in range(23)]
     assert partition(names, 4, numpy_stream([7, 2])) == partition(names, 4, stream([7, 2]))
+
+
+def test_runs_take_streams_seeded_elsewhere():
+    # a tuner sweep seeds every run's stream in one batch and hands them over
+    labeled = autocorrelated_labeled(0, v=12)
+    cfg = RcdConfig(g=4, n_runs=7, seed=2**33 + 1)
+    streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
+    runs = rcd_runs(labeled, cfg)
+    assert len({run.kpis for run in runs}) > 1
+    assert rcd_runs(labeled, cfg, streams=streams) == runs
+    fresh = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
+    assert rcd_runs(labeled, cfg, streams=fresh[::-1]) == runs[::-1]
+    for wrong in (streams[:-1], [*streams, streams[0]], []):
+        with pytest.raises(ValueError, match=f"{len(wrong)} streams for 7 runs"):
+            rcd_runs(labeled, cfg, streams=wrong)

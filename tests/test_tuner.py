@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from published_rows import PUBLISHED_ROWS
+from rcseq import rcd, tuner
 from rcseq.errors import AnalysisError, ConfigError
 from rcseq.panel import label_states
 from rcseq.rcd import RcdConfig, rcd_multi_run, seed_states
@@ -106,6 +107,25 @@ class TestRunGrid:
         for kernel, calls in keys.items():
             assert len(calls) == len(set(calls)), kernel
             assert set(calls) == alone[kernel], kernel
+
+    @pytest.mark.parametrize(
+        "g_values, n_values", [((3,), (4,)), ((2, 3), (4, 7)), ((2, 3, 5), (1, 4, 9))]
+    )
+    def test_sweep_seeds_in_two_batches(self, monkeypatch, g_values, n_values):
+        # one batch seeds the cells, one every run of every cell
+        batches = []
+        seed_states = rcd.seed_states
+
+        def counted(entropies, n_words):
+            entropies = list(entropies)
+            batches.append((len(entropies), n_words))
+            return seed_states(entropies, n_words)
+
+        monkeypatch.setattr(rcd, "seed_states", counted)
+        monkeypatch.setattr(tuner, "seed_states", counted)
+        run_grid(scenario_labeled(4), g_values, n_values, RcdConfig(), seed=4)
+        cells = len(g_values) * len(n_values)
+        assert batches == [(cells, 1), (len(g_values) * sum(n_values), 8)]
 
     @pytest.mark.parametrize(
         "g_values, n_values, bad",
