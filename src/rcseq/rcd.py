@@ -10,8 +10,11 @@ gives the per-KPI causal-source frequency table.
 
 Run i of base seed s shuffles with the stream of numpy's
 `default_rng(SeedSequence([s, i]))` and its `permutation`, computed here bit
-for bit by `Pcg64Stream`, so discovery never imports `numpy.random` and a
-numpy release that changes `Generator.permutation` cannot move the chunks.
+for bit, so discovery never imports `numpy.random` and a numpy release that
+changes `Generator.permutation` cannot move the chunks. `first_shuffles`
+seeds every run of a call and draws its first shuffle as one array
+computation, a lane per run; only a run whose union needs refinement passes
+builds its `Pcg64Stream`, which continues the lane's stream.
 
 F is treated as a sink: survivors adjacent to F are reported as its parents
 directly, with no orientation phase.
@@ -38,14 +41,17 @@ The runs of one `rcd_runs` call share an oracle, and a caller that reruns
 discovery on the same panel, such as the Monte Carlo tuner, may pass one
 oracle to every call; each distinct test, each distinct level-0 survivor
 set and each distinct final survivor set is then computed once. Such a
-caller may also seed the runs' streams itself, as one batch over all of
-its calls, and pass each call its own (`rcd_runs(..., streams=...)`).
+caller may also draw the runs' first shuffles itself, as one
+`first_shuffles` batch over all of its calls, and pass each call its own
+lanes (`rcd_runs(..., shuffles=...)`).
 """
 
 from __future__ import annotations
 
+import math
 import operator
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -65,6 +71,8 @@ __all__ = [
     "CiOracle",
     "discovery_kpis",
     "seed_states",
+    "FirstShuffles",
+    "first_shuffles",
     "Pcg64Stream",
     "partition",
     "local_skeleton",
@@ -99,11 +107,10 @@ class FrequencyTable:
     def from_runs(cls, kpi_names, runs) -> "FrequencyTable":
         """Count, per KPI, the runs whose candidate set contains it."""
         kpi_names = tuple(kpi_names)
-        index = {name: i for i, name in enumerate(kpi_names)}
-        counts = np.zeros(len(kpi_names), dtype=np.int64)
-        for cand in runs:
-            for kpi in cand.kpis:
-                counts[index[kpi]] += 1
+        seen = Counter(kpi for cand in runs for kpi in cand.kpis)
+        if unknown := seen.keys() - set(kpi_names):
+            raise KeyError(min(unknown))
+        counts = np.array([seen[name] for name in kpi_names], dtype=np.int64)
         return cls(kpi_names=kpi_names, counts=counts, n_runs=len(runs))
 
     def __post_init__(self):
@@ -141,10 +148,13 @@ def discovery_kpis(labeled: LabeledPanel, exclude=()) -> tuple[str, ...]:
 # SeedSequence entropy pool and `generate_state` (numpy/random/
 # bit_generator.pyx), PCG64's 128-bit LCG with XSL-RR output (O'Neill 2014),
 # and `Generator.shuffle`'s Fisher-Yates over `random_interval`'s masked
-# rejection with buffered 32-bit draws. NEP 19 fixes the bit generators'
-# streams across numpy releases but not `Generator.permutation`, so owning
-# the shuffle keeps the chunking fixed; it also keeps `numpy.random` out of
-# every discovery command.
+# rejection with buffered 32-bit draws. `first_shuffles` seeds a batch of
+# streams and draws each one's first permutation as one numpy computation,
+# one lane per stream; `Pcg64Stream` continues one lane's stream from the
+# state that permutation left, for the refinement passes. NEP 19 fixes the
+# bit generators' streams across numpy releases but not
+# `Generator.permutation`, so owning the shuffle keeps the chunking fixed; it
+# also keeps `numpy.random` out of every discovery command.
 
 _M32 = 0xFFFFFFFF
 _M64 = (1 << 64) - 1
@@ -192,23 +202,29 @@ def _mix(dst: np.ndarray, hashed: np.ndarray) -> np.ndarray:
     return r ^ r >> 16
 
 
-def seed_states(entropies, n_words: int) -> list[list[int]]:
-    """numpy's `SeedSequence(e).generate_state(n_words)` as ints, for every
-    entropy e, a sequence of non-negative ints, in `entropies`.
+def seed_states(entropies, n_words: int) -> np.ndarray:
+    """numpy's `SeedSequence(e).generate_state(n_words)` for every entropy e,
+    a sequence of non-negative ints, in `entropies`: a uint32 array with one
+    row per entropy.
 
     The batch runs SeedSequence's hashes once, each over a uint32 array
     with one entry per entropy; array arithmetic wraps modulo 2**32 as the
     hashes do. Every entropy must give the same number of uint32 words
     (ValueError otherwise).
     """
-    rows = [_entropy_words(e) for e in entropies]
-    if len({len(row) for row in rows}) > 1:
+    flat: list[int] = []
+    lengths = []
+    for entropy in entropies:
+        words = _entropy_words(entropy)
+        lengths.append(len(words))
+        flat.extend(words)
+    if len(set(lengths)) > 1:
         raise ValueError("the entropies of one batch must give the same number of words")
-    if not rows:
-        return []
+    if not lengths:
+        return np.zeros((0, n_words), dtype=np.uint32)
     # one row per word position; the pool pads entropy short of 4 words with 0
-    words = np.zeros((max(4, len(rows[0])), len(rows)), dtype=np.uint32)
-    words[: len(rows[0])] = np.array(rows, dtype=np.uint32).T
+    words = np.zeros((max(4, lengths[0]), len(lengths)), dtype=np.uint32)
+    words[: lengths[0]] = np.array(flat, dtype=np.uint32).reshape(len(lengths), -1).T
     # mix_entropy's k-th hash xors with constant k and multiplies by constant
     # k + 1: 4 hashes fill the pool, each pool word then mixes into the other
     # three, and each word past the fourth into all four
@@ -224,35 +240,202 @@ def seed_states(entropies, n_words: int) -> list[list[int]]:
         k += len(dst)
     # generate_state cycles over the pool with its own constants
     b = np.array(_hash_constants(_INIT_B, _MULT_B, n_words + 1), dtype=np.uint32)[:, None]
-    state = _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:])
-    return state.T.tolist()
+    return _hashmix(pool[np.arange(n_words) % 4], b[:-1], b[1:]).T
+
+
+# The kernel keeps each 128-bit quantity as uint64 high and low halves; numpy
+# array arithmetic wraps modulo 2**64 without a warning, as the halves need.
+
+
+def _halves(values) -> tuple[np.ndarray, np.ndarray]:
+    """128-bit ints as uint64 arrays of their high and low halves."""
+    return (
+        np.array([v >> 64 for v in values], dtype=np.uint64),
+        np.array([v & _M64 for v in values], dtype=np.uint64),
+    )
+
+
+def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a * b modulo 2**128 on uint64 halves, broadcasting a against b."""
+    # the high half of a_lo * b_lo from four 32 x 32 -> 64-bit products
+    a0, a1 = a_lo & _M32, a_lo >> 32
+    b0, b1 = b_lo & _M32, b_lo >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return a_hi * b_lo + a_lo * b_hi + carry, a_lo * b_lo
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """a + b modulo 2**128 on uint64 halves."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _jumps(steps) -> tuple[np.ndarray, ...]:
+    """For each k in `steps`, MULT**k and 1 + MULT + ... + MULT**(k-1)
+    modulo 2**128, as uint64 halves: the state k LCG steps after s is
+    MULT**k * s + (1 + MULT + ... + MULT**(k-1)) * inc."""
+    powers, sums = [1], [0]
+    for _ in range(max(steps, default=0)):
+        sums.append((sums[-1] + powers[-1]) & _M128)
+        powers.append(powers[-1] * _PCG_MULT & _M128)
+    return (*_halves([powers[k] for k in steps]), *_halves([sums[k] for k in steps]))
+
+
+# Lanes x outputs that one `_draws` tile computes at once: its uint64
+# temporaries stay near 0.3 MB however many lanes a sweep has.
+_DRAW_TILE = 4096
+
+
+def _draws(s_hi, s_lo, inc_hi, inc_lo, first: int, count: int) -> np.ndarray:
+    """The 32-bit draws of outputs first .. first + count - 1 of each lane
+    whose seeded state is s (output k comes from the state k steps after
+    s), low half first: a (lanes, 2 * count) uint32 array."""
+    a_hi, a_lo, c_hi, c_lo = _jumps(range(first, first + count))
+    draws = np.empty((len(s_hi), 2 * count), dtype=np.uint32)
+    tile = max(1, _DRAW_TILE // max(1, count))
+    for start in range(0, len(s_hi), tile):
+        part = slice(start, start + tile)
+        # each lane's states as a column, broadcast against the jumps
+        col = (part, np.newaxis)
+        x = _mul128(s_hi[col], s_lo[col], a_hi, a_lo)
+        hi, lo = _add128(*x, *_mul128(inc_hi[col], inc_lo[col], c_hi, c_lo))
+        # XSL-RR: xor the halves, rotate right by the state's top 6 bits
+        rot = hi >> 58
+        x = hi ^ lo
+        out = x >> rot | x << ((64 - rot) & 63)
+        draws[part, 0::2] = out & _M32
+        draws[part, 1::2] = out >> 32
+    return draws
+
+
+def _draw_budget(n: int) -> int:
+    """The 32-bit draws to generate up front for `permutation(n)`: the
+    expected count plus four standard deviations, each step's redraws
+    being geometric with acceptance (i + 1) / (mask + 1)."""
+    mean = var = 0.0
+    for i in range(1, n):
+        accept = (i + 1) / (1 << i.bit_length())
+        mean += 1 / accept
+        var += (1 - accept) / accept**2
+    return math.ceil(mean + 4 * math.sqrt(var))
+
+
+@dataclass(frozen=True)
+class FirstShuffles:
+    """The first `permutation(n)` of each of a batch of PCG64 streams, one
+    row per stream (lane), with what each lane's stream needs to continue:
+    its seeded LCG state and its increment as (lanes, 2) uint64 high and low
+    halves, the 64-bit outputs its permutation took, and the unused high
+    32-bit half of its last output, or -1 where there is none. Slicing gives
+    the lanes of a sub-batch; `stream(lane)` continues a lane's stream."""
+
+    perms: np.ndarray
+    seeded: np.ndarray
+    inc: np.ndarray
+    outputs: np.ndarray
+    spare: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.perms)
+
+    def __getitem__(self, lanes: slice) -> "FirstShuffles":
+        return FirstShuffles(*(getattr(self, f.name)[lanes] for f in fields(self)))
+
+    def stream(self, lane: int) -> "Pcg64Stream":
+        """The lane's stream, where its first permutation left it."""
+        s_hi, s_lo = self.seeded[lane].tolist()
+        i_hi, i_lo = self.inc[lane].tolist()
+        state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        for _ in range(int(self.outputs[lane])):
+            state = (state * _PCG_MULT + inc) & _M128
+        spare = int(self.spare[lane])
+        return Pcg64Stream(state, inc, None if spare < 0 else spare)
+
+
+def _seeded(entropies) -> tuple[np.ndarray, ...]:
+    """Each entropy's PCG64 state and increment as numpy seeds them, as
+    uint64 halves (state high, state low, increment high, increment low)."""
+    # PCG64 seeds from 8 SeedSequence words as uint64 little-endian pairs:
+    # the first two pairs are the state's high and low halves, the next two
+    # the increment's, shifted left by one with its low bit set
+    w0, w1, w2, w3, w4, w5, w6, w7 = seed_states(entropies, 8).T.astype(np.uint64)
+    inc_hi, inc_lo = w5 << 33 | w4 << 1 | w7 >> 31, w7 << 33 | w6 << 1 | 1
+    # PCG's seeding steps from state 0 to inc, adds the seed and steps again
+    hi, lo = _add128(inc_hi, inc_lo, w1 << 32 | w0, w3 << 32 | w2)
+    hi, lo = _mul128(hi, lo, *_halves([_PCG_MULT]))
+    return (*_add128(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def first_shuffles(entropies, n: int) -> FirstShuffles:
+    """`default_rng(SeedSequence(e)).permutation(n)` for every entropy e in
+    `entropies`, with each stream's state after it, for n < 2**32 (numpy
+    draws 64-bit words from there on).
+
+    One `seed_states` batch gives every lane's 8 state words. Each lane's
+    draws come from `_draws`, one row per lane sized to permutation(n)'s
+    need; a lane that uses its row up refills it with its next draws.
+    Fisher-Yates then runs in lockstep over the lanes: at each step every
+    lane takes its next draw, and only the lanes whose masked draw exceeds
+    the step's bound draw again.
+    """
+    s_hi, s_lo, inc_hi, inc_lo = _seeded(entropies)
+    lanes = len(s_hi)
+    block = -(-_draw_budget(n) // 2)  # outputs per row
+    draws = _draws(s_hi, s_lo, inc_hi, inc_lo, 1, block)
+
+    rows = np.arange(lanes)
+    perms = np.tile(np.arange(n, dtype=np.uint32), (lanes, 1))
+    pos = np.zeros(lanes, dtype=np.intp)  # each lane's next draw in its row
+    refills = np.zeros(lanes, dtype=np.intp)
+
+    def take(drawing, mask):
+        """The next draw of each lane in `drawing`, masked."""
+        at = pos[drawing]
+        if at.max(initial=0) == 2 * block:
+            for k in np.flatnonzero(at == 2 * block):
+                lane = drawing[k]
+                refills[lane] += 1
+                one = slice(lane, lane + 1)
+                first = refills[lane] * block + 1
+                draws[lane] = _draws(s_hi[one], s_lo[one], inc_hi[one], inc_lo[one], first, block)
+                at[k] = 0
+        pos[drawing] = at + 1
+        return draws[drawing, at] & mask
+
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = take(rows, mask)
+        redraw = rows[j > i]
+        while redraw.size:
+            j[redraw] = take(redraw, mask)
+            redraw = redraw[j[redraw] > i]
+        perms[:, i], perms[rows, j] = perms[rows, j], perms[:, i].copy()
+    # a lane that took an odd number of draws keeps its last output's high half
+    odd = rows[pos % 2 == 1]
+    spare = np.full(lanes, -1, dtype=np.int64)
+    spare[odd] = draws[odd, pos[odd]]
+    return FirstShuffles(
+        perms=perms,
+        seeded=np.column_stack([s_hi, s_lo]),
+        inc=np.column_stack([inc_hi, inc_lo]),
+        outputs=refills * block + (pos + 1) // 2,
+        spare=spare,
+    )
 
 
 class Pcg64Stream:
-    """The PCG64 stream that numpy seeds from 8 SeedSequence state words,
-    with the Generator's `permutation(n)` for an int n; each call continues
-    the stream, as successive numpy calls do. `Pcg64Stream.streams(entropies)`
-    gives the stream of `default_rng(SeedSequence(e))` for each entropy e."""
+    """A PCG64 stream from its 128-bit LCG state and increment, and the high
+    half of its last 64-bit output while that is unused, with the
+    Generator's `permutation(n)` for an int n; each call continues the
+    stream, as successive numpy calls do. `FirstShuffles.stream` builds one
+    where a lane's first permutation left it."""
 
     __slots__ = ("_state", "_inc", "_spare")
 
-    def __init__(self, words):
-        w0, w1, w2, w3, w4, w5, w6, w7 = words
-        # PCG64 seeds from the words as uint64 little-endian pairs: the first
-        # two pairs are the state's high and low halves, the next two the
-        # increment's
-        seed = w1 << 96 | w0 << 64 | w3 << 32 | w2
-        inc = (w5 << 96 | w4 << 64 | w7 << 32 | w6) << 1 & _M128 | 1
-        self._inc = inc
-        # PCG's seeding: step from state 0, add the seed, step again
-        self._state = ((inc + seed) * _PCG_MULT + inc) & _M128
-        # the high half of the last 64-bit output while it is unused
-        self._spare: int | None = None
-
-    @classmethod
-    def streams(cls, entropies) -> list["Pcg64Stream"]:
-        """One stream per entropy, seeded as one `seed_states` batch."""
-        return [cls(words) for words in seed_states(entropies, 8)]
+    def __init__(self, state: int, inc: int, spare: int | None = None):
+        self._state, self._inc, self._spare = state, inc, spare
 
     def permutation(self, n: int) -> list[int]:
         """A uniform permutation of range(n), as a list, for n < 2**32
@@ -281,19 +464,26 @@ class Pcg64Stream:
         return perm
 
 
+def _chunk_bounds(n: int, g: int) -> list[tuple[int, int]]:
+    """The (start, stop) of each chunk when n shuffled names are split into
+    ceil(n/g) chunks of size at most g; the first n % ceil(n/g) chunks take
+    one extra name, as np.array_split does."""
+    if g < 2:
+        raise ConfigError(f"chunk size g must be >= 2, got {g}")
+    n_chunks = max(1, -(-n // g))
+    size, extra = divmod(n, n_chunks)
+    starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
+    return [(a, b) for a, b in zip(starts, starts[1:]) if b > a]
+
+
 def partition(kpi_names, g: int, rng: Pcg64Stream) -> list[list[str]]:
     """Shuffle the names uniformly and split them into ceil(V/g) chunks of
     size at most g, covering every name exactly once. `rng` is any object
     whose permutation(n) permutes range(n), such as a numpy Generator."""
-    if g < 2:
-        raise ConfigError(f"chunk size g must be >= 2, got {g}")
     names = list(kpi_names)
+    bounds = _chunk_bounds(len(names), g)
     shuffled = [names[i] for i in rng.permutation(len(names))]
-    n_chunks = max(1, -(-len(names) // g))
-    # the first len % n_chunks chunks take one extra name, as np.array_split
-    size, extra = divmod(len(names), n_chunks)
-    starts = [i * size + min(i, extra) for i in range(n_chunks + 1)]
-    return [shuffled[a:b] for a, b in zip(starts, starts[1:]) if b > a]
+    return [shuffled[a:b] for a, b in bounds]
 
 
 class CiOracle:
@@ -496,7 +686,7 @@ def hierarchical_refine(
     g: int,
     alpha: float,
     max_cond: int,
-    rng: Pcg64Stream,
+    rng: Pcg64Stream | None,
 ) -> CandidateSet:
     """Refine the union of chunk survivors down to the run's candidate set.
 
@@ -510,7 +700,8 @@ def hierarchical_refine(
     and `rng` is passed to every `partition` call, on the survivors in
     panel order. The final pass is `oracle.candidates` of the remaining
     set, shared by every call that ends on that set; the warnings of any
-    refinement passes go before its own, on a copy.
+    refinement passes go before its own, on a copy. `rng` may be None when
+    the union has at most g members, since no pass then shuffles.
     """
     survivors = list(survivor_union)
     warnings: list[str] = []
@@ -537,15 +728,20 @@ def hierarchical_refine(
     return result
 
 
-def _discovery_run(oracle: CiOracle, cfg: RcdConfig, names, rng: Pcg64Stream) -> CandidateSet:
-    """One discovery run over `names`, shuffled by `rng`; its warnings are
-    distinct, in the order first seen."""
+def _discovery_run(
+    oracle: CiOracle, cfg: RcdConfig, chunks, shuffles: FirstShuffles, lane: int
+) -> CandidateSet:
+    """One discovery run whose first pass screens `chunks`, the lane's first
+    shuffle of the names; a union of more than g survivors is refined with
+    the lane's stream, continued. Its warnings are distinct, in the order
+    first seen."""
     union: set[str] = set()
     warnings: list[str] = []
-    for chunk in partition(names, cfg.g, rng):
+    for chunk in chunks:
         surv, warn = oracle.screen(chunk, cfg.alpha, cfg.max_cond)
         union.update(surv)
         warnings.extend(warn)
+    rng = shuffles.stream(lane) if len(union) > cfg.g else None
     result = hierarchical_refine(union, oracle, cfg.g, cfg.alpha, cfg.max_cond, rng)
     warnings.extend(result.warnings)
     if warnings:
@@ -554,13 +750,24 @@ def _discovery_run(oracle: CiOracle, cfg: RcdConfig, names, rng: Pcg64Stream) ->
     return result
 
 
+def _runs(oracle: CiOracle, cfg: RcdConfig, names, shuffles: FirstShuffles) -> list[CandidateSet]:
+    """One discovery run per lane of `shuffles`, in lane order."""
+    bounds = _chunk_bounds(len(names), cfg.g)
+    runs = []
+    for lane, shuffled in enumerate(np.array(names, dtype=object)[shuffles.perms].tolist()):
+        chunks = [shuffled[a:b] for a, b in bounds]
+        runs.append(_discovery_run(oracle, cfg, chunks, shuffles, lane))
+    return runs
+
+
 def rcd_single_run(
     oracle: CiOracle, cfg: RcdConfig, run_index: int, exclude=()
 ) -> CandidateSet:
     """Run `run_index` of `rcd_runs` alone, on the oracle's panel, with the
     stream of entropy [cfg.seed, run_index]."""
-    [rng] = Pcg64Stream.streams([[cfg.seed, run_index]])
-    return _discovery_run(oracle, cfg, discovery_kpis(oracle.labeled, exclude), rng)
+    names = discovery_kpis(oracle.labeled, exclude)
+    [run] = _runs(oracle, cfg, names, first_shuffles([[cfg.seed, run_index]], len(names)))
+    return run
 
 
 def rcd_runs(
@@ -569,28 +776,33 @@ def rcd_runs(
     exclude=(),
     *,
     oracle: CiOracle | None = None,
-    streams: list[Pcg64Stream] | None = None,
+    shuffles: FirstShuffles | None = None,
 ) -> list[CandidateSet]:
     """All n_runs candidate sets, in run order.
 
     Runs are pure functions of (data, cfg, run index): run i shuffles with
-    the stream of entropy [cfg.seed, i], and the call seeds all of its
-    streams as one batch. A caller that has seeded them already, such as
-    a tuner sweep seeding every run of every cell as one batch, passes them
-    as `streams`, one fresh stream per run (ValueError on a length other
-    than n_runs). Runs share one CI oracle, which must be built from
-    `labeled` (ValueError otherwise); None builds a fresh one.
+    the stream of entropy [cfg.seed, i], and the call draws every run's
+    first shuffle as one `first_shuffles` batch. A caller that has drawn
+    them already, such as a tuner sweep drawing every run of every cell as
+    one batch, passes its slice as `shuffles`, one lane per run (ValueError
+    on a count other than n_runs or a permutation of another width). Runs
+    share one CI oracle, which must be built from `labeled` (ValueError
+    otherwise); None builds a fresh one.
     """
     if oracle is None:
         oracle = CiOracle(labeled)
     elif oracle.labeled is not labeled:
         raise ValueError("oracle was built from a different labeled panel")
-    if streams is None:
-        streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
-    elif len(streams) != cfg.n_runs:
-        raise ValueError(f"got {len(streams)} streams for {cfg.n_runs} runs")
     names = discovery_kpis(labeled, exclude)
-    return [_discovery_run(oracle, cfg, names, rng) for rng in streams]
+    if shuffles is None:
+        shuffles = first_shuffles(([cfg.seed, i] for i in range(cfg.n_runs)), len(names))
+    elif len(shuffles) != cfg.n_runs:
+        raise ValueError(f"got {len(shuffles)} shuffles for {cfg.n_runs} runs")
+    elif shuffles.perms.shape[1] != len(names):
+        raise ValueError(
+            f"got shuffles of {shuffles.perms.shape[1]} names for {len(names)} KPIs"
+        )
+    return _runs(oracle, cfg, names, shuffles)
 
 
 def rcd_multi_run(
@@ -599,9 +811,9 @@ def rcd_multi_run(
     exclude=(),
     *,
     oracle: CiOracle | None = None,
-    streams: list[Pcg64Stream] | None = None,
+    shuffles: FirstShuffles | None = None,
 ) -> FrequencyTable:
     """Aggregate n_runs independent runs into per-KPI source frequencies;
-    `oracle` and `streams` are passed to `rcd_runs`."""
-    runs = rcd_runs(labeled, cfg, exclude, oracle=oracle, streams=streams)
+    `oracle` and `shuffles` are passed to `rcd_runs`."""
+    runs = rcd_runs(labeled, cfg, exclude, oracle=oracle, shuffles=shuffles)
     return FrequencyTable.from_runs(discovery_kpis(labeled, exclude), runs)

@@ -8,20 +8,19 @@ proportion is the median across g, the optimal n is the sweep value with
 the greatest proportional variance reduction, and the per-KPI choices
 consolidate to global parameters as maxima over the prominent-source set.
 The sweep runs in one process, all of its cells share one CI oracle, and
-the shuffle streams of all of its runs are seeded as one batch.
+the shuffle streams of all of its runs are seeded, and their first
+permutations drawn, as one `rcd.first_shuffles` batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import islice
-
 import numpy as np
 
 from .config import check_sweep, read_value
 from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
-from .rcd import CiOracle, Pcg64Stream, RcdConfig, discovery_kpis, rcd_multi_run, seed_states
+from .rcd import CiOracle, RcdConfig, discovery_kpis, first_shuffles, rcd_multi_run, seed_states
 from .stats import binomial_sd
 
 __all__ = [
@@ -117,11 +116,12 @@ def run_grid(
     """Execute the (g, n) sweep; each cell runs rcd_multi_run with the seed
     word 0 of SeedSequence([seed, g, n]) gives, so cells are independent
     and the grid is deterministic. The sweep seeds in two batches: one for
-    its cells, and one for the streams of every run of every cell, run i
-    of a cell with seed s taking the stream of entropy [s, i]; each cell's
-    rcd_multi_run call receives its own runs' streams. The cells share one
-    CI oracle, so each distinct test, screen and final candidate set is
-    computed once per sweep."""
+    its cells, and one `first_shuffles` call that seeds every run of every
+    cell and draws its first shuffle, run i of a cell with seed s taking
+    the stream of entropy [s, i]; each cell's rcd_multi_run call receives
+    its own runs' lanes, and only a run that refines builds its stream. The
+    cells share one CI oracle, so each distinct test, screen and final
+    candidate set is computed once per sweep."""
     g_values = read_value(tuple[int, ...], tuple(g_values), "g_values")
     n_values = read_value(tuple[int, ...], tuple(n_values), "n_values")
     check_sweep(g_values, "g_values", least=2)
@@ -134,22 +134,21 @@ def run_grid(
     oracle = CiOracle(labeled)
     names = discovery_kpis(labeled, exclude)
     cells = [(g, n) for g in g_values for n in n_values]
-    cell_seeds = [word for [word] in seed_states([[seed, g, n] for g, n in cells], 1)]
-    # every run of every cell in one batch; each cell takes its n in turn
-    streams = Pcg64Stream.streams(
-        [cell_seed, i] for (_, n), cell_seed in zip(cells, cell_seeds) for i in range(n)
+    cell_seeds = seed_states([[seed, g, n] for g, n in cells], 1)[:, 0].tolist()
+    # every run of every cell in one batch; each cell takes its n lanes in turn
+    shuffles = first_shuffles(
+        ([cell_seed, i] for (_, n), cell_seed in zip(cells, cell_seeds) for i in range(n)),
+        len(names),
     )
-    runs = iter(streams)
-    counts = [
-        rcd_multi_run(
-            labeled,
-            replace(base_cfg, g=g, n_runs=n, seed=cell_seed),
-            exclude,
-            oracle=oracle,
-            streams=list(islice(runs, n)),
-        ).counts
-        for (g, n), cell_seed in zip(cells, cell_seeds)
-    ]
+    counts = []
+    start = 0
+    for (g, n), cell_seed in zip(cells, cell_seeds):
+        cfg = replace(base_cfg, g=g, n_runs=n, seed=cell_seed)
+        table = rcd_multi_run(
+            labeled, cfg, exclude, oracle=oracle, shuffles=shuffles[start : start + n]
+        )
+        counts.append(table.counts)
+        start += n
     counts = np.reshape(counts, (len(g_values), len(n_values), len(names)))
     return McGrid(g_values=g_values, n_values=n_values, kpi_names=names, counts=counts)
 
@@ -178,12 +177,17 @@ def variance_trend(grid: McGrid, kpi: str) -> TrendResult:
         )
     ki = grid.kpi_names.index(kpi)
     x = np.asarray(grid.n_values, dtype=float)
+    # equal columns have equal fits, so each distinct column is fitted once;
+    # one fit of several columns would take LAPACK's multi-column path, whose
+    # last bits can differ from a one-column fit's
+    fits: dict[tuple[float, ...], float] = {}
     slopes = []
-    for gi, g in enumerate(grid.g_values):
-        p = grid.proportions[gi, :, ki]
-        variance = np.array([binomial_sd(pv, n) ** 2 for pv, n in zip(p, grid.n_values)])
-        slope = float(np.polyfit(x, variance, 1)[0])
-        slopes.append((g, slope))
+    for g, column in zip(grid.g_values, grid.proportions[:, :, ki].tolist()):
+        key = tuple(column)
+        if key not in fits:
+            variance = [binomial_sd(p, n) ** 2 for p, n in zip(column, grid.n_values)]
+            fits[key] = float(np.polyfit(x, variance, 1)[0])
+        slopes.append((g, fits[key]))
     negative = sum(1 for _, s in slopes if s < 0.0)
     fraction = negative / len(slopes)
     return TrendResult(

@@ -12,8 +12,8 @@ from rcseq.rcd import (
     CandidateSet,
     CiOracle,
     FrequencyTable,
-    Pcg64Stream,
     RcdConfig,
+    first_shuffles,
     hierarchical_refine,
     local_skeleton,
     partition,
@@ -575,7 +575,8 @@ def reference_runs(labeled, cfg, exclude=()):
     order = oracle.order
     names = list(rcd.discovery_kpis(labeled, exclude))
     runs = []
-    for rng in Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs)):
+    for i in range(cfg.n_runs):
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i]))
         union, warnings = set(), []
         for chunk in partition(names, cfg.g, rng):
             chunk = sorted(chunk, key=order.__getitem__)
@@ -637,7 +638,8 @@ class TestFinalPassMemo:
         names = labeled.panel.kpi_names
         for max_cond in range(6):
             for seed in range(3):
-                [rng, ref_rng] = Pcg64Stream.streams([[seed]] * 2)
+                rng = first_shuffles([[seed]], 0).stream(0)
+                ref_rng = np.random.default_rng(np.random.SeedSequence([seed]))
                 got = hierarchical_refine(names, oracle, 5, 0.999, max_cond, rng)
                 want = reference_refine(ref_oracle, names, 5, 0.999, max_cond, ref_rng)
                 assert_same_runs([got], [want])
@@ -656,7 +658,8 @@ class TestFinalPassMemo:
 
     def test_empty_union(self):
         oracle = CiOracle(noise_labeled(0))
-        empty = hierarchical_refine([], oracle, 3, 0.05, 3, Pcg64Stream.streams([[0]])[0])
+        # a union of at most g members is not shuffled, so it needs no stream
+        empty = hierarchical_refine([], oracle, 3, 0.05, 3, None)
         assert empty == CandidateSet(kpis=(), p_values=(), warnings=())
         assert oracle.candidates((), 0.05, 3) is empty
 

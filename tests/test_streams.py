@@ -1,40 +1,113 @@
 """Discovery's shuffle stream against numpy's.
 
-`rcd.seed_states` and `rcd.Pcg64Stream` compute numpy's SeedSequence ->
-PCG64 -> `Generator.permutation` path themselves, seeding a batch of
-streams at once. These tests pin them to numpy bit for bit, so the chunking
-of every discovery run stays where numpy put it.
+`rcd.seed_states`, `rcd.first_shuffles` and `rcd.Pcg64Stream` compute
+numpy's SeedSequence -> PCG64 -> `Generator.permutation` path themselves:
+`first_shuffles` seeds a batch of streams and draws each one's first
+permutation as one array computation, and `Pcg64Stream` continues a stream
+from the state that permutation left. These tests pin them to numpy bit
+for bit, so the chunking of every discovery run stays where numpy put it.
 """
+
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from rcseq.rcd import Pcg64Stream, RcdConfig, partition, rcd_runs, seed_states
+from rcseq import rcd
+from rcseq.rcd import FirstShuffles, RcdConfig, first_shuffles, partition, rcd_runs, seed_states
 from test_rcd import autocorrelated_labeled
 
 # word boundaries of SeedSequence's entropy: one, two, three and seven words
 SEEDS = [0, 1, 143, 2**32 - 1, 2**32, 2**64 + 5, 2**200]
+# each mask width's first and last bounds, and a step whose every draw fits
+WIDTHS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33, 64, 65]
 
 
 def numpy_stream(entropy):
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+def kernel(entropies, n):
+    """`first_shuffles` with every warning an error: the uint64 halves must
+    wrap silently."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return first_shuffles(entropies, n)
+
+
 def stream(entropy):
-    [ours] = Pcg64Stream.streams([entropy])
-    return ours
+    """Our stream of the entropy, before any draw."""
+    return kernel([entropy], 0).stream(0)
+
+
+def assert_lanes_match_numpy(entropies, n, later=(5, 2, 9)):
+    """Each lane's first permutation, then its stream's next permutations,
+    against numpy's generator of the lane's entropy."""
+    shuffles = kernel(entropies, n)
+    assert shuffles.perms.shape == (len(entropies), n)
+    for lane, entropy in enumerate(entropies):
+        theirs = numpy_stream(entropy)
+        assert shuffles.perms[lane].tolist() == theirs.permutation(n).tolist(), (entropy, n)
+        ours = shuffles.stream(lane)
+        for m in later:
+            assert ours.permutation(m) == theirs.permutation(m).tolist(), (entropy, n, m)
+    return shuffles
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("run_index", [0, 1, 9, 2**32 + 3])
 def test_permutations_match_numpy(seed, run_index):
-    # one batch of 60 equal entropies: a fresh stream for each n
-    ours = Pcg64Stream.streams([[seed, run_index]] * 60)
-    for n, stream_n in enumerate(ours, start=1):
-        theirs = numpy_stream([seed, run_index])
-        # the refinement passes keep drawing from a run's stream
-        for _ in range(3):
-            assert stream_n.permutation(n) == theirs.permutation(n).tolist()
+    # the first permutation of each n from the kernel; the refinement passes
+    # keep drawing from the run's stream
+    for n in range(61):
+        assert_lanes_match_numpy([[seed, run_index]], n, later=(n, n))
+
+
+@pytest.mark.parametrize("lanes", [1, 10, 1140, 5003])
+def test_batches_match_numpy(lanes):
+    entropies = [[143 + lane // 27, lane % 27] for lane in range(lanes)]
+    for n in (2, 7, 17):
+        assert_lanes_match_numpy(entropies, n, later=(4,))
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_widths_match_numpy(n):
+    for seed in (0, 2**32 + 7, 2**100 + 3):
+        assert_lanes_match_numpy([[seed, i] for i in range(150)], n)
+
+
+def test_lanes_use_up_the_draw_budget(monkeypatch):
+    # a lane that draws past its row refills the row with its next draws;
+    # with the budget cut to one draw, a row holds one 64-bit output, and
+    # each lane refills at least once per two of its n - 1 draws after the
+    # first two
+    refills = []
+    draws = rcd._draws
+
+    def counted(s_hi, s_lo, inc_hi, inc_lo, first, count):
+        if first > 1:
+            refills.append(int(first))
+        return draws(s_hi, s_lo, inc_hi, inc_lo, first, count)
+
+    monkeypatch.setattr(rcd, "_draws", counted)
+    entropies = [[2**40 + 9, i] for i in range(5000)]
+    assert_lanes_match_numpy(entropies, 33, later=(3,))
+    assert refills  # at four deviations, a few of 5000 lanes run over
+    monkeypatch.setattr(rcd, "_draw_budget", lambda n: 1)
+    for n in (3, 8, 17):
+        refills.clear()
+        assert_lanes_match_numpy(entropies[:200], n)
+        assert refills and len(refills) >= 200 * ((n - 2) // 2)
+
+
+def test_lanes_continue_after_odd_and_even_draws():
+    # a lane whose first permutation took an odd number of 32-bit draws
+    # keeps the high half of its last output for its next draw
+    shuffles = assert_lanes_match_numpy([[7, i] for i in range(400)], 9, later=(6, 1, 3, 2))
+    spare = shuffles.spare.tolist()
+    assert -1 in spare and any(s >= 0 for s in spare)
+    assert all(-1 <= s < 2**32 for s in spare)
 
 
 def test_stream_continues_across_sizes():
@@ -46,8 +119,9 @@ def test_stream_continues_across_sizes():
 
 @pytest.mark.parametrize("entropy", [[], [0], [5, 6, 7, 8], [1, 2, 3, 4, 5], [2**100, 2**40, 9]])
 def test_seed_state_matches_numpy(entropy):
-    [ours] = seed_states([entropy], 20)
-    assert ours == np.random.SeedSequence(entropy).generate_state(20).tolist()
+    ours = seed_states([entropy], 20)
+    assert ours.dtype == np.uint32 and ours.shape == (1, 20)
+    assert ours[0].tolist() == np.random.SeedSequence(entropy).generate_state(20).tolist()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -62,9 +136,15 @@ def test_cell_seed_matches_numpy(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_batch_equals_members_seeded_alone(seed):
     batch = [[seed, i] for i in range(41)]
-    assert seed_states(batch, 8) == [seed_states([entropy], 8)[0] for entropy in batch]
-    for entropy, ours in zip(batch, Pcg64Stream.streams(batch)):
-        assert ours.permutation(30) == stream(entropy).permutation(30)
+    words = seed_states(batch, 8)
+    assert np.array_equal(words, np.concatenate([seed_states([entropy], 8) for entropy in batch]))
+    shuffles = kernel(batch, 30)
+    for lane, entropy in enumerate(batch):
+        alone = kernel([entropy], 30)
+        for field in fields(FirstShuffles):
+            got, want = getattr(shuffles, field.name)[lane], getattr(alone, field.name)[0]
+            assert np.array_equal(got, want), field.name
+        assert shuffles.stream(lane).permutation(30) == alone.stream(0).permutation(30)
 
 
 def test_batch_of_mixed_word_counts_raises():
@@ -72,12 +152,13 @@ def test_batch_of_mixed_word_counts_raises():
     with pytest.raises(ValueError, match="same number of words"):
         seed_states([[3, 5], [3, 2**32]], 8)
     with pytest.raises(ValueError, match="same number of words"):
-        Pcg64Stream.streams([[3], [3, 1]])
+        first_shuffles([[3], [3, 1]], 4)
 
 
 def test_empty_batch():
-    assert seed_states([], 8) == []
-    assert Pcg64Stream.streams([]) == []
+    assert seed_states([], 8).shape == (0, 8)
+    shuffles = kernel([], 5)
+    assert len(shuffles) == 0 and shuffles.perms.shape == (0, 5)
 
 
 def test_entropy_must_be_non_negative_ints():
@@ -95,15 +176,19 @@ def test_partition_takes_either_stream():
 
 
 def test_runs_take_streams_seeded_elsewhere():
-    # a tuner sweep seeds every run's stream in one batch and hands them over
+    # a tuner sweep draws every run's first shuffle in one batch and hands
+    # each call its lanes; a lane can be handed over more than once
     labeled = autocorrelated_labeled(0, v=12)
     cfg = RcdConfig(g=4, n_runs=7, seed=2**33 + 1)
-    streams = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
+    shuffles = first_shuffles(([cfg.seed, i] for i in range(cfg.n_runs)), 12)
     runs = rcd_runs(labeled, cfg)
     assert len({run.kpis for run in runs}) > 1
-    assert rcd_runs(labeled, cfg, streams=streams) == runs
-    fresh = Pcg64Stream.streams([cfg.seed, i] for i in range(cfg.n_runs))
-    assert rcd_runs(labeled, cfg, streams=fresh[::-1]) == runs[::-1]
-    for wrong in (streams[:-1], [*streams, streams[0]], []):
-        with pytest.raises(ValueError, match=f"{len(wrong)} streams for 7 runs"):
-            rcd_runs(labeled, cfg, streams=wrong)
+    assert rcd_runs(labeled, cfg, shuffles=shuffles) == runs
+    assert rcd_runs(labeled, cfg, shuffles=shuffles[::-1]) == runs[::-1]
+    assert rcd_runs(labeled, cfg, shuffles=shuffles) == runs
+    longer = first_shuffles(([cfg.seed, i] for i in range(8)), 12)
+    for wrong in (shuffles[:-1], longer, shuffles[:0]):
+        with pytest.raises(ValueError, match=f"{len(wrong)} shuffles for 7 runs"):
+            rcd_runs(labeled, cfg, shuffles=wrong)
+    with pytest.raises(ValueError, match="shuffles of 11 names for 12 KPIs"):
+        rcd_runs(labeled, cfg, shuffles=first_shuffles([[cfg.seed, i] for i in range(7)], 11))

@@ -112,14 +112,17 @@ class TestRunGrid:
         "g_values, n_values", [((3,), (4,)), ((2, 3), (4, 7)), ((2, 3, 5), (1, 4, 9))]
     )
     def test_sweep_seeds_in_two_batches(self, monkeypatch, g_values, n_values):
-        # one batch seeds the cells, one every run of every cell
+        # one batch seeds the cells, one every run of every cell, each as
+        # one uint32 array of words with a row per entropy
         batches = []
         seed_states = rcd.seed_states
 
         def counted(entropies, n_words):
             entropies = list(entropies)
             batches.append((len(entropies), n_words))
-            return seed_states(entropies, n_words)
+            words = seed_states(entropies, n_words)
+            assert words.dtype == np.uint32 and words.shape == (len(entropies), n_words)
+            return words
 
         monkeypatch.setattr(rcd, "seed_states", counted)
         monkeypatch.setattr(tuner, "seed_states", counted)
@@ -278,6 +281,33 @@ class TestVarianceTrend:
         slope = np.polyfit([10, 20, 40], expected, 1)[0]
         res = variance_trend(grid, "k")
         assert res.slopes[0][1] == pytest.approx(slope)
+
+    @pytest.mark.parametrize("kind", ["random", "all-0", "all-1"])
+    def test_slopes_match_per_column_fits(self, kind):
+        # each slope has the bits of its own column's fit, for sweeps of up
+        # to 12 n values (from 8 on, one fit of several columns can differ
+        # in the last bit) and with columns repeated across g
+        rng = np.random.default_rng(len(kind))
+        for _ in range(25):
+            n_values = tuple(sorted(rng.choice(np.arange(1, 500), rng.integers(3, 13), False).tolist()))
+            g_values = tuple(range(2, 2 + int(rng.integers(1, 14))))
+            n = np.array(n_values)[:, None]
+            shape = (len(g_values), len(n_values), 3)
+            if kind == "random":
+                # few distinct columns per KPI, as on real sweeps
+                distinct = rng.integers(0, n + 1, size=(3, *shape[1:]))
+                counts = distinct[rng.integers(0, 3, len(g_values))]
+            else:
+                counts = np.broadcast_to(n if kind == "all-1" else 0, shape)
+            grid = McGrid(g_values, n_values, ("a", "b", "c"), counts)
+            x = np.asarray(n_values, dtype=float)
+            for ki, kpi in enumerate(grid.kpi_names):
+                res = variance_trend(grid, kpi)
+                assert [g for g, _ in res.slopes] == list(g_values)
+                for gi, (_, slope) in enumerate(res.slopes):
+                    p = grid.proportions[gi, :, ki]
+                    variance = [binomial_sd(pv, nv) ** 2 for pv, nv in zip(p, n_values)]
+                    assert slope.hex() == float(np.polyfit(x, variance, 1)[0]).hex()
 
 
 class TestSelectG:
