@@ -272,42 +272,96 @@ def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     return a_hi + b_hi + (lo < a_lo), lo
 
 
-def _jumps(steps) -> tuple[np.ndarray, ...]:
-    """For each k in `steps`, MULT**k and 1 + MULT + ... + MULT**(k-1)
-    modulo 2**128, as uint64 halves: the state k LCG steps after s is
-    MULT**k * s + (1 + MULT + ... + MULT**(k-1)) * inc."""
+def _seeded(entropies) -> tuple[np.ndarray, np.ndarray]:
+    """Each entropy's PCG64 stream as numpy seeds it, as (2, lanes) uint64
+    high and low halves: row 0 the state one LCG step before the seeded
+    state, row 1 the increment."""
+    # PCG64 seeds from 8 SeedSequence words as uint64 little-endian pairs:
+    # the first two pairs are the seed's high and low halves, the next two
+    # the increment's, shifted left by one with its low bit set
+    w0, w1, w2, w3, w4, w5, w6, w7 = seed_states(entropies, 8).T.astype(np.uint64)
+    inc_hi, inc_lo = w5 << 33 | w4 << 1 | w7 >> 31, w7 << 33 | w6 << 1 | 1
+    # PCG's seeding steps from state 0 to inc, adds the seed and steps again
+    hi, lo = _add128(inc_hi, inc_lo, w1 << 32 | w0, w3 << 32 | w2)
+    return np.stack([hi, inc_hi]), np.stack([lo, inc_lo])
+
+
+def _jumps(steps) -> tuple[np.ndarray, np.ndarray]:
+    """For each k in `steps`, MULT**k (row 0) and 1 + MULT + ... +
+    MULT**(k-1) (row 1) modulo 2**128, as (2, len(steps)) uint64 high and
+    low halves: the state k LCG steps after s is MULT**k * s + (1 + MULT +
+    ... + MULT**(k-1)) * inc."""
     powers, sums = [1], [0]
     for _ in range(max(steps, default=0)):
         sums.append((sums[-1] + powers[-1]) & _M128)
         powers.append(powers[-1] * _PCG_MULT & _M128)
-    return (*_halves([powers[k] for k in steps]), *_halves([sums[k] for k in steps]))
+    hi, lo = _halves([powers[k] for k in steps] + [sums[k] for k in steps])
+    return hi.reshape(2, -1), lo.reshape(2, -1)
 
 
 # Lanes x outputs that one `_draws` tile computes at once: its uint64
-# temporaries stay near 0.3 MB however many lanes a sweep has.
-_DRAW_TILE = 4096
+# temporaries stay near 0.3 MB however many lanes a batch has.
+_DRAW_TILE = 2048
 
 
-def _draws(s_hi, s_lo, inc_hi, inc_lo, first: int, count: int) -> np.ndarray:
-    """The 32-bit draws of outputs first .. first + count - 1 of each lane
-    whose seeded state is s (output k comes from the state k steps after
-    s), low half first: a (lanes, 2 * count) uint32 array."""
-    a_hi, a_lo, c_hi, c_lo = _jumps(range(first, first + count))
-    draws = np.empty((len(s_hi), 2 * count), dtype=np.uint32)
+def _draws(hi: np.ndarray, lo: np.ndarray, count: int) -> np.ndarray:
+    """The 32-bit draws of the first `count` 64-bit outputs of each lane of
+    `_seeded`'s halves, low half first, then a row of zeros: a
+    (2 * count + 1, lanes) uint32 array, one column per lane. Output k
+    comes from the state k + 1 steps after row 0's."""
+    j_hi, j_lo = _jumps(range(2, count + 2))
+    j_hi, j_lo = j_hi[..., None], j_lo[..., None]  # [state or inc, output, lane]
+    lanes = hi.shape[1]
+    draws = np.zeros((2 * count + 1, lanes), dtype=np.uint32)
     tile = max(1, _DRAW_TILE // max(1, count))
-    for start in range(0, len(s_hi), tile):
+    for start in range(0, lanes, tile):
         part = slice(start, start + tile)
-        # each lane's states as a column, broadcast against the jumps
-        col = (part, np.newaxis)
-        x = _mul128(s_hi[col], s_lo[col], a_hi, a_lo)
-        hi, lo = _add128(*x, *_mul128(inc_hi[col], inc_lo[col], c_hi, c_lo))
+        # one product per output and lane, of the state and of the increment
+        p_hi, p_lo = _mul128(hi[:, None, part], lo[:, None, part], j_hi, j_lo)
+        s_hi, s_lo = _add128(p_hi[0], p_lo[0], p_hi[1], p_lo[1])
         # XSL-RR: xor the halves, rotate right by the state's top 6 bits
-        rot = hi >> 58
-        x = hi ^ lo
+        rot = s_hi >> 58
+        x = s_hi ^ s_lo
         out = x >> rot | x << ((64 - rot) & 63)
-        draws[part, 0::2] = out & _M32
-        draws[part, 1::2] = out >> 32
+        draws[0:-1:2, part] = out & _M32
+        draws[1:-1:2, part] = out >> 32
     return draws
+
+
+def _fisher_yates(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`Generator.shuffle` of range(n) on each column of `_draws`, in
+    lockstep over the columns: the (n, columns) uint32 permutations and the
+    draws each column took, or -1 where its draws ran out.
+
+    At each step every column takes its next draw, and only the columns
+    whose masked draw exceeds the step's bound draw again. A column that
+    runs out reads the zeros past its draws, which every step keeps, and
+    is redone.
+    """
+    width, cols = draws.shape
+    flat = draws.reshape(-1)
+    perms = np.repeat(np.arange(n, dtype=np.uint32)[:, None], cols, axis=1)
+    cells = perms.reshape(-1)
+    lane = np.arange(cols)
+    at = lane.copy()  # each column's next draw, as an index into `flat`
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = flat.take(at, mode="clip") & mask
+        at += cols
+        redraw = np.flatnonzero(j > i)
+        while redraw.size:
+            again = at[redraw]
+            j[redraw] = flat.take(again, mode="clip") & mask
+            at[redraw] = again + cols
+            redraw = redraw[j[redraw] > i]
+        # swap rows i and j of every column
+        other = j * cols + lane
+        row = perms[i].copy()
+        perms[i] = cells.take(other)
+        cells[other] = row
+    used = at // cols
+    used[used >= width] = -1
+    return perms, used
 
 
 def _draw_budget(n: int) -> int:
@@ -322,17 +376,39 @@ def _draw_budget(n: int) -> int:
     return math.ceil(mean + 4 * math.sqrt(var))
 
 
+def _first_pass(hi, lo, n: int, outputs: int) -> tuple[np.ndarray, ...]:
+    """Each lane's first permutation(n) from `_seeded`'s halves, drawing
+    `outputs` 64-bit outputs per lane, and twice as many again for a lane
+    that uses them up: the (n, lanes) permutations, the draws each lane
+    took, and the unused high half of its last output, or -1 where there is
+    none."""
+    draws = _draws(hi, lo, outputs)
+    perms, used = _fisher_yates(draws, n)
+    # a lane that took an odd number of draws keeps its last output's high
+    # half, the draw after its last; a lane that ran short (-1) is redone
+    odd = np.flatnonzero(used % 2 == 1)
+    spare = np.full(len(used), -1, dtype=np.int64)
+    spare[odd] = draws[used[odd], odd]
+    short = np.flatnonzero(used < 0)
+    if short.size:
+        perms[:, short], used[short], spare[short] = _first_pass(
+            hi[:, short], lo[:, short], n, 2 * max(outputs, 1)
+        )
+    return perms, used, spare
+
+
 @dataclass(frozen=True)
 class FirstShuffles:
     """The first `permutation(n)` of each of a batch of PCG64 streams, one
     row per stream (lane), with what each lane's stream needs to continue:
-    its seeded LCG state and its increment as (lanes, 2) uint64 high and low
-    halves, the 64-bit outputs its permutation took, and the unused high
-    32-bit half of its last output, or -1 where there is none. Slicing gives
-    the lanes of a sub-batch; `stream(lane)` continues a lane's stream."""
+    the state one step before its seeded state and its increment, as
+    (lanes, 2) uint64 high and low halves, the 64-bit outputs its
+    permutation took, and the unused high 32-bit half of its last output,
+    or -1 where there is none. Slicing gives the lanes of a sub-batch;
+    `stream(lane)` continues a lane's stream."""
 
     perms: np.ndarray
-    seeded: np.ndarray
+    pre: np.ndarray
     inc: np.ndarray
     outputs: np.ndarray
     spare: np.ndarray
@@ -345,27 +421,14 @@ class FirstShuffles:
 
     def stream(self, lane: int) -> "Pcg64Stream":
         """The lane's stream, where its first permutation left it."""
-        s_hi, s_lo = self.seeded[lane].tolist()
+        s_hi, s_lo = self.pre[lane].tolist()
         i_hi, i_lo = self.inc[lane].tolist()
         state, inc = s_hi << 64 | s_lo, i_hi << 64 | i_lo
-        for _ in range(int(self.outputs[lane])):
+        # one step to the seeded state, then one per output
+        for _ in range(int(self.outputs[lane]) + 1):
             state = (state * _PCG_MULT + inc) & _M128
         spare = int(self.spare[lane])
         return Pcg64Stream(state, inc, None if spare < 0 else spare)
-
-
-def _seeded(entropies) -> tuple[np.ndarray, ...]:
-    """Each entropy's PCG64 state and increment as numpy seeds them, as
-    uint64 halves (state high, state low, increment high, increment low)."""
-    # PCG64 seeds from 8 SeedSequence words as uint64 little-endian pairs:
-    # the first two pairs are the state's high and low halves, the next two
-    # the increment's, shifted left by one with its low bit set
-    w0, w1, w2, w3, w4, w5, w6, w7 = seed_states(entropies, 8).T.astype(np.uint64)
-    inc_hi, inc_lo = w5 << 33 | w4 << 1 | w7 >> 31, w7 << 33 | w6 << 1 | 1
-    # PCG's seeding steps from state 0 to inc, adds the seed and steps again
-    hi, lo = _add128(inc_hi, inc_lo, w1 << 32 | w0, w3 << 32 | w2)
-    hi, lo = _mul128(hi, lo, *_halves([_PCG_MULT]))
-    return (*_add128(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
 
 def first_shuffles(entropies, n: int) -> FirstShuffles:
@@ -373,54 +436,19 @@ def first_shuffles(entropies, n: int) -> FirstShuffles:
     `entropies`, with each stream's state after it, for n < 2**32 (numpy
     draws 64-bit words from there on).
 
-    One `seed_states` batch gives every lane's 8 state words. Each lane's
-    draws come from `_draws`, one row per lane sized to permutation(n)'s
-    need; a lane that uses its row up refills it with its next draws.
-    Fisher-Yates then runs in lockstep over the lanes: at each step every
-    lane takes its next draw, and only the lanes whose masked draw exceeds
-    the step's bound draw again.
+    One `seed_states` batch gives every lane's 8 state words. Each lane
+    draws outputs for the permutation's expected need plus four standard
+    deviations, from one jump-ahead product per output; a lane that uses
+    them up is drawn again with twice as many. Fisher-Yates then runs in
+    lockstep over the lanes.
     """
-    s_hi, s_lo, inc_hi, inc_lo = _seeded(entropies)
-    lanes = len(s_hi)
-    block = -(-_draw_budget(n) // 2)  # outputs per row
-    draws = _draws(s_hi, s_lo, inc_hi, inc_lo, 1, block)
-
-    rows = np.arange(lanes)
-    perms = np.tile(np.arange(n, dtype=np.uint32), (lanes, 1))
-    pos = np.zeros(lanes, dtype=np.intp)  # each lane's next draw in its row
-    refills = np.zeros(lanes, dtype=np.intp)
-
-    def take(drawing, mask):
-        """The next draw of each lane in `drawing`, masked."""
-        at = pos[drawing]
-        if at.max(initial=0) == 2 * block:
-            for k in np.flatnonzero(at == 2 * block):
-                lane = drawing[k]
-                refills[lane] += 1
-                one = slice(lane, lane + 1)
-                first = refills[lane] * block + 1
-                draws[lane] = _draws(s_hi[one], s_lo[one], inc_hi[one], inc_lo[one], first, block)
-                at[k] = 0
-        pos[drawing] = at + 1
-        return draws[drawing, at] & mask
-
-    for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        j = take(rows, mask)
-        redraw = rows[j > i]
-        while redraw.size:
-            j[redraw] = take(redraw, mask)
-            redraw = redraw[j[redraw] > i]
-        perms[:, i], perms[rows, j] = perms[rows, j], perms[:, i].copy()
-    # a lane that took an odd number of draws keeps its last output's high half
-    odd = rows[pos % 2 == 1]
-    spare = np.full(lanes, -1, dtype=np.int64)
-    spare[odd] = draws[odd, pos[odd]]
+    hi, lo = _seeded(entropies)
+    perms, used, spare = _first_pass(hi, lo, n, -(-_draw_budget(n) // 2))
     return FirstShuffles(
-        perms=perms,
-        seeded=np.column_stack([s_hi, s_lo]),
-        inc=np.column_stack([inc_hi, inc_lo]),
-        outputs=refills * block + (pos + 1) // 2,
+        perms=perms.T,
+        pre=np.stack([hi[0], lo[0]], axis=1),
+        inc=np.stack([hi[1], lo[1]], axis=1),
+        outputs=(used + 1) // 2,
         spare=spare,
     )
 

@@ -15,6 +15,7 @@ permutations drawn, as one `rcd.first_shuffles` batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+
 import numpy as np
 
 from .config import check_sweep, read_value

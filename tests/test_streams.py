@@ -78,27 +78,33 @@ def test_widths_match_numpy(n):
 
 
 def test_lanes_use_up_the_draw_budget(monkeypatch):
-    # a lane that draws past its row refills the row with its next draws;
-    # with the budget cut to one draw, a row holds one 64-bit output, and
-    # each lane refills at least once per two of its n - 1 draws after the
-    # first two
-    refills = []
+    # a lane whose draws run out is drawn again with twice as many outputs,
+    # until its permutation fits
+    calls = []
     draws = rcd._draws
 
-    def counted(s_hi, s_lo, inc_hi, inc_lo, first, count):
-        if first > 1:
-            refills.append(int(first))
-        return draws(s_hi, s_lo, inc_hi, inc_lo, first, count)
+    def counted(hi, lo, count):
+        calls.append((hi.shape[1], count))
+        return draws(hi, lo, count)
 
     monkeypatch.setattr(rcd, "_draws", counted)
     entropies = [[2**40 + 9, i] for i in range(5000)]
     assert_lanes_match_numpy(entropies, 33, later=(3,))
-    assert refills  # at four deviations, a few of 5000 lanes run over
+    budget = -(-rcd._draw_budget(33) // 2)
+    assert sum(lanes for lanes, count in calls if count == budget) == 5000
+    # at four deviations, a few of 5000 lanes run over
+    redrawn = [lanes for lanes, count in calls if count > budget]
+    assert 0 < sum(redrawn) < 50
+    # with the budget cut to one output (two draws), every lane is drawn
+    # again while its row has fewer draws than its n - 1 steps
     monkeypatch.setattr(rcd, "_draw_budget", lambda n: 1)
     for n in (3, 8, 17):
-        refills.clear()
+        calls.clear()
         assert_lanes_match_numpy(entropies[:200], n)
-        assert refills and len(refills) >= 200 * ((n - 2) // 2)
+        assert calls[0] == (200, 1)
+        assert [count for _, count in calls] == [2**k for k in range(len(calls))]
+        assert all(lanes == 200 for lanes, count in calls if 2 * count < n - 1)
+        assert len(calls) > 1
 
 
 def test_lanes_continue_after_odd_and_even_draws():

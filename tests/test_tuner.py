@@ -76,7 +76,7 @@ class TestRunGrid:
         """Each cell's counts from rcd_multi_run with a fresh oracle."""
         return [
             rcd_multi_run(
-                labeled, RcdConfig(g=g, n_runs=n, seed=seed_states([[seed, g, n]], 1)[0][0])
+                labeled, RcdConfig(g=g, n_runs=n, seed=int(seed_states([[seed, g, n]], 1)[0, 0]))
             ).counts
             for g in g_values
             for n in n_values
