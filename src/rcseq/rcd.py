@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -348,17 +348,16 @@ def _fisher_yates(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         mask = (1 << i.bit_length()) - 1
         j = flat.take(at, mode="clip") & mask
         at += cols
-        redraw = np.flatnonzero(j > i)
-        while redraw.size:
+        redraw = np.flatnonzero(j > i) if i < mask else []  # i == mask keeps all
+        while len(redraw):
             again = at[redraw]
             j[redraw] = flat.take(again, mode="clip") & mask
             at[redraw] = again + cols
             redraw = redraw[j[redraw] > i]
-        # swap rows i and j of every column
+        # swap rows i and j of every column; reading row i as a view is safe,
+        # as the scatter writes to row i only where j == i, its own value
         other = j * cols + lane
-        row = perms[i].copy()
-        perms[i] = cells.take(other)
-        cells[other] = row
+        cells[other], perms[i] = perms[i], cells[other]
     used = at // cols
     used[used >= width] = -1
     return perms, used
@@ -397,7 +396,6 @@ def _first_pass(hi, lo, n: int, outputs: int) -> tuple[np.ndarray, ...]:
     return perms, used, spare
 
 
-@dataclass(frozen=True)
 class FirstShuffles:
     """The first `permutation(n)` of each of a batch of PCG64 streams, one
     row per stream (lane), with what each lane's stream needs to continue:
@@ -407,17 +405,17 @@ class FirstShuffles:
     or -1 where there is none. Slicing gives the lanes of a sub-batch;
     `stream(lane)` continues a lane's stream."""
 
-    perms: np.ndarray
-    pre: np.ndarray
-    inc: np.ndarray
-    outputs: np.ndarray
-    spare: np.ndarray
+    # a plain class: a dataclass would cost its import about 0.7 ms
+    __slots__ = ("perms", "pre", "inc", "outputs", "spare")
+
+    def __init__(self, perms, pre, inc, outputs, spare):
+        self.perms, self.pre, self.inc, self.outputs, self.spare = perms, pre, inc, outputs, spare
 
     def __len__(self) -> int:
         return len(self.perms)
 
     def __getitem__(self, lanes: slice) -> "FirstShuffles":
-        return FirstShuffles(*(getattr(self, f.name)[lanes] for f in fields(self)))
+        return FirstShuffles(*(getattr(self, name)[lanes] for name in self.__slots__))
 
     def stream(self, lane: int) -> "Pcg64Stream":
         """The lane's stream, where its first permutation left it."""
