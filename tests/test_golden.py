@@ -74,6 +74,8 @@ seed: 11
 # AR(1) noise KPIs (phi 0.9), which stay dependent on F at levels 1-3, so
 # the conditional tests run into the hundreds (860 at seed 0). Its default
 # tune sweep has refinement passes and a fractional P (n03 and n04 at g 8).
+# `compare-states` on it builds both windows' lagged subgraphs over all 15
+# KPIs, with MCI conditioning sets of every size from one to 2 * max_cond.
 AUTOCORRELATED_SCENARIO = """
 name: autocorrelated
 nodes: [root, mid, sla, n01, n02, n03, n04, n05, n06, n07, n08, n09, n10, n11, n12]
@@ -107,6 +109,9 @@ CASES = {
     ),
     "compare-states-stage-config": (
         "compare-states", "--scenario", "cascade", "--seed", "1", "--config", "{stages}"
+    ),
+    "compare-states-autocorrelated": (
+        "compare-states", "--scenario-file", "autocorrelated.yaml", "--seed", "0"
     ),
     "tune": ("tune", "--config", "{config}"),
     "tune-jobs2": ("tune", "--config", "{config}", "--jobs", "2"),
@@ -209,6 +214,14 @@ GOLDEN = {
             "7f3c1854f3108c84308e6aab1aa6800fa5782838d5e8d3125d4cab2bc4edc9bc",
         "subgraph_normal.dot":
             "6f251a6f4932cc44b5fba32f8c9b9d4f65f446b5e88db0ddb4457232d1bf3aa6",
+    },
+    "compare-states-autocorrelated": {
+        "graph_diff.json":
+            "f8d011269fa8dbb1646e92754a0afa706bc7992d2da16c7192c0ce8f63c951a2",
+        "subgraph_abnormal.dot":
+            "efbbcf7076817cf570dc04d3fccd2afdf00c312b3f5c40ff02ff85a41d56f937",
+        "subgraph_normal.dot":
+            "3b30d850c4976c7452711d60d400fb01176c9e359d137a5f777a00f39c77ff02",
     },
     "tune": {
         "tuning.csv":
