@@ -62,7 +62,7 @@ from .errors import AnalysisError, ConfigError
 from .panel import LabeledPanel, read_only_copy, value_eq
 # the marginal screen's binding; bench/tracer.py hooks it under this name
 from .stats import batch_ci as batch_marginal_ci
-from .stats import ci_test, stacked_gram_ci
+from .stats import ci_test, fisher_p, stacked_gram_ci
 
 __all__ = [
     "RcdConfig",
@@ -581,8 +581,8 @@ class CiOracle:
         # each test's block is the Gram's on [X, F, *S]; F is its last column
         idx = np.array([[order[x], len(order), *(order[s] for s in sub)] for x, sub in missing])
         blocks = self.gram[idx[:, :, np.newaxis], idx[:, np.newaxis, :]]
-        _, p, answered = stacked_gram_ci(blocks, self.f.size)
-        for (name, subset), p_key, ok in zip(missing, p.tolist(), answered.tolist()):
+        _, z, answered = stacked_gram_ci(blocks, self.f.size)
+        for (name, subset), p_key, ok in zip(missing, fisher_p(z).tolist(), answered.tolist()):
             if not ok:
                 given = [self.column(s) for s in subset]
                 p_key = ci_test(self.column(name), self.f, given=given).p

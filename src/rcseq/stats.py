@@ -12,16 +12,23 @@ test, a stack of blocks per call: discovery makes one call per (chunk,
 level), the parent screen one per round and MCI one per group. The callers
 answer the blocks it declines from the rows with :func:`batch_ci`. The
 lagged subgraph has one more kernel shaped to its work: :func:`marginal_ci`
-tests one design's columns against every target. All of them take r and p
-from one degeneracy rule and one Fisher-z tail, the C library's `erfc`
-through `math.erfc`, one call per test.
+tests one design's columns against every target. All of them take r and
+Fisher's z from one degeneracy rule. :func:`stacked_gram_ci` and
+:func:`marginal_ci` return z; :func:`batch_ci` and :func:`ci_test` return
+p. A caller that reports p takes it from :func:`fisher_p`, the C library's
+`erfc` through `math.erfc`, one call per test. A caller that only compares
+p with alpha asks :func:`fisher_p_above`, which decides most tests from z
+against a cut computed once per alpha and calls `math.erfc` only for the
+few near it; each decision is bit for bit that of `fisher_p(z) > alpha`.
 
 All functions here are pure and reentrant.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +42,8 @@ __all__ = [
     "batch_ci",
     "stacked_gram_ci",
     "marginal_ci",
+    "fisher_p",
+    "fisher_p_above",
     "bonferroni",
     "bh_adjust",
     "binomial_sd",
@@ -165,8 +174,8 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     if n <= n_cond + 3:
         raise ValueError(f"insufficient sample: n={n} requires n > {n_cond + 3}")
     if not cols:
-        r, p = marginal_ci(x, [yv])
-        return r[0], p[0]
+        r, z = marginal_ci(x, [yv])
+        return r[0], fisher_p(z[0])
     nx = np.linalg.norm(x - x.mean(axis=0), axis=0)
     ny = float(np.linalg.norm(yv - yv.mean()))
     design = np.column_stack([np.ones(n)] + cols)
@@ -176,7 +185,8 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
     ry, rx = resid[:, 0], resid[:, 1:]
     sx = np.linalg.norm(rx, axis=0)
     sy = float(np.linalg.norm(ry))
-    return _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
+    r, z = _fisher_z(rx.T @ ry, sx, sy, nx, ny, n - n_cond - 3)
+    return r, fisher_p(z)
 
 
 # The smallest share of a column's variance that the other columns of a
@@ -184,15 +194,18 @@ def batch_ci(x_matrix, y, given=()) -> tuple[np.ndarray, np.ndarray]:
 _GRAM_FLOOR = 1e-6
 
 
-def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def stacked_gram_ci(blocks, n) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial-correlation CI tests, one per Gram block of a stack.
 
     blocks is (tests, k, k): block i holds the cross products of n centered
     rows of [x, y, *given], and x is tested against y given the k - 2
-    other columns. Returns (r, p, answered), one entry per block; r and p
-    are NaN where answered is False, a block the caller answers from the
-    rows instead. Each block's entries are bit for bit what a stack holding
-    that block alone gives it.
+    other columns. n is one row count for every block, or an array of one
+    per block. Returns (r, z, answered), one entry per block, z being
+    Fisher's z (:func:`fisher_p` gives its p); r and z are NaN where
+    answered is False, a block the caller answers from the rows instead.
+    Each block's entries are bit for bit what a stack holding that block
+    alone, with its own n, gives it: sqrt(n - k - 1) is correctly rounded
+    for an array of n as for one.
 
     With B a block and P its inverse, r = -P01 / sqrt(P00 P11). It goes
     through :func:`_fisher_z` as cov = -P01 / (P00 P11), sx = P00^-1/2 and
@@ -232,8 +245,10 @@ def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     if b.ndim != 3 or b.shape[1] != b.shape[2] or b.shape[1] < 2:
         raise ValueError("blocks must be a (tests, k, k) stack of [x, y, *given] Gram blocks")
     k = b.shape[1]
-    if n <= k + 1:
-        raise ValueError(f"insufficient sample: n={n} requires n > {k + 1}")
+    n_min = int(np.min(n))
+    if n_min <= k + 1:
+        raise ValueError(f"insufficient sample: n={n_min} requires n > {k + 1}")
+    dof = np.broadcast_to(n, (len(b),)) - (k + 1)
     try:
         prec = np.linalg.inv(b)
     except np.linalg.LinAlgError:
@@ -248,16 +263,17 @@ def stacked_gram_ci(blocks, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     scaled = np.diagonal(prec, axis1=1, axis2=2) * var
     answered = ((scaled > 0.0) & (scaled <= 1.0 / _GRAM_FLOOR)).all(axis=1)
     if np.count_nonzero(answered) == len(b):
-        return (*_gram_fisher_z(prec, var, n - k - 1), answered)
+        return (*_gram_fisher_z(prec, var, dof), answered)
     r = np.full(len(b), np.nan)
-    p = np.full(len(b), np.nan)
-    r[answered], p[answered] = _gram_fisher_z(prec[answered], var[answered], n - k - 1)
-    return r, p, answered
+    z = np.full(len(b), np.nan)
+    r[answered], z[answered] = _gram_fisher_z(prec[answered], var[answered], dof[answered])
+    return r, z, answered
 
 
-def _gram_fisher_z(prec, var, dof: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`stacked_gram_ci`'s r and p for blocks that pass the floor,
-    from their inverses and their diagonals; P00 and P11 are positive."""
+def _gram_fisher_z(prec, var, dof) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stacked_gram_ci`'s r and z for blocks that pass the floor,
+    from their inverses, their diagonals and their degrees of freedom;
+    P00 and P11 are positive."""
     p00, p11 = prec[:, 0, 0], prec[:, 1, 1]
     return _fisher_z(
         -prec[:, 0, 1] / (p00 * p11),
@@ -271,17 +287,17 @@ def _gram_fisher_z(prec, var, dof: int) -> tuple[np.ndarray, np.ndarray]:
 
 def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
     """Marginal correlation tests of every column of x_matrix against each
-    series in ys; returns (r, p) arrays with one row per series.
-    ``batch_ci(x_matrix, y)`` with no conditioning set is the one-series
-    call, so row i is bit for bit what it returns for ys[i].
+    series in ys; returns (r, z) arrays with one row per series, z being
+    Fisher's z (:func:`fisher_p` gives its p). ``batch_ci(x_matrix, y)``
+    with no conditioning set is the one-series call, so row i's r and p
+    are bit for bit what it returns for ys[i].
 
     The columns are centered, and their norms taken, once for every
     series. Each series then takes one product with the centered columns
     (a matrix-vector product, as in :func:`batch_ci`, whose last bits a
-    single matrix-matrix product would not keep). The Fisher-z tail runs
+    single matrix-matrix product would not keep). Fisher's z is taken
     over blocks of series holding about _MARGINAL_BLOCK tests each, which
-    keeps its temporaries small: one call over the 20 000 tests of a
-    50-KPI window raised a run's peak RSS by about 1 MB.
+    keeps its temporaries small.
     """
     x = np.asarray(x_matrix, dtype=float)
     if x.ndim != 2:
@@ -292,7 +308,7 @@ def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
     xc = x - x.mean(axis=0)
     nx = np.linalg.norm(xc, axis=0)
     r = np.empty((len(ys), m))
-    p = np.empty((len(ys), m))
+    z = np.empty((len(ys), m))
     step = max(1, _MARGINAL_BLOCK // max(m, 1))
     for start in range(0, len(ys), step):
         block = ys[start : start + step]
@@ -305,16 +321,17 @@ def marginal_ci(x_matrix, ys) -> tuple[np.ndarray, np.ndarray]:
             yc = yv - yv.mean()
             cov[i] = xc.T @ yc
             ny[i] = np.linalg.norm(yc)
-        r[start : start + step], p[start : start + step] = _fisher_z(cov, nx, ny, nx, ny, n - 3)
-    return r, p
+        r[start : start + step], z[start : start + step] = _fisher_z(cov, nx, ny, nx, ny, n - 3)
+    return r, z
 
 
-def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
+def _fisher_z(cov, sx, sy, nx, ny, dof) -> tuple[np.ndarray, np.ndarray]:
     """r = cov / (sx * sy) per test, from the residuals' inner product cov
-    and norms sx and sy (arrays, or one value for every test), with its
-    two-sided p from Fisher's z = atanh(r) * sqrt(dof). A residual norm at
-    most 1e-12 of its series' centered norm nx or ny (or of 1, if larger)
-    is degenerate: r = 0, p = 1.
+    and norms sx and sy (arrays, or one value for every test), with
+    Fisher's z = atanh(r) * sqrt(dof), dof one count or one per test. A
+    residual norm at most 1e-12 of its series' centered norm nx or ny (or
+    of 1, if larger) is degenerate: r = 0, so z = 0 and p = 1. |r| = 1
+    gives an infinite z, and p = 0.
     """
     ok = (sx > _DEGENERATE_TOL * np.maximum(1.0, nx)) & (sy > _DEGENERATE_TOL * np.maximum(1.0, ny))
     r = np.zeros(ok.shape)
@@ -322,15 +339,83 @@ def _fisher_z(cov, sx, sy, nx, ny, dof: int) -> tuple[np.ndarray, np.ndarray]:
     # np.clip's bits, without its dispatch cost on small arrays
     r = np.minimum(np.maximum(r, -1.0), 1.0)
     saturated = np.abs(r) >= 1.0
-    zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(dof)
+    # numpy's and the C library's square roots are both correctly rounded
+    zval = np.arctanh(np.where(saturated, 0.0, r)) * np.sqrt(dof)
     if np.count_nonzero(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
-    # the two-sided normal tail 2 * Phi(-|z|) = erfc(|z| / sqrt(2)), from
-    # the C library; NaN gives NaN and an infinite z gives 0
-    x = np.abs(zval) * _SQRT1_2
-    p = np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
-    p = np.where(ok, p, 1.0)
-    return r, p
+    return r, zval
+
+
+def _tail(x: np.ndarray) -> np.ndarray:
+    """erfc of each x, from the C library through `math.erfc`: the one
+    definition of the normal tail behind every p."""
+    return np.array([math.erfc(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def fisher_p(z) -> np.ndarray:
+    """The two-sided p of each Fisher z, 2 * Phi(-|z|) = erfc(|z| / sqrt(2)),
+    one `math.erfc` call per test: z = 0 (a degenerate test) gives 1, an
+    infinite z 0 and NaN NaN."""
+    return _tail(np.abs(np.asarray(z, dtype=float)) * _SQRT1_2)
+
+
+# The half-width of fisher_p_above's band around its cut, relative to the
+# cut, and the least relative margin by which erfc must clear alpha at the
+# band's edges. The margin is about 450 ulps, far above the C library's
+# few-ulp error in erfc.
+_CUT_BAND = 1e-9
+_CUT_MARGIN = 1e-13
+
+
+@functools.lru_cache(maxsize=64)
+def _tail_cut(alpha: float) -> tuple[float, float]:
+    """The band (lo, hi) of fisher_p_above: erfc(x) > alpha for every x
+    below lo and erfc(x) < alpha for every x above hi, as `math.erfc`
+    computes them.
+
+    The cut x* is found by bisection on `math.erfc`, and the band is
+    x* (1 -+ _CUT_BAND). erfc is decreasing, so if the computed erfc
+    clears alpha by a relative _CUT_MARGIN at lo and at hi, the true erfc
+    clears it by nearly as much beyond them, and no computed erfc there,
+    a few ulps off the true one, can fall on the other side of alpha. At
+    the subgraph's alphas that holds with room to spare: erfc moves by a
+    relative 2 x* phi(x*) / erfc(x*) times _CUT_BAND across half the band,
+    1e-12 at alpha = 0.999 and 2.5e-8 at 1e-6. Where it does not hold (an
+    alpha from about 0.9999 on, a subnormal alpha, or one outside (0, 1))
+    the band is every x, and every test calls `math.erfc`.
+    """
+    everything = (-math.inf, math.inf)
+    if not sys.float_info.min <= alpha < 1.0:
+        return everything
+    below, above = 0.0, 64.0  # erfc(0) = 1 > alpha >= erfc(64) = 0
+    while True:
+        mid = 0.5 * (below + above)
+        if not below < mid < above:
+            break
+        if math.erfc(mid) > alpha:
+            below = mid
+        else:
+            above = mid
+    lo, hi = above * (1.0 - _CUT_BAND), above * (1.0 + _CUT_BAND)
+    if math.erfc(lo) > alpha * (1.0 + _CUT_MARGIN) and math.erfc(hi) < alpha * (1.0 - _CUT_MARGIN):
+        return lo, hi
+    return everything
+
+
+def fisher_p_above(z, alpha: float) -> np.ndarray:
+    """fisher_p(z) > alpha for each Fisher z, bit for bit, the decision of a
+    test that drops at p > alpha. A test whose x = |z| / sqrt(2) lies
+    below the band of :func:`_tail_cut` is above alpha and one past it is
+    not; only the tests inside the band, and NaN (never above alpha), call
+    `math.erfc`. A degenerate test, z = 0, is above every alpha below 1.
+    """
+    x = np.abs(np.asarray(z, dtype=float)) * _SQRT1_2
+    lo, hi = _tail_cut(float(alpha))
+    above = x < lo
+    near = ~(above | (x > hi))
+    if near.any():
+        above[near] = _tail(x[near]) > alpha
+    return above
 
 
 def _check_probs(p: np.ndarray) -> None:

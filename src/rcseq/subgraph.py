@@ -9,12 +9,13 @@ construction.
 
 A window's work is a few array operations: one lagged design shared by
 every target, one kernel call for every target's level 0, and one call of
-the stacked Gram-block kernel per screening round and per group of MCI
-tests with the same rows and conditioning-set size (per bounded chunk of
-a group, on long windows). The targets' screens
-advance in lockstep: a round is one (sweep, level) step of every target
-still screening, and each target keeps its own state, so no target's
-parents depend on the others.
+the stacked Gram-block kernel per screening round and per MCI
+conditioning-set size. The targets' screens advance in lockstep: a round
+is one (sweep, level) step of every target still screening, and each
+target keeps its own state, so no target's parents depend on the others.
+The screen only compares p with alpha, so it decides from Fisher's z
+(`stats.fisher_p_above`) and takes the normal tail only for the few tests
+near the cut; MCI reports each edge's p (`stats.fisher_p`).
 
 Self-dependencies (a KPI explaining itself at some lag) participate as
 conditioning context but are not emitted as subgraph edges; the subgraph
@@ -35,7 +36,14 @@ from .errors import AnalysisError, DataError
 from .panel import KpiPanel
 # ci_test is no longer called here; the binding stays for the benchmark's
 # tracer (bench/tracer.py), which hooks it by this module's name
-from .stats import batch_ci, ci_test, marginal_ci, stacked_gram_ci  # noqa: F401
+from .stats import (  # noqa: F401
+    batch_ci,
+    ci_test,
+    fisher_p,
+    fisher_p_above,
+    marginal_ci,
+    stacked_gram_ci,
+)
 
 __all__ = [
     "SubgraphConfig",
@@ -174,7 +182,7 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
     """
     design, keys = _lagged_design(panel, nodes, cfg.tau_max)
     ys = [panel.column(name)[cfg.tau_max:] for name in targets]
-    strength, p0 = marginal_ci(design, ys)
+    strength, z0 = marginal_ci(design, ys)
     # row i holds target i's candidates, column indices in (name, lag) order;
     # a candidate's strength starts at its level-0 |r|
     np.abs(strength, out=strength)
@@ -196,7 +204,7 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
         if sweep == 0:
             # level 0 runs once: a survivor has passed its marginal test,
             # and no later sweep can change that test
-            alive[p0 > cfg.alpha] = False
+            alive[fisher_p_above(z0, cfg.alpha)] = False
         levelling = sweeping.tolist()
         for level in range(1, cfg.max_cond + 1):
             members, tops, outsides = [], [], []
@@ -219,9 +227,8 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
                 outsides.append(np.flatnonzero(outside))
             if not members:
                 continue
-            rows, xs, r, p = _screen_round(design, ys, members, tops, outsides)
+            rows, xs, r, drop = _screen_round(design, ys, members, tops, outsides, cfg.alpha)
             strength[rows, xs] = np.minimum(strength[rows, xs], np.abs(r))
-            drop = p > cfg.alpha
             alive[rows[drop], xs[drop]] = False
         sweeping = sweeping[(alive[sweeping] != before[sweeping]).any(axis=1)]
         if not sweeping.size:
@@ -236,22 +243,24 @@ def _select_all_parents(panel: KpiPanel, nodes, targets, cfg: SubgraphConfig):
     return {name: tuple(keys[c] for c in ranked(i).tolist()) for i, name in enumerate(targets)}
 
 
-def _screen_round(design, ys, members, tops, outsides):
+def _screen_round(design, ys, members, tops, outsides, alpha):
     """One screening round. Target members[m], with the series
     ys[members[m]] and the level + 1 design columns tops[m], strongest
     first, has each design column of outsides[m] tested given
     top[:level], then each top[j], j < level, given the rest of top.
-    design and ys are centered. Returns (rows, xs, r, p): the target and
-    the tested column of every test, member after member, with its r and
-    p.
+    design and ys are centered. Returns (rows, xs, r, drop): the target
+    and the tested column of every test, member after member, with its r
+    and whether its p exceeds alpha.
 
     A test's Gram block [x, y, *given] takes x's squared norm, x's cross
     products with z = [y, top] and z's own Gram, so each member costs two
     small products and no target's Gram over all its survivors is built:
     a round's memory follows its number of tests. One
-    `stats.stacked_gram_ci` call answers the round. The blocks it declines
-    (a copied or derived KPI next to its inputs) run as one
-    `stats.batch_ci` call on the rows per (target, conditioning set).
+    `stats.stacked_gram_ci` call answers the round, and
+    `stats.fisher_p_above` decides its tests from their z. The blocks it
+    declines (a copied or derived KPI next to its inputs) run as one
+    `stats.batch_ci` call on the rows per (target, conditioning set), and
+    are decided from their p.
     """
     level = len(tops[0]) - 1
     tops = np.asarray(tops)
@@ -275,15 +284,17 @@ def _screen_round(design, ys, members, tops, outsides):
     blocks[:, 0, 0] = np.einsum("ij,ij->j", design, design)[xs]
     blocks[:, 0, 1:] = blocks[:, 1:, 0] = cross[np.arange(xs.size)[:, np.newaxis], sel]
     blocks[:, 1:, 1:] = core[at[:, np.newaxis, np.newaxis], sel[:, :, np.newaxis], sel[:, np.newaxis, :]]
-    r, p, answered = stacked_gram_ci(blocks, design.shape[0])
+    r, z, answered = stacked_gram_ci(blocks, design.shape[0])
+    drop = fisher_p_above(z, alpha)
     rows = np.asarray(members)[at]
     givens = tops[at[:, np.newaxis], slots]
     groups = {}
     for t in np.flatnonzero(~answered).tolist():
         groups.setdefault((rows[t], tuple(givens[t].tolist())), []).append(t)
     for (i, given), tests in groups.items():
-        r[tests], p[tests] = batch_ci(design[:, xs[tests]], ys[i], given=list(design[:, given].T))
-    return rows, xs, r, p
+        r[tests], p = batch_ci(design[:, xs[tests]], ys[i], given=list(design[:, given].T))
+        drop[tests] = p > alpha
+    return rows, xs, r, drop
 
 
 def mci_edge_test(
@@ -322,60 +333,71 @@ def _mci_conditioners(source, parents_of_target, parents_of_source, cfg):
     return tuple(dict.fromkeys(cond_target + cond_source))
 
 
-# The most values one MCI gather holds. A group of tests whose [x, y, *S]
-# series need more is gathered and answered in chunks of tests, so MCI's
-# memory is bounded whatever the window's length. A group of a 120-tick
-# window fits in one chunk up to 1100 tests.
+# The most values one MCI gather holds. The tests of a gather, those with
+# the same number of aligned rows and of conditioners, whose [x, y, *S]
+# series need more are gathered in chunks of tests, so MCI's memory is
+# bounded whatever the window's length. A gather of a 120-tick window fits
+# in one chunk up to 1100 tests.
 MCI_CHUNK_VALUES = 1 << 20
 
 
 def _mci_edges(panel: KpiPanel, tests, cfg: SubgraphConfig) -> list[LaggedEdge]:
     """Run MCI tests, each a (source, tau, target, conditioners) tuple, and
-    return the edges with p <= cfg.alpha, in test order within each group.
+    return the edges with p <= cfg.alpha, group by group, in test order
+    within each gather.
 
-    Tests with the same number of aligned rows and of conditioners form a
-    group. One indexing operation gathers a chunk of a group's [x, y, *S]
-    series from the panel, at most MCI_CHUNK_VALUES values, and one
-    `stats.stacked_gram_ci` call answers the chunk from the Gram blocks of
-    the centered series; a block's answer does not depend on the other
-    blocks of its call, so the chunking changes no bit. A block it declines
-    (a derived KPI next to its inputs, or a constant series) is answered by
-    `stats.batch_ci` on that test's uncentered rows.
+    Tests with the same number of conditioners form a group, and one
+    `stats.stacked_gram_ci` call answers a group from the Gram blocks of
+    its tests' centered series, each block with its own number of aligned
+    rows. The series come from the panel one gather at a time, the tests
+    of a group with the same number of rows, in one indexing operation per
+    chunk of at most MCI_CHUNK_VALUES values; only the small blocks are
+    pooled. A block's answer does not depend on the other blocks of its
+    call, so neither the pooling nor the chunking changes a bit. A block
+    the kernel declines (a derived KPI next to its inputs, or a constant
+    series) is answered by `stats.batch_ci` on that test's uncentered rows.
     """
     t = panel.n_ticks
+    column = {name: i for i, name in enumerate(panel.kpi_names)}
     groups = {}
     for test in tests:
         _, tau, _, cond = test
         t0 = max([tau] + [lag for _, lag in cond])
-        groups.setdefault((t - t0, len(cond)), []).append(test)
+        groups.setdefault(len(cond), {}).setdefault(t - t0, []).append(test)
     edges = []
-    for (rows, k), members in groups.items():
-        if rows <= k + 3:
-            raise AnalysisError(
-                f"insufficient overlap after lag alignment: {rows} rows for {k} conditioners"
-            )
-        # each test's series as (column, lag) pairs; a series starts `lag`
-        # rows before the group's first target row
-        cols = np.array([
-            [panel.index_of(x_name), panel.index_of(target)] + [panel.index_of(name) for name, _ in cond]
-            for x_name, _, target, cond in members
-        ])
-        lags = np.array([[tau, 0] + [lag for _, lag in cond] for _, tau, _, cond in members])
-        windows = sliding_window_view(panel.values, rows, axis=0)
-        starts = t - rows - lags
-        r, p = np.empty(len(members)), np.empty(len(members))
-        chunk = max(1, MCI_CHUNK_VALUES // ((k + 2) * rows))
-        for lo in range(0, len(members), chunk):
-            hi = min(lo + chunk, len(members))
-            stack = windows[starts[lo:hi], cols[lo:hi]]
-            stack -= stack.mean(axis=2, keepdims=True)
-            r[lo:hi], p[lo:hi], answered = stacked_gram_ci(stack @ stack.transpose(0, 2, 1), rows)
-            del stack  # released before the next chunk is gathered
-            # the stack was centered in place, so a declined test's rows are
-            # gathered again
-            for i in (lo + np.flatnonzero(~answered)).tolist():
-                x, y, *given = windows[starts[i], cols[i]]
-                r[i : i + 1], p[i : i + 1] = batch_ci(x[:, np.newaxis], y, given=given)
+    for k, gathers in groups.items():
+        members, blocks, sources, n = [], [], [], []
+        for rows, gather in gathers.items():
+            if rows <= k + 3:
+                raise AnalysisError(
+                    f"insufficient overlap after lag alignment: {rows} rows for {k} conditioners"
+                )
+            # each test's series as (column, lag) pairs; a series starts
+            # `lag` rows before the gather's first target row
+            cols = np.array([
+                [column[x_name], column[target]] + [column[name] for name, _ in cond]
+                for x_name, _, target, cond in gather
+            ])
+            lags = np.array([[tau, 0] + [lag for _, lag in cond] for _, tau, _, cond in gather])
+            windows = sliding_window_view(panel.values, rows, axis=0)
+            starts = t - rows - lags
+            chunk = max(1, MCI_CHUNK_VALUES // ((k + 2) * rows))
+            for lo in range(0, len(gather), chunk):
+                stack = windows[starts[lo : lo + chunk], cols[lo : lo + chunk]]
+                stack -= stack.mean(axis=2, keepdims=True)
+                blocks.append(stack @ stack.transpose(0, 2, 1))
+                del stack  # released before the next chunk is gathered
+            members.extend(gather)
+            sources.extend((windows, s, c) for s, c in zip(starts, cols))
+            n.extend([rows] * len(gather))
+        r, z, answered = stacked_gram_ci(np.concatenate(blocks), np.array(n))
+        p = fisher_p(z)
+        # the stacks were centered in place, so a declined test's rows are
+        # gathered again
+        for i in np.flatnonzero(~answered).tolist():
+            windows, starts, cols = sources[i]
+            x, y, *given = windows[starts, cols]
+            r[i : i + 1], p[i : i + 1] = batch_ci(x[:, np.newaxis], y, given=given)
         for (x_name, tau, target, _), r_i, p_i in zip(members, r.tolist(), p.tolist()):
             if p_i <= cfg.alpha:
                 edges.append(LaggedEdge(source=x_name, target=target, lag=tau, r=r_i, p=p_i))
@@ -391,9 +413,10 @@ def build_subgraph(
     cross-KPI link; deterministic for fixed inputs. Every node's screen
     shares one lagged design and one level-0 kernel call, the screens
     advance in lockstep with one `stats.stacked_gram_ci` call per (sweep,
-    level) round, and the MCI tests take one more call per group of tests
-    with the same rows and conditioning-set size (per chunk of
-    MCI_CHUNK_VALUES values, when a group needs more). Each node gets the
+    level) round, and the MCI tests take one more call per
+    conditioning-set size. The screen decides each test from its Fisher z
+    (`stats.fisher_p_above`), calling the normal tail only near the cut,
+    and MCI takes every test's p (`stats.fisher_p`). Each node gets the
     parents :func:`select_lagged_parents` gives it, and each node whose
     screen stops at the sweep cap with its set still changing emits one
     RuntimeWarning. The window must be longer than

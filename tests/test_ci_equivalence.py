@@ -2,10 +2,11 @@
 run once through the package's kernels (`stacked_gram_ci` for discovery's
 conditional tests, one call per (chunk, level), and for the parent
 screen's levels >= 1 and MCI, with `batch_ci` or `ci_test` for the blocks
-it declines;
-`marginal_ci` for every target's level 0) and once through the scalar
-references kept in `test_stats`, one test, or one target's marginal batch,
-at a time. Both must reach the same decisions and the same subgraph edges.
+it declines; `marginal_ci` for every target's level 0) and once through
+the scalar references kept in `test_stats`, one test, or one target's
+marginal batch, at a time. The screen decides both runs' kernel answers
+from Fisher's z (`stats.fisher_p_above`) and their row answers from p.
+Both must reach the same decisions and the same subgraph edges.
 Each of discovery's conditional tests, and each edge's MCI statistics,
 must agree within the Gram route's stated error bound
 (`test_stats.gram_error_bound`) where the kernel answered, and to 1e-12
@@ -24,8 +25,8 @@ from rcseq.subgraph import SubgraphConfig, build_subgraph
 from test_stats import (
     assert_within_gram_bound,
     centered_gram,
-    reference_batch_marginal_ci,
     reference_ci_test,
+    reference_marginal_z,
 )
 from test_subgraph import record_mci
 
@@ -148,10 +149,11 @@ def record_gram_tests(monkeypatch, kernel=stats.stacked_gram_ci):
         return p_values(oracle, keys)
 
     def gram(blocks, n):
-        r, p, answered = kernel(blocks, n)
+        r, z, answered = kernel(blocks, n)
+        p = stats.fisher_p(z)
         for test, r_i, p_i, ok in zip(pending, r.tolist(), p.tolist(), answered.tolist(), strict=True):
             asked.append((test, CiTestResult(r=r_i, p=p_i) if ok else None))
-        return r, p, answered
+        return r, z, answered
 
     monkeypatch.setattr(CiOracle, "p_values", recorded_p_values)
     monkeypatch.setattr(rcd, "stacked_gram_ci", gram)
@@ -215,9 +217,10 @@ CASES = {
 
 
 def reference_marginal(x_matrix, ys):
-    """Every target's level 0 as its own call of the old marginal kernel."""
-    rows = [reference_batch_marginal_ci(x_matrix, y) for y in ys]
-    return np.array([r for r, _ in rows]), np.array([p for _, p in rows])
+    """Every target's level 0 as its own call of the old marginal kernel,
+    as r and Fisher's z, with z = 0 (p = 1) where a test is degenerate."""
+    rows = [reference_marginal_z(x_matrix, y) for y in ys]
+    return np.array([r for r, _, _ in rows]), np.array([np.where(ok, z, 0.0) for _, z, ok in rows])
 
 
 def reference_batch(x_matrix, y, given=()):

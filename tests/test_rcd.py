@@ -23,7 +23,7 @@ from rcseq.rcd import (
 )
 from rcseq.config import DEFAULT_N_SET
 from rcseq.scm import make_scenario, single_root_scenario
-from rcseq.stats import batch_ci, ci_test, stacked_gram_ci
+from rcseq.stats import batch_ci, ci_test, fisher_p, stacked_gram_ci
 from rcseq.tuner import run_grid
 
 
@@ -334,7 +334,8 @@ class TestAutocorrelatedPanel:
         declined = 0
         for (name, subset), p in conditional.items():
             idx = [order[name], len(order), *(order[s] for s in subset)]
-            _, (want,), (answered,) = stacked_gram_ci(oracle.gram[np.ix_(idx, idx)][np.newaxis], n)
+            _, z, (answered,) = stacked_gram_ci(oracle.gram[np.ix_(idx, idx)][np.newaxis], n)
+            (want,) = fisher_p(z)
             if not answered:
                 declined += 1
                 want = ci_test(oracle.column(name), oracle.f, [oracle.column(s) for s in subset]).p

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from rcseq.stats import (
     binomial_sd,
     bonferroni,
     ci_test,
+    fisher_p,
+    fisher_p_above,
     ks_pvalue,
     ks_two_sample,
     marginal_ci,
@@ -155,13 +158,19 @@ class TestKsTwoSample:
 
 
 def normal_two_sided(z: float) -> float:
-    """The two-sided normal tail of one z, as `stats._fisher_z` takes it."""
+    """The two-sided normal tail of one z, as `stats.fisher_p` takes it."""
     return math.erfc(abs(z) * _SQRT1_2)
 
 
 def fisher_z_of(r, dof):
-    """The z that `stats._fisher_z` tests for correlations r, |r| < 1."""
+    """The z that `stats._fisher_z` gives correlations r, |r| < 1."""
     return np.arctanh(r) * math.sqrt(dof)
+
+
+def fisher_r_p(cov, sx, sy, nx, ny, dof):
+    """`stats._fisher_z`'s r, with the p of its z."""
+    r, z = stats._fisher_z(cov, sx, sy, nx, ny, dof)
+    return r, fisher_p(z)
 
 
 class TestNormalTail:
@@ -174,7 +183,7 @@ class TestNormalTail:
         z = np.concatenate([np.linspace(0.0, 37.5, 2001), rng.uniform(0.0, 37.5, 2000)])
         r = np.tanh(z / math.sqrt(dof))
         r[1::2] *= -1.0
-        got_r, p = stats._fisher_z(r, np.ones(r.size), 1.0, 1.0, 1.0, dof)
+        got_r, p = fisher_r_p(r, np.ones(r.size), 1.0, 1.0, 1.0, dof)
         assert np.array_equal(got_r, r)
         zs = fisher_z_of(r, dof)
         assert np.abs(zs).max() <= 37.5 and np.count_nonzero(np.abs(zs) > 37.0) > 10
@@ -186,7 +195,7 @@ class TestNormalTail:
                 assert rel <= 3.0 * (2.0 * x * x + 1.0) * 2.0**-53, (zv, pv)
         # r = +-0 gives z = +-0 and p = 1, r = +-1 gives z = +-inf and p = 0,
         # and NaN gives NaN
-        _, p = stats._fisher_z(np.array([0.0, -0.0, 1.0, -1.0, np.nan]), np.ones(5), 1.0, 1.0, 1.0, dof)
+        _, p = fisher_r_p(np.array([0.0, -0.0, 1.0, -1.0, np.nan]), np.ones(5), 1.0, 1.0, 1.0, dof)
         assert p[:4].tolist() == [1.0, 1.0, 0.0, 0.0] and np.isnan(p[4])
 
     def test_fisher_z_same_bits_either_side_of_dispatch(self):
@@ -199,13 +208,13 @@ class TestNormalTail:
             sx[::7] = 0.0  # degenerate: r = 0, p = 1
             cov[3::11] = 1.0  # saturated: |r| = 1, p = 0
             ones = np.ones(size)
-            r, p = stats._fisher_z(cov, sx, 1.0, ones, 1.0, 40)
+            r, p = fisher_r_p(cov, sx, 1.0, ones, 1.0, 40)
             assert (p[::7] == 1.0).all() and (p[3::11][sx[3::11] > 0.0] == 0.0).all()
             for i in range(size):
-                alone = stats._fisher_z(cov[i : i + 1], sx[i : i + 1], 1.0, ones[i : i + 1], 1.0, 40)
+                alone = fisher_r_p(cov[i : i + 1], sx[i : i + 1], 1.0, ones[i : i + 1], 1.0, 40)
                 assert bits(r[i], p[i]) == bits(alone[0][0], alone[1][0]), (size, i)
         # and the tail keeps the shape of a stack of tests
-        r2, p2 = stats._fisher_z(cov.reshape(40, 50), sx.reshape(40, 50), 1.0, 1.0, 1.0, 40)
+        r2, p2 = fisher_r_p(cov.reshape(40, 50), sx.reshape(40, 50), 1.0, 1.0, 1.0, 40)
         assert bits(*r2.ravel(), *p2.ravel()) == bits(*r, *p)
 
     def test_batch_fisher_z_p_is_the_tail_of_its_z(self):
@@ -329,9 +338,9 @@ def reference_ci_test(x, y, given=()) -> CiTestResult:
     return reference_fisher_z_test(r, n=x.size, n_cond=len(cols))
 
 
-def reference_batch_marginal_ci(x_matrix, y):
-    """The marginal batch kernel as it stood before `batch_ci` took its
-    place, kept as the bitwise reference for the empty conditioning set."""
+def reference_marginal_z(x_matrix, y):
+    """reference_batch_marginal_ci up to Fisher's z: each column's r and z,
+    and whether it is not degenerate (a degenerate column has r = z = 0)."""
     x = np.asarray(x_matrix, dtype=float)
     yv = np.asarray(y, dtype=float).ravel()
     n = yv.size
@@ -347,6 +356,13 @@ def reference_batch_marginal_ci(x_matrix, y):
     zval = np.arctanh(np.where(saturated, 0.0, r)) * math.sqrt(n - 3)
     if np.any(saturated):
         zval[saturated] = np.sign(r[saturated]) * np.inf
+    return r, zval, ok
+
+
+def reference_batch_marginal_ci(x_matrix, y):
+    """The marginal batch kernel as it stood before `batch_ci` took its
+    place, kept as the bitwise reference for the empty conditioning set."""
+    r, zval, ok = reference_marginal_z(x_matrix, y)
     p = np.array([normal_two_sided(z) for z in zval.tolist()])
     p = np.where(ok, p, 1.0)
     return r, p
@@ -461,8 +477,9 @@ class TestMarginalCi:
             ys = [rng.normal(size=n) + x @ rng.uniform(-0.3, 0.3, k) for _ in range(4)]
             ys.append(np.full(n, -1.0))  # a constant series is degenerate everywhere
             ys.append(x[:, 0].copy())  # and a copy of a column saturates its r
-            r, p = marginal_ci(x, ys)
-            assert r.shape == p.shape == (len(ys), k)
+            r, z = marginal_ci(x, ys)
+            p = fisher_p(z)
+            assert r.shape == z.shape == (len(ys), k)
             for i, y in enumerate(ys):
                 want_r, want_p = batch_ci(x, y)
                 assert np.array_equal(r[i].view(np.int64), want_r.view(np.int64))
@@ -476,6 +493,113 @@ class TestMarginalCi:
             marginal_ci(np.zeros((10, 2)), [np.arange(10.0), np.arange(9.0)])
         with pytest.raises(ValueError, match="2-D"):
             marginal_ci(np.zeros(10), [np.arange(10.0)])
+
+
+# alphas from far in the tail to near 1, the subgraph's default among them
+WORKING_ALPHAS = (1e-6, 0.001, 0.01, 0.05, 0.2, 0.999)
+# alphas where no band can be certified: the decision calls erfc for every
+# test (1e-310 is subnormal)
+UNBANDED_ALPHAS = (1.0 - 1e-9, 0.99999, 1e-310)
+
+_erfc = math.erfc
+
+
+def rough_erfc(x: float) -> float:
+    """math.erfc moved by up to 64 ulps, the offset a function of x's bits:
+    off the true tail by more than the C library's few ulps, though well
+    inside the band's margin, and not monotone."""
+    v = _erfc(x)
+    k = int.from_bytes(struct.pack("<d", x), "little") * 2654435761 % 129 - 64
+    return v + k * math.ulp(v) if v else v
+
+
+def crossing(alpha: float) -> float:
+    """The least x, found by bisection on `math.erfc`, whose erfc is not
+    above alpha."""
+    below, above = 0.0, 64.0
+    while below < (mid := 0.5 * (below + above)) < above:
+        below, above = (mid, above) if math.erfc(mid) > alpha else (below, mid)
+    return above
+
+
+def ulps_around(x: float, dense: int, sparse: int = 0) -> np.ndarray:
+    """Every double within `dense` ulps of x, and every 97th to `sparse`."""
+    offsets = np.union1d(np.arange(-dense, dense + 1), np.arange(-sparse, sparse + 1, 97))
+    return (np.float64(x).view(np.int64) + offsets).view(np.float64)
+
+
+def decision_cases(alpha: float) -> np.ndarray:
+    """Fisher z's to decide at alpha: every z within 10**4 ulps of the cut
+    and of each edge of the band, every 97th to 10**6 ulps of the cut,
+    random z of both signs, 0, +-inf, NaN, and the z's of degenerate
+    tests (0) and declined blocks (NaN) from the kernels."""
+    rng = np.random.default_rng(int(-math.log2(alpha)))
+    cut = crossing(alpha) / _SQRT1_2
+    edges = [e / _SQRT1_2 for e in stats._tail_cut(alpha) if math.isfinite(e) and e > 0]
+    x, y, given = batch_case(rng, 120, 0)
+    _, z_marginal = marginal_ci(x, [y])
+    _, z_stacked, answered = stacked_gram_ci(mci_blocks(*stacked_case(rng, 12, 60, 2)), 60)
+    assert (z_marginal[0, 2:5] == 0.0).all() and np.isnan(z_stacked[~answered]).all()
+    z = np.concatenate([
+        ulps_around(cut, 10**4, 10**6),
+        *(ulps_around(e, 10**4) for e in edges),
+        rng.normal(scale=3.0, size=2000),
+        rng.uniform(-40.0, 40.0, 2000),
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, 5e-324],
+        z_marginal.ravel(),
+        z_stacked,
+    ])
+    return z
+
+
+class TestFisherDecision:
+    @pytest.mark.parametrize("alpha", WORKING_ALPHAS + UNBANDED_ALPHAS)
+    def test_decision_is_the_tail_bit_for_bit(self, alpha):
+        z = decision_cases(alpha)
+        want = [math.erfc(abs(v) * _SQRT1_2) > alpha for v in z.tolist()]
+        assert fisher_p_above(z, alpha).tolist() == want
+        # the same decision as on the p's that callers report
+        assert np.array_equal(fisher_p_above(z, alpha), fisher_p(z) > alpha)
+        # and the shape of a stack of tests is kept
+        square = z[: (z.size // 50) * 50].reshape(-1, 50)
+        assert np.array_equal(fisher_p_above(square, alpha), fisher_p(square) > alpha)
+
+    @pytest.mark.parametrize("alpha", WORKING_ALPHAS + UNBANDED_ALPHAS)
+    def test_decision_holds_for_a_tail_a_few_ulps_off(self, monkeypatch, alpha):
+        # a C library whose erfc is off by a few ulps, and not monotone,
+        # still gets its own erfc(x) > alpha for every test: the band, not
+        # the monotonicity of one library's erfc, makes the decision exact
+        monkeypatch.setattr(math, "erfc", rough_erfc)
+        stats._tail_cut.cache_clear()
+        try:
+            z = decision_cases(alpha)
+            want = [rough_erfc(abs(v) * _SQRT1_2) > alpha for v in z.tolist()]
+            assert fisher_p_above(z, alpha).tolist() == want
+        finally:
+            stats._tail_cut.cache_clear()
+
+    @pytest.mark.parametrize("alpha", WORKING_ALPHAS)
+    def test_tests_off_the_band_take_no_tail(self, monkeypatch, alpha):
+        lo, hi = stats._tail_cut(alpha)
+        assert 0.0 < lo < crossing(alpha) <= hi < np.inf
+        assert (hi - lo) / hi < 3e-9
+        rng = np.random.default_rng(5)
+        z = rng.normal(scale=4.0, size=5000)
+        x = np.abs(z) * _SQRT1_2
+        far = z[(x < lo) | (x > hi)]
+        assert far.size > 4990
+        calls = []
+        monkeypatch.setattr(math, "erfc", lambda v: calls.append(v) or _erfc(v))
+        above = fisher_p_above(far, alpha)
+        assert calls == []
+        monkeypatch.undo()
+        assert np.array_equal(above, fisher_p(far) > alpha)
+
+    @pytest.mark.parametrize("alpha", UNBANDED_ALPHAS + (0.0, 1.0, math.nan))
+    def test_unbanded_alphas_take_the_tail_everywhere(self, alpha):
+        assert stats._tail_cut(alpha) == (-np.inf, np.inf)
+        z = np.array([0.0, 1e-12, 1.0, 30.0, np.inf, np.nan])
+        assert np.array_equal(fisher_p_above(z, alpha), fisher_p(z) > alpha)
 
 
 UNIT_ROUNDOFF = 2.0**-53
@@ -493,8 +617,8 @@ def one_block_ci(gram, x, y, given, n) -> CiTestResult | None:
     a one-block `stacked_gram_ci` call on the block of `gram` on
     [x, y, *given]; None where the kernel declines the block."""
     idx = [x, y, *given]
-    (r,), (p,), (answered,) = stacked_gram_ci(gram[np.ix_(idx, idx)][np.newaxis], n)
-    return CiTestResult(r=float(r), p=float(p)) if answered else None
+    (r,), z, (answered,) = stacked_gram_ci(gram[np.ix_(idx, idx)][np.newaxis], n)
+    return CiTestResult(r=float(r), p=float(fisher_p(z)[0])) if answered else None
 
 
 def gram_error_bound(gram, x, y, given, n) -> tuple[float, float]:
@@ -637,7 +761,7 @@ def reference_gram_ci(gram, x, y, given, n) -> CiTestResult | None:
     if not ((scaled > 0.0) & (scaled <= 1.0 / stats._GRAM_FLOOR)).all():
         return None
     p00, p11, p01 = prec[0, 0], prec[1, 1], prec[0, 1]
-    r, p = stats._fisher_z(
+    r, p = fisher_r_p(
         np.array([-p01 / (p00 * p11)]),
         np.array([p00**-0.5]),
         np.array([p11**-0.5]),
@@ -688,15 +812,15 @@ class TestStackedGramCi:
 
     @staticmethod
     def assert_each_block_alone(blocks, n):
-        """One stacked call; each block's r, p and answer bit for bit those
+        """One stacked call; each block's r, z and answer bit for bit those
         of a stack holding that block alone."""
-        r, p, answered = stacked_gram_ci(blocks, n)
-        assert r.shape == p.shape == answered.shape == (len(blocks),)
+        r, z, answered = stacked_gram_ci(blocks, n)
+        assert r.shape == z.shape == answered.shape == (len(blocks),)
         for i, block in enumerate(blocks):
-            (r_alone,), (p_alone,), (answered_alone,) = stacked_gram_ci(block[np.newaxis], n)
-            assert bits(r[i], p[i]) == bits(r_alone, p_alone), i
+            (r_alone,), (z_alone,), (answered_alone,) = stacked_gram_ci(block[np.newaxis], n)
+            assert bits(r[i], z[i]) == bits(r_alone, z_alone), i
             assert answered[i] == answered_alone, i
-        assert np.isnan(r[~answered]).all() and np.isnan(p[~answered]).all()
+        assert np.isnan(r[~answered]).all() and np.isnan(z[~answered]).all()
         return answered
 
     def test_each_block_as_if_alone(self):
@@ -744,7 +868,8 @@ class TestStackedGramCi:
         blocks = mci_blocks(x, y, given)
         answered = self.assert_each_block_alone(blocks, n)
         assert np.flatnonzero(~answered).tolist() == declined
-        r, p, _ = stacked_gram_ci(blocks, n)
+        r, z, _ = stacked_gram_ci(blocks, n)
+        p = fisher_p(z)
         rows = {}
         for i in range(len(blocks)):
             ref = reference_ci_test(x[i], y[i], given=list(given[i].T))
@@ -780,6 +905,27 @@ class TestStackedGramCi:
         rows = self.assert_mci_stack(x, y, given, declined=[1, 2, 3, 4, 5, 6])
         # the rows answer the tests whose given set is rank-deficient
         assert all(rows[i].r != 0.0 and rows[i].p < 1.0 for i in (4, 5, 6))
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_pooled_row_counts_keep_each_blocks_bits(self, k):
+        # MCI pools the blocks of tests with different numbers of aligned
+        # rows into one call, one n per block: each block's r, z and answer
+        # are those of a call on its own n alone
+        rng = np.random.default_rng(160 + k)
+        sizes = (k + 4, 60, 61, 112)
+        stacks = [mci_blocks(*stacked_case(rng, 6, n, k)) for n in sizes]
+        n = np.repeat(sizes, [len(b) for b in stacks])
+        r, z, answered = stacked_gram_ci(np.concatenate(stacks), n)
+        want = [stacked_gram_ci(b, size) for b, size in zip(stacks, sizes)]
+        assert bits(*r) == bits(*np.concatenate([w[0] for w in want]))
+        assert bits(*z) == bits(*np.concatenate([w[1] for w in want]))
+        assert answered.tolist() == np.concatenate([w[2] for w in want]).tolist()
+        assert answered.any() and not answered.all()
+        # one n for every block is the same call as that n repeated
+        same = stacked_gram_ci(stacks[2], np.full(len(stacks[2]), sizes[2]))
+        assert bits(*same[0], *same[1]) == bits(*want[2][0], *want[2][1])
+        with pytest.raises(ValueError, match=f"n={k + 3} requires n > {k + 3}"):
+            stacked_gram_ci(stacks[1], np.array([60] * 5 + [k + 3]))
 
     def test_not_a_stack(self):
         with pytest.raises(ValueError, match="stack"):

@@ -12,7 +12,7 @@ from rcseq.errors import AnalysisError, ConfigError, DataError
 from rcseq.panel import KpiPanel, label_states
 from rcseq.report import to_dot
 from rcseq.scm import InterventionSpec, ScmSpec, cascade_scenario, generate, inject
-from rcseq.stats import batch_ci, ci_test, marginal_ci, stacked_gram_ci
+from rcseq.stats import batch_ci, ci_test, fisher_p, marginal_ci, stacked_gram_ci
 from rcseq.subgraph import (
     MAX_PARENT_SWEEPS,
     CausalSubgraph,
@@ -28,6 +28,7 @@ from test_stats import (
     batch_case,
     bits,
     centered_gram,
+    fisher_z_of,
     normal_two_sided,
     reference_ci_test,
 )
@@ -337,7 +338,8 @@ class TestSelectLaggedParents:
         cfg = SubgraphConfig()
         design, _ = subgraph._lagged_design(panel, panel.kpi_names, cfg.tau_max)
         ys = [panel.column(name)[cfg.tau_max:] for name in panel.kpi_names]
-        r, p = marginal_ci(design, ys)
+        r, z = marginal_ci(design, ys)
+        p = fisher_p(z)
         for i, y in enumerate(ys):
             want_r, want_p = batch_ci(design, y)
             assert np.array_equal(r[i].view(np.int64), want_r.view(np.int64))
@@ -420,10 +422,12 @@ def round_of(members):
 class TestScreenRound:
     @staticmethod
     def run_round(monkeypatch, members):
-        """One round; every test against the scalar reference, within the
-        Gram route's bound where the kernel answered and to 1e-12 where
-        batch_ci did, with the same decision at 0.05. Returns r, p and the
-        conditioning sets of the batch_ci calls."""
+        """One round at alpha 0.05; every test against the scalar reference,
+        within the Gram route's bound where the kernel answered and to
+        1e-12 where batch_ci did, with the same decision. The round reports
+        r and each test's decision; p is the tail of r's Fisher z, as the
+        kernels take it. Returns r, p and the conditioning sets of the
+        batch_ci calls."""
         design, ys, _, tops, outsides = args = round_of(members)
         grouped = []
 
@@ -432,10 +436,13 @@ class TestScreenRound:
             return batch_ci(x_matrix, y, given=given)
 
         monkeypatch.setattr(subgraph, "batch_ci", counted_batch_ci)
-        rows, xs, r, p = subgraph._screen_round(*args)
+        rows, xs, r, drop = subgraph._screen_round(*args, 0.05)
         monkeypatch.undo()
         n = design.shape[0]
         level = len(tops[0]) - 1
+        with np.errstate(divide="ignore"):  # |r| = 1 gives an infinite z
+            p = fisher_p(fisher_z_of(r, n - level - 3))
+        assert np.array_equal(drop, p > 0.05)
         tests = [
             (i, x, top[:level] if x not in top[:level] else np.delete(top, list(top).index(x)))
             for i, (top, outside) in enumerate(zip(tops, outsides))
@@ -451,7 +458,7 @@ class TestScreenRound:
                 assert_within_gram_bound(got, ref, gram, 0, 1, list(range(2, len(series))), n)
             else:
                 assert abs(r[t] - ref.r) <= 1e-12 and abs(p[t] - ref.p) <= 1e-12
-            assert (p[t] <= 0.05) == (ref.p <= 0.05), t
+            assert drop[t] == (ref.p > 0.05), t
         return r, p, grouped
 
     @pytest.mark.parametrize("level", [1, 2, 3])
@@ -636,7 +643,8 @@ class TestBuildSubgraph:
 
         def counted_stacked_gram_ci(blocks, n):
             if mci:
-                groups.append((n, blocks.shape[1] - 2, len(blocks)))
+                rows = set(np.broadcast_to(n, len(blocks)).tolist())
+                groups.append((blocks.shape[1] - 2, rows, len(blocks)))
             return stacked_gram_ci(blocks, n)
 
         def counted_batch_ci(x_matrix, y, given=()):
@@ -655,9 +663,11 @@ class TestBuildSubgraph:
         cfg = SubgraphConfig()
         graph = build_subgraph(panel, panel.kpi_names, cfg)
         monkeypatch.undo()
-        # one stacked_gram_ci call per (rows, |S|) group, and no QR anywhere
-        keys = [(rows, k) for rows, k, _ in groups]
-        assert len(set(keys)) == len(keys) > 1
+        # one stacked_gram_ci call per |S| group, some of them pooling tests
+        # with different numbers of rows, and no QR anywhere
+        sizes = [k for k, _, _ in groups]
+        assert len(set(sizes)) == len(sizes) > 1
+        assert max(len(rows) for _, rows, _ in groups) > 1
         assert qr_calls == []
         parents = {name: select_lagged_parents(panel, name, cfg) for name in panel.kpi_names}
         links = [(s, lag, t) for t in parents for s, lag in parents[t] if s != t]
@@ -673,7 +683,7 @@ class TestBuildSubgraph:
     def test_chunked_gather_changes_no_bit(self, monkeypatch):
         # one test per chunk, at an alpha that makes nearly every test an
         # edge. k018 -> k015 given k019 and both its inputs is declined by
-        # the kernel; here it sits amid a group of its shape, so that its
+        # the kernel; here it sits amid a gather of its shape, so that its
         # row answer must land in a later chunk's place
         panel = derived_panel(21)
         cond = (("k019", 3), ("k016", 3), ("k017", 3), ("k013", 8))
@@ -681,21 +691,75 @@ class TestBuildSubgraph:
         tests = mci_tests(panel, SubgraphConfig()) + shaped
         every = SubgraphConfig(alpha=1 - 1e-12)
         whole = subgraph._mci_edges(panel, tests, every)
-        declined = []
+        declined, chunks = [], []
         stacked = subgraph.stacked_gram_ci
 
         def counted_stacked_gram_ci(blocks, n):
-            r, p, answered = stacked(blocks, n)
+            r, z, answered = stacked(blocks, n)
             declined.append(np.count_nonzero(~answered))
-            return r, p, answered
+            return r, z, answered
 
+        class Windows:
+            """A gather's row windows, recording the tests of each chunk."""
+
+            def __init__(self, windows):
+                self.windows = windows
+
+            def __getitem__(self, key):
+                out = self.windows[key]
+                if out.ndim == 3:  # a chunk's [x, y, *S] series, not a declined test's
+                    chunks.append(len(out))
+                return out
+
+        window_view = subgraph.sliding_window_view
         monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
+        monkeypatch.setattr(subgraph, "sliding_window_view", lambda *a, **kw: Windows(window_view(*a, **kw)))
         monkeypatch.setattr(subgraph, "MCI_CHUNK_VALUES", 1)
         chunked = subgraph._mci_edges(panel, tests, every)
-        assert len(declined) == len(tests) and sum(declined) >= 2
+        # one kernel call per |S|, over chunks of one test each
+        assert chunks == [1] * len(tests)
+        assert len(declined) == len({len(cond) for *_, cond in tests}) and sum(declined) >= 2
         assert ("k018", "k015", 2) in {e.key for e in whole}
         assert len(whole) > len(tests) // 2
         assert [(e.key, bits(e.r, e.p)) for e in chunked] == [(e.key, bits(e.r, e.p)) for e in whole]
+
+    def test_tail_work_follows_the_mci_tests(self, monkeypatch):
+        # a window shaped like the benchmark's compare-wide: 50 KPIs, 120
+        # ticks, tau_max 8. The screen decides its tests from Fisher's z and
+        # takes the normal tail only for those in the band around the cut;
+        # MCI takes it for every test, in one kernel call per |S|
+        panel = screen_panel(143, 50, 120)
+        cfg = SubgraphConfig(tau_max=8)
+        lo, hi = stats._tail_cut(cfg.alpha)  # computed once per alpha, before counting
+        tails, decided, band, kernel = [], [], [], []
+        _, mci = record_mci(monkeypatch)
+        erfc, decide = math.erfc, subgraph.fisher_p_above
+
+        def counted_decide(z, alpha):
+            x = np.abs(z) * stats._SQRT1_2
+            decided.append(x.size)
+            band.append(np.count_nonzero(~((x < lo) | (x > hi))))
+            return decide(z, alpha)
+
+        def counted_stacked_gram_ci(blocks, n):
+            if mci:
+                kernel.append((blocks.shape[1] - 2, len(blocks)))
+            return stacked_gram_ci(blocks, n)
+
+        monkeypatch.setattr(math, "erfc", lambda v: tails.append(v) or erfc(v))
+        monkeypatch.setattr(subgraph, "fisher_p_above", counted_decide)
+        monkeypatch.setattr(subgraph, "stacked_gram_ci", counted_stacked_gram_ci)
+        build_subgraph(panel, panel.kpi_names, cfg)
+        monkeypatch.undo()
+        tests = mci_tests(panel, cfg)
+        assert len(tests) > 100 and sum(decided) > 20_000
+        assert len(tails) <= len(tests) + sum(band)
+        # a tail for every screen test, as the screen took before, would be
+        # 23 170 calls here
+        assert len(tails) < sum(decided) / 20
+        sizes = [k for k, _ in kernel]
+        assert sorted(sizes) == sorted({len(cond) for *_, cond in tests})
+        assert sum(size for _, size in kernel) == len(tests)
 
     def test_mci_gather_memory_is_bounded(self):
         # 25 KPIs x 20 000 ticks: gathering each group at once held every
