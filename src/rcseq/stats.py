@@ -9,10 +9,11 @@ conditioning set (:func:`ci_test` is its one-column call). Discovery's
 conditional tests, and those of the lagged parent screen and of MCI, go
 through :func:`stacked_gram_ci`, the inverse of one small Gram block per
 test, a stack of blocks per call: discovery makes one call per (chunk,
-level), the parent screen one per round and MCI one per group. The callers
-answer the blocks it declines from the rows with :func:`batch_ci`. The
-lagged subgraph has one more kernel shaped to its work: :func:`marginal_ci`
-tests one design's columns against every target. All of them take r and
+level), the parent screen one per round and MCI one per conditioning-set
+size, with one row count per block. The callers answer the blocks it
+declines from the rows with :func:`batch_ci`. The lagged subgraph has one
+more kernel shaped to its work: :func:`marginal_ci` tests one design's
+columns against every target. All of them take r and
 Fisher's z from one degeneracy rule. :func:`stacked_gram_ci` and
 :func:`marginal_ci` return z; :func:`batch_ci` and :func:`ci_test` return
 p. A caller that reports p takes it from :func:`fisher_p`, the C library's
@@ -378,9 +379,10 @@ def _tail_cut(alpha: float) -> tuple[float, float]:
     clears alpha by a relative _CUT_MARGIN at lo and at hi, the true erfc
     clears it by nearly as much beyond them, and no computed erfc there,
     a few ulps off the true one, can fall on the other side of alpha. At
-    the subgraph's alphas that holds with room to spare: erfc moves by a
-    relative 2 x* phi(x*) / erfc(x*) times _CUT_BAND across half the band,
-    1e-12 at alpha = 0.999 and 2.5e-8 at 1e-6. Where it does not hold (an
+    the subgraph's alphas that holds with room to spare: across half the
+    band erfc moves by a relative 2 / sqrt(pi) exp(-x*^2) x* / erfc(x*)
+    times _CUT_BAND, 4.6e-9 at alpha = 0.05, 2.5e-8 at 1e-6 and 1e-12 at
+    0.999. Where it does not hold (an
     alpha from about 0.9999 on, a subnormal alpha, or one outside (0, 1))
     the band is every x, and every test calls `math.erfc`.
     """
@@ -388,10 +390,7 @@ def _tail_cut(alpha: float) -> tuple[float, float]:
     if not sys.float_info.min <= alpha < 1.0:
         return everything
     below, above = 0.0, 64.0  # erfc(0) = 1 > alpha >= erfc(64) = 0
-    while True:
-        mid = 0.5 * (below + above)
-        if not below < mid < above:
-            break
+    while below < (mid := 0.5 * (below + above)) < above:
         if math.erfc(mid) > alpha:
             below = mid
         else:
